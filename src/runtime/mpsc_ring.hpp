@@ -241,10 +241,6 @@ class MpscRing {
     return closed_.load(std::memory_order_acquire);
   }
 
-  /// Wake hook for a consumer parked in pop() for reasons beyond new items
-  /// (e.g. an external admission gate opened).
-  void notify_consumer() noexcept { items_.notify_all(); }
-
  private:
   struct Cell {
     std::atomic<std::uint32_t> seq{0};

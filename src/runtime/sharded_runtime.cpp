@@ -97,11 +97,7 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
     Shard* s = shard.get();
     shard->worker = std::thread([this, s] {
       if (options_.pin_shards) pin_current_thread(s->index);
-      if (options_.cascade) {
-        worker_cascade_loop(*s);
-      } else {
-        worker_loop(*s);
-      }
+      worker_loop(*s);
     });
   }
   if (options_.cascade) {
@@ -133,18 +129,18 @@ void ShardedEngineRuntime::shutdown() noexcept {
       shard->stop.store(true, std::memory_order_seq_cst);
       shard->inbox.close();          // wakes the worker and ring-parked producers
       shard->space_ec.notify_all();  // wakes capacity-parked producers
-      shard->work_ec.notify_all();   // wakes a cascade worker off its gate
+      shard->work_ec.notify_all();   // wakes the parked worker
     }
   }
   // Crash-recovery teardown, in dependency order: stop the supervisor (so
   // no more replacement workers are spawned and shard.worker is stable),
   // then force-complete every migration ticket still in a replay log — a
-  // dead or mid-recovery shard can no longer run its send side, and a
-  // live peer may be parked in handle_control's receive wait that only
-  // the ticket can release — and only then join the workers. Completing a
-  // ticket a live worker also drains genuinely is benign: both sides set
-  // the same flags under the ticket lock, and the state transfer is
-  // abandoned with the rest of the in-flight work either way.
+  // dead shard can no longer run its side of the handshake, and
+  // migrate_definition may be parked on the ticket's done flag — and only
+  // then join the workers. Completing a ticket a live worker also drains
+  // genuinely is benign: both sides set the same flags under the ticket
+  // lock, and the state transfer is abandoned with the rest of the
+  // in-flight work either way.
   if (supervisor_thread_.joinable()) {
     {
       const std::lock_guard lk(supervisor_mutex_);
@@ -431,7 +427,7 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     WorkItem work{frozen, nullptr, 0, begin, end};
     if (options_.checkpoint_epoch != 0) log_push_locked(shard, work);
     if (shard.inbox.push(std::move(work))) {
-      if (options_.cascade) shard.work_ec.notify_all();
+      shard.work_ec.notify_all();
     } else {
       // Ring closed mid-shutdown: the item was discarded — undo the
       // admission (and its never-pushed log copy) so the counters stay
@@ -853,16 +849,44 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   return issued;
 }
 
-void ShardedEngineRuntime::publish_work(
-    Shard& shard, std::vector<OutChunk>& chunks, std::uint64_t last_stamp,
-    std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch) {
+void ShardedEngineRuntime::observe(Shard& shard, Run& run,
+                                   const std::shared_ptr<const core::Entity>& entity,
+                                   time_model::TimePoint now, std::uint64_t stamp,
+                                   std::uint32_t depth, std::uint32_t sub) {
+  run.emissions.clear();
+  shard.engine->observe(entity, now, run.emissions);
+  if (!run.emissions.empty()) {
+    for (core::Emission& em : run.emissions) em.def = shard.global_def[em.def];
+    run.chunks.push_back(OutChunk{stamp, std::move(run.emissions), depth, sub, now});
+    run.emissions = {};
+  }
+  run.ck_stamp = stamp;
+  run.ck_depth = depth;
+  run.ck_sub = sub;
+  run.dirty = true;
+}
+
+void ShardedEngineRuntime::observe_arrivals(Shard& shard, Run& run, const WorkItem& item) {
+  const Batch& batch = *item.batch;
+  for (const std::uint32_t i : item.indices()) {
+    // Aliasing pointer into the refcounted batch: slots that buffer the
+    // arrival share the batch storage instead of deep-copying (the batch
+    // stays alive while any shard buffers any of its entities).
+    observe(shard, run, std::shared_ptr<const core::Entity>(item.batch, &batch.entities[i]),
+            batch.nows[i], batch.stamps[i], 0, 0);
+  }
+  run.watermark = run.ck_stamp;
+  run.arrivals += item.end - item.begin;
+}
+
+void ShardedEngineRuntime::publish(Shard& shard, Run& run) {
   // Per-definition loads are collected only when someone rebalances —
   // the default static configuration skips this O(definitions) walk.
   const bool loads = publish_loads_.load(std::memory_order_relaxed);
   if (loads) {
-    load_scratch.clear();
-    shard.engine->collect_definition_loads(load_scratch);
-    for (auto& [idx, load] : load_scratch) idx = shard.global_def[idx];  // local -> global
+    run.loads.clear();
+    shard.engine->collect_definition_loads(run.loads);
+    for (auto& [idx, load] : run.loads) idx = shard.global_def[idx];  // local -> global
   }
   // A recovered engine only counts post-checkpoint work; stats_base
   // carries the checkpoint's cumulative counters (zero before any crash).
@@ -870,30 +894,47 @@ void ShardedEngineRuntime::publish_work(
   stats += shard.engine->stats();
   {
     const std::lock_guard lk(shard.out_mutex);
-    if (!chunks.empty()) shard.out_dirty.store(true, std::memory_order_relaxed);
-    for (OutChunk& chunk : chunks) shard.outbox.push_back(std::move(chunk));
+    if (!run.chunks.empty()) shard.out_dirty.store(true, std::memory_order_relaxed);
+    for (OutChunk& chunk : run.chunks) shard.outbox.push_back(std::move(chunk));
     shard.published_stats = stats;
     // Swap, don't copy: the retired publication becomes the next
     // collection scratch, so steady-state publishing at 1e5+ definitions
     // allocates nothing under the lock.
-    if (loads) std::swap(shard.published_def_loads, load_scratch);
+    if (loads) std::swap(shard.published_def_loads, run.loads);
     // Publish completion only after the emissions are visible in the
-    // outbox; poll() pairs this release store with an acquire load.
-    shard.watermark.store(last_stamp, std::memory_order_release);
+    // outbox: the coordinator reads the key under this lock, and poll()
+    // pairs the watermark's release store with an acquire load. The
+    // watermark is the newest consumed arrival, which may precede the
+    // key when the run ended on a feedback item.
+    shard.ck_stamp = run.ck_stamp;
+    shard.ck_depth = run.ck_depth;
+    shard.ck_sub = run.ck_sub;
+    shard.watermark.store(run.watermark, std::memory_order_release);
   }
   shard.done_cv.notify_all();
+  if (options_.cascade) signal_cascade();
+  if (run.last_seq != 0) shard.consumed_seq.store(run.last_seq, std::memory_order_relaxed);
+  if (run.arrivals != 0) {
+    shard.queued_arrivals.fetch_sub(run.arrivals, std::memory_order_seq_cst);
+    shard.space_ec.notify_all();
+  }
+  run.chunks.clear();
+  run.arrivals = 0;
+  run.last_seq = 0;
+  run.dirty = false;
 }
 
-void ShardedEngineRuntime::handle_control(
-    Shard& shard, const Control& ctl,
-    std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch) {
+bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run& run,
+                                          bool suppress) {
   // Migration control item, exactly at the epoch barrier of this shard's
   // stamp-ordered inbox.
-  std::vector<OutChunk> chunks;
   MigrationTicket& ticket = *ctl.ticket;
   if (ctl.send) {
     // Every pre-barrier arrival for the group has been processed;
-    // extract its engine state and hand it to the destination worker.
+    // extract its engine state and hand it to the destination worker. A
+    // recovery replay re-extracts: the rebuilt engine holds the group
+    // again (restored from a pre-barrier checkpoint or implanted by an
+    // earlier replayed receive) and it must leave either way.
     std::vector<core::DefinitionState> states;
     states.reserve(ticket.globals.size());
     for (const std::uint32_t global : ticket.globals) {
@@ -907,7 +948,7 @@ void ShardedEngineRuntime::handle_control(
     // this shard's published snapshot must no longer list them — two
     // live publications of one definition would let a stale value
     // overwrite a newer one in the rebalancer's merge.
-    publish_work(shard, chunks, shard.watermark.load(std::memory_order_relaxed), load_scratch);
+    if (!suppress) publish(shard, run);
     // The barrier's pre-epoch is fully drained: chunks below `barrier` are
     // all published. Monotone max — barriers surface in stamp order per
     // shard, but a recovery replay may revisit an older one.
@@ -916,9 +957,10 @@ void ShardedEngineRuntime::handle_control(
     }
     {
       const std::lock_guard tlk(ticket.m);
-      // Already ready: the shutdown ticket sweep (or a crash-recovery
-      // replay) force-completed this handshake first — the extraction
-      // stands (the group has left this engine) but the hand-off is void.
+      // Already ready: the original pre-crash send, the shutdown ticket
+      // sweep, or a receive abandoned mid-shutdown completed this
+      // handshake first — the extraction stands (the group has left this
+      // engine) but this hand-off is void.
       if (!ticket.ready) {
         ticket.states = std::move(states);
         ticket.ready = true;
@@ -929,11 +971,25 @@ void ShardedEngineRuntime::handle_control(
     // Wait for the source's extraction, then implant before touching
     // any post-barrier arrival. The wait only depends on the source
     // worker draining its inbox (send items never block), so chains
-    // of concurrent migrations resolve in decision order.
+    // of concurrent migrations resolve in decision order. It polls so
+    // shutdown can interrupt it: a stopped, dead, or mid-recovery source
+    // may never send.
     std::vector<core::DefinitionState> states;
     {
       std::unique_lock tlk(ticket.m);
-      ticket.cv.wait(tlk, [&] { return ticket.ready; });
+      while (!ticket.ready) {
+        if (shard.stop.load(std::memory_order_seq_cst)) {
+          // Abandon the transfer but complete the handshake, as
+          // shutdown's ticket sweep would: migrate_definition may be
+          // parked on `done`.
+          ticket.ready = true;
+          ticket.done = true;
+          tlk.unlock();
+          ticket.cv.notify_all();
+          return false;
+        }
+        ticket.cv.wait_for(tlk, std::chrono::milliseconds(1));
+      }
       if (options_.checkpoint_epoch != 0) {
         // Keep the ticket's copy: if this shard later crashes and its
         // checkpoint predates this control, the recovery replay implants
@@ -952,107 +1008,212 @@ void ShardedEngineRuntime::handle_control(
     }
     // Republish stats/loads so the rebalancer sees the new layout;
     // the watermark is unchanged (control items carry no arrivals).
-    publish_work(shard, chunks, shard.watermark.load(std::memory_order_relaxed), load_scratch);
+    if (!suppress) publish(shard, run);
     {
       const std::lock_guard tlk(ticket.m);
       ticket.done = true;
     }
     ticket.cv.notify_all();
   }
-  // Control completion, for flush()'s per-definition-order wait. The
-  // empty lock/unlock pairs the notify with the waiter's predicate.
+  // Control completion, for flush()'s per-definition-order wait (a replay
+  // may recount a control the dead worker completed, hence flush's >=).
+  // The empty lock/unlock pairs the notify with the waiter's predicate.
   shard.ctl_done.fetch_add(1, std::memory_order_seq_cst);
   { const std::lock_guard lk(shard.out_mutex); }
   shard.done_cv.notify_all();
+  return true;
 }
 
 void ShardedEngineRuntime::worker_loop(Shard& shard) {
-  std::vector<core::Emission> emissions;
-  std::vector<OutChunk> chunks;
-  std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> load_scratch;
+  Run run(shard);
   const bool ckpt_on = options_.checkpoint_epoch != 0;
+  // The current claim: one feedback item, one control item, or a run of
+  // arrivals off the head item (`whole`: the claim popped the item).
+  enum class Kind { kArrivals, kFeedback, kControl };
+  Kind kind{};
   WorkItem item;
-  for (;;) {
-    // Spin-then-park consume; false only once the ring is closed *and*
-    // fully drained, so every admitted item (controls included) is
-    // processed before exit.
-    if (!shard.inbox.pop(item)) return;
-    if (ckpt_on) shard.popped_seq = item.push_seq;
-    if (options_.crash_hook && options_.crash_hook(shard.index)) {
-      // Injected crash: abandon the in-hand item (its log copy survives;
-      // recovery replays it) and die. Only fires at item boundaries, so
-      // consumed_seq exactly bounds what the merge has seen.
-      item = WorkItem{};
-      die(shard);
-      return;
+  FeedbackItem fb;
+  bool whole = false;
+  std::uint64_t blocked_gate = ~std::uint64_t{0};  // set by a gate-refused claim
+
+  // Claims the next admissible work, or returns false (park on work_ec).
+  // Sub-stamp order: arrival s acts at (s, 0), feedback at (s, depth >= 1),
+  // a control item at (barrier-1, +inf). The coordinator dispatches
+  // feedback in key order and the inbox is stamp-ordered, so comparing the
+  // two heads yields this shard's next item; an arrival run extends while
+  // its stamps stay below the feedback head and within the gate.
+  const auto try_claim = [&]() -> bool {
+    blocked_gate = ~std::uint64_t{0};
+    WorkItem* head = shard.inbox.front();
+    const auto stamp_at = [&](std::uint32_t pos) {
+      return head->batch->stamps[head->batch->routed[pos]];
+    };
+    std::uint64_t limit = ~std::uint64_t{0};  // highest arrival stamp this claim may take
+    // No feedback-consuming definition (always the case without cascade):
+    // no feedback exists and no gate binds, so the claim is the whole head
+    // item — no lock, no fenced load. The flag is frozen before the first
+    // ingest, and everything that can reach this shard is ordered after
+    // it (ring hand-off, fb_mutex, the work_ec fences).
+    if (feedback_possible_.load(std::memory_order_acquire)) {
+      // The head's gate: arrival s waits for the closures below s, a
+      // control for those below its barrier. Feedback sorts first iff its
+      // stamp is at or below that gate.
+      std::uint64_t gate = ~std::uint64_t{0};
+      if (head != nullptr) {
+        gate = head->batch == nullptr ? head->ctl->barrier - 1 : stamp_at(head->begin) - 1;
+      }
+      {
+        const std::lock_guard flk(shard.fb_mutex);
+        if (!shard.feedback.empty()) {
+          if (shard.feedback.front().stamp <= gate) {
+            // Sequenced by the coordinator; always admissible.
+            fb = std::move(shard.feedback.front());
+            shard.feedback.pop_front();
+            kind = Kind::kFeedback;
+            return true;
+          }
+          limit = shard.feedback.front().stamp;
+        }
+      }
+      if (head == nullptr) return false;
+      // Arrivals and control items wait on this shard's admission
+      // frontier: every in-flight closure below theirs either finished
+      // dispatching feedback or provably cannot reach this shard, so
+      // nothing with a smaller sub-stamp can enter its queues anymore —
+      // items already queued are ordered by the head comparison above. A
+      // shard hosting no feedback-reachable definition never receives
+      // feedback items, so it runs ahead of the *global* frontier — but
+      // only by kCascadeRunahead stamps, bounding its outbox while the
+      // coordinator trails. The seq_cst loads pair with the coordinator's
+      // frontier stores through work_ec's fences, so parking never misses
+      // an advance.
+      std::uint64_t frontier;
+      if (shard.cascade_reachable.load(std::memory_order_seq_cst)) {
+        frontier = shard.admitted.load(std::memory_order_seq_cst);
+        if (gate > frontier) {
+          blocked_gate = gate;  // frontier value that would admit the head
+          return false;
+        }
+      } else {
+        // Global-frontier advances wake unreachable shards directly;
+        // leave blocked_gate unset so per-shard stores skip the futex.
+        frontier = admitted_through_.load(std::memory_order_seq_cst) + kCascadeRunahead;
+        if (gate > frontier) return false;
+      }
+      limit = std::min(limit, frontier + 1);
+    }
+    if (head == nullptr) return false;
+    whole = true;
+    if (head->batch == nullptr) {
+      kind = Kind::kControl;
+    } else {
+      kind = Kind::kArrivals;
+      if (limit != ~std::uint64_t{0}) {
+        std::uint32_t end = head->begin + 1;  // the head arrival passed the gate
+        while (end < head->end && stamp_at(end) <= limit) ++end;
+        if (end < head->end) {
+          // Admissible prefix only: advance the head item in place.
+          whole = false;
+          item = WorkItem{head->batch, nullptr, head->push_seq, head->begin, end};
+          head->begin = end;
+          return true;
+        }
+      }
+    }
+    item = std::move(*head);
+    shard.inbox.pop_front();
+    return true;
+  };
+
+  // Claims the next work, parking while none is admissible; false on stop.
+  const auto claim = [&]() -> bool {
+    for (;;) {
+      if (shard.stop.load(std::memory_order_acquire)) return false;
+      if (try_claim()) return true;
+      // Out of admissible work: make the run's completions visible before
+      // parking — the merge, the coordinator or a peer may be waiting on
+      // them, and the resulting frontier advance may itself admit the
+      // next item.
+      if (run.dirty) publish(shard, run);
+      // Publish what would unblock us before the pre-park recheck: the
+      // coordinator's frontier store / parked_gate probe pair is the
+      // mirror of this store / claim recheck, so a wake is never lost.
+      const std::uint64_t parked = blocked_gate;
+      shard.parked_gate.store(parked, std::memory_order_seq_cst);
+      const std::uint32_t ticket = shard.work_ec.prepare_wait();
+      if (shard.stop.load(std::memory_order_seq_cst)) {
+        shard.work_ec.cancel_wait();
+        return false;
+      }
+      if (try_claim()) {
+        shard.work_ec.cancel_wait();
+        return true;
+      }
+      if (blocked_gate < parked) {
+        // The recheck hit a lower gate (an item arrived since the first
+        // claim): the coordinator would skip advances below the stored
+        // gate, so store the new one before sleeping.
+        shard.work_ec.cancel_wait();
+        continue;
+      }
+      shard.work_ec.wait(ticket);
+    }
+  };
+
+  while (claim()) {
+    if (whole && kind != Kind::kFeedback) {
+      if (ckpt_on) shard.popped_seq = item.push_seq;
+      // Injected crash: abandon the popped item and the unpublished run
+      // (their log copies survive; recovery replays them) and die. Only
+      // fires at item boundaries, so consumed_seq exactly bounds what the
+      // merge has seen. (Claims split an item only under a cascade gate,
+      // which never runs with crash injection.)
+      if (options_.crash_hook && options_.crash_hook(shard.index)) {
+        die(shard);
+        return;
+      }
     }
     if (options_.stall_hook) options_.stall_hook(shard.index);
 
-    if (item.batch == nullptr) {
-      if (item.ctl->ckpt != 0) {
-        take_checkpoint(shard, item);
-      } else {
-        handle_control(shard, *item.ctl, load_scratch);
-        if (ckpt_on) shard.consumed_seq.store(item.push_seq, std::memory_order_relaxed);
-      }
-      item = WorkItem{};
-      continue;
-    }
-
-    // Drain a run of consecutive arrival items and publish once: the
-    // out_mutex handshake (outbox append + stats snapshot + watermark
-    // store + done_cv notify) is amortized over the run instead of paid
-    // per item. The run ends when the ring goes empty, a control item
-    // surfaces (it must see the pre-barrier watermark published), or
-    // kPublishBatch arrivals have accumulated (bounds merge latency).
-    chunks.clear();
-    std::uint64_t run_arrivals = 0;
-    std::uint64_t last_stamp = 0;
-    std::uint64_t last_seq = 0;
-    bool crashed = false;
-    for (;;) {
-      const std::span<const std::uint32_t> indices = item.indices();
-      for (const std::uint32_t i : indices) {
-        emissions.clear();
-        // Aliasing pointer into the refcounted batch: slots that buffer
-        // the arrival share the batch storage instead of deep-copying
-        // (the ROADMAP per-arrival-copy lever; the batch stays alive
-        // while any shard buffers any of its entities).
-        const std::shared_ptr<const core::Entity> entity(item.batch, &item.batch->entities[i]);
-        shard.engine->observe(entity, item.batch->nows[i], emissions);
-        if (emissions.empty()) continue;
-        for (core::Emission& em : emissions) em.def = shard.global_def[em.def];
-        chunks.push_back(OutChunk{item.batch->stamps[i], std::move(emissions), 0, 0, {}});
-        emissions = {};
-      }
-      last_stamp = item.batch->stamps[indices.back()];
-      run_arrivals += indices.size();
-      last_seq = item.push_seq;
-      item = WorkItem{};  // drop the batch reference before publishing
-      if (run_arrivals >= kPublishBatch) break;
-      WorkItem* next = shard.inbox.front();  // never waits: runs only extend
-      if (next == nullptr || next->batch == nullptr) break;
-      item = std::move(*next);
-      shard.inbox.pop_front();
-      if (ckpt_on) shard.popped_seq = item.push_seq;
-      if (options_.crash_hook && options_.crash_hook(shard.index)) {
-        // Mid-run crash: the whole unpublished run dies with the engine —
-        // nothing of it reached the merge, so recovery replays it from
-        // the log and regenerates the identical emissions.
-        crashed = true;
-        item = WorkItem{};
+    switch (kind) {
+      case Kind::kFeedback:
+        observe(shard, run, fb.entity, fb.now, fb.stamp, fb.depth, fb.sub);
+        fb = FeedbackItem{};
         break;
-      }
-      if (options_.stall_hook) options_.stall_hook(shard.index);
+      case Kind::kArrivals:
+        observe_arrivals(shard, run, item);
+        if (whole) run.last_seq = item.push_seq;
+        break;
+      case Kind::kControl:
+        // A control must see the pre-barrier run published, and its
+        // handshake may block on a peer waiting for this run's completions.
+        if (run.dirty) publish(shard, run);
+        if (item.ctl->ckpt != 0) {
+          take_checkpoint(shard, item);
+        } else if (handle_control(shard, *item.ctl, run, false) && ckpt_on) {
+          shard.consumed_seq.store(item.push_seq, std::memory_order_relaxed);
+        }
+        break;
     }
-    if (crashed) {
-      die(shard);
-      return;
+    item = WorkItem{};  // drop the batch reference before publishing
+    // Bounds merge latency under sustained load: a run is published at
+    // the latest once kPublishBatch arrivals have accumulated.
+    if (run.arrivals >= kPublishBatch) publish(shard, run);
+  }
+
+  // Stopped: arrivals and feedback are abandoned (the runtime is being
+  // destroyed and the coordinator is stopping too), and so are
+  // checkpoints, which would snapshot past the abandoned arrivals. Pending
+  // migration handshakes still complete — migrate_definition may be
+  // parked on a ticket — with receives whose send never comes released
+  // by handle_control's stop check.
+  if (run.dirty) publish(shard, run);
+  WorkItem leftover;
+  while (shard.inbox.try_pop(leftover)) {
+    if (leftover.batch == nullptr && leftover.ctl->ticket != nullptr) {
+      handle_control(shard, *leftover.ctl, run, false);
     }
-    publish_work(shard, chunks, last_stamp, load_scratch);
-    if (ckpt_on) shard.consumed_seq.store(last_seq, std::memory_order_relaxed);
-    shard.queued_arrivals.fetch_sub(run_arrivals, std::memory_order_seq_cst);
-    shard.space_ec.notify_all();
+    leftover = WorkItem{};
   }
 }
 
@@ -1179,9 +1340,7 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
   //    emissions are in the merge and their capacity was released. The
   //    remainder (consumed < push_seq <= popped) was popped but never
   //    published: processed for real, published, capacity-released.
-  std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> load_scratch;
-  std::vector<core::Emission> emissions;
-  std::vector<OutChunk> chunks;
+  Run run(shard);
   std::uint64_t done_seq = ck.has_value() ? ck->push_seq : 0;
   std::uint64_t replayed = 0;
   for (;;) {
@@ -1210,30 +1369,20 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
         // exactly (same prefix of the log has been applied).
         take_checkpoint(shard, entry);
       } else {
-        if (!replay_control(shard, *entry.ctl, suppress, load_scratch)) {
+        if (!handle_control(shard, *entry.ctl, run, suppress)) {
           shard.dead.store(true, std::memory_order_seq_cst);
           return false;
         }
         if (!suppress) shard.consumed_seq.store(entry.push_seq, std::memory_order_relaxed);
       }
     } else {
-      chunks.clear();
-      const std::span<const std::uint32_t> indices = entry.indices();
-      for (const std::uint32_t i : indices) {
-        emissions.clear();
-        const std::shared_ptr<const core::Entity> entity(entry.batch, &entry.batch->entities[i]);
-        shard.engine->observe(entity, entry.batch->nows[i], emissions);
-        ++replayed;
-        if (emissions.empty() || suppress) continue;  // suppressed: already merged pre-crash
-        for (core::Emission& em : emissions) em.def = shard.global_def[em.def];
-        chunks.push_back(OutChunk{entry.batch->stamps[i], std::move(emissions), 0, 0, {}});
-        emissions = {};
-      }
-      if (!suppress) {
-        publish_work(shard, chunks, entry.batch->stamps[indices.back()], load_scratch);
-        shard.consumed_seq.store(entry.push_seq, std::memory_order_relaxed);
-        shard.queued_arrivals.fetch_sub(indices.size(), std::memory_order_seq_cst);
-        shard.space_ec.notify_all();
+      observe_arrivals(shard, run, entry);
+      replayed += entry.end - entry.begin;
+      if (suppress) {
+        run = Run(shard);  // already merged pre-crash: drop, keep the published state
+      } else {
+        run.last_seq = entry.push_seq;
+        publish(shard, run);
       }
     }
     done_seq = entry.push_seq;
@@ -1241,303 +1390,6 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
   replayed_.fetch_add(replayed, std::memory_order_relaxed);
   recoveries_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-bool ShardedEngineRuntime::replay_control(
-    Shard& shard, const Control& ctl, bool suppress,
-    std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch) {
-  MigrationTicket& ticket = *ctl.ticket;
-  std::vector<OutChunk> chunks;
-  if (ctl.send) {
-    // Re-extract: the rebuilt engine holds the group (restored from a
-    // pre-barrier checkpoint or implanted by an earlier replayed
-    // receive) and it must leave again either way. The extracted state
-    // is only handed over if the original hand-off never happened;
-    // otherwise the destination already owns a copy and this one drops.
-    std::vector<core::DefinitionState> states;
-    states.reserve(ticket.globals.size());
-    for (const std::uint32_t global : ticket.globals) {
-      states.push_back(shard.engine->extract_definition_state(shard.local_of.at(global)));
-      shard.local_of.erase(global);
-    }
-    if (!suppress) {
-      publish_work(shard, chunks, shard.watermark.load(std::memory_order_relaxed), load_scratch);
-    }
-    if (ctl.barrier > shard.sent_through.load(std::memory_order_seq_cst)) {
-      shard.sent_through.store(ctl.barrier, std::memory_order_seq_cst);
-    }
-    {
-      const std::lock_guard tlk(ticket.m);
-      if (!ticket.ready) {
-        ticket.states = std::move(states);
-        ticket.ready = true;
-      }
-    }
-    ticket.cv.notify_all();
-  } else {
-    // Wait for the states (the source may itself be mid-recovery). The
-    // wait polls so shutdown can interrupt it; the live receive path
-    // keeps the ticket's copy (see handle_control), so a replayed
-    // implant always finds the states still there.
-    std::vector<core::DefinitionState> states;
-    {
-      std::unique_lock tlk(ticket.m);
-      for (;;) {
-        if (ticket.ready) break;
-        if (shard.stop.load(std::memory_order_seq_cst)) return false;
-        ticket.cv.wait_for(tlk, std::chrono::milliseconds(1));
-      }
-      states = ticket.states;  // copy: a later recovery may need it again
-    }
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      const auto local =
-          static_cast<std::uint32_t>(shard.engine->implant_definition_state(std::move(states[i])));
-      if (local >= shard.global_def.size()) shard.global_def.resize(local + 1, 0);
-      shard.global_def[local] = ticket.globals[i];
-      shard.local_of[ticket.globals[i]] = local;
-    }
-    if (!suppress) {
-      publish_work(shard, chunks, shard.watermark.load(std::memory_order_relaxed), load_scratch);
-    }
-    {
-      const std::lock_guard tlk(ticket.m);
-      ticket.done = true;
-    }
-    ticket.cv.notify_all();
-  }
-  // May recount a control the dead worker already completed — ctl_done
-  // legitimately overcounts across recoveries (flush waits with >=).
-  shard.ctl_done.fetch_add(1, std::memory_order_seq_cst);
-  { const std::lock_guard lk(shard.out_mutex); }
-  shard.done_cv.notify_all();
-  return true;
-}
-
-void ShardedEngineRuntime::publish_cascade(
-    Shard& shard, std::vector<OutChunk>& chunks, std::uint64_t stamp, std::uint32_t depth,
-    std::uint32_t sub, std::uint64_t watermark,
-    std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch) {
-  const bool loads = publish_loads_.load(std::memory_order_relaxed);
-  if (loads) {
-    load_scratch.clear();
-    shard.engine->collect_definition_loads(load_scratch);
-    for (auto& [idx, load] : load_scratch) idx = shard.global_def[idx];  // local -> global
-  }
-  {
-    const std::lock_guard lk(shard.out_mutex);
-    if (!chunks.empty()) shard.out_dirty.store(true, std::memory_order_relaxed);
-    for (OutChunk& chunk : chunks) shard.outbox.push_back(std::move(chunk));
-    shard.published_stats = shard.engine->stats();
-    if (loads) std::swap(shard.published_def_loads, load_scratch);
-    shard.ck_stamp = stamp;
-    shard.ck_depth = depth;
-    shard.ck_sub = sub;
-    // The run's newest fully-consumed arrival, which may precede the final
-    // completion key when the run ended on a feedback item.
-    if (watermark != 0) shard.watermark.store(watermark, std::memory_order_release);
-  }
-  shard.done_cv.notify_all();
-  signal_cascade();
-}
-
-void ShardedEngineRuntime::worker_cascade_loop(Shard& shard) {
-  std::vector<core::Emission> emissions;
-  std::vector<OutChunk> chunks;  // accumulated, unpublished run output
-  std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> load_scratch;
-  // Completion state withheld while a run of admissible items is in
-  // progress: one publish + one coordinator wake per run instead of per
-  // item. Flushed whenever the worker is about to block (park, control
-  // handshake, stop) so no one ever waits on a withheld completion.
-  bool ck_dirty = false;
-  std::uint64_t ck_stamp = 0;
-  std::uint32_t ck_depth = 0;
-  std::uint32_t ck_sub = 0;
-  std::uint64_t wm_run = 0;  // newest arrival stamp consumed in the run
-  const auto flush_run = [&] {
-    if (!ck_dirty) return;
-    publish_cascade(shard, chunks, ck_stamp, ck_depth, ck_sub, wm_run, load_scratch);
-    chunks.clear();
-    ck_dirty = false;
-    wm_run = 0;
-  };
-
-  enum class Action { kFeedback, kControl, kArrival };
-  for (;;) {
-    Action action{};
-    FeedbackItem fb;
-    std::shared_ptr<const Control> control;
-    std::shared_ptr<const Batch> batch;
-    std::uint32_t index = 0;
-
-    // Claims the next admissible item across the two work sources, or
-    // returns false (park on work_ec). Picks the head item with the
-    // smaller sub-stamp key: arrivals act at (s, 0), feedback at
-    // (s, depth >= 1), control items at (barrier-1, +inf). The coordinator
-    // dispatches feedback in key order and the inbox is stamp-ordered, so
-    // comparing the two heads yields the globally next item for this
-    // shard. Arrivals are consumed one at a time through the ring's
-    // consumer peek (the head item's `begin` cursor advances in place).
-    std::uint64_t blocked_gate = ~std::uint64_t{0};  // set by a gate-refused claim
-    const auto try_claim = [&]() -> bool {
-      blocked_gate = ~std::uint64_t{0};
-      bool have = false;
-      Action candidate{};
-      std::uint64_t key_stamp = 0;
-      std::uint32_t key_depth = 0;
-      std::uint64_t gate = 0;  // closure frontier the item waits for
-      WorkItem* head = shard.inbox.front();
-      if (head != nullptr) {
-        if (head->batch == nullptr) {
-          candidate = Action::kControl;
-          key_stamp = head->ctl->barrier - 1;
-          key_depth = 0xffffffffu;
-          gate = head->ctl->barrier - 1;
-        } else {
-          candidate = Action::kArrival;
-          key_stamp = head->batch->stamps[head->batch->routed[head->begin]];
-          key_depth = 0;
-          gate = key_stamp - 1;
-        }
-        have = true;
-      }
-      {
-        const std::lock_guard flk(shard.fb_mutex);
-        if (!shard.feedback.empty()) {
-          const FeedbackItem& f = shard.feedback.front();
-          if (!have || f.stamp < key_stamp ||
-              (f.stamp == key_stamp && f.depth < key_depth)) {
-            // Sequenced by the coordinator; always admissible.
-            fb = std::move(shard.feedback.front());
-            shard.feedback.pop_front();
-            action = Action::kFeedback;
-            return true;
-          }
-        }
-      }
-      if (!have) return false;
-      // Arrivals and control items wait on this shard's admission
-      // frontier: every in-flight closure below theirs either finished
-      // dispatching feedback or provably cannot reach this shard, so
-      // nothing with a smaller sub-stamp can enter its queues anymore —
-      // items already queued are ordered by the head comparison above.
-      // (Gating is not needed when feedback provably cannot exist.) A
-      // shard hosting no feedback-reachable definition never receives
-      // feedback items, so it runs ahead of the *global* frontier — but
-      // only by kCascadeRunahead stamps, bounding its outbox while the
-      // coordinator trails. The seq_cst loads pair with the
-      // coordinator's frontier stores through work_ec's fences, so
-      // parking never misses an advance.
-      if (feedback_possible_.load(std::memory_order_seq_cst)) {
-        if (shard.cascade_reachable.load(std::memory_order_seq_cst)) {
-          if (gate > shard.admitted.load(std::memory_order_seq_cst)) {
-            blocked_gate = gate;  // frontier value that would admit the head
-            return false;
-          }
-        } else if (gate > admitted_through_.load(std::memory_order_seq_cst) +
-                              kCascadeRunahead) {
-          // Global-frontier advances wake unreachable shards directly;
-          // leave blocked_gate unset so per-shard stores skip the futex.
-          return false;
-        }
-      }
-      if (candidate == Action::kControl) {
-        control = std::move(head->ctl);
-        shard.inbox.pop_front();
-      } else {
-        batch = head->batch;
-        index = batch->routed[head->begin];
-        if (++head->begin == head->end) shard.inbox.pop_front();
-      }
-      action = candidate;
-      return true;
-    };
-
-    bool stopping = false;
-    for (;;) {
-      if (shard.stop.load(std::memory_order_seq_cst)) {
-        stopping = true;
-        break;
-      }
-      if (try_claim()) break;
-      // Out of admissible work: make the run's completions visible before
-      // parking — the coordinator (or a peer) may be waiting on them, and
-      // the resulting frontier advance may itself admit the next item.
-      flush_run();
-      // Publish what would unblock us before the pre-park recheck: the
-      // coordinator's frontier store / parked_gate probe pair is the
-      // mirror of this store / claim recheck, so a wake is never lost.
-      shard.parked_gate.store(blocked_gate, std::memory_order_seq_cst);
-      const std::uint32_t ticket = shard.work_ec.prepare_wait();
-      if (shard.stop.load(std::memory_order_seq_cst)) {
-        shard.work_ec.cancel_wait();
-        stopping = true;
-        break;
-      }
-      if (try_claim()) {
-        shard.work_ec.cancel_wait();
-        break;
-      }
-      shard.work_ec.wait(ticket);
-    }
-    if (stopping) {
-      flush_run();
-      // Arrivals and feedback are abandoned (the runtime is being
-      // destroyed and the coordinator is stopping too), but pending
-      // migration handshakes must still complete: a peer worker may
-      // already be blocked in its receive-side ticket wait, which
-      // only the matching send can release. Every worker drains its
-      // control items on exit, so chains still resolve in decision
-      // order exactly as they would have live.
-      WorkItem leftover;
-      while (shard.inbox.try_pop(leftover)) {
-        if (leftover.batch == nullptr) handle_control(shard, *leftover.ctl, load_scratch);
-        leftover = WorkItem{};
-      }
-      return;
-    }
-    if (options_.stall_hook) options_.stall_hook(shard.index);
-
-    if (action == Action::kControl) {
-      // Control handshakes block on a peer and peers may block on this
-      // run's completions: publish before entering.
-      flush_run();
-      handle_control(shard, *control, load_scratch);
-      continue;
-    }
-    if (action == Action::kFeedback) {
-      emissions.clear();
-      shard.engine->observe(fb.entity, fb.now, emissions);
-      if (!emissions.empty()) {
-        for (core::Emission& em : emissions) em.def = shard.global_def[em.def];
-        chunks.push_back(OutChunk{fb.stamp, std::move(emissions), fb.depth, fb.sub, fb.now});
-        emissions = {};
-      }
-      ck_stamp = fb.stamp;
-      ck_depth = fb.depth;
-      ck_sub = fb.sub;
-      ck_dirty = true;
-      continue;
-    }
-    // Arrival: observed one at a time so the completion key can advance
-    // between consecutive stamps; the publish itself is deferred to the
-    // end of the admissible run.
-    emissions.clear();
-    const std::shared_ptr<const core::Entity> entity(batch, &batch->entities[index]);
-    const std::uint64_t stamp = batch->stamps[index];
-    shard.engine->observe(entity, batch->nows[index], emissions);
-    if (!emissions.empty()) {
-      for (core::Emission& em : emissions) em.def = shard.global_def[em.def];
-      chunks.push_back(OutChunk{stamp, std::move(emissions), 0, 0, batch->nows[index]});
-      emissions = {};
-    }
-    ck_stamp = stamp;
-    ck_depth = 0;
-    ck_sub = 0;
-    ck_dirty = true;
-    wm_run = stamp;
-    shard.queued_arrivals.fetch_sub(1, std::memory_order_seq_cst);
-    shard.space_ec.notify_all();
-  }
 }
 
 void ShardedEngineRuntime::signal_cascade() {
@@ -2151,7 +2003,7 @@ void ShardedEngineRuntime::drain_relaxed_locked(std::vector<core::EventInstance>
   // after its shard was swept, or fenced by a hold. Reading a shard's
   // watermark and its remaining outbox front under one out_mutex section
   // makes the clamp sound: chunks are pushed before the watermark store
-  // (publish_work), so a stamp counted into the frontier either has its
+  // (publish), so a stamp counted into the frontier either has its
   // chunks already released or still visible in the front we clamp by.
   std::uint64_t clamp = ~std::uint64_t{0};
   front_snap_scratch_.resize(shards_.size());

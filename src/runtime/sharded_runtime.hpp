@@ -210,15 +210,17 @@ struct TaggedInstance {
 ///
 /// **Ingest path** (hot): each shard's inbox is a bounded lock-free MPSC
 /// ring (runtime/mpsc_ring.hpp) — producers claim slots with a CAS
-/// sequence protocol, the worker consumes spin-then-park, and no mutex or
-/// condvar sits between an arrival and its shard. queue_capacity is
-/// enforced in *arrivals* by an atomic counter + eventcount (blocking
-/// backpressure, oversized batches admitted into an empty inbox), control
-/// items are capacity-exempt exactly as before. Workers drain runs of
-/// items and publish outbox/watermark/stats once per drained run (capped
-/// at kPublishBatch arrivals), so the out_mutex handshake is amortized
-/// instead of per-item. RuntimeOptions::pin_shards optionally pins each
-/// worker to a CPU.
+/// sequence protocol, the worker peeks and claims the head item, parking
+/// on an eventcount when nothing is admissible, and no mutex or condvar
+/// sits between an arrival and its shard. queue_capacity is enforced in
+/// *arrivals* by an atomic counter + eventcount (blocking backpressure,
+/// oversized batches admitted into an empty inbox), control items are
+/// capacity-exempt. There is one worker body for every mode: it claims
+/// runs of admissible work and publishes outbox/watermark/stats once per
+/// run (capped at kPublishBatch arrivals), so the out_mutex handshake is
+/// amortized instead of per-item. Without cascade feedback no admission
+/// gate binds and every claim takes a whole inbox item.
+/// RuntimeOptions::pin_shards optionally pins each worker to a CPU.
 ///
 /// **Rebalancing** (migrate_definition / rebalance_now / automatic
 /// epochs): initial placement is load-blind, so a skewed stream can pin
@@ -459,10 +461,10 @@ class ShardedEngineRuntime {
     /// when checkpointing is on (0 otherwise): pairs ring items with
     /// their replay-log copies during recovery.
     std::uint64_t push_seq = 0;
-    /// Cascade mode: `begin` is the next unprocessed position (workers
-    /// consume batch items one arrival at a time behind the closure
-    /// frontier, advancing the head item in place through the ring's
-    /// consumer peek — worker-owned, like the rest of the head cell).
+    /// Next unprocessed position: a worker whose admission gate stops a
+    /// claim inside the item advances the head item's `begin` in place
+    /// through the ring's consumer peek (worker-owned, like the rest of
+    /// the head cell).
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
 
@@ -561,10 +563,9 @@ class ShardedEngineRuntime {
     std::atomic<std::uint64_t> max_queued{0};  ///< high-water queued_arrivals
     std::atomic<bool> stop{false};
     EventCount space_ec;  ///< producers park for arrival-capacity space
-    /// Cascade mode: the worker parks here (its wake sources — ring push,
-    /// feedback push, closure-frontier advance, stop — are more than the
-    /// ring alone can signal). Unused otherwise: the non-cascade worker
-    /// parks inside MpscRing::pop.
+    /// The worker parks here when it has no admissible work. Its wake
+    /// sources — ring push, control push, feedback push, admission-frontier
+    /// advance, stop — are more than the ring alone can signal.
     EventCount work_ec;
 
     /// Cascade mode: feedback items dispatched by the coordinator, in
@@ -597,11 +598,10 @@ class ShardedEngineRuntime {
     /// done). Written under out_mutex *after* the matching outbox push;
     /// poll() reads it lock-free with acquire ordering.
     std::atomic<std::uint64_t> watermark{0};
-    /// Cascade mode: sub-stamp of the last fully processed work item
-    /// (arrival or feedback), published under out_mutex after the
-    /// matching outbox push. The coordinator waits on it (done_cv) to
-    /// know a level has drained on this shard. Monotone: workers consume
-    /// in sub-stamp order.
+    /// Sub-stamp of the last fully processed work item (arrival or
+    /// feedback), published under out_mutex after the matching outbox
+    /// push. The cascade coordinator reads it to know a level has drained
+    /// on this shard. Monotone: workers consume in sub-stamp order.
     std::uint64_t ck_stamp = 0;               ///< guarded by out_mutex
     std::uint32_t ck_depth = 0;               ///< guarded by out_mutex
     std::uint32_t ck_sub = 0;                 ///< guarded by out_mutex
@@ -678,6 +678,33 @@ class ShardedEngineRuntime {
     std::thread worker;
   };
 
+  /// A worker's unpublished progress — the chunks and completions of the
+  /// work consumed since its last publish — plus its scratch buffers. The
+  /// completion key and watermark persist across publishes (republishing
+  /// them is a no-op) and are seeded from the shard's published values,
+  /// so a reincarnated worker never moves them backwards.
+  struct Run {
+    explicit Run(const Shard& shard)
+        : ck_stamp(shard.ck_stamp),
+          ck_depth(shard.ck_depth),
+          ck_sub(shard.ck_sub),
+          watermark(shard.watermark.load(std::memory_order_relaxed)) {}
+
+    std::vector<OutChunk> chunks;
+    /// Sub-stamp of the last consumed item, and the newest consumed arrival.
+    std::uint64_t ck_stamp;
+    std::uint32_t ck_depth;
+    std::uint32_t ck_sub;
+    std::uint64_t watermark;
+    /// Since the last publish: arrivals consumed, push_seq of the last
+    /// inbox item finished (0 = none), and whether anything was consumed.
+    std::uint64_t arrivals = 0;
+    std::uint64_t last_seq = 0;
+    bool dirty = false;
+    std::vector<core::Emission> emissions;                              ///< observe scratch
+    std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> loads;  ///< publish scratch
+  };
+
   /// One not-yet-merged arrival: its stamp and recipient-shard bitmask.
   /// In cascade mode `future` is the bitmask of shards its closure could
   /// ever dispatch feedback to (the union of the matched definitions'
@@ -719,27 +746,26 @@ class ShardedEngineRuntime {
     std::uint64_t buffered = 0;  ///< gauge, not deltaed
   };
 
+  /// Worker body (every mode): claims runs of admissible work — inbox and
+  /// feedback merged in sub-stamp order, arrivals and control items
+  /// behind the admission gate — and publishes once per run.
   void worker_loop(Shard& shard);
-  /// Publishes outbox chunks + stats/def-load snapshots and the watermark.
-  void publish_work(Shard& shard, std::vector<OutChunk>& chunks, std::uint64_t last_stamp,
-                    std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch);
-  /// Worker body in cascade mode: consumes inbox + feedback in sub-stamp
-  /// order, arrivals and control items gated behind the admission
-  /// frontier.
-  void worker_cascade_loop(Shard& shard);
+  /// Observes one entity at sub-stamp (stamp, depth, sub) into the run.
+  void observe(Shard& shard, Run& run, const std::shared_ptr<const core::Entity>& entity,
+               time_model::TimePoint now, std::uint64_t stamp, std::uint32_t depth,
+               std::uint32_t sub);
+  /// Observes an arrival item's [begin, end) slice into the run.
+  void observe_arrivals(Shard& shard, Run& run, const WorkItem& item);
+  /// Publishes the run — outbox chunks, stats/def-load snapshots, the
+  /// completion key and the watermark — then releases its consumed items
+  /// (consumed_seq, arrival capacity) and resets it.
+  void publish(Shard& shard, Run& run);
   /// Executes a migration control item (send: extract + hand over;
-  /// receive: wait + implant) and republishes snapshots. Shared by both
-  /// worker loops.
-  void handle_control(Shard& shard, const Control& ctl,
-                      std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch);
-  /// Cascade-mode publish: chunks + snapshots + the completion key of the
-  /// last processed item, covering a whole run of items consumed since the
-  /// previous publish (workers batch: one publish + one coordinator wake
-  /// per admissible run, not per item). `watermark` is the run's newest
-  /// fully-consumed arrival stamp (0 = the run had no arrivals).
-  void publish_cascade(Shard& shard, std::vector<OutChunk>& chunks, std::uint64_t stamp,
-                       std::uint32_t depth, std::uint32_t sub, std::uint64_t watermark,
-                       std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch);
+  /// receive: wait + implant) and republishes snapshots — unless
+  /// `suppress`: a recovery replay of a control published pre-crash.
+  /// Used live and by recovery replay. Returns false when shutdown
+  /// interrupted the receive wait (the ticket is then completed unblocked).
+  bool handle_control(Shard& shard, const Control& ctl, Run& run, bool suppress);
   /// Coordinator body: drives up to cascade_pipeline pending arrivals'
   /// cascade closures concurrently as non-blocking state machines,
   /// advancing the admission frontier as each closure finishes
@@ -819,11 +845,6 @@ class ShardedEngineRuntime {
   /// ring and log stay in lockstep. Returns false when shutdown
   /// interrupted the rebuild (the shard is re-marked dead).
   bool recover_shard(Shard& shard);
-  /// Executes one replayed migration control item; `suppress` marks a
-  /// control whose original handling was already published pre-crash.
-  /// Returns false when shutdown interrupted the receive wait.
-  bool replay_control(Shard& shard, const Control& ctl, bool suppress,
-                      std::vector<std::pair<std::uint32_t, core::DefinitionLoad>>& load_scratch);
 
   core::ObserverId id_;
   core::Layer layer_;

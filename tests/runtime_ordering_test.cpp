@@ -26,7 +26,10 @@
 ///
 /// A cascade leg runs depth {1, 2} x every tier: cascade releases whole
 /// closures in stamp order regardless of tier, and the closure counters
-/// must equal the sequential engine's.
+/// must equal the sequential engine's. A degenerate-cascade leg runs a
+/// feedback-free definition set with cascade on and off over every tier x
+/// shards {1, 2, 4} x batch {1, 64}: both must pass the tier's check and
+/// agree on the engine, arrival and instance counters.
 
 namespace stem::runtime {
 namespace {
@@ -435,6 +438,112 @@ TEST_P(OrderingCascadeTest, EveryTierKeepsCascadeClosuresExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderingCascadeTest, ::testing::Values(21u, 22u, 23u));
+
+// ---------------------------------------------------------------------------
+// Degenerate cascade: with no definition able to consume an event instance,
+// cascade mode never produces feedback and its admission gate never binds —
+// it must be the plain pipeline, stream and counters alike.
+// ---------------------------------------------------------------------------
+
+/// The ordering mix without its wildcard definitions, plus an SRd join so
+/// every arrival still routes somewhere (stamps stay dense): no event-type
+/// or wildcard slot anywhere.
+std::vector<EventDefinition> feedback_free_definitions(const std::string& tag) {
+  std::vector<EventDefinition> defs = ordering_definitions(ConsumptionMode::kUnrestricted, tag);
+  std::erase_if(defs, [](const EventDefinition& def) {
+    return std::any_of(def.slots.begin(), def.slots.end(), [](const core::SlotSpec& slot) {
+      return slot.filter.signature().kind == core::FilterSignature::Kind::kAny;
+    });
+  });
+  defs.push_back(EventDefinition{EventTypeId("DPAIR_" + tag),
+                                 {{"x", SlotFilter::observation(SensorId("SRd"))},
+                                  {"y", SlotFilter::observation(SensorId("SRd"))}},
+                                 before_within(12.0),
+                                 seconds(5),
+                                 {},
+                                 ConsumptionMode::kUnrestricted});
+  return defs;
+}
+
+/// One feedback-free run under `tier`, checked against the tier's oracle
+/// with the watermark audited at every poll; returns the final counters.
+RuntimeStats run_feedback_free(const Stream& stream, const std::vector<Ref>& want,
+                               std::size_t shards, std::size_t batch_size, OrderingTier tier,
+                               bool cascade, const std::string& ctx) {
+  RuntimeOptions options;
+  options.shards = shards;
+  options.ordering = tier;
+  options.cascade = cascade;
+  ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  for (const EventDefinition& def : feedback_free_definitions("DG")) sharded.add_definition(def);
+
+  WatermarkAudit audit(ctx);
+  std::vector<TaggedInstance> got_tagged;
+  const auto collect = [&](std::vector<TaggedInstance> released) {
+    audit.observe(released);
+    audit.after_poll(sharded.low_watermark());
+    got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
+                      std::make_move_iterator(released.end()));
+  };
+  for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
+    const std::size_t n = std::min(batch_size, stream.entities.size() - i);
+    sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
+                         std::span(stream.nows).subspan(i, n));
+    collect(sharded.poll_tagged());
+  }
+  collect(sharded.flush_tagged());
+
+  const RuntimeStats stats = sharded.stats();
+  EXPECT_EQ(stats.arrivals, stream.entities.size()) << ctx;
+  audit.at_quiescence(sharded.low_watermark(), stats.arrivals);
+  const std::vector<Ref> got = oracle::to_refs(got_tagged, /*canonicalize_seq=*/false);
+  switch (tier) {
+    case OrderingTier::kGlobalTotalOrder:
+      oracle::check_equal(got, want, ctx);
+      break;
+    case OrderingTier::kPerDefinitionOrder:
+      oracle::check_per_def(got, want, ctx);
+      break;
+    case OrderingTier::kUnorderedWatermarked:
+      oracle::check_multiset(got, want, ctx);
+      break;
+  }
+  EXPECT_EQ(stats.instances, want.size()) << ctx;
+  EXPECT_EQ(stats.cascade_reingested, 0u) << ctx;
+  return stats;
+}
+
+class DegenerateCascadeTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DegenerateCascadeTest, FeedbackFreeCascadeIsThePlainPipeline) {
+  const Stream stream = make_stream(GetParam(), 320, 0.0);
+  DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
+  for (const EventDefinition& def : feedback_free_definitions("DG")) {
+    sequential.add_definition(def);
+  }
+  const std::vector<Ref> want = oracle::sequential_reference(
+      sequential, stream.entities, stream.nows, /*cascade=*/false, /*canonicalize_seq=*/false);
+  ASSERT_FALSE(want.empty());
+
+  for (const OrderingTier tier : kAllTiers) {
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      for (const std::size_t batch : {1u, 64u}) {
+        const std::string ctx = "DG/" + tier_name(tier) + " seed=" + std::to_string(GetParam()) +
+                                " shards=" + std::to_string(shards) +
+                                " batch=" + std::to_string(batch);
+        const RuntimeStats plain =
+            run_feedback_free(stream, want, shards, batch, tier, false, ctx + " plain");
+        const RuntimeStats cascade =
+            run_feedback_free(stream, want, shards, batch, tier, true, ctx + " cascade");
+        EXPECT_TRUE(cascade.engine == plain.engine) << ctx;
+        EXPECT_EQ(cascade.arrivals, plain.arrivals) << ctx;
+        EXPECT_EQ(cascade.instances, plain.instances) << ctx;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DegenerateCascadeTest, ::testing::Values(31u, 32u));
 
 // ---------------------------------------------------------------------------
 // API units.
