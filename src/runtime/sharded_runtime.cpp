@@ -19,12 +19,6 @@ namespace {
 /// load.
 constexpr std::uint64_t kPublishBatch = 256;
 
-/// Ring-slot headroom beyond queue_capacity: capacity is enforced in
-/// *arrivals* by Shard::queued_arrivals, so arrival items can never occupy
-/// more than queue_capacity slots (+1 oversized batch); the headroom keeps
-/// capacity-exempt migration control items from contending for slots.
-constexpr std::size_t kControlSlotHeadroom = 64;
-
 /// Cascade mode: how far past the closure frontier a feedback-unreachable
 /// shard may run ahead. Such a shard never receives feedback, so it need
 /// not wait for earlier stamps' closures at all — but an unbounded lead
@@ -80,8 +74,11 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
   }
   publish_loads_.store(options_.rebalance_epoch != 0, std::memory_order_relaxed);
   // Ring memory is slots x cell bytes per shard, all allocated right here.
-  static_assert(sizeof(WorkItem) <= 48, "WorkItem sizes every inbox ring cell");
-  const std::size_t inbox_slots = options_.queue_capacity + kControlSlotHeadroom;
+  // Capacity is enforced in arrivals (Shard::queued_arrivals) and every
+  // arrival item carries at least one, so queue_capacity slots hold every
+  // admitted arrival item; control items wait for a slot (Shard::inbox).
+  static_assert(sizeof(WorkItem) <= 24, "WorkItem sizes every inbox ring cell");
+  const std::size_t inbox_slots = std::bit_ceil(options_.queue_capacity);
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>(id_, layer_, location_, options_.engine, inbox_slots);
@@ -153,9 +150,10 @@ void ShardedEngineRuntime::shutdown() noexcept {
     for (auto& shard : shards_) {
       const std::lock_guard lk(shard->log_mutex);
       const std::uint64_t consumed = shard->consumed_seq.load(std::memory_order_relaxed);
-      for (const WorkItem& e : shard->replay_log) {
-        if (e.push_seq <= consumed || e.ctl == nullptr || e.ctl->ticket == nullptr) continue;
-        MigrationTicket& ticket = *e.ctl->ticket;
+      for (const LoggedItem& e : shard->replay_log) {
+        if (e.push_seq <= consumed || !e.item.is_control()) continue;
+        if (e.item.control().ticket == nullptr) continue;
+        MigrationTicket& ticket = *e.item.control().ticket;
         {
           const std::lock_guard tlk(ticket.m);
           ticket.ready = true;
@@ -424,19 +422,9 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     if (q > shard.max_queued.load(std::memory_order_relaxed)) {
       shard.max_queued.store(q, std::memory_order_relaxed);
     }
-    WorkItem work{frozen, nullptr, 0, begin, end};
-    if (options_.checkpoint_epoch != 0) log_push_locked(shard, work);
-    if (shard.inbox.push(std::move(work))) {
-      shard.work_ec.notify_all();
-    } else {
+    if (!push_locked(shard, WorkItem{frozen, begin, end})) {
       // Ring closed mid-shutdown: the item was discarded — undo the
-      // admission (and its never-pushed log copy) so the counters stay
-      // consistent for late observers.
-      if (options_.checkpoint_epoch != 0) {
-        --shard.push_seq_next;
-        const std::lock_guard llk(shard.log_mutex);
-        shard.replay_log.pop_back();
-      }
+      // admission so the counters stay consistent for late observers.
       shard.queued_arrivals.fetch_sub(count, std::memory_order_seq_cst);
       shard.space_ec.notify_all();
     }
@@ -449,8 +437,8 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     ckpt_arrivals_ += pending_scratch_.size();
     if (ckpt_arrivals_ >= options_.checkpoint_epoch) {
       ckpt_arrivals_ = 0;
-      const auto ckpt = std::make_shared<const Control>(Control{nullptr, false, 0, ++ckpt_seq_});
-      for (auto& sp : shards_) push_control(*sp, WorkItem{nullptr, ckpt});
+      const WorkItem ckpt = WorkItem::of_control(Control{nullptr, false, 0, ++ckpt_seq_});
+      for (auto& sp : shards_) push_control(*sp, ckpt);
     }
   }
 
@@ -463,25 +451,35 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   }
 }
 
-void ShardedEngineRuntime::log_push_locked(Shard& shard, WorkItem& item) {
-  item.push_seq = ++shard.push_seq_next;
-  const std::lock_guard lk(shard.log_mutex);
-  shard.replay_log.push_back(item);  // copy: batch/ticket references are shared
+bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
+  const bool logged = options_.checkpoint_epoch != 0;
+  if (logged) {
+    const std::lock_guard lk(shard.log_mutex);
+    // Copy: the batch (and any ticket) is shared with the ring's item.
+    shard.replay_log.push_back(LoggedItem{++shard.push_seq_next, item});
+  }
+  if (shard.inbox.push(std::move(item))) {
+    shard.work_ec.notify_all();
+    return true;
+  }
+  if (logged) {
+    // Never pushed: retract the sequence too, so pushed items stay dense.
+    --shard.push_seq_next;
+    const std::lock_guard lk(shard.log_mutex);
+    shard.replay_log.pop_back();
+  }
+  return false;
 }
 
 void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
   // Control items carry no arrivals: they bypass the arrival-capacity
   // check (blocking on it under ingest_mutex_ could stall the very
-  // workers that free the space). The ring keeps slot headroom for them;
-  // a full ring parks on the worker's drain, which always progresses.
-  const std::shared_ptr<MigrationTicket> ticket = item.ctl->ticket;
-  if (options_.checkpoint_epoch != 0) log_push_locked(shard, item);
-  if (!shard.inbox.push(std::move(item))) {
-    if (options_.checkpoint_epoch != 0) {
-      --shard.push_seq_next;
-      const std::lock_guard llk(shard.log_mutex);
-      shard.replay_log.pop_back();
-    }
+  // workers that free the space). A full ring parks on the worker's
+  // drain, which always progresses: the cascade coordinator never takes
+  // ingest_mutex_, and a receive side only waits on a send side pushed
+  // before it.
+  const std::shared_ptr<MigrationTicket> ticket = item.control().ticket;
+  if (!push_locked(shard, std::move(item))) {
     if (ticket == nullptr) return;  // checkpoint item: nothing to release
     // Closed ring: shutdown() won the race before this pair was issued
     // (issuance and ring close both hold ingest_mutex_, so a pair is
@@ -497,7 +495,6 @@ void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
     ticket->cv.notify_all();
     return;
   }
-  shard.work_ec.notify_all();
   // Admitted: flush()'s control-completion wait counts it (all callers
   // hold ingest_mutex_). Failed pushes above are never counted — their
   // handshake completes here, not on the worker.
@@ -585,10 +582,8 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
     const std::lock_guard merge_lk(merge_mutex_);
     shard_holds_[to].push_back(ReleaseHold{barrier, from});
   }
-  push_control(*shards_[from],
-               WorkItem{nullptr, std::make_shared<const Control>(Control{ticket, true, barrier})});
-  push_control(*shards_[to],
-               WorkItem{nullptr, std::make_shared<const Control>(Control{ticket, false, barrier})});
+  push_control(*shards_[from], WorkItem::of_control(Control{ticket, true, barrier}));
+  push_control(*shards_[to], WorkItem::of_control(Control{ticket, false, barrier}));
 }
 
 bool ShardedEngineRuntime::migrate_definition(std::size_t def_index, std::size_t to_shard) {
@@ -1026,7 +1021,6 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
 
 void ShardedEngineRuntime::worker_loop(Shard& shard) {
   Run run(shard);
-  const bool ckpt_on = options_.checkpoint_epoch != 0;
   // The current claim: one feedback item, one control item, or a run of
   // arrivals off the head item (`whole`: the claim popped the item).
   enum class Kind { kArrivals, kFeedback, kControl };
@@ -1060,7 +1054,7 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
       // stamp is at or below that gate.
       std::uint64_t gate = ~std::uint64_t{0};
       if (head != nullptr) {
-        gate = head->batch == nullptr ? head->ctl->barrier - 1 : stamp_at(head->begin) - 1;
+        gate = head->is_control() ? head->control().barrier - 1 : stamp_at(head->begin) - 1;
       }
       {
         const std::lock_guard flk(shard.fb_mutex);
@@ -1104,7 +1098,7 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
     }
     if (head == nullptr) return false;
     whole = true;
-    if (head->batch == nullptr) {
+    if (head->is_control()) {
       kind = Kind::kControl;
     } else {
       kind = Kind::kArrivals;
@@ -1114,7 +1108,7 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
         if (end < head->end) {
           // Admissible prefix only: advance the head item in place.
           whole = false;
-          item = WorkItem{head->batch, nullptr, head->push_seq, head->begin, end};
+          item = WorkItem{head->batch, head->begin, end};
           head->begin = end;
           return true;
         }
@@ -1122,6 +1116,7 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
     }
     item = std::move(*head);
     shard.inbox.pop_front();
+    ++shard.popped_seq;
     return true;
   };
 
@@ -1162,7 +1157,6 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
 
   while (claim()) {
     if (whole && kind != Kind::kFeedback) {
-      if (ckpt_on) shard.popped_seq = item.push_seq;
       // Injected crash: abandon the popped item and the unpublished run
       // (their log copies survive; recovery replays them) and die. Only
       // fires at item boundaries, so consumed_seq exactly bounds what the
@@ -1182,16 +1176,16 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
         break;
       case Kind::kArrivals:
         observe_arrivals(shard, run, item);
-        if (whole) run.last_seq = item.push_seq;
+        if (whole) run.last_seq = shard.popped_seq;
         break;
       case Kind::kControl:
         // A control must see the pre-barrier run published, and its
         // handshake may block on a peer waiting for this run's completions.
         if (run.dirty) publish(shard, run);
-        if (item.ctl->ckpt != 0) {
-          take_checkpoint(shard, item);
-        } else if (handle_control(shard, *item.ctl, run, false) && ckpt_on) {
-          shard.consumed_seq.store(item.push_seq, std::memory_order_relaxed);
+        if (item.control().ckpt != 0) {
+          take_checkpoint(shard, shard.popped_seq);
+        } else if (handle_control(shard, item.control(), run, false)) {
+          shard.consumed_seq.store(shard.popped_seq, std::memory_order_relaxed);
         }
         break;
     }
@@ -1210,16 +1204,16 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
   if (run.dirty) publish(shard, run);
   WorkItem leftover;
   while (shard.inbox.try_pop(leftover)) {
-    if (leftover.batch == nullptr && leftover.ctl->ticket != nullptr) {
-      handle_control(shard, *leftover.ctl, run, false);
+    if (leftover.is_control() && leftover.control().ticket != nullptr) {
+      handle_control(shard, leftover.control(), run, false);
     }
     leftover = WorkItem{};
   }
 }
 
-void ShardedEngineRuntime::take_checkpoint(Shard& shard, const WorkItem& item) {
+void ShardedEngineRuntime::take_checkpoint(Shard& shard, std::uint64_t push_seq) {
   ShardCheckpoint ck;
-  ck.push_seq = item.push_seq;
+  ck.push_seq = push_seq;
   ck.stats = shard.stats_base;
   ck.stats += shard.engine->stats();
   // Snapshot hosted definitions in ascending local order: implanting in
@@ -1237,11 +1231,11 @@ void ShardedEngineRuntime::take_checkpoint(Shard& shard, const WorkItem& item) {
     const std::lock_guard lk(shard.log_mutex);
     shard.checkpoint = std::move(ck);
     // The frames cover every logged item up to the barrier — truncate.
-    while (!shard.replay_log.empty() && shard.replay_log.front().push_seq <= item.push_seq) {
+    while (!shard.replay_log.empty() && shard.replay_log.front().push_seq <= push_seq) {
       shard.replay_log.pop_front();
     }
   }
-  shard.consumed_seq.store(item.push_seq, std::memory_order_relaxed);
+  shard.consumed_seq.store(push_seq, std::memory_order_relaxed);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   shard.ctl_done.fetch_add(1, std::memory_order_seq_cst);
   { const std::lock_guard lk(shard.out_mutex); }
@@ -1348,11 +1342,11 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
       shard.dead.store(true, std::memory_order_seq_cst);
       return false;
     }
-    WorkItem entry;
+    LoggedItem entry;
     bool have = false;
     {
       const std::lock_guard lk(shard.log_mutex);
-      for (const WorkItem& e : shard.replay_log) {
+      for (const LoggedItem& e : shard.replay_log) {
         if (e.push_seq > done_seq && e.push_seq <= popped_at_crash) {
           entry = e;  // copy: the log keeps its own for a future crash
           have = true;
@@ -1363,21 +1357,21 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
     if (!have) break;  // popped prefix replayed — hand over to the live loop
 
     const bool suppress = entry.push_seq <= consumed_at_crash;
-    if (entry.batch == nullptr) {
-      if (entry.ctl->ckpt != 0) {
+    if (entry.item.is_control()) {
+      if (entry.item.control().ckpt != 0) {
         // Re-taking the checkpoint here reproduces the original barrier
         // exactly (same prefix of the log has been applied).
-        take_checkpoint(shard, entry);
+        take_checkpoint(shard, entry.push_seq);
       } else {
-        if (!handle_control(shard, *entry.ctl, run, suppress)) {
+        if (!handle_control(shard, entry.item.control(), run, suppress)) {
           shard.dead.store(true, std::memory_order_seq_cst);
           return false;
         }
         if (!suppress) shard.consumed_seq.store(entry.push_seq, std::memory_order_relaxed);
       }
     } else {
-      observe_arrivals(shard, run, entry);
-      replayed += entry.end - entry.begin;
+      observe_arrivals(shard, run, entry.item);
+      replayed += entry.item.end - entry.item.begin;
       if (suppress) {
         run = Run(shard);  // already merged pre-crash: drop, keep the published state
       } else {

@@ -408,18 +408,6 @@ class ShardedEngineRuntime {
   [[nodiscard]] std::size_t group_count() const;
 
  private:
-  /// A refcounted block of stamped arrivals, shared by all recipient
-  /// shards (entities are copied into it once per ingest_batch call).
-  struct Batch {
-    std::vector<core::Entity> entities;
-    std::vector<time_model::TimePoint> nows;
-    std::vector<std::uint64_t> stamps;  ///< 0 = dropped (routed nowhere)
-    /// Every recipient shard's arrival indices, concatenated in shard
-    /// order; each shard's WorkItem covers its [begin, end) slice, which
-    /// is ascending (stamp order).
-    std::vector<std::uint32_t> routed;
-  };
-
   /// Rendezvous for one group migration: the source worker fills `states`
   /// and flips `ready`; the destination worker waits for it, implants,
   /// and flips `done` (migrate_definition of the same group waits on
@@ -433,10 +421,10 @@ class ShardedEngineRuntime {
     std::vector<core::DefinitionState> states;  ///< parallel to globals
   };
 
-  /// What a control item carries; arrival items never point to one.
-  /// Either a migration side — `send` extracts the ticket's definitions
-  /// and publishes them, `!send` waits for the states and implants them —
-  /// or (ticket null) a checkpoint barrier.
+  /// What a control item carries. Either a migration side — `send`
+  /// extracts the ticket's definitions and publishes them, `!send` waits
+  /// for the states and implants them — or (ticket null) a checkpoint
+  /// barrier.
   struct Control {
     std::shared_ptr<MigrationTicket> ticket;
     bool send = false;
@@ -449,18 +437,30 @@ class ShardedEngineRuntime {
     std::uint64_t ckpt = 0;
   };
 
-  /// One inbox entry: either this shard's [begin, end) slice of
-  /// `batch->routed`, or (batch == nullptr) a control item. Control items
-  /// ride the stamp-ordered inbox so they execute exactly at their epoch
-  /// barrier. Kept to the fields an arrival needs: every ring cell holds
-  /// one, so its size sets the ring's memory.
+  /// The refcounted block an inbox item points to. An arrival block holds
+  /// the stamped arrivals of one ingest_batch call (entities copied in
+  /// once) and is shared by all recipient shards; a control block holds
+  /// no arrivals, only `ctl` (shared by a checkpoint's per-shard items).
+  struct Batch {
+    std::vector<core::Entity> entities;
+    std::vector<time_model::TimePoint> nows;
+    std::vector<std::uint64_t> stamps;  ///< 0 = dropped (routed nowhere)
+    /// Every recipient shard's arrival indices, concatenated in shard
+    /// order; each shard's WorkItem covers its [begin, end) slice, which
+    /// is ascending (stamp order).
+    std::vector<std::uint32_t> routed;
+    Control ctl;  ///< control blocks only
+  };
+
+  /// One inbox entry: this shard's [begin, end) slice of `batch->routed`,
+  /// or (begin == end: arrival items are never empty) a control item.
+  /// Control items ride the stamp-ordered inbox so they execute exactly at
+  /// their epoch barrier. One owning pointer and a slice, 24 bytes: every
+  /// ring cell holds one, so its size sets the ring's memory. The item's
+  /// push sequence (checkpointing) is not stored — the ring is FIFO and
+  /// the sequence dense, so the worker counts pops instead (popped_seq).
   struct WorkItem {
     std::shared_ptr<const Batch> batch;
-    std::shared_ptr<const Control> ctl;  ///< set iff batch == nullptr
-    /// Per-shard monotone push sequence, assigned under ingest_mutex_
-    /// when checkpointing is on (0 otherwise): pairs ring items with
-    /// their replay-log copies during recovery.
-    std::uint64_t push_seq = 0;
     /// Next unprocessed position: a worker whose admission gate stops a
     /// claim inside the item advances the head item's `begin` in place
     /// through the ring's consumer peek (worker-owned, like the rest of
@@ -468,10 +468,24 @@ class ShardedEngineRuntime {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
 
+    /// A control item: the empty slice of a block carrying only `ctl`.
+    [[nodiscard]] static WorkItem of_control(Control ctl) {
+      auto block = std::make_shared<Batch>();
+      block->ctl = std::move(ctl);
+      return WorkItem{std::move(block)};
+    }
+    [[nodiscard]] bool is_control() const { return begin == end; }
+    [[nodiscard]] const Control& control() const { return batch->ctl; }
     /// An arrival item's indices into `batch`, ascending (stamp order).
     [[nodiscard]] std::span<const std::uint32_t> indices() const {
       return std::span(batch->routed).subspan(begin, end - begin);
     }
+  };
+
+  /// A replay-log entry: a pushed item and its per-shard push sequence.
+  struct LoggedItem {
+    std::uint64_t push_seq = 0;
+    WorkItem item;
   };
 
   /// Cascade mode: one derived instance re-ingested into a shard, keyed
@@ -548,12 +562,14 @@ class ShardedEngineRuntime {
 
     std::size_t index = 0;  ///< position in shards_ (pinning/stall hook)
 
-    /// Lock-free stamp-ordered inbox. Producers (ingest + migration
-    /// control) claim slots with the ring's CAS sequence protocol; the
-    /// worker is the only consumer. Slot-capacity is queue_capacity plus
-    /// headroom for capacity-exempt control items — the *arrival*-denominated
-    /// queue_capacity contract is enforced by queued_arrivals below, not
-    /// by ring fullness.
+    /// Lock-free stamp-ordered inbox. Producers (ingest + migration and
+    /// checkpoint control) claim slots with the ring's CAS sequence
+    /// protocol; the worker is the only consumer. bit_ceil(queue_capacity)
+    /// slots: the *arrival*-denominated queue_capacity contract is enforced
+    /// by queued_arrivals below, and every arrival item carries at least
+    /// one arrival, so arrival items always fit (an oversized batch is one
+    /// item, admitted only into an empty inbox). A control item that meets
+    /// a full ring parks in push until the worker drains.
     MpscRing<WorkItem> inbox;
     /// Arrivals admitted but not yet fully processed (ring + in flight).
     /// Producers block (space_ec) while an admission would overflow
@@ -642,7 +658,7 @@ class ShardedEngineRuntime {
     /// parked gate and wakes it — advances below the gate skip the futex.
     std::atomic<std::uint64_t> parked_gate{~std::uint64_t{0}};
 
-    // --- Crash recovery (all unused unless checkpoint_epoch != 0) ---
+    // --- Crash recovery (inert unless checkpoint_epoch != 0) ---
     /// Initial placement (global index, spec) in registration order:
     /// recovery before the first checkpoint rebuilds the engine from
     /// these. Written pre-start by add_definition only.
@@ -654,7 +670,7 @@ class ShardedEngineRuntime {
     /// push_seq order: appended right before the matching ring push
     /// (under ingest_mutex_), truncated by the worker at each
     /// checkpoint — the bounded replay window.
-    std::deque<WorkItem> replay_log;
+    std::deque<LoggedItem> replay_log;
     std::optional<ShardCheckpoint> checkpoint;  ///< guarded by log_mutex
     /// Baseline added to the live engine's counters when publishing
     /// stats: a recovered engine only counts post-checkpoint work, so
@@ -665,12 +681,15 @@ class ShardedEngineRuntime {
     /// rebuild engine state — their emissions already merged). Written
     /// by the worker, read by recovery and the shutdown ticket sweep.
     std::atomic<std::uint64_t> consumed_seq{0};
-    /// push_seq of the last item popped off the ring: entries at or
-    /// before it are replayed from the log alone, later ones also pop
-    /// their ring copy. Worker-owned; the supervisor's join orders the
-    /// hand-off to the replacement worker.
+    /// Whole items popped off the ring so far, which is the push_seq of
+    /// the last one: push sequences are dense per shard (a failed push
+    /// rolls push_seq_next back, tombstones never surface) and the ring
+    /// is FIFO. A partial cascade-gated claim does not pop. Recovery
+    /// replays log entries at or before it; later ones are still in the
+    /// ring. Worker-owned; the supervisor's join orders the hand-off to
+    /// the replacement worker.
     std::uint64_t popped_seq = 0;
-    std::uint64_t push_seq_next = 0;  ///< guarded by ingest_mutex_
+    std::uint64_t push_seq_next = 0;  ///< guarded by ingest_mutex_ (checkpointing on)
     /// Set by a dying worker (crash_hook) or an interrupted recovery;
     /// the supervisor reaps and respawns, shutdown sweeps leftovers.
     std::atomic<bool> dead{false};
@@ -827,12 +846,16 @@ class ShardedEngineRuntime {
   std::size_t rebalance_locked();
   /// Enqueues a control item, bypassing capacity (it carries no arrivals).
   void push_control(Shard& shard, WorkItem item);
-  /// Assigns the item's push_seq and appends a copy to the shard's replay
-  /// log; ingest_mutex_ must be held (checkpointing on only).
-  void log_push_locked(Shard& shard, WorkItem& item);
-  /// Worker handler for a checkpoint control item: serializes the hosted
-  /// definitions' state, publishes the checkpoint, truncates the log.
-  void take_checkpoint(Shard& shard, const WorkItem& item);
+  /// Pushes an item into the shard's inbox (parking while the ring is
+  /// full) and wakes its worker; with checkpointing on, first assigns its
+  /// push_seq and appends a copy to the replay log. False when shutdown
+  /// closed the ring: the item and its log copy are discarded.
+  /// ingest_mutex_ must be held.
+  bool push_locked(Shard& shard, WorkItem item);
+  /// Worker handler for the checkpoint control item with sequence
+  /// `push_seq`: serializes the hosted definitions' state, publishes the
+  /// checkpoint, truncates the log through the item.
+  void take_checkpoint(Shard& shard, std::uint64_t push_seq);
   /// Marks the worker dead and wakes the supervisor (worker thread only).
   void die(Shard& shard);
   /// Supervisor body: reaps dead workers and respawns them through
@@ -840,10 +863,10 @@ class ShardedEngineRuntime {
   void supervisor_loop();
   /// Rebuilds a dead shard on its replacement worker thread: fresh engine
   /// from the last checkpoint (or the initial placement), then replays
-  /// the log — entries published before the crash only rebuild engine
-  /// state, later ones publish normally and pop their ring copies so
-  /// ring and log stay in lockstep. Returns false when shutdown
-  /// interrupted the rebuild (the shard is re-marked dead).
+  /// the log through the last item the dead worker popped — entries
+  /// published before the crash only rebuild engine state, later ones
+  /// publish normally. Returns false when shutdown interrupted the
+  /// rebuild (the shard is re-marked dead).
   bool recover_shard(Shard& shard);
 
   core::ObserverId id_;

@@ -21,6 +21,10 @@
 /// an emission at or below a previously returned watermark, and at
 /// quiescence must equal the last assigned stamp.
 ///
+/// Liveness: flush_within / flush_tagged_within bound a flush by a
+/// deadline. A stalled runtime prints its counters and fails the test
+/// instead of hanging until the ctest timeout.
+///
 /// `canonicalize_seq` supports split groups in the relaxed tiers: there
 /// the two partitioned engine counters interleave per event type, so the
 /// engine-assigned EventInstanceKey::seq legitimately diverges from the
@@ -30,10 +34,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -160,6 +170,66 @@ inline void check_per_def_seq_monotone(const std::vector<Ref>& got, const std::s
     seen = true;
     prev = r.seq;
   }
+}
+
+/// How long a test flush may take before it counts as stalled: orders of
+/// magnitude above a healthy drain, sanitizer builds included, and well
+/// under the suites' ctest TIMEOUT.
+inline constexpr std::chrono::seconds kFlushDeadline{60};
+
+/// The runtime's counters, read on a helper thread: stats() takes every
+/// shard's output lock and the merge lock, which a stalled runtime may
+/// hold forever, so the caller waits at most `grace` for the text.
+inline std::string stall_snapshot(const ShardedEngineRuntime& rt,
+                                  std::chrono::milliseconds grace) {
+  auto text = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> ready = text->get_future();
+  std::thread([&rt, text] {
+    const RuntimeStats s = rt.stats();
+    std::ostringstream os;
+    os << "low_watermark=" << rt.low_watermark() << " arrivals=" << s.arrivals
+       << " deliveries=" << s.deliveries << " dropped=" << s.dropped
+       << " instances=" << s.instances << " max_inbox=" << s.max_inbox
+       << " migrations=" << s.migrations << " checkpoints=" << s.checkpoints
+       << " crashes=" << s.crashes << " recoveries=" << s.recoveries
+       << " cascade_reingested=" << s.cascade_reingested
+       << " closures_in_flight_max=" << s.closures_in_flight_max << " shard_arrival_loads=[";
+    for (const std::uint64_t load : rt.shard_arrival_loads()) os << load << ";";
+    os << "]";
+    text->set_value(os.str());
+  }).detach();
+  if (ready.wait_for(grace) != std::future_status::ready) {
+    return "no snapshot within " + std::to_string(grace.count()) + " ms (a runtime lock is held)";
+  }
+  return ready.get();
+}
+
+/// Runs `flush` (a call of rt.flush() or rt.flush_tagged()) bounded by
+/// `deadline`. On expiry the test fails with the runtime's snapshot and
+/// the process exits: the stalled flush still references the runtime, so
+/// neither unwinding nor destroying it is safe.
+template <typename Flush>
+auto bounded_flush(const ShardedEngineRuntime& rt, const std::string& ctx, Flush flush,
+                   std::chrono::seconds deadline = kFlushDeadline) -> decltype(flush()) {
+  auto result = std::async(std::launch::async, std::move(flush));
+  if (result.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << ctx << " flush stalled for " << deadline.count()
+                  << " s: " << stall_snapshot(rt, std::chrono::milliseconds(500));
+    std::fflush(stdout);
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  return result.get();
+}
+
+inline std::vector<core::EventInstance> flush_within(ShardedEngineRuntime& rt,
+                                                     const std::string& ctx) {
+  return bounded_flush(rt, ctx, [&rt] { return rt.flush(); });
+}
+
+inline std::vector<TaggedInstance> flush_tagged_within(ShardedEngineRuntime& rt,
+                                                       const std::string& ctx) {
+  return bounded_flush(rt, ctx, [&rt] { return rt.flush_tagged(); });
 }
 
 /// Incremental watermark soundness audit. Usage per consumption step, in

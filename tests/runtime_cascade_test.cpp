@@ -217,13 +217,13 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
                          std::span(stream.nows).subspan(i, n));
     collect(sharded.poll());
   }
-  collect(sharded.flush());
-
   const std::string ctx = tag + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
                           " depth=" + std::to_string(depth) +
-                          " pipeline=" + std::to_string(pipeline);
+                          " pipeline=" + std::to_string(pipeline) +
+                          " queue=" + std::to_string(queue_capacity);
+  collect(oracle::flush_within(sharded, ctx));
   ASSERT_EQ(got.size(), want.size()) << ctx;
   for (std::size_t k = 0; k < got.size(); ++k) {
     ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
@@ -305,7 +305,8 @@ TEST_P(CascadeVsSequentialTest, TightQueueBackpressureStreamsMatch) {
                          std::span(stream.nows).subspan(i, n));
   }
   std::vector<std::string> got;
-  for (EventInstance& inst : sharded.flush()) got.push_back(describe(inst));
+  const std::string ctx = "TQ seed=" + std::to_string(GetParam());
+  for (EventInstance& inst : oracle::flush_within(sharded, ctx)) got.push_back(describe(inst));
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < got.size(); ++k) ASSERT_EQ(got[k], want[k]) << k;
 }
@@ -361,7 +362,9 @@ TEST(CascadeMigration, AutomaticRebalancingStaysExact) {
 /// watermark audited per poll — sub-stamped early releases from still
 /// in-flight closures must stay above every promised watermark.
 void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeline,
-                     std::size_t depth, const std::string& tag) {
+                     std::size_t depth, const std::string& tag,
+                     const std::vector<Migration>& migrations = {},
+                     std::size_t queue_capacity = 4096) {
   core::EngineOptions engine_options;
   engine_options.max_cascade_depth = depth;
 
@@ -371,6 +374,7 @@ void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeli
   options.engine = engine_options;
   options.ordering = tier;
   options.cascade_pipeline = pipeline;
+  options.queue_capacity = queue_capacity;
   ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
   DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0},
                              engine_options);
@@ -387,10 +391,17 @@ void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeli
   const std::string ctx = tag + " seed=" + std::to_string(seed) +
                           " tier=" + std::to_string(static_cast<int>(tier)) +
                           " pipeline=" + std::to_string(pipeline) +
-                          " depth=" + std::to_string(depth);
+                          " depth=" + std::to_string(depth) +
+                          " queue=" + std::to_string(queue_capacity);
   oracle::WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
+  std::size_t next_migration = 0;
   for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
+    while (next_migration < migrations.size() && migrations[next_migration].at <= i) {
+      const Migration& mig = migrations[next_migration++];
+      const std::size_t to = (sharded.shard_of(mig.def) + mig.hop) % sharded.shard_count();
+      ASSERT_TRUE(sharded.migrate_definition(mig.def, to)) << ctx;
+    }
     const std::size_t n = std::min<std::size_t>(16, stream.entities.size() - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                          std::span(stream.nows).subspan(i, n));
@@ -400,7 +411,7 @@ void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeli
     got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
                       std::make_move_iterator(released.end()));
   }
-  std::vector<TaggedInstance> released = sharded.flush_tagged();
+  std::vector<TaggedInstance> released = oracle::flush_tagged_within(sharded, ctx);
   audit.observe(released);
   audit.after_poll(sharded.low_watermark());
   got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
@@ -448,6 +459,23 @@ TEST_P(CascadePipelineTest, PipelinedMigrationsStayExact) {
   // keep routing through their stamp's placement version.
   run_differential(GetParam() ^ 0xa11ULL, 4, 16, 4, ConsumptionMode::kUnrestricted, "PM", 256,
                    /*skewed=*/true, {{64, 2, 1}, {128, 0, 2}, {192, 2, 3}}, 0, 4096, 4);
+}
+
+TEST_P(CascadePipelineTest, MigrationsBehindTheOnlyRingSlotHoldEveryTier) {
+  // queue_capacity 1 gives each inbox ring a single slot: a gate-blocked
+  // head item holds it while a migration control pair parks in the ring
+  // push behind it (under the ingest lock) until the coordinator's
+  // frontier admits the head. The default capacity is the control leg.
+  for (const OrderingTier tier :
+       {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,
+        OrderingTier::kUnorderedWatermarked}) {
+    for (const std::uint32_t pipeline : {1u, 4u}) {
+      for (const std::size_t queue_capacity : {4096u, 1u}) {
+        run_tier_matrix(GetParam() ^ 0x51ULL, tier, pipeline, 4, "MQ",
+                        {{48, 2, 1}, {96, 0, 2}, {144, 2, 3}}, queue_capacity);
+      }
+    }
+  }
 }
 
 TEST_P(CascadePipelineTest, TierMatrixHoldsUnderPipelining) {
@@ -507,7 +535,7 @@ void run_watermark_interleaved(std::uint64_t seed, OrderingTier tier, std::uint3
       std::this_thread::yield();
     }
   }
-  const std::vector<TaggedInstance> rest = sharded.flush_tagged();
+  const std::vector<TaggedInstance> rest = oracle::flush_tagged_within(sharded, ctx);
   audit.observe(rest);
   released += rest.size();
   audit.at_quiescence(sharded.low_watermark(), sharded.stats().arrivals);

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "ordering_oracle.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "sim/random.hpp"
 
@@ -267,12 +268,12 @@ void run_migration_differential(std::uint64_t seed, std::size_t shards, std::siz
                          std::span(stream.nows).subspan(i, n));
     collect(sharded.poll());
   }
-  collect(sharded.flush());
-
   const std::string ctx = tag + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
                           " skew=" + std::to_string(skew_hot);
+  collect(oracle::flush_within(sharded, ctx));
+
   ASSERT_GE(issued, 3u) << ctx;
   ASSERT_EQ(got.size(), want.size()) << ctx;
   for (std::size_t k = 0; k < got.size(); ++k) {

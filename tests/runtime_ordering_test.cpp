@@ -237,7 +237,7 @@ void run_ordering_differential(std::uint64_t seed, std::size_t shards, std::size
                          std::span(stream.nows).subspan(i, n));
     collect(sharded.poll_tagged());
   }
-  collect(sharded.flush_tagged());
+  collect(oracle::flush_tagged_within(sharded, ctx));
 
   const RuntimeStats stats = sharded.stats();
   // The wildcard definition routes every arrival, so stamps are dense and
@@ -410,7 +410,7 @@ void run_cascade_tier_differential(std::uint64_t seed, std::size_t shards, std::
     got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
                       std::make_move_iterator(released.end()));
   }
-  std::vector<TaggedInstance> released = sharded.flush_tagged();
+  std::vector<TaggedInstance> released = oracle::flush_tagged_within(sharded, ctx);
   got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
                     std::make_move_iterator(released.end()));
 
@@ -491,7 +491,7 @@ RuntimeStats run_feedback_free(const Stream& stream, const std::vector<Ref>& wan
                          std::span(stream.nows).subspan(i, n));
     collect(sharded.poll_tagged());
   }
-  collect(sharded.flush_tagged());
+  collect(oracle::flush_tagged_within(sharded, ctx));
 
   const RuntimeStats stats = sharded.stats();
   EXPECT_EQ(stats.arrivals, stream.entities.size()) << ctx;

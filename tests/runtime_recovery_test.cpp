@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "ordering_oracle.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "sim/random.hpp"
@@ -198,11 +199,11 @@ void run_crash_differential(std::uint64_t seed, std::size_t shards, std::size_t 
       sharded.migrate_definition(2, batches / 5 % shards);
     }
   }
-  collect(sharded.flush());
-
   const std::string ctx = tag + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
-                          " batch=" + std::to_string(batch_size);
+                          " batch=" + std::to_string(batch_size) +
+                          " queue=" + std::to_string(queue_capacity);
+  collect(oracle::flush_within(sharded, ctx));
   ASSERT_EQ(got.size(), want.size()) << ctx;
   for (std::size_t k = 0; k < got.size(); ++k) {
     ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
@@ -264,8 +265,14 @@ TEST_P(CrashRecoveryTest, CrashUnderTightBackpressure) {
 }
 
 TEST_P(CrashRecoveryTest, CrashesInterleavedWithMigrations) {
-  run_crash_differential(GetParam() ^ 0x316ULL, 4, 8, ConsumptionMode::kConsume, "M", {17, 43},
-                         24, 4096, /*migrate=*/true);
+  // A 1- or 2-slot inbox ring fills as soon as one or two items wait, so
+  // migration pairs and checkpoint barriers park in the ring push, and
+  // crashes land between the pops the worker counts into push sequences
+  // and the log entries recovery pairs them with.
+  for (const std::size_t queue_capacity : {4096u, 1u, 2u}) {
+    run_crash_differential(GetParam() ^ 0x316ULL, 4, 8, ConsumptionMode::kConsume, "M", {17, 43},
+                           24, queue_capacity, /*migrate=*/true);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryTest, ::testing::Values(1u, 2u, 3u, 5u, 8u));

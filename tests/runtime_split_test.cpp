@@ -138,9 +138,11 @@ std::string tier_name(OrderingTier tier) {
 /// stream and applies the tier's oracle contract end to end.
 void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_size,
                             ConsumptionMode mode, OrderingTier tier, const std::string& tag,
-                            bool cascade = false, std::uint32_t pipeline = 1) {
+                            bool cascade = false, std::uint32_t pipeline = 1,
+                            std::size_t queue_capacity = 4096) {
   RuntimeOptions options;
   options.shards = shards;
+  options.queue_capacity = queue_capacity;
   options.ordering = tier;
   options.cascade = cascade;
   options.cascade_pipeline = pipeline;
@@ -166,7 +168,8 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
   const std::string ctx = tag + "/" + tier_name(tier) + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
-                          (cascade ? " cascade pipeline=" + std::to_string(pipeline) : "");
+                          (cascade ? " cascade pipeline=" + std::to_string(pipeline) : "") +
+                          " queue=" + std::to_string(queue_capacity);
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
   const auto collect = [&](std::vector<TaggedInstance> released) {
@@ -204,7 +207,7 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
                          std::span(stream.nows).subspan(i, len));
     collect(sharded.poll_tagged());
   }
-  collect(sharded.flush_tagged());
+  collect(oracle::flush_tagged_within(sharded, ctx));
 
   const RuntimeStats stats = sharded.stats();
   ASSERT_EQ(stats.arrivals, n) << ctx;  // WILD routes everything: dense stamps
@@ -263,13 +266,17 @@ TEST_P(SplitDifferentialTest, CascadeModeSplitMoveMergeStaysExactAcrossTiers) {
   // split/merge barrier acts at sub-stamp granularity via the shared
   // subset-migration control pair, and the coordinator's dispatch-time
   // renumbering keeps every tier's stream exactly sequential — seq
-  // included — even while the hot group is cut in two.
+  // included — even while the hot group is cut in two. Queue capacity 1
+  // leaves one ring slot, so the split/move/merge control pairs park
+  // behind gate-blocked head items.
   for (const OrderingTier tier :
        {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,
         OrderingTier::kUnorderedWatermarked}) {
     for (const std::uint32_t pipeline : {1u, 4u}) {
-      run_split_differential(GetParam() ^ 0xca5ULL, 4, 16, ConsumptionMode::kUnrestricted,
-                             tier, "SCA", /*cascade=*/true, pipeline);
+      for (const std::size_t queue_capacity : {4096u, 1u}) {
+        run_split_differential(GetParam() ^ 0xca5ULL, 4, 16, ConsumptionMode::kUnrestricted,
+                               tier, "SCA", /*cascade=*/true, pipeline, queue_capacity);
+      }
     }
   }
 }
