@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/engine.hpp"
 
@@ -32,5 +35,49 @@ namespace stem::runtime {
 /// resurrecting a shard with silently wrong state.
 [[nodiscard]] std::optional<core::DefinitionState> decode_definition_state(
     std::string_view frame, core::EventDefinition def);
+
+/// Binary entity codec: the replay log's in-process form of an arrival.
+/// Fixed-width fields are copied byte-for-byte in host order (doubles
+/// survive exactly; the bytes never leave the process); lengths and
+/// counts are LEB128 varints.
+///   entity      := u8 kind (0 observation, 1 instance) body
+///   observation := str mote, str sensor, u64 seq, i64 time, location, attributes
+///   instance    := str observer, str event, u64 seq, u8 layer, i64 gen_time,
+///                  f64 gen_x, f64 gen_y, time, location, attributes,
+///                  f64 confidence, varint n, n x (str observer, str event, u64 seq)
+///   time        := u8 0, i64 point | u8 1, i64 begin, i64 end
+///   location    := u8 0, f64 x, f64 y | u8 1, varint n (>= 3), n x (f64 x, f64 y)
+///   attributes  := varint n, n x (str name, u8 type, value)
+///                  (type 0 i64, 1 f64, 2 u8 bool, 3 str)
+///   str         := varint length, bytes
+/// Appends `entity`'s encoding to `out`.
+void pack_entity(std::string& out, const core::Entity& entity);
+
+/// Decodes one entity from the front of `in` and drops its bytes from
+/// `in`. Returns nullopt on truncated or malformed input (bad tag, count
+/// or length past the end, interval end before begin, polygon of fewer
+/// than 3 vertices) — never throws, never reads out of bounds; `in` is
+/// then unspecified.
+[[nodiscard]] std::optional<core::Entity> unpack_entity(std::string_view& in);
+
+/// A decoded replay record: parallel (entity, now, stamp) arrays.
+struct Arrivals {
+  std::vector<core::Entity> entities;
+  std::vector<time_model::TimePoint> nows;
+  std::vector<std::uint64_t> stamps;
+};
+
+/// Appends a replay record of the arrivals at `indices` (into the
+/// parallel `entities`/`nows`/`stamps` arrays): varint count, then per
+/// arrival u64 stamp, i64 now, entity.
+void pack_arrivals(std::string& out, std::span<const std::uint32_t> indices,
+                   std::span<const core::Entity> entities,
+                   std::span<const time_model::TimePoint> nows,
+                   std::span<const std::uint64_t> stamps);
+
+/// Decodes a whole record produced by pack_arrivals. nullopt on any
+/// truncated, malformed or over-long record (same guarantees as
+/// unpack_entity).
+[[nodiscard]] std::optional<Arrivals> unpack_arrivals(std::string_view record);
 
 }  // namespace stem::runtime

@@ -97,19 +97,15 @@ class EventCount {
 /// few slots before the wrap point and prove it.
 ///
 /// Blocking semantics: push() parks on an internal EventCount while the
-/// ring is full (bounded-queue backpressure); pop() spins briefly, then
-/// parks while the ring is empty. close() wakes all sleepers: subsequent
-/// pushes fail, pops drain the remaining items and then report exhaustion.
-/// The close/drain handoff is exact: every push that returned true is
-/// popped before pop() reports exhaustion, and a claim that races close()
-/// and loses publishes a consumer-invisible tombstone instead of an item
-/// (its push returns false). The drain therefore treats "cursors
-/// disagree" — not "no visible item" — as the not-yet-drained condition,
-/// so a claimed-but-unpublished cell can never be abandoned.
-///
-/// The consumer additionally gets peek access (front()/pop_front()) so a
-/// caller can interleave this ring with other work sources and consume an
-/// item only when an external admission rule allows it.
+/// ring is full (bounded-queue backpressure). The consumer never blocks
+/// here: it peeks (front()/pop_front()) or try_pop()s, so a caller can
+/// interleave this ring with other work sources, consume an item only
+/// when an external admission rule allows it, and park on its own
+/// eventcount (producers wake it after their push). close() wakes parked
+/// producers: subsequent pushes fail, while the consumer can still drain
+/// every item pushed before it. A claim that races close() and loses
+/// publishes a consumer-invisible tombstone instead of an item (its push
+/// returns false).
 template <typename T>
 class MpscRing {
  public:
@@ -143,27 +139,19 @@ class MpscRing {
   }
 
   /// Non-blocking push; false when the ring is full or closed. Any
-  /// thread. Wakes a parked consumer on success, same as push().
-  bool try_push(T&& value) {
-    if (!try_push_ref(value)) return false;
-    items_.notify_all();
-    return true;
-  }
+  /// thread.
+  bool try_push(T&& value) { return try_push_ref(value); }
 
   /// Blocking push: parks while full, returns false (value discarded) once
   /// the ring is closed. Any thread.
   bool push(T value) {
     for (;;) {
       if (closed_.load(std::memory_order_seq_cst)) return false;
-      if (try_push_ref(value)) {
-        items_.notify_all();
-        return true;
-      }
+      if (try_push_ref(value)) return true;
       if (closed_.load(std::memory_order_acquire)) return false;
       const std::uint32_t ticket = space_.prepare_wait();
       if (try_push_ref(value)) {
         space_.cancel_wait();
-        items_.notify_all();
         return true;
       }
       if (closed_.load(std::memory_order_seq_cst)) {
@@ -207,33 +195,10 @@ class MpscRing {
     return true;
   }
 
-  /// Blocking pop with a spin-then-park consumer: false only once the ring
-  /// is closed *and* fully drained. Consumer thread only.
-  bool pop(T& out) {
-    for (int spin = 0; spin < kSpinPops; ++spin) {
-      if (try_pop(out)) return true;
-      if (closed_.load(std::memory_order_acquire)) return pop_closed(out);
-      cpu_relax();
-    }
-    for (;;) {
-      const std::uint32_t ticket = items_.prepare_wait();
-      if (try_pop(out)) {
-        items_.cancel_wait();
-        return true;
-      }
-      if (closed_.load(std::memory_order_seq_cst)) {
-        items_.cancel_wait();
-        return pop_closed(out);
-      }
-      items_.wait(ticket);
-    }
-  }
-
-  /// Closes the ring: wakes every parked producer/consumer; push() fails
-  /// from here on, pop() drains what remains. Idempotent, any thread.
+  /// Closes the ring: wakes every parked producer; push() fails from here
+  /// on, the consumer drains what remains. Idempotent, any thread.
   void close() noexcept {
     closed_.store(true, std::memory_order_seq_cst);
-    items_.notify_all();
     space_.notify_all();
   }
 
@@ -252,8 +217,6 @@ class MpscRing {
     T value{};
   };
 
-  static constexpr int kSpinPops = 128;
-
   /// Hands the head slot back for the next lap (consumer thread only).
   void release_slot(std::uint32_t pos, Cell& cell) noexcept {
     cell.value = T{};
@@ -261,27 +224,6 @@ class MpscRing {
     cell.seq.store(pos + mask_ + 1, std::memory_order_release);
     head_.store(pos + 1, std::memory_order_release);
     space_.notify_all();
-  }
-
-  /// Closed-path drain (consumer thread only): "no visible item" is not
-  /// "fully drained" — a producer may have won the tail CAS without yet
-  /// publishing its cell, and returning false then would silently lose an
-  /// admitted item. Only tail_ == head_ proves exhaustion; while the
-  /// cursors disagree the outstanding claim is a few stores from
-  /// visibility, so spin (publication never blocks). Soundness of the
-  /// cursor check: the claim CAS, close()'s store, and this tail_ load
-  /// are all seq_cst, so a claim this load cannot see was made after its
-  /// producer could see closed_ — and such claims publish tombstones
-  /// (never items) per try_push_ref's post-claim check.
-  bool pop_closed(T& out) {
-    for (;;) {
-      if (try_pop(out)) return true;
-      if (tail_.load(std::memory_order_seq_cst) ==
-          head_.load(std::memory_order_relaxed)) {
-        return false;
-      }
-      cpu_relax();
-    }
   }
 
   bool try_push_ref(T& value) {
@@ -301,17 +243,17 @@ class MpscRing {
       const std::int32_t diff = static_cast<std::int32_t>(seq - pos);
       if (diff == 0) {
         // seq_cst success ordering: the claim must take a place in the
-        // total order against close()'s store and the drain's cursor
-        // check (pop_closed) — on x86 the lock-prefixed CAS is
-        // sequentially consistent anyway, so the hot path pays nothing.
+        // total order against close()'s store — on x86 the lock-prefixed
+        // CAS is sequentially consistent anyway, so the hot path pays
+        // nothing.
         if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
           if (closed_.load(std::memory_order_seq_cst)) {
-            // The claim raced close() and lost: the consumer's drain may
-            // already have judged the ring exhausted up to this claim, so
-            // an item published here could be abandoned. Publish a
-            // tombstone instead (front() skips and releases it) and
-            // report failure — the item is not admitted.
+            // The claim raced close() and lost: a consumer draining the
+            // closed ring may already have judged it exhausted up to this
+            // claim, so an item published here could be abandoned.
+            // Publish a tombstone instead (front() skips and releases it)
+            // and report failure — the item is not admitted.
             cell.poisoned = true;
             cell.seq.store(pos + 1, std::memory_order_release);
             return false;
@@ -333,7 +275,6 @@ class MpscRing {
   const std::unique_ptr<Cell[]> cells_;
   alignas(kCacheLine) std::atomic<std::uint32_t> tail_;  ///< producers' claim cursor
   alignas(kCacheLine) std::atomic<std::uint32_t> head_;  ///< consumer cursor
-  alignas(kCacheLine) EventCount items_;                 ///< consumer parks when empty
   alignas(kCacheLine) EventCount space_;                 ///< producers park when full
   std::atomic<bool> closed_{false};
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -124,7 +125,7 @@ void ShardedEngineRuntime::shutdown() noexcept {
     signal_cascade();
     for (auto& shard : shards_) {
       shard->stop.store(true, std::memory_order_seq_cst);
-      shard->inbox.close();          // wakes the worker and ring-parked producers
+      shard->inbox.close();          // fails later pushes, wakes ring-parked producers
       shard->space_ec.notify_all();  // wakes capacity-parked producers
       shard->work_ec.notify_all();   // wakes the parked worker
     }
@@ -151,9 +152,9 @@ void ShardedEngineRuntime::shutdown() noexcept {
       const std::lock_guard lk(shard->log_mutex);
       const std::uint64_t consumed = shard->consumed_seq.load(std::memory_order_relaxed);
       for (const LoggedItem& e : shard->replay_log) {
-        if (e.push_seq <= consumed || !e.item.is_control()) continue;
-        if (e.item.control().ticket == nullptr) continue;
-        MigrationTicket& ticket = *e.item.control().ticket;
+        if (e.push_seq <= consumed || !e.is_control()) continue;
+        if (e.control.control().ticket == nullptr) continue;
+        MigrationTicket& ticket = *e.control.control().ticket;
         {
           const std::lock_guard tlk(ticket.m);
           ticket.ready = true;
@@ -454,9 +455,19 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
 bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
   const bool logged = options_.checkpoint_epoch != 0;
   if (logged) {
+    LoggedItem entry{++shard.push_seq_next, {}, {}};
+    if (item.is_control()) {
+      entry.control = item;  // shares the control block (and any ticket)
+    } else {
+      // Encode into the reused scratch, then copy: the record is
+      // allocated at its exact size.
+      const Batch& batch = *item.batch;
+      record_scratch_.clear();
+      pack_arrivals(record_scratch_, item.indices(), batch.entities, batch.nows, batch.stamps);
+      entry.record = record_scratch_;
+    }
     const std::lock_guard lk(shard.log_mutex);
-    // Copy: the batch (and any ticket) is shared with the ring's item.
-    shard.replay_log.push_back(LoggedItem{++shard.push_seq_next, item});
+    shard.replay_log.push_back(std::move(entry));
   }
   if (shard.inbox.push(std::move(item))) {
     shard.work_ec.notify_all();
@@ -1342,44 +1353,53 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
       shard.dead.store(true, std::memory_order_seq_cst);
       return false;
     }
+    // Push sequences are dense and the log starts right after the
+    // checkpoint, so the next entry is found by offset, not by a scan.
+    const std::uint64_t next = done_seq + 1;
+    if (next > popped_at_crash) break;  // popped prefix replayed — hand over to the live loop
     LoggedItem entry;
-    bool have = false;
     {
       const std::lock_guard lk(shard.log_mutex);
-      for (const LoggedItem& e : shard.replay_log) {
-        if (e.push_seq > done_seq && e.push_seq <= popped_at_crash) {
-          entry = e;  // copy: the log keeps its own for a future crash
-          have = true;
-          break;
-        }
-      }
+      const std::deque<LoggedItem>& log = shard.replay_log;
+      if (log.empty() || next - log.front().push_seq >= log.size()) break;
+      entry = log[next - log.front().push_seq];  // copy: the log keeps its own for a future crash
     }
-    if (!have) break;  // popped prefix replayed — hand over to the live loop
 
-    const bool suppress = entry.push_seq <= consumed_at_crash;
-    if (entry.item.is_control()) {
-      if (entry.item.control().ckpt != 0) {
+    const bool suppress = next <= consumed_at_crash;
+    if (entry.is_control()) {
+      if (entry.control.control().ckpt != 0) {
         // Re-taking the checkpoint here reproduces the original barrier
         // exactly (same prefix of the log has been applied).
-        take_checkpoint(shard, entry.push_seq);
+        take_checkpoint(shard, next);
       } else {
-        if (!handle_control(shard, entry.item.control(), run, suppress)) {
+        if (!handle_control(shard, entry.control.control(), run, suppress)) {
           shard.dead.store(true, std::memory_order_seq_cst);
           return false;
         }
-        if (!suppress) shard.consumed_seq.store(entry.push_seq, std::memory_order_relaxed);
+        if (!suppress) shard.consumed_seq.store(next, std::memory_order_relaxed);
       }
     } else {
-      observe_arrivals(shard, run, entry.item);
-      replayed += entry.item.end - entry.item.begin;
+      std::optional<Arrivals> arrivals = unpack_arrivals(entry.record);
+      if (!arrivals.has_value()) {
+        throw std::runtime_error("ShardedEngineRuntime: corrupt replay record");
+      }
+      auto block = std::make_shared<Batch>();
+      block->entities = std::move(arrivals->entities);
+      block->nows = std::move(arrivals->nows);
+      block->stamps = std::move(arrivals->stamps);
+      block->routed.resize(block->entities.size());
+      std::iota(block->routed.begin(), block->routed.end(), 0U);
+      const auto n = static_cast<std::uint32_t>(block->routed.size());
+      observe_arrivals(shard, run, WorkItem{std::move(block), 0, n});
+      replayed += n;
       if (suppress) {
         run = Run(shard);  // already merged pre-crash: drop, keep the published state
       } else {
-        run.last_seq = entry.push_seq;
+        run.last_seq = next;
         publish(shard, run);
       }
     }
-    done_seq = entry.push_seq;
+    done_seq = next;
   }
   replayed_.fetch_add(replayed, std::memory_order_relaxed);
   recoveries_.fetch_add(1, std::memory_order_relaxed);

@@ -482,10 +482,16 @@ class ShardedEngineRuntime {
     }
   };
 
-  /// A replay-log entry: a pushed item and its per-shard push sequence.
+  /// A replay-log entry: a pushed item's per-shard push sequence and a
+  /// copy of the item. A control item is kept as pushed (its small
+  /// control block); an arrival item is packed into a self-contained
+  /// record of its slice (pack_arrivals), so the log pins no ingest
+  /// Batch block and stores each arrival in its compact byte form.
   struct LoggedItem {
     std::uint64_t push_seq = 0;
-    WorkItem item;
+    WorkItem control;    ///< control items only
+    std::string record;  ///< arrival items only; never empty for them
+    [[nodiscard]] bool is_control() const { return record.empty(); }
   };
 
   /// Cascade mode: one derived instance re-ingested into a shard, keyed
@@ -669,7 +675,8 @@ class ShardedEngineRuntime {
     /// Copies of every work item pushed since the last checkpoint, in
     /// push_seq order: appended right before the matching ring push
     /// (under ingest_mutex_), truncated by the worker at each
-    /// checkpoint — the bounded replay window.
+    /// checkpoint — the bounded replay window. Push sequences are dense,
+    /// so the entry for push_seq p sits at p - front().push_seq.
     std::deque<LoggedItem> replay_log;
     std::optional<ShardCheckpoint> checkpoint;  ///< guarded by log_mutex
     /// Baseline added to the live engine's counters when publishing
@@ -848,9 +855,9 @@ class ShardedEngineRuntime {
   void push_control(Shard& shard, WorkItem item);
   /// Pushes an item into the shard's inbox (parking while the ring is
   /// full) and wakes its worker; with checkpointing on, first assigns its
-  /// push_seq and appends a copy to the replay log. False when shutdown
-  /// closed the ring: the item and its log copy are discarded.
-  /// ingest_mutex_ must be held.
+  /// push_seq and appends a copy (an arrival item packed into a record)
+  /// to the replay log. False when shutdown closed the ring: the item and
+  /// its log copy are discarded. ingest_mutex_ must be held.
   bool push_locked(Shard& shard, WorkItem item);
   /// Worker handler for the checkpoint control item with sequence
   /// `push_seq`: serializes the hosted definitions' state, publishes the
@@ -905,6 +912,7 @@ class ShardedEngineRuntime {
   std::vector<core::SlotRoute> route_scratch_;        // guarded by ingest_mutex_
   std::vector<std::vector<std::uint32_t>> dispatch_scratch_;  // guarded by ingest_mutex_
   std::vector<Pending> pending_scratch_;              // guarded by ingest_mutex_
+  std::string record_scratch_;                        // guarded by ingest_mutex_
   std::vector<std::uint64_t> shard_routed_;           // guarded by ingest_mutex_
   std::uint64_t epoch_arrivals_ = 0;                  // guarded by ingest_mutex_
   std::uint64_t migrations_ = 0;                      // guarded by ingest_mutex_

@@ -13,8 +13,10 @@
 /// (capacity rounding, capacity-1 rings, index wrap at the uint32
 /// boundary, peek/pop-front slot release, close semantics); the
 /// multi-threaded legs prove no loss, no duplication, and per-producer
-/// FIFO under 8 concurrent producers, plus the blocking push/pop
-/// park/wake paths. Runs under the TSan CI leg with reduced volumes.
+/// FIFO under 8 concurrent producers, plus the blocking push's park/wake
+/// path. The consumer never blocks in the ring (the runtime's worker
+/// parks on its own eventcount), so the tests' consumers spin on
+/// try_pop. Runs under the TSan CI leg with reduced volumes.
 
 namespace stem::runtime {
 namespace {
@@ -33,6 +35,15 @@ constexpr std::uint64_t kItemsPerProducer = 15'000;
 constexpr std::uint64_t kItemsPerProducer = 100'000;
 #endif
 constexpr std::uint64_t kProducers = 8;
+
+/// Consumer side of the concurrent legs: spins on try_pop until an item
+/// arrives.
+template <typename T>
+T pop_spin(MpscRing<T>& ring) {
+  T out{};
+  while (!ring.try_pop(out)) std::this_thread::yield();
+  return out;
+}
 
 TEST(MpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(MpscRing<int>(1).capacity(), 1u);
@@ -130,12 +141,13 @@ TEST(MpscRingTest, CloseFailsPushesAndDrainsPops) {
   EXPECT_TRUE(ring.closed());
   EXPECT_FALSE(ring.push(3));  // discarded, no block
   int out = -1;
-  EXPECT_TRUE(ring.pop(out));  // drains the remainder...
+  EXPECT_TRUE(ring.try_pop(out));  // drains the remainder...
   EXPECT_EQ(out, 1);
-  EXPECT_TRUE(ring.pop(out));
+  EXPECT_TRUE(ring.try_pop(out));
   EXPECT_EQ(out, 2);
-  EXPECT_FALSE(ring.pop(out));  // ...then reports exhaustion, no block
-  ring.close();                 // idempotent
+  EXPECT_FALSE(ring.try_pop(out));  // ...then reports empty
+  EXPECT_EQ(ring.size(), 0u);
+  ring.close();  // idempotent
 }
 
 TEST(MpscRingTest, MovesPayloadOwnership) {
@@ -171,9 +183,8 @@ void run_producer_torture(std::size_t ring_capacity, std::uint32_t start_pos) {
 
   std::vector<std::uint64_t> next_seq(kProducers, 0);
   std::uint64_t total = 0;
-  std::uint64_t item = 0;
   while (total < kProducers * kItemsPerProducer) {
-    ASSERT_TRUE(ring.pop(item));
+    const std::uint64_t item = pop_spin(ring);
     const std::uint64_t p = item >> 32;
     const std::uint64_t seq = item & 0xffffffffULL;
     ASSERT_LT(p, kProducers);
@@ -217,54 +228,17 @@ TEST(MpscRingBlockingTest, PushParksWhenFullAndWakesOnPop) {
   // short sleep is not proof of parking, but a wrongly-succeeding push
   // would trip the FIFO assertions below deterministically.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  int out = -1;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 0);
-  ASSERT_TRUE(ring.pop(out));  // parks until the producer's item lands
-  EXPECT_EQ(out, 1);
+  EXPECT_EQ(pop_spin(ring), 0);
+  EXPECT_EQ(pop_spin(ring), 1);  // lands once the freed slot wakes the producer
   producer.join();
   EXPECT_TRUE(pushed.load(std::memory_order_seq_cst));
 }
 
-TEST(MpscRingBlockingTest, TryPushWakesParkedConsumer) {
-  // Regression: try_push used to skip the items_ notification, so a
-  // consumer parked inside pop() was never woken by a try_push producer —
-  // this test then hung in consumer.join().
-  MpscRing<int> ring(4);
-  std::atomic<int> got{-1};
-  std::thread consumer([&] {
-    int out = -1;
-    ASSERT_TRUE(ring.pop(out));  // spins out, then parks on the empty ring
-    got.store(out, std::memory_order_seq_cst);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(ring.try_push(9));
-  consumer.join();
-  EXPECT_EQ(got.load(std::memory_order_seq_cst), 9);
-}
-
-TEST(MpscRingBlockingTest, PopParksWhenEmptyAndWakesOnPush) {
-  MpscRing<int> ring(4);
-  std::atomic<int> got{-1};
-  std::thread consumer([&] {
-    int out = -1;
-    ASSERT_TRUE(ring.pop(out));  // spins, then parks on the empty ring
-    got.store(out, std::memory_order_seq_cst);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(ring.push(7));
-  consumer.join();
-  EXPECT_EQ(got.load(std::memory_order_seq_cst), 7);
-}
-
 TEST(MpscRingTortureTest, CloseLosesNoAdmittedItems) {
   // Races close() against producers mid-claim, many rounds. The exactness
-  // contract under test: every push() that returned true is popped before
-  // the drain reports exhaustion, and a claim that races the close and
-  // loses reports false (its tombstone stays invisible). The regression
-  // this pins down: a producer that had won the tail CAS but not yet
-  // published its cell was invisible to the drain, which then returned
-  // "exhausted" while that push went on to return true — a lost item.
+  // contract under test: every push() that returned true is popped, and a
+  // claim that races the close and loses reports false (its tombstone
+  // stays invisible) — no admitted item is lost, none is invented.
 #if defined(STEM_RING_TSAN)
   constexpr int kRounds = 60;
 #else
@@ -286,7 +260,13 @@ TEST(MpscRingTortureTest, CloseLosesNoAdmittedItems) {
     std::atomic<std::uint64_t> popped{0};
     std::thread consumer([&] {
       std::uint64_t out = 0;
-      while (ring.pop(out)) popped.fetch_add(1, std::memory_order_relaxed);
+      while (!ring.closed()) {
+        if (ring.try_pop(out)) {
+          popped.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          std::this_thread::yield();
+        }
+      }
     });
     // Let traffic build, then slam the door mid-flight (vary the timing a
     // little so the close lands in different phases of the claim protocol).
@@ -294,40 +274,28 @@ TEST(MpscRingTortureTest, CloseLosesNoAdmittedItems) {
     ring.close();
     for (auto& t : producers) t.join();
     consumer.join();
+    // Every claim is published now: drain what the consumer left. A
+    // producer that read closed_ == false and won the tail CAS after the
+    // close published a tombstone, not an item; the drain must skip it,
+    // leaving the cursors level.
+    std::uint64_t leftover = 0;
+    while (ring.try_pop(leftover)) popped.fetch_add(1, std::memory_order_relaxed);
     EXPECT_EQ(popped.load(std::memory_order_seq_cst),
               admitted.load(std::memory_order_seq_cst))
         << "round " << round;
-    // A producer that read closed_ == false can still win the tail CAS
-    // after the drain finished; its claim publishes a tombstone, not an
-    // item. A later pop must skip it and find nothing, leaving the
-    // cursors level.
-    std::uint64_t leftover = 0;
-    EXPECT_FALSE(ring.pop(leftover)) << "round " << round;
     EXPECT_EQ(ring.size(), 0u) << "round " << round;
   }
 }
 
-TEST(MpscRingBlockingTest, CloseWakesParkedProducerAndConsumer) {
-  {
-    MpscRing<int> ring(1);
-    ASSERT_TRUE(ring.try_push(0));
-    std::thread producer([&] {
-      EXPECT_FALSE(ring.push(1));  // parked full, released by close
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ring.close();
-    producer.join();
-  }
-  {
-    MpscRing<int> ring(1);
-    std::thread consumer([&] {
-      int out = -1;
-      EXPECT_FALSE(ring.pop(out));  // parked empty, released by close
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ring.close();
-    consumer.join();
-  }
+TEST(MpscRingBlockingTest, CloseWakesParkedProducer) {
+  MpscRing<int> ring(1);
+  ASSERT_TRUE(ring.try_push(0));
+  std::thread producer([&] {
+    EXPECT_FALSE(ring.push(1));  // parked full, released by close
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ring.close();
+  producer.join();
 }
 
 TEST(MpscRingBlockingTest, BoundedOccupancyUnderBlockingProducers) {
@@ -343,10 +311,9 @@ TEST(MpscRingBlockingTest, BoundedOccupancyUnderBlockingProducers) {
       }
     });
   }
-  std::uint64_t item = 0;
   for (std::uint64_t n = 0; n < 4 * kPerProducer; ++n) {
     ASSERT_LE(ring.size(), ring.capacity());
-    ASSERT_TRUE(ring.pop(item));
+    (void)pop_spin(ring);
   }
   for (auto& t : producers) t.join();
 }

@@ -22,8 +22,9 @@
 /// quiescence must equal the last assigned stamp.
 ///
 /// Liveness: flush_within / flush_tagged_within bound a flush by a
-/// deadline. A stalled runtime prints its counters and fails the test
-/// instead of hanging until the ctest timeout.
+/// deadline, and a RunDeadline bounds a whole differential's ingest,
+/// migrate and flush calls. A stalled runtime prints its counters and
+/// fails the test instead of hanging until the ctest timeout.
 ///
 /// `canonicalize_seq` supports split groups in the relaxed tiers: there
 /// the two partitioned engine counters interleave per event type, so the
@@ -35,12 +36,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -177,50 +180,103 @@ inline void check_per_def_seq_monotone(const std::vector<Ref>& got, const std::s
 /// under the suites' ctest TIMEOUT.
 inline constexpr std::chrono::seconds kFlushDeadline{60};
 
-/// The runtime's counters, read on a helper thread: stats() takes every
-/// shard's output lock and the merge lock, which a stalled runtime may
-/// hold forever, so the caller waits at most `grace` for the text.
+/// The runtime's counters, read on a helper thread: a stalled runtime may
+/// hold a lock forever, so the caller waits at most `grace` for the text.
+/// low_watermark() takes only the merge lock and is handed over first;
+/// stats() and shard_arrival_loads() also take the ingest lock, which a
+/// producer parked inside ingest_batch or migrate_definition holds.
 inline std::string stall_snapshot(const ShardedEngineRuntime& rt,
                                   std::chrono::milliseconds grace) {
-  auto text = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> ready = text->get_future();
-  std::thread([&rt, text] {
+  auto watermark = std::make_shared<std::promise<std::uint64_t>>();
+  auto counters = std::make_shared<std::promise<std::string>>();
+  std::future<std::uint64_t> watermark_ready = watermark->get_future();
+  std::future<std::string> counters_ready = counters->get_future();
+  std::thread([&rt, watermark, counters] {
+    watermark->set_value(rt.low_watermark());
     const RuntimeStats s = rt.stats();
     std::ostringstream os;
-    os << "low_watermark=" << rt.low_watermark() << " arrivals=" << s.arrivals
-       << " deliveries=" << s.deliveries << " dropped=" << s.dropped
-       << " instances=" << s.instances << " max_inbox=" << s.max_inbox
-       << " migrations=" << s.migrations << " checkpoints=" << s.checkpoints
-       << " crashes=" << s.crashes << " recoveries=" << s.recoveries
-       << " cascade_reingested=" << s.cascade_reingested
+    os << "arrivals=" << s.arrivals << " deliveries=" << s.deliveries
+       << " dropped=" << s.dropped << " instances=" << s.instances
+       << " max_inbox=" << s.max_inbox << " migrations=" << s.migrations
+       << " checkpoints=" << s.checkpoints << " crashes=" << s.crashes
+       << " recoveries=" << s.recoveries << " cascade_reingested=" << s.cascade_reingested
        << " closures_in_flight_max=" << s.closures_in_flight_max << " shard_arrival_loads=[";
     for (const std::uint64_t load : rt.shard_arrival_loads()) os << load << ";";
     os << "]";
-    text->set_value(os.str());
+    counters->set_value(os.str());
   }).detach();
-  if (ready.wait_for(grace) != std::future_status::ready) {
-    return "no snapshot within " + std::to_string(grace.count()) + " ms (a runtime lock is held)";
+  const auto deadline = std::chrono::steady_clock::now() + grace;
+  const std::string waited = " within " + std::to_string(grace.count()) + " ms";
+  if (watermark_ready.wait_until(deadline) != std::future_status::ready) {
+    return "no low_watermark" + waited + " (the merge lock is held)";
   }
-  return ready.get();
+  std::string text = "low_watermark=" + std::to_string(watermark_ready.get());
+  if (counters_ready.wait_until(deadline) != std::future_status::ready) {
+    return text + ", no counters" + waited + " (the ingest lock or an output lock is held)";
+  }
+  return text + " " + counters_ready.get();
+}
+
+/// Fails the test with `what` and the runtime's snapshot, then exits the
+/// process: the stalled call still references the runtime, so neither
+/// unwinding nor destroying it is safe.
+[[noreturn]] inline void fail_stalled(const ShardedEngineRuntime& rt, const std::string& what) {
+  ADD_FAILURE() << what << ": " << stall_snapshot(rt, std::chrono::milliseconds(500));
+  std::fflush(stdout);
+  std::fflush(stderr);
+  std::_Exit(1);
 }
 
 /// Runs `flush` (a call of rt.flush() or rt.flush_tagged()) bounded by
-/// `deadline`. On expiry the test fails with the runtime's snapshot and
-/// the process exits: the stalled flush still references the runtime, so
-/// neither unwinding nor destroying it is safe.
+/// `deadline`; on expiry fails and exits (fail_stalled).
 template <typename Flush>
 auto bounded_flush(const ShardedEngineRuntime& rt, const std::string& ctx, Flush flush,
                    std::chrono::seconds deadline = kFlushDeadline) -> decltype(flush()) {
   auto result = std::async(std::launch::async, std::move(flush));
   if (result.wait_for(deadline) != std::future_status::ready) {
-    ADD_FAILURE() << ctx << " flush stalled for " << deadline.count()
-                  << " s: " << stall_snapshot(rt, std::chrono::milliseconds(500));
-    std::fflush(stdout);
-    std::fflush(stderr);
-    std::_Exit(1);
+    fail_stalled(rt, ctx + " flush stalled for " + std::to_string(deadline.count()) + " s");
   }
   return result.get();
 }
+
+/// How long one differential run — its ingest, migrate and flush calls
+/// together — may take before it counts as stalled: far above a healthy
+/// run under the sanitizers, and under the suites' ctest TIMEOUT.
+inline constexpr std::chrono::seconds kRunDeadline{120};
+
+/// Whole-run liveness guard: armed on construction, disarmed on
+/// destruction. Still armed after `deadline` — say a producer parked on
+/// backpressure or ring space inside ingest_batch or migrate_definition —
+/// the test fails with the runtime's snapshot and exits (fail_stalled).
+/// Declare it after the runtime, so it disarms before the runtime dies.
+class RunDeadline {
+ public:
+  RunDeadline(const ShardedEngineRuntime& rt, std::string ctx,
+              std::chrono::seconds deadline = kRunDeadline)
+      : watchdog_([this, &rt, ctx = std::move(ctx), deadline] {
+          std::unique_lock lk(m_);
+          if (cv_.wait_for(lk, deadline, [this] { return disarmed_; })) return;
+          fail_stalled(rt, ctx + " run stalled for " + std::to_string(deadline.count()) + " s");
+        }) {}
+
+  RunDeadline(const RunDeadline&) = delete;
+  RunDeadline& operator=(const RunDeadline&) = delete;
+
+  ~RunDeadline() {
+    {
+      const std::lock_guard lk(m_);
+      disarmed_ = true;
+    }
+    cv_.notify_all();
+    watchdog_.join();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool disarmed_ = false;  // guarded by m_
+  std::thread watchdog_;   ///< last: starts once the fields above exist
+};
 
 inline std::vector<core::EventInstance> flush_within(ShardedEngineRuntime& rt,
                                                      const std::string& ctx) {

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "core/engine.hpp"
 #include "core/serialize.hpp"
@@ -382,7 +384,15 @@ TEST(ReliableDifferential, LossyLinkIntoCrashingShardedRuntimeEndToEnd) {
 
   // Every layer's fault machinery demonstrably fired.
   EXPECT_GT(src.stats().retransmits, 0u);
-  const runtime::RuntimeStats stats = sharded.stats();
+  // Reaping is asynchronous: flush() does not wait for a worker that died
+  // holding no unpublished arrivals, so the supervisor may have counted a
+  // crash whose recovery is still running. Give it a bounded moment, as
+  // the crash-recovery suite does.
+  runtime::RuntimeStats stats = sharded.stats();
+  for (int spin = 0; spin < 2000 && stats.recoveries < stats.crashes; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = sharded.stats();
+  }
   EXPECT_GT(stats.checkpoints, 0u);
   EXPECT_GE(stats.crashes, 1u);
   EXPECT_EQ(stats.recoveries, stats.crashes);

@@ -243,36 +243,39 @@ void run_migration_differential(std::uint64_t seed, std::size_t shards, std::siz
   const auto collect = [&](std::vector<EventInstance> instances) {
     for (const EventInstance& inst : instances) got.push_back(describe(inst));
   };
-  for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
-    while (next_mig < at.size() && at[next_mig] <= i) {
-      // With a near-duplicate family present, move its members: the point
-      // is migrating subscriptions out of shared plan nodes mid-stream.
-      const auto def =
-          near_dups > 0
-              ? base_defs + static_cast<std::size_t>(plan.uniform_int(
-                                0, static_cast<std::int64_t>(near_dups) - 1))
-              : static_cast<std::size_t>(plan.uniform_int(
-                    0, static_cast<std::int64_t>(sharded.definition_count()) - 1));
-      const auto to = static_cast<std::size_t>(
-          plan.uniform_int(0, static_cast<std::int64_t>(shards) - 1));
-      // Force a real move: if the group already lives on `to`, push it to
-      // the next shard instead.
-      if (!sharded.migrate_definition(def, to)) {
-        ASSERT_TRUE(sharded.migrate_definition(def, (to + 1) % shards));
-      }
-      ++issued;
-      ++next_mig;
-    }
-    const std::size_t n = std::min(batch_size, stream.entities.size() - i);
-    sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
-                         std::span(stream.nows).subspan(i, n));
-    collect(sharded.poll());
-  }
   const std::string ctx = tag + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
                           " skew=" + std::to_string(skew_hot);
-  collect(oracle::flush_within(sharded, ctx));
+  {
+    const oracle::RunDeadline deadline(sharded, ctx);
+    for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
+      while (next_mig < at.size() && at[next_mig] <= i) {
+        // With a near-duplicate family present, move its members: the point
+        // is migrating subscriptions out of shared plan nodes mid-stream.
+        const auto def =
+            near_dups > 0
+                ? base_defs + static_cast<std::size_t>(plan.uniform_int(
+                                  0, static_cast<std::int64_t>(near_dups) - 1))
+                : static_cast<std::size_t>(plan.uniform_int(
+                      0, static_cast<std::int64_t>(sharded.definition_count()) - 1));
+        const auto to = static_cast<std::size_t>(
+            plan.uniform_int(0, static_cast<std::int64_t>(shards) - 1));
+        // Force a real move: if the group already lives on `to`, push it to
+        // the next shard instead.
+        if (!sharded.migrate_definition(def, to)) {
+          ASSERT_TRUE(sharded.migrate_definition(def, (to + 1) % shards));
+        }
+        ++issued;
+        ++next_mig;
+      }
+      const std::size_t n = std::min(batch_size, stream.entities.size() - i);
+      sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
+                           std::span(stream.nows).subspan(i, n));
+      collect(sharded.poll());
+    }
+    collect(oracle::flush_within(sharded, ctx));
+  }
 
   ASSERT_GE(issued, 3u) << ctx;
   ASSERT_EQ(got.size(), want.size()) << ctx;
@@ -345,13 +348,19 @@ TEST_P(MigrationDifferentialTest, AutomaticRebalancingKeepsStreamEqual) {
     }
   }
   std::vector<std::string> got;
-  for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
-    const std::size_t n = std::min<std::size_t>(16, stream.entities.size() - i);
-    sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
-                         std::span(stream.nows).subspan(i, n));
-    for (const EventInstance& inst : sharded.poll()) got.push_back(describe(inst));
+  {
+    const std::string ctx = "AR seed=" + std::to_string(GetParam());
+    const oracle::RunDeadline deadline(sharded, ctx);
+    for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
+      const std::size_t n = std::min<std::size_t>(16, stream.entities.size() - i);
+      sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
+                           std::span(stream.nows).subspan(i, n));
+      for (const EventInstance& inst : sharded.poll()) got.push_back(describe(inst));
+    }
+    for (const EventInstance& inst : oracle::flush_within(sharded, ctx)) {
+      got.push_back(describe(inst));
+    }
   }
-  for (const EventInstance& inst : sharded.flush()) got.push_back(describe(inst));
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < got.size(); ++k) ASSERT_EQ(got[k], want[k]) << "instance " << k;

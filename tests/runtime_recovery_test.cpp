@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <sstream>
@@ -9,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/serialize.hpp"
 #include "ordering_oracle.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/sharded_runtime.hpp"
@@ -132,6 +135,95 @@ Stream make_stream(std::uint64_t seed, int n) {
   return s;
 }
 
+/// Every entity shape the replay codec carries: observations with point
+/// or field (polygon) locations and double, int, string and bool
+/// attributes, plus top-level EXT instances with punctual or interval
+/// times, point or field locations and provenance.
+Stream make_mixed_stream(std::uint64_t seed, int n) {
+  sim::Rng rng(seed);
+  Stream s;
+  TimePoint now = TimePoint::epoch();
+  const char* sensors[] = {"SRa", "SRb", "SRc", "SRd"};
+  const char* zones[] = {"north", "south", ""};
+  for (int i = 0; i < n; ++i) {
+    now += time_model::milliseconds(100 + rng.uniform_int(0, 900));
+    const Point p{rng.uniform(0, 24), rng.uniform(0, 24)};
+    const double value = rng.uniform(0, 100);
+    const auto zone = zones[rng.uniform_int(0, 2)];
+    if (i % 5 == 4) {
+      EventInstance inst;
+      inst.key = core::EventInstanceKey{ObserverId("SINK" + std::to_string(rng.uniform_int(1, 3))),
+                                        EventTypeId("EXT"), static_cast<std::uint64_t>(i)};
+      inst.layer = rng.uniform_int(0, 1) == 0 ? core::Layer::kSensor : core::Layer::kCyberPhysical;
+      inst.gen_time = now;
+      inst.gen_location = Point{rng.uniform(0, 24), rng.uniform(0, 24)};
+      const TimePoint end = now - time_model::milliseconds(rng.uniform_int(0, 500));
+      if (rng.uniform_int(0, 1) == 0) {
+        inst.est_time = time_model::TimeInterval(
+            end - time_model::milliseconds(rng.uniform_int(1, 3000)), end);
+      } else {
+        inst.est_time = end;
+      }
+      if (rng.uniform_int(0, 1) == 0) {
+        inst.est_location = geom::Polygon::disk(p, rng.uniform(0.5, 4.0), 5 + i % 4);
+      } else {
+        inst.est_location = geom::Location(p);
+      }
+      inst.attributes.set("value", value);
+      inst.attributes.set("zone", std::string(zone));
+      inst.confidence = rng.uniform(0.2, 1.0);
+      for (std::int64_t k = rng.uniform_int(1, 3); k > 0; --k) {
+        inst.provenance.push_back(core::EventInstanceKey{
+            ObserverId("MT" + std::to_string(rng.uniform_int(1, 4))), EventTypeId("obs:SRd"),
+            static_cast<std::uint64_t>(rng.uniform_int(0, i))});
+      }
+      s.entities.push_back(core::Entity(std::move(inst)));
+    } else {
+      const auto* sensor = sensors[rng.uniform_int(0, 3)];
+      const TimePoint t = now - time_model::milliseconds(rng.uniform_int(0, 1500));
+      core::PhysicalObservation o = obs(static_cast<int>(rng.uniform_int(1, 4)), sensor,
+                                        static_cast<std::uint64_t>(i), t, p, value);
+      if (i % 3 == 0) {
+        const Point extent{rng.uniform(0.1, 3), rng.uniform(0.1, 3)};
+        o.location = geom::Polygon::rectangle(p, p + extent);
+      }
+      if (i % 2 == 0) o.attributes.set("value", static_cast<std::int64_t>(value));
+      o.attributes.set("zone", std::string(zone));
+      o.attributes.set("armed", rng.uniform_int(0, 1) == 1);
+      s.entities.push_back(core::Entity(std::move(o)));
+    }
+    s.nows.push_back(now);
+  }
+  return s;
+}
+
+/// recovery_definitions plus joins that buffer the mixed stream's
+/// instances and field observations, so checkpoints and replays carry
+/// every entity shape.
+std::vector<EventDefinition> mixed_definitions(const std::string& tag) {
+  std::vector<EventDefinition> defs = recovery_definitions(ConsumptionMode::kConsume, tag);
+  EventDefinition ext{EventTypeId("EXTNEAR_" + tag),
+                      {{"e", SlotFilter::instance_of(EventTypeId("EXT"))},
+                       {"o", SlotFilter::observation(SensorId("SRd"))}},
+                      core::c_and({core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                                   core::c_distance(0, 1, core::RelationalOp::kLt, 6.0)}),
+                      seconds(8),
+                      {},
+                      ConsumptionMode::kUnrestricted};
+  ext.synthesis.attributes.push_back(
+      core::AttributeRule{"value", core::ValueAggregate::kMax, "value", {0, 1}});
+  defs.push_back(ext);
+  defs.push_back(EventDefinition{EventTypeId("EXTPAIR_" + tag),
+                                 {{"a", SlotFilter::instance_of(EventTypeId("EXT"))},
+                                  {"b", SlotFilter::instance_of(EventTypeId("EXT"))}},
+                                 core::c_and({core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                                              core::c_space(0, geom::SpatialOp::kJoint, 1)}),
+                                 seconds(20),
+                                 {},
+                                 ConsumptionMode::kConsume});
+  return defs;
+}
+
 /// A crash schedule: the hook kills whichever worker makes the Nth
 /// work-item poll, for a fixed set of Ns. The *choice* of victim shard is
 /// scheduling-dependent — deliberately so: the exactness oracle must hold
@@ -156,25 +248,35 @@ struct CrashSchedule {
   }
 };
 
-void run_crash_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_size,
-                            ConsumptionMode mode, const std::string& tag,
-                            std::vector<std::uint64_t> crash_at,
-                            std::size_t checkpoint_epoch = 24,
-                            std::size_t queue_capacity = 4096, bool migrate = false) {
-  CrashSchedule schedule{std::move(crash_at)};
+/// One crash-differential run's runtime shape.
+struct CrashRun {
+  std::size_t shards = 2;
+  std::size_t batch_size = 1;
+  std::vector<std::uint64_t> crash_at;
+  std::size_t checkpoint_epoch = 24;
+  std::size_t queue_capacity = 4096;
+  bool migrate = false;
+};
+
+/// Feeds `stream` through a crash-hooked sharded runtime hosting `defs`
+/// and requires its stream to equal a sequential engine's, byte for byte.
+/// Stores the runtime's final counters in `final_stats` when given.
+void crash_differential(const std::vector<EventDefinition>& defs, const Stream& stream,
+                        const CrashRun& run, const std::string& ctx,
+                        RuntimeStats* final_stats = nullptr) {
+  CrashSchedule schedule{run.crash_at};
   RuntimeOptions options;
-  options.shards = shards;
-  options.queue_capacity = queue_capacity;
-  options.checkpoint_epoch = checkpoint_epoch;
+  options.shards = run.shards;
+  options.queue_capacity = run.queue_capacity;
+  options.checkpoint_epoch = run.checkpoint_epoch;
   options.crash_hook = schedule.hook();
   ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
   DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
-  for (const EventDefinition& def : recovery_definitions(mode, tag)) {
+  for (const EventDefinition& def : defs) {
     sharded.add_definition(def);
     sequential.add_definition(def);
   }
 
-  const Stream stream = make_stream(seed, 320);
   std::vector<std::string> want;
   for (std::size_t i = 0; i < stream.entities.size(); ++i) {
     for (const EventInstance& inst : sequential.observe(stream.entities[i], stream.nows[i])) {
@@ -186,24 +288,23 @@ void run_crash_differential(std::uint64_t seed, std::size_t shards, std::size_t 
   const auto collect = [&](std::vector<EventInstance> instances) {
     for (const EventInstance& inst : instances) got.push_back(describe(inst));
   };
-  std::size_t batches = 0;
-  for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
-    const std::size_t n = std::min(batch_size, stream.entities.size() - i);
-    sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
-                         std::span(stream.nows).subspan(i, n));
-    collect(sharded.poll());
-    if (migrate && ++batches % 5 == 0) {
-      // Bounce a definition between shards while crashes are in flight:
-      // migration control items ride the same logged inbox protocol, so
-      // recovery must replay half-completed hand-offs too.
-      sharded.migrate_definition(2, batches / 5 % shards);
+  {
+    const oracle::RunDeadline deadline(sharded, ctx);
+    std::size_t batches = 0;
+    for (std::size_t i = 0; i < stream.entities.size(); i += run.batch_size) {
+      const std::size_t n = std::min(run.batch_size, stream.entities.size() - i);
+      sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
+                           std::span(stream.nows).subspan(i, n));
+      collect(sharded.poll());
+      if (run.migrate && ++batches % 5 == 0) {
+        // Bounce a definition between shards while crashes are in flight:
+        // migration control items ride the same logged inbox protocol, so
+        // recovery must replay half-completed hand-offs too.
+        sharded.migrate_definition(2, batches / 5 % run.shards);
+      }
     }
+    collect(oracle::flush_within(sharded, ctx));
   }
-  const std::string ctx = tag + " seed=" + std::to_string(seed) +
-                          " shards=" + std::to_string(shards) +
-                          " batch=" + std::to_string(batch_size) +
-                          " queue=" + std::to_string(queue_capacity);
-  collect(oracle::flush_within(sharded, ctx));
   ASSERT_EQ(got.size(), want.size()) << ctx;
   for (std::size_t k = 0; k < got.size(); ++k) {
     ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
@@ -225,12 +326,28 @@ void run_crash_differential(std::uint64_t seed, std::size_t shards, std::size_t 
   EXPECT_EQ(stats.instances, want.size()) << ctx;
   EXPECT_EQ(stats.engine.instances_out, stats.instances) << ctx;
   EXPECT_EQ(stats.arrivals + stats.dropped, stream.entities.size()) << ctx;
-  if (checkpoint_epoch <= stream.entities.size()) {
+  if (run.checkpoint_epoch <= stream.entities.size()) {
     EXPECT_GT(stats.checkpoints, 0u) << ctx;
   }
   EXPECT_EQ(stats.crashes, schedule.at.size())
       << ctx << " polls=" << schedule.polls->load();
   EXPECT_EQ(stats.recoveries, stats.crashes) << ctx;
+  if (final_stats != nullptr) *final_stats = stats;
+}
+
+void run_crash_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_size,
+                            ConsumptionMode mode, const std::string& tag,
+                            std::vector<std::uint64_t> crash_at,
+                            std::size_t checkpoint_epoch = 24,
+                            std::size_t queue_capacity = 4096, bool migrate = false) {
+  const std::string ctx = tag + " seed=" + std::to_string(seed) +
+                          " shards=" + std::to_string(shards) +
+                          " batch=" + std::to_string(batch_size) +
+                          " queue=" + std::to_string(queue_capacity);
+  crash_differential(recovery_definitions(mode, tag), make_stream(seed, 320),
+                     CrashRun{shards, batch_size, std::move(crash_at), checkpoint_epoch,
+                              queue_capacity, migrate},
+                     ctx);
 }
 
 class CrashRecoveryTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -275,7 +392,35 @@ TEST_P(CrashRecoveryTest, CrashesInterleavedWithMigrations) {
   }
 }
 
+TEST_P(CrashRecoveryTest, MixedEntityShapesRecoverExactly) {
+  // Field locations, int/string/bool attributes and top-level interval
+  // instances with provenance cross the replay record and checkpoint
+  // frames; the recovered stream must still equal the sequential one.
+  for (const std::size_t shards : {2u, 4u}) {
+    for (const std::size_t batch : {1u, 16u}) {
+      const std::string ctx = "X seed=" + std::to_string(GetParam()) +
+                              " shards=" + std::to_string(shards) +
+                              " batch=" + std::to_string(batch);
+      crash_differential(mixed_definitions("X"), make_mixed_stream(GetParam() ^ 0x3c3ULL, 320),
+                         CrashRun{shards, batch, {13, 41}}, ctx);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryTest, ::testing::Values(1u, 2u, 3u, 5u, 8u));
+
+TEST(CrashRecovery, LongReplayLogIsReplayedByOffset) {
+  // Batch size 1 logs one entry per delivery, and a 16384-arrival epoch
+  // outlasts the 4400-arrival stream (about 7700 deliveries), so the crash
+  // near the stream's end replays a log thousands of entries long.
+  // Recovery finds each entry by its offset from the log front instead of
+  // rescanning the log per entry.
+  RuntimeStats stats;
+  crash_differential(recovery_definitions(ConsumptionMode::kConsume, "L"),
+                     make_stream(0x10c, 4400), CrashRun{2, 1, {7000}, 16384}, "L long log",
+                     &stats);
+  EXPECT_GT(stats.replayed, 1000u);
+}
 
 TEST(CrashRecovery, NoCrashesStillCheckpointsExactly) {
   // checkpointing alone (no crash hook) must not perturb the stream.
@@ -422,6 +567,232 @@ TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
     std::string flipped = frame;
     flipped[i] = static_cast<char>(flipped[i] ^ 0x20);
     (void)decode_definition_state(flipped, state.def);
+  }
+}
+
+// --- Replay-record entity codec ---
+
+/// One entity of every shape the codec distinguishes.
+std::vector<core::Entity> codec_entities() {
+  std::vector<core::Entity> out;
+  out.push_back(core::Entity(obs(1, "SRa", 7, TimePoint(123456), {1.5, -2.25}, 93.5)));
+
+  core::PhysicalObservation field = obs(2, "SRb", 8, TimePoint(-42), {0, 0}, 0.1);
+  field.location = geom::Polygon({{0, 0}, {4, 0}, {4, 3}, {1e-300, 3}});
+  field.attributes.set("value", std::int64_t{-9'000'000'000});
+  field.attributes.set("zone", std::string("north-east"));
+  field.attributes.set("armed", true);
+  field.attributes.set("off", false);
+  field.attributes.set("tiny", 5e-324);  // denormal: must survive bit-exact
+  field.attributes.set("negzero", -0.0);
+  field.attributes.set("empty", std::string());
+  out.push_back(core::Entity(field));
+
+  core::PhysicalObservation bare;  // empty ids, no attributes
+  out.push_back(core::Entity(bare));
+
+  EventInstance point;
+  point.key = core::EventInstanceKey{ObserverId("MT3"), EventTypeId("HOT"), 11};
+  point.layer = core::Layer::kSensor;
+  point.gen_time = TimePoint(5000);
+  point.gen_location = Point{3, 4};
+  point.est_time = TimePoint(4000);
+  point.est_location = geom::Location(Point{3.25, 4.75});
+  point.attributes.set("value", 71.0);
+  point.confidence = 0.875;
+  out.push_back(core::Entity(point));
+
+  for (const core::Layer layer : {core::Layer::kPhysical, core::Layer::kPhysicalObservation,
+                                  core::Layer::kCyberPhysical, core::Layer::kCyber}) {
+    EventInstance interval;
+    interval.key = core::EventInstanceKey{ObserverId("SINK1"), EventTypeId("CP_FIRE"), 3};
+    interval.layer = layer;
+    interval.gen_time = TimePoint(12'000'000);
+    interval.gen_location = Point{50, 50};
+    interval.est_time = time_model::TimeInterval(TimePoint(11'000'000), TimePoint(11'500'000));
+    interval.est_location = geom::Polygon::disk(Point{10, 20}, 2.5, 7);
+    interval.attributes.set("n", std::int64_t{4});
+    interval.attributes.set("zone", std::string("north"));
+    interval.attributes.set("armed", false);
+    interval.attributes.set("value", 1.0 / 3.0);
+    interval.confidence = 0.1 + 0.2;
+    interval.provenance = {core::EventInstanceKey{ObserverId("MT1"), EventTypeId("HOT"), 9},
+                           core::EventInstanceKey{ObserverId("MT2"), EventTypeId("obs:SRa"), 0},
+                           core::EventInstanceKey{ObserverId(""), EventTypeId(""), ~0ULL}};
+    out.push_back(core::Entity(interval));
+  }
+  return out;
+}
+
+std::string packed(const core::Entity& entity) {
+  std::string out;
+  pack_entity(out, entity);
+  return out;
+}
+
+/// Equality over every field: the JSON form covers each field by name,
+/// and the packed bytes pin doubles bit for bit.
+void expect_same_entity(const core::Entity& got, const core::Entity& want) {
+  EXPECT_EQ(got.is_observation(), want.is_observation());
+  EXPECT_EQ(core::encode(got), core::encode(want));
+  EXPECT_EQ(packed(got), packed(want));
+}
+
+TEST(ReplayCodec, EveryEntityShapeRoundTripsExactly) {
+  const std::vector<core::Entity> entities = codec_entities();
+  std::string all;
+  for (const core::Entity& e : entities) {
+    const std::string bytes = packed(e);
+    std::string_view in = bytes;
+    std::optional<core::Entity> decoded = unpack_entity(in);
+    ASSERT_TRUE(decoded.has_value()) << core::encode(e);
+    EXPECT_TRUE(in.empty()) << "decode left " << in.size() << " bytes";
+    expect_same_entity(*decoded, e);
+    all += bytes;
+  }
+  // Back to back: each decode consumes exactly its own entity.
+  std::string_view in = all;
+  for (const core::Entity& e : entities) {
+    std::optional<core::Entity> decoded = unpack_entity(in);
+    ASSERT_TRUE(decoded.has_value());
+    expect_same_entity(*decoded, e);
+  }
+  EXPECT_TRUE(in.empty());
+
+  // Spot checks on the fields JSON renders with limited precision.
+  const std::string field_bytes = packed(entities[1]);
+  std::string_view field_in = field_bytes;
+  const std::optional<core::Entity> field = unpack_entity(field_in);
+  ASSERT_TRUE(field.has_value());
+  ASSERT_TRUE(field->location().is_field());
+  EXPECT_EQ(field->location().as_field().vertices()[3].x, 1e-300);
+  EXPECT_EQ(*field->attributes().find("tiny"), core::AttributeValue(5e-324));
+  EXPECT_TRUE(std::signbit(std::get<double>(*field->attributes().find("negzero"))));
+  EXPECT_EQ(*field->attributes().find("value"), core::AttributeValue(std::int64_t{-9'000'000'000}));
+  const core::EventInstance& interval = entities.back().instance();
+  const std::string interval_bytes = packed(entities.back());
+  std::string_view interval_in = interval_bytes;
+  const std::optional<core::Entity> decoded = unpack_entity(interval_in);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->instance().est_time, interval.est_time);
+  EXPECT_EQ(decoded->instance().est_location, interval.est_location);
+  EXPECT_EQ(decoded->instance().provenance, interval.provenance);
+  EXPECT_EQ(decoded->instance().confidence, interval.confidence);
+  EXPECT_EQ(decoded->instance().layer, core::Layer::kCyber);
+}
+
+TEST(ReplayCodec, RecordRoundTripsTheSelectedArrivals) {
+  const std::vector<core::Entity> entities = codec_entities();
+  std::vector<TimePoint> nows;
+  std::vector<std::uint64_t> stamps;
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    nows.push_back(TimePoint(static_cast<time_model::Tick>(1000 * i) - 7));
+    stamps.push_back(i % 2 == 0 ? 40 + i : 0);
+  }
+  const std::vector<std::uint32_t> indices = {0, 1, 3, 4, 7};
+  std::string record;
+  pack_arrivals(record, indices, entities, nows, stamps);
+  const std::optional<Arrivals> decoded = unpack_arrivals(record);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->entities.size(), indices.size());
+  ASSERT_EQ(decoded->nows.size(), indices.size());
+  ASSERT_EQ(decoded->stamps.size(), indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    EXPECT_EQ(decoded->stamps[k], stamps[indices[k]]);
+    EXPECT_EQ(decoded->nows[k], nows[indices[k]]);
+    expect_same_entity(decoded->entities[k], entities[indices[k]]);
+  }
+  // The empty record is well-formed; trailing bytes are not.
+  std::string empty;
+  pack_arrivals(empty, {}, entities, nows, stamps);
+  ASSERT_TRUE(unpack_arrivals(empty).has_value());
+  EXPECT_TRUE(unpack_arrivals(empty)->entities.empty());
+  EXPECT_FALSE(unpack_arrivals(record + '\0').has_value());
+}
+
+TEST(ReplayCodec, EveryTruncationIsRejectedCleanly) {
+  std::vector<std::uint64_t> stamps;
+  std::vector<TimePoint> nows;
+  std::vector<std::uint32_t> indices;
+  const std::vector<core::Entity> entities = codec_entities();
+  for (const core::Entity& e : entities) {
+    const std::string bytes = packed(e);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      std::string_view in = std::string_view(bytes).substr(0, len);
+      EXPECT_FALSE(unpack_entity(in).has_value()) << "prefix of length " << len << " decoded";
+    }
+    indices.push_back(static_cast<std::uint32_t>(stamps.size()));
+    stamps.push_back(stamps.size() + 1);
+    nows.push_back(TimePoint(static_cast<time_model::Tick>(stamps.size())));
+  }
+  std::string record;
+  pack_arrivals(record, indices, entities, nows, stamps);
+  for (std::size_t len = 0; len < record.size(); ++len) {
+    EXPECT_FALSE(unpack_arrivals(std::string_view(record).substr(0, len)).has_value())
+        << "record prefix of length " << len << " decoded";
+  }
+}
+
+/// Replaces the first occurrence of `from` in `bytes` by `to` (same size).
+std::string patched(std::string bytes, const std::string& from, const std::string& to) {
+  const std::size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) bytes.replace(at, from.size(), to);
+  return bytes;
+}
+
+template <typename T>
+std::string raw(T value) {
+  std::string out(sizeof(T), '\0');
+  std::memcpy(out.data(), &value, sizeof(T));
+  return out;
+}
+
+TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
+  const std::vector<core::Entity> entities = codec_entities();
+  const core::Entity& interval = entities.back();
+  const std::string bytes = packed(interval);
+  const auto reject = [](const std::string& m, const char* what) {
+    std::string_view in = m;
+    EXPECT_FALSE(unpack_entity(in).has_value()) << what;
+  };
+  reject(patched(bytes, std::string(1, '\1'), std::string(1, '\2')), "unknown entity kind");
+  // Interval end before begin.
+  const std::string begin = raw<time_model::Tick>(11'000'000);
+  const std::string end = raw<time_model::Tick>(11'500'000);
+  reject(patched(bytes, begin + end, end + begin), "inverted interval");
+  // A 7-vertex polygon relabelled as 2 vertices.
+  const geom::Polygon& disk = interval.instance().est_location.as_field();
+  const std::string first_vertex = raw(disk.vertices()[0].x);
+  reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\2') + first_vertex),
+         "two-vertex polygon");
+  reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\x7f') + first_vertex),
+         "vertex count past the end");
+  // A bool attribute byte other than 0/1.
+  const std::string armed = std::string(1, '\5') + "armed" + std::string(1, '\2');
+  reject(patched(bytes, armed + std::string(1, '\0'), armed + std::string(1, '\2')),
+         "bool byte 2");
+  reject(patched(bytes, armed, std::string(1, '\5') + "armed" + std::string(1, '\4')),
+         "unknown attribute type");
+  // A varint that never terminates, and a count no input can hold.
+  EXPECT_FALSE(unpack_arrivals(std::string(12, '\xff')).has_value());
+  EXPECT_FALSE(unpack_arrivals(std::string("\xff\xff\xff\x0f")).has_value());
+
+  // Flip each byte in turn across a whole record: decode must return
+  // nullopt or a value — never crash or read out of bounds (the ASan and
+  // UBSan CI legs back this up).
+  std::vector<TimePoint> nows(entities.size(), TimePoint(1));
+  std::vector<std::uint64_t> stamps(entities.size(), 1);
+  std::vector<std::uint32_t> indices;
+  for (std::uint32_t i = 0; i < entities.size(); ++i) indices.push_back(i);
+  std::string record;
+  pack_arrivals(record, indices, entities, nows, stamps);
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    for (const char mask : {'\x01', '\x20', '\x80'}) {
+      std::string flipped = record;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      (void)unpack_arrivals(flipped);
+    }
   }
 }
 
