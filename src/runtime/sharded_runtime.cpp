@@ -15,7 +15,7 @@ namespace stem::runtime {
 namespace {
 
 /// Cap on arrivals a worker drains per outbox/watermark publication: the
-/// out_mutex handshake is amortized over a run of ring items, but a run
+/// out_mutex handshake is amortized over a run of inbox items, but a run
 /// must end often enough that poll()/flush() see progress under sustained
 /// load.
 constexpr std::uint64_t kPublishBatch = 256;
@@ -74,15 +74,13 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
     options_.rebalance_policy = std::make_shared<SpilloverPolicy>();
   }
   publish_loads_.store(options_.rebalance_epoch != 0, std::memory_order_relaxed);
-  // Ring memory is slots x cell bytes per shard, all allocated right here.
-  // Capacity is enforced in arrivals (Shard::queued_arrivals) and every
-  // arrival item carries at least one, so queue_capacity slots hold every
-  // admitted arrival item; control items wait for a slot (Shard::inbox).
-  static_assert(sizeof(WorkItem) <= 24, "WorkItem sizes every inbox ring cell");
-  const std::size_t inbox_slots = std::bit_ceil(options_.queue_capacity);
+  // Inbox memory follows occupancy, not queue_capacity: each shard starts
+  // with one 64-cell segment (InboxQueue) and a drained inbox keeps at
+  // most two. queue_capacity only bounds admission (Shard::queued_arrivals).
+  static_assert(sizeof(WorkItem) <= 24, "WorkItem sizes every inbox cell");
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(id_, layer_, location_, options_.engine, inbox_slots);
+    auto shard = std::make_unique<Shard>(id_, layer_, location_, options_.engine);
     shard->index = s;
     shards_.push_back(std::move(shard));
   }
@@ -113,10 +111,11 @@ void ShardedEngineRuntime::shutdown() noexcept {
   {
     // Serialize with producers and migration issuance: control items are
     // pushed in send/implant *pairs* under ingest_mutex_, so closing the
-    // rings mid-pair could drop one side on a closed ring while admitting
+    // inboxes mid-pair could drop one side on a closed inbox while admitting
     // the other — the receive-side worker would then wait forever on a
     // ready flag nobody sets. Holding ingest_mutex_ here makes the close
-    // atomic with respect to every inbox push. Liveness: nothing is
+    // atomic with respect to every inbox push (it is also the inbox's
+    // serialized-producer precondition). Liveness: nothing is
     // stopped until the flags below are set, so whoever holds the lock —
     // including an ingest parked on backpressure or a cascade-gated
     // worker it depends on — keeps progressing, and the wait terminates.
@@ -125,7 +124,7 @@ void ShardedEngineRuntime::shutdown() noexcept {
     signal_cascade();
     for (auto& shard : shards_) {
       shard->stop.store(true, std::memory_order_seq_cst);
-      shard->inbox.close();          // fails later pushes, wakes ring-parked producers
+      shard->inbox.close();          // fails later pushes
       shard->space_ec.notify_all();  // wakes capacity-parked producers
       shard->work_ec.notify_all();   // wakes the parked worker
     }
@@ -424,7 +423,7 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
       shard.max_queued.store(q, std::memory_order_relaxed);
     }
     if (!push_locked(shard, WorkItem{frozen, begin, end})) {
-      // Ring closed mid-shutdown: the item was discarded — undo the
+      // Inbox closed mid-shutdown: the item was discarded — undo the
       // admission so the counters stay consistent for late observers.
       shard.queued_arrivals.fetch_sub(count, std::memory_order_seq_cst);
       shard.space_ec.notify_all();
@@ -485,15 +484,12 @@ bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
 void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
   // Control items carry no arrivals: they bypass the arrival-capacity
   // check (blocking on it under ingest_mutex_ could stall the very
-  // workers that free the space). A full ring parks on the worker's
-  // drain, which always progresses: the cascade coordinator never takes
-  // ingest_mutex_, and a receive side only waits on a send side pushed
-  // before it.
+  // workers that free the space), and the inbox itself never blocks.
   const std::shared_ptr<MigrationTicket> ticket = item.control().ticket;
   if (!push_locked(shard, std::move(item))) {
     if (ticket == nullptr) return;  // checkpoint item: nothing to release
-    // Closed ring: shutdown() won the race before this pair was issued
-    // (issuance and ring close both hold ingest_mutex_, so a pair is
+    // Closed inbox: shutdown() won the race before this pair was issued
+    // (issuance and inbox close both hold ingest_mutex_, so a pair is
     // never split — both pushes fail together). Complete the handshake
     // so anyone waiting on this ticket (a worker in handle_control's
     // receive wait, or migrate_definition's done wait) is released; the
@@ -655,7 +651,7 @@ bool ShardedEngineRuntime::wait_group_ticket(std::unique_lock<std::mutex>& lk,
     lk.lock();
   }
   // The wait above releases ingest_mutex_, so a shutdown may have slipped
-  // in; issuing now would push a control pair onto closed rings.
+  // in; issuing now would push a control pair onto closed inboxes.
   return !shutdown_.load(std::memory_order_acquire);
 }
 
@@ -1058,7 +1054,7 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
     // no feedback exists and no gate binds, so the claim is the whole head
     // item — no lock, no fenced load. The flag is frozen before the first
     // ingest, and everything that can reach this shard is ordered after
-    // it (ring hand-off, fb_mutex, the work_ec fences).
+    // it (inbox hand-off, fb_mutex, the work_ec fences).
     if (feedback_possible_.load(std::memory_order_acquire)) {
       // The head's gate: arrival s waits for the closures below s, a
       // control for those below its barrier. Feedback sorts first iff its
@@ -1336,7 +1332,7 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
   shard.engine = std::move(engine);
 
   // 2. Replay the log in push order, strictly up to the last entry the
-  //    dead worker popped — everything later is still sitting in the ring
+  //    dead worker popped — everything later is still sitting in the inbox
   //    and belongs to the resumed live loop (replaying past that point
   //    would chase the log tail forever while producers keep appending,
   //    and would bypass the stall/crash hooks for the rest of the run).

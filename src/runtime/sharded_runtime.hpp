@@ -16,7 +16,7 @@
 
 #include "core/engine.hpp"
 #include "core/routing.hpp"
-#include "runtime/mpsc_ring.hpp"
+#include "runtime/inbox_queue.hpp"
 #include "runtime/rebalance.hpp"
 
 namespace stem::runtime {
@@ -51,9 +51,12 @@ enum class OrderingTier {
 struct RuntimeOptions {
   /// Worker shard count; clamped to [1, 64] (recipient sets are bitmasks).
   std::size_t shards = 4;
-  /// Per-shard inbox capacity in arrivals. Ingestion blocks (backpressure)
-  /// while a recipient shard's inbox is full, so an overwhelmed consumer
-  /// throttles producers instead of growing queues without bound.
+  /// Per-shard admission bound in queued arrivals. Ingestion blocks
+  /// (backpressure) while admitting a batch would take a recipient shard
+  /// past it, so an overwhelmed consumer throttles producers instead of
+  /// growing queues without bound; a batch larger than the bound is
+  /// admitted into an empty inbox. It allocates nothing: inbox memory
+  /// follows what is actually queued, whatever the bound.
   std::size_t queue_capacity = 4096;
   /// Arrivals between automatic rebalance-policy passes; 0 disables
   /// adaptive rebalancing (placement then changes only via
@@ -208,17 +211,18 @@ struct TaggedInstance {
 /// the full stream. Each definition lives on exactly one shard, so every
 /// instance is produced exactly once.
 ///
-/// **Ingest path** (hot): each shard's inbox is a bounded lock-free MPSC
-/// ring (runtime/mpsc_ring.hpp) — producers claim slots with a CAS
-/// sequence protocol, the worker peeks and claims the head item, parking
-/// on an eventcount when nothing is admissible, and no mutex or condvar
-/// sits between an arrival and its shard. queue_capacity is enforced in
-/// *arrivals* by an atomic counter + eventcount (blocking backpressure,
-/// oversized batches admitted into an empty inbox), control items are
-/// capacity-exempt. There is one worker body for every mode: it claims
-/// runs of admissible work and publishes outbox/watermark/stats once per
-/// run (capped at kPublishBatch arrivals), so the out_mutex handshake is
-/// amortized instead of per-item. Without cascade feedback no admission
+/// **Ingest path** (hot): each shard's inbox is a segmented FIFO
+/// (runtime/inbox_queue.hpp) whose memory follows its occupancy. Producers
+/// already hold the ingest lock, so a push is a plain cell write plus a
+/// release store; the worker peeks and claims the head item without a
+/// lock, parking on an eventcount when nothing is admissible.
+/// queue_capacity is enforced in *arrivals* by an atomic counter +
+/// eventcount (blocking backpressure, oversized batches admitted into an
+/// empty inbox); control items are capacity-exempt and never park. There
+/// is one worker body for every mode: it claims runs of admissible work
+/// and publishes outbox/watermark/stats once per run (capped at
+/// kPublishBatch arrivals), so the out_mutex handshake is amortized
+/// instead of per-item. Without cascade feedback no admission
 /// gate binds and every claim takes a whole inbox item.
 /// RuntimeOptions::pin_shards optionally pins each worker to a CPU.
 ///
@@ -376,8 +380,8 @@ class ShardedEngineRuntime {
 
   /// Stops the runtime: wakes every producer parked in ingest backpressure
   /// (their ingest calls return without enqueuing more work), closes the
-  /// shard rings, lets workers drain — in-flight migration handshakes
-  /// still complete in decision order — and joins every thread. The ring
+  /// shard inboxes, lets workers drain — in-flight migration handshakes
+  /// still complete in decision order — and joins every thread. The inbox
   /// close is serialized with ingestion and migration issuance (both hold
   /// the ingest lock), so a migration's control-item pair is never split
   /// across the close: either both sides are admitted and the workers
@@ -456,14 +460,14 @@ class ShardedEngineRuntime {
   /// or (begin == end: arrival items are never empty) a control item.
   /// Control items ride the stamp-ordered inbox so they execute exactly at
   /// their epoch barrier. One owning pointer and a slice, 24 bytes: every
-  /// ring cell holds one, so its size sets the ring's memory. The item's
-  /// push sequence (checkpointing) is not stored — the ring is FIFO and
-  /// the sequence dense, so the worker counts pops instead (popped_seq).
+  /// inbox cell holds one. The item's push sequence (checkpointing) is not
+  /// stored — the inbox is FIFO and the sequence dense, so the worker
+  /// counts pops instead (popped_seq).
   struct WorkItem {
     std::shared_ptr<const Batch> batch;
     /// Next unprocessed position: a worker whose admission gate stops a
     /// claim inside the item advances the head item's `begin` in place
-    /// through the ring's consumer peek (worker-owned, like the rest of
+    /// through the inbox's consumer peek (worker-owned, like the rest of
     /// the head cell).
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
@@ -550,16 +554,15 @@ class ShardedEngineRuntime {
 
   struct Shard {
     Shard(const core::ObserverId& id, core::Layer layer, geom::Point location,
-          const core::EngineOptions& options, std::size_t inbox_slots)
-        : engine(std::make_unique<core::DetectionEngine>(id, layer, location, options)),
-          inbox(inbox_slots) {}
+          const core::EngineOptions& options)
+        : engine(std::make_unique<core::DetectionEngine>(id, layer, location, options)) {}
 
     /// Touched only by the worker; a pointer so crash recovery can swap
     /// in a fresh engine rebuilt from checkpoint + replay (the join of
     /// the dead worker orders the hand-off).
     std::unique_ptr<core::DetectionEngine> engine;
     /// local def index -> global. Written pre-start by add_definition and
-    /// by the worker at implant time; the ring's release/acquire slot
+    /// by the worker at implant time; the inbox's release/acquire tail
     /// hand-off orders the pre-start writes before any worker read.
     std::vector<std::uint32_t> global_def;
     /// Inverse map (global -> local), worker-owned for the same reason;
@@ -568,16 +571,14 @@ class ShardedEngineRuntime {
 
     std::size_t index = 0;  ///< position in shards_ (pinning/stall hook)
 
-    /// Lock-free stamp-ordered inbox. Producers (ingest + migration and
-    /// checkpoint control) claim slots with the ring's CAS sequence
-    /// protocol; the worker is the only consumer. bit_ceil(queue_capacity)
-    /// slots: the *arrival*-denominated queue_capacity contract is enforced
-    /// by queued_arrivals below, and every arrival item carries at least
-    /// one arrival, so arrival items always fit (an oversized batch is one
-    /// item, admitted only into an empty inbox). A control item that meets
-    /// a full ring parks in push until the worker drains.
-    MpscRing<WorkItem> inbox;
-    /// Arrivals admitted but not yet fully processed (ring + in flight).
+    /// Stamp-ordered inbox. Producers (ingest + migration and checkpoint
+    /// control) push under ingest_mutex_, which is the queue's
+    /// serialized-producer precondition; the worker is the only consumer.
+    /// The queue is unbounded: the *arrival*-denominated queue_capacity
+    /// contract is enforced by queued_arrivals below, and control items
+    /// push without waiting.
+    InboxQueue<WorkItem> inbox;
+    /// Arrivals admitted but not yet fully processed (inbox + in flight).
     /// Producers block (space_ec) while an admission would overflow
     /// queue_capacity — unless the inbox is empty, so oversized batches
     /// cannot block forever. The worker decrements as it finishes items.
@@ -586,8 +587,8 @@ class ShardedEngineRuntime {
     std::atomic<bool> stop{false};
     EventCount space_ec;  ///< producers park for arrival-capacity space
     /// The worker parks here when it has no admissible work. Its wake
-    /// sources — ring push, control push, feedback push, admission-frontier
-    /// advance, stop — are more than the ring alone can signal.
+    /// sources are inbox push (arrival or control), feedback push,
+    /// admission-frontier advance and stop.
     EventCount work_ec;
 
     /// Cascade mode: feedback items dispatched by the coordinator, in
@@ -673,7 +674,7 @@ class ShardedEngineRuntime {
     /// truncates at checkpoints, recovery and shutdown read).
     std::mutex log_mutex;
     /// Copies of every work item pushed since the last checkpoint, in
-    /// push_seq order: appended right before the matching ring push
+    /// push_seq order: appended right before the matching inbox push
     /// (under ingest_mutex_), truncated by the worker at each
     /// checkpoint — the bounded replay window. Push sequences are dense,
     /// so the entry for push_seq p sits at p - front().push_seq.
@@ -688,12 +689,11 @@ class ShardedEngineRuntime {
     /// rebuild engine state — their emissions already merged). Written
     /// by the worker, read by recovery and the shutdown ticket sweep.
     std::atomic<std::uint64_t> consumed_seq{0};
-    /// Whole items popped off the ring so far, which is the push_seq of
+    /// Whole items popped off the inbox so far, which is the push_seq of
     /// the last one: push sequences are dense per shard (a failed push
-    /// rolls push_seq_next back, tombstones never surface) and the ring
-    /// is FIFO. A partial cascade-gated claim does not pop. Recovery
-    /// replays log entries at or before it; later ones are still in the
-    /// ring. Worker-owned; the supervisor's join orders the hand-off to
+    /// rolls push_seq_next back) and the inbox is FIFO. A partial
+    /// cascade-gated claim does not pop. Recovery replays log entries at
+    /// or before it; later ones are still in the inbox. Worker-owned; the supervisor's join orders the hand-off to
     /// the replacement worker.
     std::uint64_t popped_seq = 0;
     std::uint64_t push_seq_next = 0;  ///< guarded by ingest_mutex_ (checkpointing on)
@@ -853,11 +853,11 @@ class ShardedEngineRuntime {
   std::size_t rebalance_locked();
   /// Enqueues a control item, bypassing capacity (it carries no arrivals).
   void push_control(Shard& shard, WorkItem item);
-  /// Pushes an item into the shard's inbox (parking while the ring is
-  /// full) and wakes its worker; with checkpointing on, first assigns its
-  /// push_seq and appends a copy (an arrival item packed into a record)
-  /// to the replay log. False when shutdown closed the ring: the item and
-  /// its log copy are discarded. ingest_mutex_ must be held.
+  /// Pushes an item into the shard's inbox and wakes its worker; with
+  /// checkpointing on, first assigns its push_seq and appends a copy (an
+  /// arrival item packed into a record) to the replay log. False when
+  /// shutdown closed the inbox: the item and its log copy are discarded.
+  /// ingest_mutex_ must be held.
   bool push_locked(Shard& shard, WorkItem item);
   /// Worker handler for the checkpoint control item with sequence
   /// `push_seq`: serializes the hosted definitions' state, publishes the

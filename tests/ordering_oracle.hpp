@@ -246,7 +246,7 @@ inline constexpr std::chrono::seconds kRunDeadline{120};
 
 /// Whole-run liveness guard: armed on construction, disarmed on
 /// destruction. Still armed after `deadline` — say a producer parked on
-/// backpressure or ring space inside ingest_batch or migrate_definition —
+/// arrival backpressure inside ingest_batch, or on a migration handshake —
 /// the test fails with the runtime's snapshot and exits (fail_stalled).
 /// Declare it after the runtime, so it disarms before the runtime dies.
 class RunDeadline {

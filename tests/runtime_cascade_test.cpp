@@ -204,6 +204,13 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
   const auto collect = [&](std::vector<EventInstance> instances) {
     for (const EventInstance& inst : instances) got.push_back(describe(inst));
   };
+  const std::string ctx = tag + " seed=" + std::to_string(seed) +
+                          " shards=" + std::to_string(shards) +
+                          " batch=" + std::to_string(batch_size) +
+                          " depth=" + std::to_string(depth) +
+                          " pipeline=" + std::to_string(pipeline) +
+                          " queue=" + std::to_string(queue_capacity);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   std::size_t next_migration = 0;
   std::size_t forced = 0;
   for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
@@ -217,12 +224,6 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
                          std::span(stream.nows).subspan(i, n));
     collect(sharded.poll());
   }
-  const std::string ctx = tag + " seed=" + std::to_string(seed) +
-                          " shards=" + std::to_string(shards) +
-                          " batch=" + std::to_string(batch_size) +
-                          " depth=" + std::to_string(depth) +
-                          " pipeline=" + std::to_string(pipeline) +
-                          " queue=" + std::to_string(queue_capacity);
   collect(oracle::flush_within(sharded, ctx));
   ASSERT_EQ(got.size(), want.size()) << ctx;
   for (std::size_t k = 0; k < got.size(); ++k) {
@@ -299,13 +300,14 @@ TEST_P(CascadeVsSequentialTest, TightQueueBackpressureStreamsMatch) {
       want.push_back(describe(inst));
     }
   }
+  const std::string ctx = "TQ seed=" + std::to_string(GetParam());
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   for (std::size_t i = 0; i < stream.entities.size(); i += 64) {
     const std::size_t n = std::min<std::size_t>(64, stream.entities.size() - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                          std::span(stream.nows).subspan(i, n));
   }
   std::vector<std::string> got;
-  const std::string ctx = "TQ seed=" + std::to_string(GetParam());
   for (EventInstance& inst : oracle::flush_within(sharded, ctx)) got.push_back(describe(inst));
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < got.size(); ++k) ASSERT_EQ(got[k], want[k]) << k;
@@ -313,9 +315,9 @@ TEST_P(CascadeVsSequentialTest, TightQueueBackpressureStreamsMatch) {
 
 TEST_P(CascadeVsSequentialTest, TinyCapacityConstantWrapStreamsMatch) {
   // capacity {1,2} with cascading: arrivals, feedback, and the closure
-  // frontier all contend while the ring wraps on every push and producers
-  // sit in permanent backpressure. Migrations ride along so control items
-  // are exercised under the same pressure.
+  // frontier all contend while producers sit in permanent backpressure and
+  // the inbox crosses a segment boundary every 64 pushes. Migrations ride
+  // along so control items are exercised under the same pressure.
   for (const std::size_t capacity : {1u, 2u}) {
     run_differential(GetParam() ^ 0x71c0ULL, 4, 1, 4, ConsumptionMode::kUnrestricted,
                      "T" + std::to_string(capacity), 128, /*skewed=*/true,
@@ -393,6 +395,7 @@ void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeli
                           " pipeline=" + std::to_string(pipeline) +
                           " depth=" + std::to_string(depth) +
                           " queue=" + std::to_string(queue_capacity);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   oracle::WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
   std::size_t next_migration = 0;
@@ -462,10 +465,11 @@ TEST_P(CascadePipelineTest, PipelinedMigrationsStayExact) {
 }
 
 TEST_P(CascadePipelineTest, MigrationsBehindTheOnlyRingSlotHoldEveryTier) {
-  // queue_capacity 1 gives each inbox ring a single slot: a gate-blocked
-  // head item holds it while a migration control pair parks in the ring
-  // push behind it (under the ingest lock) until the coordinator's
-  // frontier admits the head. The default capacity is the control leg.
+  // queue_capacity 1 admits a single queued arrival per shard: a
+  // gate-blocked head item holds it while a migration control pair queues
+  // behind it (capacity-exempt, under the ingest lock) until the
+  // coordinator's frontier admits the head. The default capacity is the
+  // control leg.
   for (const OrderingTier tier :
        {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,
         OrderingTier::kUnorderedWatermarked}) {
@@ -514,6 +518,7 @@ void run_watermark_interleaved(std::uint64_t seed, OrderingTier tier, std::uint3
   const std::string ctx = "WI seed=" + std::to_string(seed) +
                           " tier=" + std::to_string(static_cast<int>(tier)) +
                           " pipeline=" + std::to_string(pipeline);
+  const oracle::RunDeadline run_deadline(sharded, ctx);  // a stall prints the snapshot
   oracle::WatermarkAudit audit(ctx);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::uint64_t released = 0;

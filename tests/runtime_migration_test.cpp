@@ -369,8 +369,8 @@ TEST_P(MigrationDifferentialTest, AutomaticRebalancingKeepsStreamEqual) {
 
 TEST_P(MigrationDifferentialTest, TinyCapacityStreamsMatchUnderForcedMigrations) {
   // capacity {1,2}: the migration control pair must interleave exactly at
-  // its barrier while the ring wraps on every push and producers sit in
-  // permanent backpressure (capacity-exempt controls included).
+  // its barrier while arrival producers sit in permanent backpressure and
+  // capacity-exempt controls queue past the bound.
   for (const std::size_t capacity : {1u, 2u}) {
     run_migration_differential(GetParam() ^ 0x2f9ULL, 4, 1, ConsumptionMode::kUnrestricted,
                                0.0, "MT" + std::to_string(capacity), 4, capacity);

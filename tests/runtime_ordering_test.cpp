@@ -212,6 +212,7 @@ void run_ordering_differential(std::uint64_t seed, std::size_t shards, std::size
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
                           " skew=" + std::to_string(skew_hot);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
   const auto collect = [&](std::vector<TaggedInstance> released) {
@@ -397,6 +398,7 @@ void run_cascade_tier_differential(std::uint64_t seed, std::size_t shards, std::
   const std::string ctx = tag + "/" + tier_name(tier) + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " depth=" + std::to_string(depth);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
   for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
@@ -477,6 +479,7 @@ RuntimeStats run_feedback_free(const Stream& stream, const std::vector<Ref>& wan
   ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
   for (const EventDefinition& def : feedback_free_definitions("DG")) sharded.add_definition(def);
 
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
   const auto collect = [&](std::vector<TaggedInstance> released) {

@@ -375,17 +375,18 @@ TEST_P(CrashRecoveryTest, CrashBeforeFirstCheckpoint) {
 }
 
 TEST_P(CrashRecoveryTest, CrashUnderTightBackpressure) {
-  // An 8-arrival inbox keeps producers parked on the ring the crash
-  // abandons; recovery's replay must drain it without deadlock.
+  // An 8-arrival inbox keeps producers parked on the backpressure the
+  // crash abandons; recovery's replay must drain it without deadlock.
   run_crash_differential(GetParam() ^ 0xbacULL, 4, 16, ConsumptionMode::kUnrestricted, "Q",
                          {11, 29}, 16, 8);
 }
 
 TEST_P(CrashRecoveryTest, CrashesInterleavedWithMigrations) {
-  // A 1- or 2-slot inbox ring fills as soon as one or two items wait, so
-  // migration pairs and checkpoint barriers park in the ring push, and
-  // crashes land between the pops the worker counts into push sequences
-  // and the log entries recovery pairs them with.
+  // A 1- or 2-arrival inbox bound is reached as soon as one or two
+  // arrivals wait, so migration pairs and checkpoint barriers queue behind
+  // blocked arrival producers, and crashes land between the pops the
+  // worker counts into push sequences and the log entries recovery pairs
+  // them with.
   for (const std::size_t queue_capacity : {4096u, 1u, 2u}) {
     run_crash_differential(GetParam() ^ 0x316ULL, 4, 8, ConsumptionMode::kConsume, "M", {17, 43},
                            24, queue_capacity, /*migrate=*/true);

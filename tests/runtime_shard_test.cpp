@@ -242,15 +242,27 @@ TEST_P(ShardedVsSequentialTest, TightQueueBackpressureStreamsMatch) {
 }
 
 TEST_P(ShardedVsSequentialTest, TinyCapacityConstantWrapStreamsMatch) {
-  // capacity {1,2}: the ring wraps on (almost) every push, producers park
-  // and wake constantly, and batches larger than the capacity take the
-  // oversized-batch admission path — the ordering contract must hold
-  // under permanent backpressure.
+  // capacity {1,2}: producers park and wake constantly, the inbox crosses
+  // a segment boundary every 64 pushes, and batches larger than the
+  // capacity take the oversized-batch admission path — the ordering
+  // contract must hold under permanent backpressure.
   for (const std::size_t capacity : {1u, 2u}) {
     run_differential(GetParam() ^ 0x71c0ULL, 4, 1, ConsumptionMode::kUnrestricted,
                      "T" + std::to_string(capacity), capacity);
     run_differential(GetParam() ^ 0x71c1ULL, 2, 16, ConsumptionMode::kConsume,
                      "T" + std::to_string(capacity) + "b", capacity);
+  }
+}
+
+TEST_P(ShardedVsSequentialTest, HugeCapacityAllocatesNothingStreamsMatch) {
+  // queue_capacity only bounds admission: inbox memory follows occupancy,
+  // so capacities far past addressable memory construct and run like the
+  // default instead of allocating (or failing to allocate) a buffer.
+  for (const std::size_t capacity : {std::size_t{1} << 31, std::size_t{1} << 40}) {
+    for (const std::size_t batch : {1u, 64u}) {
+      run_differential(GetParam() ^ 0xb16ULL, 2, batch, ConsumptionMode::kUnrestricted,
+                       "H" + std::to_string(capacity), capacity);
+    }
   }
 }
 

@@ -170,6 +170,7 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
                           " batch=" + std::to_string(batch_size) +
                           (cascade ? " cascade pipeline=" + std::to_string(pipeline) : "") +
                           " queue=" + std::to_string(queue_capacity);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
   const auto collect = [&](std::vector<TaggedInstance> released) {
@@ -267,7 +268,7 @@ TEST_P(SplitDifferentialTest, CascadeModeSplitMoveMergeStaysExactAcrossTiers) {
   // subset-migration control pair, and the coordinator's dispatch-time
   // renumbering keeps every tier's stream exactly sequential — seq
   // included — even while the hot group is cut in two. Queue capacity 1
-  // leaves one ring slot, so the split/move/merge control pairs park
+  // admits one queued arrival, so the split/move/merge control pairs queue
   // behind gate-blocked head items.
   for (const OrderingTier tier :
        {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,

@@ -142,8 +142,8 @@ TEST(RuntimeStressTest, BurstyProducerVsStalledConsumerStaysExact) {
   options.shards = 4;
   options.queue_capacity = kQueue;
   // Randomly stall whichever worker hosts the wildcard definition (it
-  // sees every arrival): ~1% of its work items sleep, so the ring wraps,
-  // producers park, and the consumer wakes them — repeatedly.
+  // sees every arrival): ~1% of its work items sleep, so the inbox fills
+  // to its bound, producers park, and the consumer wakes them — repeatedly.
   std::atomic<std::uint64_t> ticks{0};
   std::atomic<std::size_t> stalled_shard{0};
   options.stall_hook = [&](std::size_t shard) {
@@ -320,10 +320,10 @@ TEST(RuntimeStressTest, CleanShutdownMidBackpressure) {
 }
 
 TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
-  // Regression: shutdown() used to close the shard rings without holding
+  // Regression: shutdown() used to close the shard inboxes without holding
   // the ingest lock, so it could interleave inside a migration issuance
   // and drop one half of the extract/implant control pair on a closed
-  // ring while admitting the other — the receive-side worker then waited
+  // inbox while admitting the other — the receive-side worker then waited
   // forever on a ready flag nobody would set, and shutdown()'s join hung.
   // Race ingestion, explicit migrations, auto-rebalancing, and shutdown
   // hard across both runtime modes; a regression shows up as a hang (the
