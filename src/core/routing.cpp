@@ -21,37 +21,26 @@ std::uint64_t routing_key_hash(std::string_view key) noexcept {
 
 namespace stem::core {
 
-void RoutingIndex::insert_sorted(std::vector<SlotRoute>& routes, std::vector<std::uint32_t>& refs,
-                                 SlotRoute r) {
-  const auto pos = std::lower_bound(routes.begin(), routes.end(), r,
-                                    [](const SlotRoute& a, const SlotRoute& b) {
-                                      return a.def_idx < b.def_idx ||
-                                             (a.def_idx == b.def_idx && a.slot_idx < b.slot_idx);
-                                    });
-  const auto at = static_cast<std::size_t>(pos - routes.begin());
-  if (pos != routes.end() && *pos == r) {  // collapsed duplicate
-    ++refs[at];
-    return;
-  }
-  routes.insert(pos, r);
-  refs.insert(refs.begin() + static_cast<std::ptrdiff_t>(at), 1);
+namespace {
+
+bool route_less(const SlotRoute& a, const SlotRoute& b) {
+  return a.def_idx < b.def_idx || (a.def_idx == b.def_idx && a.slot_idx < b.slot_idx);
 }
 
-void RoutingIndex::erase_sorted(std::vector<SlotRoute>& routes, std::vector<std::uint32_t>& refs,
-                                SlotRoute r) {
-  const auto pos = std::lower_bound(routes.begin(), routes.end(), r,
-                                    [](const SlotRoute& a, const SlotRoute& b) {
-                                      return a.def_idx < b.def_idx ||
-                                             (a.def_idx == b.def_idx && a.slot_idx < b.slot_idx);
-                                    });
+}  // namespace
+
+void RoutingIndex::insert_sorted(std::vector<SlotRoute>& routes, SlotRoute r) {
+  const auto pos = std::lower_bound(routes.begin(), routes.end(), r, route_less);
+  if (pos != routes.end() && *pos == r) return;  // collapsed duplicate
+  routes.insert(pos, r);
+}
+
+void RoutingIndex::erase_sorted(std::vector<SlotRoute>& routes, SlotRoute r) {
+  const auto pos = std::lower_bound(routes.begin(), routes.end(), r, route_less);
   if (pos == routes.end() || !(*pos == r)) {
     throw std::logic_error("RoutingIndex: removing a route that was never registered");
   }
-  const auto at = static_cast<std::size_t>(pos - routes.begin());
-  if (--refs[at] == 0) {
-    routes.erase(pos);
-    refs.erase(refs.begin() + static_cast<std::ptrdiff_t>(at));
-  }
+  routes.erase(pos);
 }
 
 void RoutingIndex::add(const EventDefinition& def, std::uint32_t def_idx) {
@@ -60,14 +49,6 @@ void RoutingIndex::add(const EventDefinition& def, std::uint32_t def_idx) {
 
 void RoutingIndex::add_collapsed(const EventDefinition& def, std::uint32_t def_idx) {
   add_impl(def, def_idx, /*collapse=*/true);
-}
-
-void RoutingIndex::remove(const EventDefinition& def, std::uint32_t def_idx) {
-  remove_impl(def, def_idx, /*collapse=*/false);
-}
-
-void RoutingIndex::remove_collapsed(const EventDefinition& def, std::uint32_t def_idx) {
-  remove_impl(def, def_idx, /*collapse=*/true);
 }
 
 void RoutingIndex::add_impl(const EventDefinition& def, std::uint32_t def_idx, bool collapse) {
@@ -82,7 +63,7 @@ void RoutingIndex::add_impl(const EventDefinition& def, std::uint32_t def_idx, b
         register_keyed(by_type_[sig.key], def, r);
         break;
       case FilterSignature::Kind::kAny:
-        insert_sorted(any_, any_refs_, r);
+        insert_sorted(any_, r);
         break;
       case FilterSignature::Kind::kNever:
         break;  // matches nothing: route nowhere
@@ -90,9 +71,9 @@ void RoutingIndex::add_impl(const EventDefinition& def, std::uint32_t def_idx, b
   }
 }
 
-void RoutingIndex::remove_impl(const EventDefinition& def, std::uint32_t def_idx, bool collapse) {
+void RoutingIndex::remove(const EventDefinition& def, std::uint32_t def_idx) {
   for (std::uint32_t j = 0; j < def.slots.size(); ++j) {
-    const SlotRoute r{def_idx, collapse ? 0 : j};
+    const SlotRoute r{def_idx, j};
     const FilterSignature sig = def.slots[j].filter.signature();
     switch (sig.kind) {
       case FilterSignature::Kind::kSensor: {
@@ -114,7 +95,7 @@ void RoutingIndex::remove_impl(const EventDefinition& def, std::uint32_t def_idx
         break;
       }
       case FilterSignature::Kind::kAny:
-        erase_sorted(any_, any_refs_, r);
+        erase_sorted(any_, r);
         break;
       case FilterSignature::Kind::kNever:
         break;
@@ -131,7 +112,7 @@ bool entry_less(bool upper, double c1, std::uint8_t i1, SlotRoute r1, double c2,
                 SlotRoute r2) {
   if (c1 != c2) return upper ? c1 < c2 : c1 > c2;
   if (i1 != i2) return i1 > i2;
-  return r1.def_idx < r2.def_idx || (r1.def_idx == r2.def_idx && r1.slot_idx < r2.slot_idx);
+  return route_less(r1, r2);
 }
 
 /// Pending stays bounded by a constant plus a fraction of the compacted
@@ -145,45 +126,12 @@ constexpr std::size_t kPendingBase = 64;
 
 void RoutingIndex::ThresholdSide::add(bool upper, double c, bool inclusive_bound, SlotRoute r) {
   const std::uint8_t want = inclusive_bound ? 1 : 0;
-  // Exact duplicate in the compacted nodes (same constant, inclusiveness,
-  // route — only collapsed shard-level registration produces them): bump
-  // the refcount, resurrecting a dead entry if need be.
-  const std::size_t nodes = constant.size();
-  std::size_t lo = 0;
-  std::size_t hi = nodes;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (entry_less(upper, constant[mid], inclusive[mid], SlotRoute{0, 0}, c, want,
-                   SlotRoute{0, 0})) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < nodes && constant[lo] == c && inclusive[lo] == want) {
-    const auto first = routes.begin() + node_begin[lo];
-    const auto last = routes.begin() + node_begin[lo + 1];
-    const auto pos = std::lower_bound(first, last, r, [](const SlotRoute& a, const SlotRoute& b) {
-      return a.def_idx < b.def_idx || (a.def_idx == b.def_idx && a.slot_idx < b.slot_idx);
-    });
-    if (pos != last && *pos == r) {
-      const auto at = static_cast<std::size_t>(pos - routes.begin());
-      if (refs[at] == 0) --dead;
-      ++refs[at];
-      return;
-    }
-  }
-  // No duplicate scan over pending: a repeated registration (collapsed
-  // shard-level routes) simply appends another entry — compact() sums the
-  // refs of equal entries, and collect()'s final sort+unique keeps
-  // dispatch exactly-once in the meantime. This is what makes add O(1)
-  // amortized instead of O(pending).
   if (!pending.empty() &&
       entry_less(upper, c, want, r, pending.back().constant, pending.back().inclusive,
                  pending.back().route)) {
     pending_dirty = true;
   }
-  pending.push_back(Pending{c, want, r, 1});
+  pending.push_back(Pending{c, want, r});
 }
 
 bool RoutingIndex::ThresholdSide::remove(bool upper, double c, bool inclusive_bound, SlotRoute r) {
@@ -192,19 +140,17 @@ bool RoutingIndex::ThresholdSide::remove(bool upper, double c, bool inclusive_bo
   for (std::size_t k = 0; k < nodes; ++k) {
     if (constant[k] != c || inclusive[k] != want) continue;
     for (std::uint32_t i = node_begin[k]; i < node_begin[k + 1]; ++i) {
-      if (!(routes[i] == r) || refs[i] == 0) continue;
-      if (--refs[i] == 0) ++dead;
-      if (dead * 2 > routes.size()) compact(upper);
+      if (!(routes[i] == r) || alive[i] == 0) continue;
+      alive[i] = 0;
+      if (++dead * 2 > routes.size()) compact(upper);
       return true;
     }
     break;
   }
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    Pending& p = pending[k];
+    const Pending& p = pending[k];
     if (p.constant != c || p.inclusive != want || !(p.route == r)) continue;
-    if (--p.refs == 0) {
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));  // keeps sort order
-    }
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));  // keeps sort order
     return true;
   }
   return false;
@@ -235,7 +181,7 @@ void RoutingIndex::ThresholdSide::compact(bool upper) {
   const std::size_t nodes = constant.size();
   for (std::size_t k = 0; k < nodes; ++k) {
     for (std::uint32_t i = node_begin[k]; i < node_begin[k + 1]; ++i) {
-      if (refs[i] != 0) all.push_back(Pending{constant[k], inclusive[k], routes[i], refs[i]});
+      if (alive[i] != 0) all.push_back(Pending{constant[k], inclusive[k], routes[i]});
     }
   }
   const auto mid = all.size();
@@ -249,7 +195,7 @@ void RoutingIndex::ThresholdSide::compact(bool upper) {
   inclusive.clear();
   node_begin.clear();
   routes.clear();
-  refs.clear();
+  alive.clear();
   dead = 0;
   pending.clear();
   for (const Pending& p : all) {
@@ -257,14 +203,9 @@ void RoutingIndex::ThresholdSide::compact(bool upper) {
       constant.push_back(p.constant);
       inclusive.push_back(p.inclusive);
       node_begin.push_back(static_cast<std::uint32_t>(routes.size()));
-    } else if (node_begin.back() < routes.size() && routes.back() == p.route) {
-      // Equal entries of one node (duplicate pending appends of a
-      // collapsed route): fold into one refcounted entry.
-      refs.back() += p.refs;
-      continue;
     }
     routes.push_back(p.route);
-    refs.push_back(p.refs);
+    alive.push_back(1);
   }
   node_begin.push_back(static_cast<std::uint32_t>(routes.size()));
 }
@@ -276,7 +217,7 @@ void RoutingIndex::register_keyed(Bucket& bucket, const EventDefinition& def, Sl
   std::optional<ThresholdSignature> sig;
   if (def.slots.size() == 1) sig = extract_threshold_signature(def.condition);
   if (!sig.has_value()) {
-    insert_sorted(bucket.generic, bucket.generic_refs, r);
+    insert_sorted(bucket.generic, r);
     return;
   }
   ThresholdGroup* group = nullptr;
@@ -300,7 +241,7 @@ void RoutingIndex::unregister_keyed(Bucket& bucket, const EventDefinition& def, 
   std::optional<ThresholdSignature> sig;
   if (def.slots.size() == 1) sig = extract_threshold_signature(def.condition);
   if (!sig.has_value()) {
-    erase_sorted(bucket.generic, bucket.generic_refs, r);
+    erase_sorted(bucket.generic, r);
     return;
   }
   for (std::size_t gi = 0; gi < bucket.thresholds.size(); ++gi) {

@@ -36,10 +36,10 @@ struct KeyRange {
   friend bool operator==(const KeyRange&, const KeyRange&) = default;
 };
 
-/// Routing index entry: one (definition, slot) pair. The meaning of
-/// `def_idx` is the registrar's: the DetectionEngine registers definition
-/// indexes, the sharded runtime registers *shard* indexes so one lookup
-/// yields the set of shards an arrival must be replicated to.
+/// Routing index entry: one (definition, slot) pair. `def_idx` is the
+/// registrar's definition index: the DetectionEngine's local index, or the
+/// sharded runtime's global registration index (which the runtime maps to
+/// a shard through its placement table, not through the index).
 struct SlotRoute {
   std::uint32_t def_idx;
   std::uint32_t slot_idx;
@@ -52,8 +52,10 @@ struct SlotRoute {
 ///
 /// Extracted from DetectionEngine (where it powers `observe()` candidate
 /// selection) so the sharded runtime (`runtime::ShardedEngineRuntime`) can
-/// maintain the same structure keyed by shard index and consult it for
-/// arrival placement. Structure:
+/// use the same structure for arrival routing: it registers each
+/// definition once, collapsed, and turns the matched definitions into
+/// recipient shards through its own def->shard map, so moving a
+/// definition never touches the index. Structure:
 ///  - keyed buckets per sensor id and per event type id, reached by one
 ///    hash lookup on the arrival's discriminant;
 ///  - a wildcard list for filters with no usable discriminant, merged into
@@ -65,41 +67,39 @@ class RoutingIndex {
  public:
   /// Registers every slot of `def` under index `def_idx`. Routes are kept
   /// sorted by (def_idx, slot_idx), so registration order and index order
-  /// need not coincide (the runtime registers shard indexes out of order).
+  /// need not coincide.
   void add(const EventDefinition& def, std::uint32_t def_idx);
 
-  /// Shard-level registration: like add(), but collapses every slot to
-  /// slot 0 and reference-counts exact-duplicate routes, so a bucket holds
-  /// at most one generic route per def_idx no matter how many co-located
-  /// definitions share the key. For registrars (the sharded runtime) that
-  /// only consume the def_idx of collected routes, this keeps the
-  /// per-arrival collect() walk O(distinct indexes), not O(definitions).
+  /// Definition-level registration: like add(), but collapses every slot
+  /// to slot 0, so a structure holds at most one route per definition (a
+  /// second slot on the same key, e.g. a self-join, adds nothing). For
+  /// registrars that only consume the def_idx of collected routes (the
+  /// sharded runtime and the cascade coordinator), this keeps the
+  /// per-arrival walk O(matched definitions), not O(matched slots).
   void add_collapsed(const EventDefinition& def, std::uint32_t def_idx);
 
-  /// Incrementally unregisters what add(def, def_idx) registered: every
-  /// route entry is reference-counted, so removing one definition leaves
-  /// routes still claimed by other registrations (collapsed co-located
-  /// definitions sharing a key) in place. Buckets and threshold groups
-  /// emptied by the removal are erased. Throws std::logic_error when a
-  /// route to remove is not present (indicates an add/remove mismatch).
+  /// Incrementally unregisters what add(def, def_idx) registered. Buckets
+  /// and threshold groups emptied by the removal are erased. Throws
+  /// std::logic_error when a route to remove is not present (indicates an
+  /// add/remove mismatch).
   void remove(const EventDefinition& def, std::uint32_t def_idx);
-  /// Inverse of add_collapsed (same collapsed slot-0 routes).
-  void remove_collapsed(const EventDefinition& def, std::uint32_t def_idx);
 
   /// Collects the routes that can possibly match `entity` into `out` (not
   /// cleared), in ascending (def_idx, slot_idx) order, keeping a route
   /// only when `accept(route)` returns true, with every surviving route
-  /// appearing exactly once per call even when several index structures
-  /// (keyed bucket, wildcard list, duplicate threshold constants under
-  /// collapsed registration) claim it. `accept` must verify the residual
+  /// appearing exactly once per call: a route reached through both its
+  /// keyed bucket and the wildcard list (a collapsed definition with a
+  /// keyed and a wildcard slot) is pushed once, and a threshold route
+  /// lives at exactly one constant. `accept` must verify the residual
   /// filter fields (producer, layer) — the index only dispatches on the
   /// discriminant key and, for threshold rules, the constant.
   ///
   /// Non-const: threshold registrations land in small per-side pending
   /// lists (keeping add O(1) amortized) and are folded into the segment
   /// nodes lazily on dispatch. Callers already serialize collect() with
-  /// add()/remove() (the engine is single-threaded; the runtime guards its
-  /// shard/cascade indexes with the registration locks).
+  /// add()/remove() (the engine is single-threaded; the runtime's ingest
+  /// index is registration-frozen and read under the ingest lock, the
+  /// coordinator's only by the coordinator thread).
   template <typename Accept>
   void collect(const Entity& entity, std::vector<SlotRoute>& out, Accept&& accept) {
     Bucket* bucket = nullptr;
@@ -163,13 +163,12 @@ class RoutingIndex {
     }
     if (out.size() > generic_end) {
       // Restore global (def_idx, slot_idx) order across the generic and
-      // threshold-selected routes, and drop duplicates a route collapsed
-      // onto several threshold constants could produce.
-      const auto begin = out.begin() + static_cast<std::ptrdiff_t>(entry_size);
-      std::sort(begin, out.end(), [](const SlotRoute& x, const SlotRoute& y) {
-        return x.def_idx < y.def_idx || (x.def_idx == y.def_idx && x.slot_idx < y.slot_idx);
-      });
-      out.erase(std::unique(begin, out.end()), out.end());
+      // threshold-selected routes.
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(entry_size), out.end(),
+                [](const SlotRoute& x, const SlotRoute& y) {
+                  return x.def_idx < y.def_idx ||
+                         (x.def_idx == y.def_idx && x.slot_idx < y.slot_idx);
+                });
     }
   }
 
@@ -187,16 +186,18 @@ class RoutingIndex {
   /// folded into the node arrays lazily: dispatch compacts once pending
   /// outgrows a constant-plus-fraction-of-live bound, so a bulk load of N
   /// rules costs one O(N log N) compaction on the first dispatch instead
-  /// of O(N^2) sorted inserts.
+  /// of O(N^2) sorted inserts. Removal marks a compacted entry dead (purged
+  /// by the next compaction) or erases its pending entry. A route is
+  /// registered at one constant once, so no entry ever needs folding.
   struct ThresholdSide {
     // Compacted segment nodes, ordered ascending by constant for the upper
     // side / descending for the lower, inclusive boundary first at ties.
     std::vector<double> constant;
     std::vector<std::uint8_t> inclusive;     // parallel to nodes; 1 = fires at equality
-    std::vector<std::uint32_t> node_begin;   // CSR into routes/refs; size = nodes + 1
+    std::vector<std::uint32_t> node_begin;   // CSR into routes/alive; size = nodes + 1
     std::vector<SlotRoute> routes;           // per node, ascending (def, slot)
-    std::vector<std::uint32_t> refs;         // parallel to routes; 0 = dead (lazily purged)
-    std::uint32_t dead = 0;                  // zero-ref route entries awaiting compaction
+    std::vector<std::uint8_t> alive;         // parallel to routes; 0 = dead (lazily purged)
+    std::uint32_t dead = 0;                  // dead route entries awaiting compaction
 
     /// Not-yet-compacted registrations. Kept sorted in the node order
     /// above whenever that is free (monotone registration patterns);
@@ -205,7 +206,6 @@ class RoutingIndex {
       double constant;
       std::uint8_t inclusive;
       SlotRoute route;
-      std::uint32_t refs;
     };
     std::vector<Pending> pending;
     bool pending_dirty = false;
@@ -244,7 +244,7 @@ class RoutingIndex {
       if (upper ? c > v : c < v) break;
       if (c == v && side.inclusive[k] == 0) continue;
       for (std::uint32_t i = side.node_begin[k]; i < side.node_begin[k + 1]; ++i) {
-        if (side.refs[i] != 0) push(side.routes[i]);
+        if (side.alive[i] != 0) push(side.routes[i]);
       }
     }
     for (const ThresholdSide::Pending& p : side.pending) {
@@ -255,19 +255,15 @@ class RoutingIndex {
   }
 
   /// One routing bucket (per sensor / event type): generic (def, slot)
-  /// routes plus the threshold sub-index. The parallel refcount vector
-  /// never participates in collect() — it only arbitrates add/remove of
-  /// collapsed duplicates.
+  /// routes plus the threshold sub-index.
   struct Bucket {
-    std::vector<SlotRoute> generic;  // sorted by (def_idx, slot_idx)
-    std::vector<std::uint32_t> generic_refs;  // parallel: registrations
+    std::vector<SlotRoute> generic;  // sorted by (def_idx, slot_idx), no duplicates
     std::vector<ThresholdGroup> thresholds;
 
     [[nodiscard]] bool empty() const { return generic.empty() && thresholds.empty(); }
   };
 
   void add_impl(const EventDefinition& def, std::uint32_t def_idx, bool collapse);
-  void remove_impl(const EventDefinition& def, std::uint32_t def_idx, bool collapse);
 
   /// Registers a keyed route, diverting eligible single-slot threshold
   /// definitions into the bucket's threshold sub-index.
@@ -276,18 +272,14 @@ class RoutingIndex {
   void unregister_keyed(Bucket& bucket, const EventDefinition& def, SlotRoute r);
 
   /// Inserts `r` in (def_idx, slot_idx) order; an exact duplicate (which
-  /// only collapsed registration can produce) bumps its refcount instead.
-  static void insert_sorted(std::vector<SlotRoute>& routes, std::vector<std::uint32_t>& refs,
-                           SlotRoute r);
-  /// Decrements `r`'s refcount, erasing the entry at zero. Throws
-  /// std::logic_error when `r` is absent.
-  static void erase_sorted(std::vector<SlotRoute>& routes, std::vector<std::uint32_t>& refs,
-                           SlotRoute r);
+  /// only a collapsed multi-slot definition produces) is skipped.
+  static void insert_sorted(std::vector<SlotRoute>& routes, SlotRoute r);
+  /// Erases `r`. Throws std::logic_error when `r` is absent.
+  static void erase_sorted(std::vector<SlotRoute>& routes, SlotRoute r);
 
   std::unordered_map<std::string, Bucket> by_sensor_;
   std::unordered_map<std::string, Bucket> by_type_;
-  std::vector<SlotRoute> any_;  // sorted by (def_idx, slot_idx)
-  std::vector<std::uint32_t> any_refs_;  // parallel: registrations
+  std::vector<SlotRoute> any_;  // sorted by (def_idx, slot_idx), no duplicates
 };
 
 /// Stamp-versioned, copy-on-write routing view: one definition-granular

@@ -387,11 +387,13 @@ std::optional<core::DefinitionState> decode_definition_state(std::string_view fr
                                                              core::EventDefinition def) {
   FrameReader r{frame};
   r.consume("state ");
-  core::DefinitionState state{std::move(def)};
-  state.seq = static_cast<std::uint64_t>(r.read_int(' '));
-  state.next_prune_at = time_model::TimePoint(r.read_int(' '));
-  state.load_routed = static_cast<std::uint64_t>(r.read_int(' '));
-  state.load_tried = static_cast<std::uint64_t>(r.read_int(' '));
+  // Braced initializers evaluate left to right: the fields read in frame order.
+  core::DefinitionState state{.def = std::move(def),
+                              .seq = static_cast<std::uint64_t>(r.read_int(' ')),
+                              .next_prune_at = time_model::TimePoint(r.read_int(' ')),
+                              .buffers = {},
+                              .load_routed = static_cast<std::uint64_t>(r.read_int(' ')),
+                              .load_tried = static_cast<std::uint64_t>(r.read_int(' '))};
   const std::int64_t nslots = r.read_int('\n');
   if (r.failed || nslots < 0 ||
       static_cast<std::size_t>(nslots) > frame.size()) {  // count sanity: frame holds >=1 byte/slot

@@ -257,19 +257,17 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   ++shard_def_count_[shard];
   for (const core::SlotSpec& slot : def.slots) {
     if (std::string key = routing_key(slot.filter.signature()); !key.empty()) {
-      ++shard_keys_[shard][std::move(key)];
+      shard_keys_[shard].insert(std::move(key));
     }
   }
-  // Collapsed: the per-arrival collect() walk stays O(shards) per key,
-  // however many co-located definitions share it.
-  shard_routes_.add_collapsed(def, shard);
+  // Definition-granular: ingest maps matched definitions to shards through
+  // def_shard_, so a migration never touches the index.
+  ingest_routes_.add_collapsed(def, global);
   if (options_.cascade) {
-    // The coordinator's stamp-versioned view starts identical to the
-    // shard routing and diverges only through placement versions
-    // published at migration barriers. Definition-granular registration:
-    // the view maps matched definitions to shards per closure stamp.
+    // The coordinator's stamp-versioned view starts from the same
+    // placement and diverges only through placement versions published
+    // at migration barriers, resolved per closure stamp.
     cascade_routes_.add(def, global, shard);
-    cascade_ingest_routes_.add_collapsed(def, global);
     // A new definition changes the type graph's reach: recompute the
     // per-definition downstream masks on the next ingest.
     cascade_graph_built_ = false;
@@ -284,7 +282,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
       }
     }
   }
-  def_specs_.push_back(std::move(def));  // retained for migration routing updates
+  def_specs_.push_back(std::move(def));
 }
 
 void ShardedEngineRuntime::ingest(const core::Entity& entity, time_model::TimePoint now) {
@@ -325,31 +323,22 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   std::uint64_t dropped = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t replicated = 0;
+  // Cascade mode: a closure's downstream reach is the union of its matched
+  // definitions' transitive feedback targets (shards outside it may run
+  // later arrivals while the closure is in flight). The table describes
+  // registration-time placement, so once a migration or split has moved a
+  // subset (cascade_conservative_) every arrival carries an all-ones reach.
+  const bool exact_reach = options_.cascade && !cascade_conservative_;
+  const std::uint64_t base_reach = cascade_conservative_ ? ~std::uint64_t{0} : 0;
   for (std::size_t i = 0; i < block->entities.size(); ++i) {
-    std::uint64_t mask = 0;
-    std::uint64_t future = 0;
     route_scratch_.clear();
-    if (options_.cascade && !cascade_conservative_) {
-      // One def-granular routing pass yields both the delivery mask (via
-      // each matched definition's host shard) and the closure's
-      // downstream reach — the union of the matched definitions'
-      // transitive feedback targets; shards outside it may run later
-      // arrivals while the closure is still in flight. Exact only while
-      // no subset has ever moved (def_shard_ then tells the whole
-      // placement story); the first migration/split flips
-      // cascade_conservative_ and the collapsed fallback below takes
-      // over for good.
-      cascade_ingest_routes_.collect(block->entities[i], route_scratch_,
-                                     [](const core::SlotRoute&) { return true; });
-      for (const core::SlotRoute r : route_scratch_) {
-        mask |= std::uint64_t{1} << def_shard_[r.def_idx];
-        future |= cascade_future_[r.def_idx];
-      }
-    } else {
-      shard_routes_.collect(block->entities[i], route_scratch_,
-                            [](const core::SlotRoute&) { return true; });
-      for (const core::SlotRoute r : route_scratch_) mask |= std::uint64_t{1} << r.def_idx;
-      if (options_.cascade) future = ~std::uint64_t{0};
+    ingest_routes_.collect(block->entities[i], route_scratch_,
+                           [](const core::SlotRoute&) { return true; });
+    std::uint64_t mask = 0;
+    std::uint64_t future = base_reach;
+    for (const core::SlotRoute r : route_scratch_) {
+      mask |= std::uint64_t{1} << def_shard_[r.def_idx];
+      if (exact_reach) future |= cascade_future_[r.def_idx];
     }
     if (mask == 0) {
       ++dropped;
@@ -522,28 +511,11 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
   auto ticket = std::make_shared<MigrationTicket>();
   ticket->globals = std::move(defs);  // ascending global order
 
-  // Flip routing and bookkeeping under the ingest lock: every arrival
-  // stamped before this point was routed to `from` (and is already, or
-  // will be, ahead of the control items in its inbox); every arrival
-  // stamped after is routed to `to` behind the implant item. That is the
-  // epoch barrier.
-  for (const std::uint32_t d : ticket->globals) {
-    const core::EventDefinition& def = def_specs_[d];
-    shard_routes_.remove_collapsed(def, from);
-    shard_routes_.add_collapsed(def, to);
-    def_shard_[d] = to;
-    for (const core::SlotSpec& slot : def.slots) {
-      if (std::string key = routing_key(slot.filter.signature()); !key.empty()) {
-        auto& src_keys = shard_keys_[from];
-        if (const auto it = src_keys.find(key); it != src_keys.end() && --(it->second) == 0) {
-          src_keys.erase(it);
-        }
-        ++shard_keys_[to][std::move(key)];
-      }
-    }
-    --shard_def_count_[from];
-    ++shard_def_count_[to];
-  }
+  // Flip placement under the ingest lock: every arrival stamped before
+  // this point was routed to `from` (and is already, or will be, ahead of
+  // the control items in its inbox); every arrival stamped after is
+  // routed to `to` behind the implant item. That is the epoch barrier.
+  for (const std::uint32_t d : ticket->globals) def_shard_[d] = to;
   grp.ticket = ticket;
   ++migrations_;
   // Placement is now dynamic; worker threads own the local index maps.

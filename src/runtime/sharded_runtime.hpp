@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -69,7 +70,7 @@ struct RuntimeOptions {
   /// when rebalancing is enabled and no policy is supplied.
   std::shared_ptr<RebalancePolicy> rebalance_policy;
   /// Enables deterministic hierarchical cascading: derived instances are
-  /// routed back through the shard-level routing index as *feedback*
+  /// routed back to the shards hosting their consumers as *feedback*
   /// items, each shard processes work in sub-stamp order behind the
   /// cascade closure frontier, and the merged stream is exactly what a
   /// sequential DetectionEngine::observe_cascading() fed the same
@@ -97,8 +98,9 @@ struct RuntimeOptions {
   bool pin_shards = false;
   /// Test-only fault-injection hook: when set, every shard worker invokes
   /// it (with its shard index) before processing each work item — the
-  /// stress suite uses it to stall a consumer shard at random so wrap,
-  /// backpressure, and shutdown paths are exercised under contention. Must
+  /// stress suite uses it to stall a consumer shard at random so inbox
+  /// segment growth, backpressure, and shutdown paths are exercised under
+  /// contention. Must
   /// be thread-safe; never called after the runtime's destructor returns.
   std::function<void(std::size_t)> stall_hook;
   /// Arrivals between epoch-barrier checkpoints of every shard's engine
@@ -203,13 +205,16 @@ struct TaggedInstance {
 /// that already hosts the definition's routing key (sensor / event-type
 /// bucket), which caps arrival fan-out without unbalancing the shards.
 ///
-/// **Routing** (ingest): a shard-level core::RoutingIndex (the same
-/// structure the engine uses for candidate selection, keyed by shard
-/// index) maps each arrival to the set of shards hosting a definition
-/// whose filter can match it. The arrival is replicated to every such
-/// shard — in particular, a shard hosting a wildcard definition receives
-/// the full stream. Each definition lives on exactly one shard, so every
-/// instance is produced exactly once.
+/// **Routing** (ingest): routing and placement are kept apart. One
+/// core::RoutingIndex (the structure the engine uses for candidate
+/// selection), holding every definition once under its global index,
+/// maps an arrival to the definitions whose filters can match it; the
+/// flat def->shard placement map turns those into the set of recipient
+/// shards. The arrival is replicated to every such shard — in
+/// particular, a shard hosting a wildcard definition receives the full
+/// stream. Each definition lives on exactly one shard, so every instance
+/// is produced exactly once. A migration only rewrites placement entries;
+/// the index never changes after registration.
 ///
 /// **Ingest path** (hot): each shard's inbox is a segmented FIFO
 /// (runtime/inbox_queue.hpp) whose memory follows its occupancy. Producers
@@ -231,7 +236,7 @@ struct TaggedInstance {
 /// one shard. The runtime keeps per-definition load counters (published
 /// by the shard engines), attributes each epoch's cost to definition
 /// groups, and lets a RebalancePolicy move groups between shards *live*:
-/// the group's routing entries flip to the destination under the ingest
+/// the group's placement entries flip to the destination under the ingest
 /// lock (an epoch barrier in the arrival stamp order), a pair of control
 /// items flows through the two shards' stamp-ordered inboxes, the source
 /// worker extracts the group's engine state after processing every
@@ -830,14 +835,15 @@ class ShardedEngineRuntime {
   static void emit_to(std::vector<core::EventInstance>* plain,
                       std::vector<TaggedInstance>* tagged, std::uint64_t stamp,
                       core::Emission&& em);
-  /// Flips routing/bookkeeping of `group` to `to` and enqueues the
-  /// extract/implant control pair; ingest_mutex_ must be held and the
-  /// group must have no migration in flight.
+  /// Moves the whole of `group` to `to` and enqueues the extract/implant
+  /// control pair; ingest_mutex_ must be held and the group must have no
+  /// migration in flight.
   void issue_migration_locked(std::uint32_t group, std::uint32_t to);
-  /// Shared issuance core: flips routing/def_shard_/key bookkeeping for
-  /// the `defs` subset of `group` (a whole group, or one side of a split)
-  /// from `from` to `to`, installs the group ticket, registers the
-  /// per-definition-order release hold, and pushes the control pair.
+  /// Shared issuance core: sets def_shard_[d] = `to` for the `defs` subset
+  /// of `group` (a whole group, or one side of a split) — no routing index
+  /// changes — installs the group ticket, registers the
+  /// per-definition-order release hold (cascade mode: queues the
+  /// coordinator's placement version), and pushes the control pair.
   /// Callers update Group host fields. ingest_mutex_ must be held.
   void issue_subset_locked(std::uint32_t group, std::vector<std::uint32_t> defs,
                            std::uint32_t from, std::uint32_t to);
@@ -888,24 +894,31 @@ class ShardedEngineRuntime {
   std::atomic<bool> publish_loads_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Shard-level routing: def_idx in these routes is a *shard* index.
-  core::RoutingIndex shard_routes_;
+  /// Ingest routing: every definition registered once, collapsed, under
+  /// its global index; registration-frozen after start. def_shard_ turns
+  /// its matches into recipient shards.
+  core::RoutingIndex ingest_routes_;
   std::unordered_map<std::string, std::uint32_t> type_group_;  ///< event type -> group
   std::vector<Group> groups_;                    // guarded by ingest_mutex_
-  std::vector<core::EventDefinition> def_specs_;  ///< registration copies (routing updates)
+  /// Registration copies (split key hashes, cascade reachability,
+  /// checkpoint decoding).
+  std::vector<core::EventDefinition> def_specs_;
   std::vector<std::uint32_t> def_group_;  ///< global def index -> group
-  /// Routing keys hosted per shard, refcounted (placement affinity; keys
-  /// follow their definitions on migration).
-  std::vector<std::unordered_map<std::string, std::uint32_t>> shard_keys_;
+  /// Routing keys and definition counts per shard at registration: the
+  /// inputs of add_definition's placement, which ends once ingest or a
+  /// migration starts (so migrations leave them alone).
+  std::vector<std::unordered_set<std::string>> shard_keys_;
   std::vector<std::size_t> shard_def_count_;
-  std::vector<std::uint32_t> def_shard_;  ///< global def index -> shard
+  /// Global def index -> shard: the placement map. Migrations, splits and
+  /// merges flip entries at the barrier (issue_subset_locked).
+  std::vector<std::uint32_t> def_shard_;
   /// 1 when the definition belongs to its group's high sub-group (guarded
   /// by ingest_mutex_; all zero while the group is unsplit).
   std::vector<std::uint8_t> def_high_;
 
   /// Serializes stamp assignment + inbox dispatch so every shard's inbox
   /// stays stamp-ordered even under concurrent ingestion. Also guards all
-  /// placement state (groups_, def_shard_, shard_routes_, epoch loads).
+  /// placement state (groups_, def_shard_, ingest_routes_, epoch loads).
   mutable std::mutex ingest_mutex_;
   bool started_ = false;                              // guarded by ingest_mutex_
   std::uint64_t next_stamp_ = 1;                      // guarded by ingest_mutex_
@@ -980,17 +993,13 @@ class ShardedEngineRuntime {
 
   // --- Cascade mode (all unused unless options_.cascade) ---
   /// The coordinator's stamp-versioned copy-on-write routing view:
-  /// registration mirrors shard_routes_ at definition granularity; after
-  /// start it is touched only by the coordinator thread, which publishes
-  /// queued CascadeReroutes as placement versions effective from their
-  /// barrier and resolves each in-flight closure through the version at
-  /// its own stamp.
+  /// registration mirrors ingest_routes_ (same definitions, same initial
+  /// placement); after start it is touched only by the coordinator
+  /// thread, which publishes queued CascadeReroutes as placement versions
+  /// effective from their barrier and resolves each in-flight closure
+  /// through the version at its own stamp. It keeps its own index because
+  /// collect() compacts lazily, so two threads cannot share one.
   core::VersionedRouting cascade_routes_;
-  /// Ingest-side twin of the coordinator's definition index (collect() is
-  /// lazily self-compacting, so the two threads cannot share one): maps
-  /// an arrival to its matched definitions so ingest can stamp each
-  /// Pending with its closure's downstream-reach shard mask.
-  core::RoutingIndex cascade_ingest_routes_;
   /// Per definition: bitmask of shards hosting any definition reachable
   /// from its output type (1+ cascade steps) under registration-time
   /// placement. Built once by build_cascade_graph() under ingest_mutex_

@@ -13,7 +13,7 @@
 /// partial-match buffers (with cross-slot stamp identity), sequence
 /// counters, horizon watermarks, spatial-index backing — to another
 /// engine so the split pipeline emits exactly what one engine would have;
-/// and RoutingIndex::remove must be the exact refcounted inverse of add.
+/// and RoutingIndex::remove must be the exact inverse of add.
 
 namespace stem::core {
 namespace {
@@ -299,6 +299,12 @@ TEST(RoutingRemoveTest, RemoveIsInverseOfAdd) {
   const Entity ea(obs("SRa", 0, TimePoint(10), {0, 0}, 80.0));
   ASSERT_EQ(collect_all(idx, ea).size(), 2u);  // TH threshold + NEAR slot a
 
+  // A removed threshold re-added at the same (definition, constant)
+  // dispatches once again (its first registration was still pending).
+  idx.remove(defs[0], 0);
+  idx.add(defs[0], 0);
+  ASSERT_EQ(collect_all(idx, ea).size(), 2u);
+
   idx.remove(defs[0], 0);
   const auto after = collect_all(idx, ea);
   ASSERT_EQ(after.size(), 1u);
@@ -310,34 +316,6 @@ TEST(RoutingRemoveTest, RemoveIsInverseOfAdd) {
   // Removing again (or removing a never-added registration) is a logic
   // error, not silent corruption.
   EXPECT_THROW(idx.remove(defs[0], 0), std::logic_error);
-}
-
-TEST(RoutingRemoveTest, CollapsedDuplicatesAreRefcounted) {
-  // Two single-slot thresholds with the same sensor, op, and constant,
-  // collapsed onto the same shard index: one physical route entry with
-  // refcount 2. Removing one registration must keep the route alive.
-  EventDefinition t1{EventTypeId("A"),
-                     {{"x", SlotFilter::observation(SensorId("SR"))}},
-                     c_attr(ValueAggregate::kAverage, "value", {0}, RelationalOp::kGt, 50.0),
-                     seconds(60),
-                     {},
-                     ConsumptionMode::kConsume};
-  EventDefinition t2 = t1;
-  t2.id = EventTypeId("B");
-
-  RoutingIndex idx;
-  idx.add_collapsed(t1, 7);
-  idx.add_collapsed(t2, 7);
-  const Entity hit(obs("SR", 0, TimePoint(10), {0, 0}, 80.0));
-  ASSERT_EQ(collect_all(idx, hit).size(), 1u);  // deduplicated
-
-  idx.remove_collapsed(t1, 7);
-  const auto still = collect_all(idx, hit);
-  ASSERT_EQ(still.size(), 1u);  // t2's registration keeps it alive
-  EXPECT_EQ(still[0].def_idx, 7u);
-
-  idx.remove_collapsed(t2, 7);
-  EXPECT_TRUE(collect_all(idx, hit).empty());
 }
 
 TEST(RoutingRemoveTest, WildcardAndKeyedBucketsEmptyCleanly) {

@@ -266,7 +266,10 @@ void expect_exactly_once(const std::vector<SlotRoute>& routes, const std::string
 
 /// Duplicate threshold constants and overlapping half-open intervals must
 /// dispatch each registered (definition, slot) exactly once per arrival,
-/// and exactly the definitions whose threshold the value satisfies.
+/// and exactly the definitions whose threshold the value satisfies. A
+/// collapsed definition with two slots on the key plus a wildcard slot
+/// (reached twice through the bucket, once through the wildcard list)
+/// adds exactly one route to every dispatch.
 TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
   RoutingIndex idx;
   std::vector<double> constants;
@@ -288,8 +291,19 @@ TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
     constants.push_back(c);
     ops.push_back(op);
   }
+  idx.add_collapsed(EventDefinition{EventTypeId("J"),
+                                    {{"a", SlotFilter::observation(SensorId("SRa"))},
+                                     {"b", SlotFilter::observation(SensorId("SRa"))},
+                                     {"w", SlotFilter::any()}},
+                                    c_and({c_time(0, time_model::TemporalOp::kBefore, 1),
+                                           c_time(1, time_model::TemporalOp::kBefore, 2)}),
+                                    seconds(60),
+                                    {},
+                                    ConsumptionMode::kUnrestricted},
+                    kRules);
 
   const auto fires = [&](std::size_t i, double v) {
+    if (i == kRules) return true;  // the collapsed join
     switch (ops[i]) {
       case RelationalOp::kGt: return v > constants[i];
       case RelationalOp::kGe: return v >= constants[i];
@@ -306,7 +320,7 @@ TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
     const auto routes = collect_all(idx, e);
     expect_exactly_once(routes, "v=" + std::to_string(v));
     std::size_t expected = 0;
-    for (std::size_t i = 0; i < kRules; ++i) expected += fires(i, v) ? 1 : 0;
+    for (std::size_t i = 0; i <= kRules; ++i) expected += fires(i, v) ? 1 : 0;
     EXPECT_EQ(routes.size(), expected) << "v=" << v;
     for (const SlotRoute r : routes) {
       EXPECT_TRUE(fires(r.def_idx, v)) << "v=" << v << " def " << r.def_idx;
@@ -316,7 +330,8 @@ TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
 
 /// Interleaving adds, removes, and dispatches keeps exactly-once intact
 /// while rules live in both the compacted segment nodes and the pending
-/// tail (and while dead node entries await purge).
+/// tail (and while dead node entries await purge) — including a rule
+/// removed and re-added at the same (definition, constant).
 TEST(RoutingExactlyOnceTest, InterleavedAddRemoveStaysExact) {
   RoutingIndex idx;
   const auto make = [](std::size_t i) {
@@ -343,8 +358,12 @@ TEST(RoutingExactlyOnceTest, InterleavedAddRemoveStaysExact) {
       const std::size_t victim = (i / 3) * 2 % (i + 1);
       if (live[victim]) {
         idx.remove(make(victim), static_cast<std::uint32_t>(victim));
-        live[victim] = false;
-        --expected;
+        if (i % 2 == 0) {
+          idx.add(make(victim), static_cast<std::uint32_t>(victim));  // back at its constant
+        } else {
+          live[victim] = false;
+          --expected;
+        }
       }
     }
     if (i % 50 == 49) {

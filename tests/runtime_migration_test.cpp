@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -498,6 +500,148 @@ TEST(RebalanceSoakTest, SkewedLoadSpreadNarrowsWithNoLossOrDuplication) {
   // Backpressure bounds inbox depth in both runs.
   EXPECT_LE(off.stats.max_inbox, kQueue);
   EXPECT_LE(on.stats.max_inbox, kQueue);
+}
+
+// ---------------------------------------------------------------------------
+// Deliveries follow placement exactly.
+// ---------------------------------------------------------------------------
+
+/// One registered definition as ingest routing sees it: its sensor key,
+/// and the constant of its single-slot `value > C` threshold (none for a
+/// generic definition, which every arrival on its key reaches).
+struct RouteSpec {
+  std::string key;
+  std::optional<double> above;
+};
+
+/// Per key K0..K3: a threshold TH_k (value > 10 + 20k) and a two-slot
+/// generic self-join PAIR_k, plus one multi-key group GRP (one event
+/// type, a value > 50 threshold per key) that split_group can partition.
+/// Key KX has no definition, so its arrivals are dropped.
+std::vector<EventDefinition> placement_definitions(std::vector<RouteSpec>& specs) {
+  std::vector<EventDefinition> defs;
+  const auto threshold = [&](const std::string& type, const std::string& key, double c) {
+    defs.push_back(EventDefinition{
+        EventTypeId(type),
+        {{"x", SlotFilter::observation(SensorId(key))}},
+        core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt, c),
+        seconds(60),
+        {},
+        ConsumptionMode::kConsume});
+    specs.push_back(RouteSpec{key, c});
+  };
+  for (int k = 0; k < 4; ++k) {
+    const std::string key = "K" + std::to_string(k);
+    threshold("TH" + std::to_string(k), key, 10.0 + 20.0 * k);
+    defs.push_back(EventDefinition{EventTypeId("PAIR" + std::to_string(k)),
+                                   {{"x", SlotFilter::observation(SensorId(key))},
+                                    {"y", SlotFilter::observation(SensorId(key))}},
+                                   core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                                   seconds(5),
+                                   {},
+                                   ConsumptionMode::kConsume});
+    specs.push_back(RouteSpec{key, std::nullopt});
+  }
+  for (int k = 0; k < 4; ++k) threshold("GRP", "K" + std::to_string(k), 50.0);
+  return defs;
+}
+
+/// Ingests one burst (every key x a spread of values) and asserts the
+/// exact per-shard arrival loads and delivery counters it adds, computed
+/// from the current placement: an arrival reaches shard_of(d) for every
+/// definition d on its key whose threshold (if any) the value exceeds.
+void expect_burst_follows_placement(ShardedEngineRuntime& rt, const std::vector<RouteSpec>& specs,
+                                    TimePoint& now, const std::string& ctx) {
+  std::vector<core::Entity> entities;
+  std::vector<TimePoint> nows;
+  std::vector<std::uint64_t> want_loads(rt.shard_count(), 0);
+  std::uint64_t want_deliveries = 0;
+  std::uint64_t want_replicated = 0;
+  std::uint64_t want_dropped = 0;
+  for (const double value : {5.0, 15.0, 35.0, 55.0, 75.0, 95.0}) {
+    for (const char* key : {"K0", "K1", "K2", "K3", "KX"}) {
+      now += time_model::milliseconds(100);
+      entities.emplace_back(obs(1, key, entities.size(), now, {0, 0}, value));
+      nows.push_back(now);
+      std::uint64_t mask = 0;
+      for (std::size_t d = 0; d < specs.size(); ++d) {
+        if (specs[d].key != key) continue;
+        if (specs[d].above.has_value() && !(value > *specs[d].above)) continue;
+        mask |= std::uint64_t{1} << rt.shard_of(d);
+      }
+      if (mask == 0) {
+        ++want_dropped;
+        continue;
+      }
+      const auto fanout = static_cast<std::uint64_t>(std::popcount(mask));
+      want_deliveries += fanout;
+      want_replicated += fanout - 1;
+      for (std::size_t s = 0; s < rt.shard_count(); ++s) want_loads[s] += (mask >> s) & 1;
+    }
+  }
+
+  const std::vector<std::uint64_t> loads_before = rt.shard_arrival_loads();
+  const RuntimeStats before = rt.stats();
+  rt.ingest_batch(entities, nows);
+  const std::vector<std::uint64_t> loads_after = rt.shard_arrival_loads();
+  const RuntimeStats after = rt.stats();
+  for (std::size_t s = 0; s < rt.shard_count(); ++s) {
+    EXPECT_EQ(loads_after[s] - loads_before[s], want_loads[s]) << ctx << " shard " << s;
+  }
+  EXPECT_EQ(after.deliveries - before.deliveries, want_deliveries) << ctx;
+  EXPECT_EQ(after.replicated - before.replicated, want_replicated) << ctx;
+  EXPECT_EQ(after.dropped - before.dropped, want_dropped) << ctx;
+  (void)rt.poll();
+}
+
+TEST(PlacementDeliveryTest, DeliveriesFollowPlacementThroughMoveSplitAndMerge) {
+  for (const bool cascade : {false, true}) {
+    RuntimeOptions options;
+    options.shards = 4;
+    options.cascade = cascade;
+    ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
+    std::vector<RouteSpec> specs;
+    for (const EventDefinition& def : placement_definitions(specs)) rt.add_definition(def);
+    constexpr std::size_t kTh0 = 0;
+    constexpr std::size_t kPair1 = 3;
+    constexpr std::size_t kGrp = 8;  // first GRP definition; GRP spans 8..11
+    const auto next_shard = [&](std::size_t d) {
+      return (rt.shard_of(d) + 1) % rt.shard_count();
+    };
+
+    const std::string mode = cascade ? "cascade" : "plain";
+    TimePoint now = TimePoint::epoch();
+    const oracle::RunDeadline deadline(rt, mode);
+    expect_burst_follows_placement(rt, specs, now, mode + " initial");
+
+    ASSERT_TRUE(rt.migrate_definition(kTh0, next_shard(kTh0)));
+    expect_burst_follows_placement(rt, specs, now, mode + " after moving TH0");
+    ASSERT_TRUE(rt.migrate_definition(kPair1, next_shard(kPair1)));
+    expect_burst_follows_placement(rt, specs, now, mode + " after moving PAIR1");
+
+    const std::size_t primary = rt.shard_of(kGrp);
+    const std::size_t high = (primary + 1) % rt.shard_count();
+    ASSERT_TRUE(rt.split_group(kGrp, high));
+    expect_burst_follows_placement(rt, specs, now, mode + " after split");
+
+    // Move the high sub-group on to a third shard.
+    std::size_t high_def = kGrp;
+    while (rt.shard_of(high_def) != high) ++high_def;
+    ASSERT_TRUE(rt.migrate_definition(high_def, (high + 1) % rt.shard_count()));
+    expect_burst_follows_placement(rt, specs, now, mode + " after moving the high sub-group");
+
+    ASSERT_TRUE(rt.merge_group(kGrp));
+    for (std::size_t d = kGrp; d < specs.size(); ++d) ASSERT_EQ(rt.shard_of(d), primary);
+    expect_burst_follows_placement(rt, specs, now, mode + " after merge");
+
+    ASSERT_TRUE(rt.migrate_definition(kGrp, next_shard(kGrp)));
+    expect_burst_follows_placement(rt, specs, now, mode + " after moving GRP");
+
+    (void)oracle::flush_within(rt, mode);
+    const RuntimeStats stats = rt.stats();
+    EXPECT_EQ(stats.migrations, 6u) << mode;  // 4 moves, the split and the merge
+    EXPECT_EQ(stats.arrivals + stats.dropped, 7u * 30u) << mode;
+  }
 }
 
 // ---------------------------------------------------------------------------
