@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -32,15 +31,6 @@ using core::SensorId;
 using core::SlotFilter;
 using time_model::seconds;
 using time_model::TimePoint;
-
-// STEM_BENCH_PIN=1 opts the sharded-runtime benches into per-shard CPU
-// pinning; tools/run_bench.sh records the setting (and the logical-core
-// count) in each baseline's JSON context. Leave off on hosts with fewer
-// cores than shards — pinning stacked workers only adds scheduler latency.
-bool bench_pin_shards() {
-  const char* v = std::getenv("STEM_BENCH_PIN");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 // Builds "<prefix><i>" without the temporary-heavy operator+ chain (which
 // also trips a GCC 12 -Wrestrict false positive when inlined under -O2).
@@ -306,7 +296,6 @@ void BM_ShardScaling(benchmark::State& state) {
   } else {
     runtime::RuntimeOptions options;
     options.shards = shards;
-    options.pin_shards = bench_pin_shards();
     runtime::ShardedEngineRuntime rt(ObserverId("X"), core::Layer::kSensor, {0, 0}, options);
     for (EventDefinition& def : scaling_defs()) rt.add_definition(std::move(def));
     std::size_t i = 0;
@@ -377,7 +366,6 @@ void run_runtime_workload(benchmark::State& state, const std::vector<core::Entit
   for (const auto& e : entities) nows.push_back(e.occurrence_time().end());
   runtime::RuntimeOptions options;
   options.shards = 4;
-  options.pin_shards = bench_pin_shards();
   options.rebalance_epoch = epoch;
   options.ordering = tier;
   runtime::ShardedEngineRuntime rt(ObserverId("X"), core::Layer::kSensor, {0, 0}, options);
@@ -526,7 +514,6 @@ void BM_CascadeDepth(benchmark::State& state) {
 
   runtime::RuntimeOptions options;
   options.shards = 4;
-  options.pin_shards = bench_pin_shards();
   options.cascade = true;
   options.cascade_pipeline = 4;
   options.engine.max_cascade_depth = depth;
@@ -572,7 +559,6 @@ void BM_CascadeTier(benchmark::State& state, runtime::OrderingTier tier) {
 
   runtime::RuntimeOptions options;
   options.shards = 4;
-  options.pin_shards = bench_pin_shards();
   options.cascade = true;
   options.cascade_pipeline = 4;
   options.ordering = tier;

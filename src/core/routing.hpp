@@ -15,26 +15,12 @@
 namespace stem::core {
 
 /// Stable 64-bit hash (FNV-1a) of a routing key — the basis of key-range
-/// ownership when a definition group is split across shards: every
-/// sensor-keyed definition is owned by the sub-group whose KeyRange
-/// contains its key's hash, so the two sub-groups partition the group's
-/// routing keys deterministically (same keys => same partition on every
-/// run, host, and recovery replay).
+/// ownership when a definition group is split across shards: a
+/// sensor-keyed definition goes to the high sub-group iff its key's hash
+/// is at or above the split point, so the two sub-groups partition the
+/// group's routing keys deterministically (same keys => same partition on
+/// every run, host, and recovery replay).
 [[nodiscard]] std::uint64_t routing_key_hash(std::string_view key) noexcept;
-
-/// Inclusive hash range [lo, hi] over routing_key_hash values. A split
-/// definition group owns two complementary ranges: the low sub-group
-/// keeps [0, split_point - 1], the high one takes [split_point, 2^64 - 1].
-struct KeyRange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = ~std::uint64_t{0};
-
-  [[nodiscard]] bool contains(std::uint64_t hash) const noexcept {
-    return hash >= lo && hash <= hi;
-  }
-
-  friend bool operator==(const KeyRange&, const KeyRange&) = default;
-};
 
 /// Routing index entry: one (definition, slot) pair. `def_idx` is the
 /// registrar's definition index: the DetectionEngine's local index, or the

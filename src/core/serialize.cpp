@@ -458,13 +458,6 @@ std::string encode(const PhysicalObservation& obs) {
   return out;
 }
 
-std::string encode(const Entity& entity) {
-  if (entity.is_observation()) {
-    return "{\"observation\":" + encode(entity.observation()) + "}";
-  }
-  return "{\"instance\":" + encode(entity.instance()) + "}";
-}
-
 std::optional<EventInstance> decode_instance(std::string_view json) {
   Reader r(json);
   auto inst = read_instance_body(r);
@@ -477,25 +470,6 @@ std::optional<PhysicalObservation> decode_observation(std::string_view json) {
   auto obs = read_observation_body(r);
   if (!obs.has_value() || !r.at_end() || r.fail()) return std::nullopt;
   return obs;
-}
-
-std::optional<Entity> decode_entity(std::string_view json) {
-  Reader r(json);
-  if (!r.consume('{')) return std::nullopt;
-  const std::string tag = r.read_string();
-  if (!r.consume(':')) return std::nullopt;
-  std::optional<Entity> entity;
-  if (tag == "observation") {
-    auto obs = read_observation_body(r);
-    if (obs.has_value()) entity.emplace(*std::move(obs));
-  } else if (tag == "instance") {
-    auto inst = read_instance_body(r);
-    if (inst.has_value()) entity.emplace(*std::move(inst));
-  } else {
-    return std::nullopt;
-  }
-  if (!entity.has_value() || !r.consume('}') || !r.at_end() || r.fail()) return std::nullopt;
-  return entity;
 }
 
 }  // namespace stem::core

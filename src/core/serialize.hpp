@@ -4,7 +4,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/entity.hpp"
 #include "core/instance.hpp"
 
 namespace stem::core {
@@ -15,7 +14,11 @@ namespace stem::core {
 /// database server "for later retrieval" (paper Sec. 3); a stable wire
 /// format makes both concrete. The encoding is plain JSON with a fixed
 /// schema; `decode_*` functions accept exactly what `encode_*` emit plus
-/// arbitrary whitespace, and return nullopt on malformed input.
+/// arbitrary whitespace, and return nullopt on malformed input. Numbers
+/// are decimal text, so the form is not bit-exact: an integral double
+/// decodes as an integer (and -0.0 loses its sign), and NaN or infinity
+/// does not decode at all. State that must round-trip exactly inside the
+/// process uses runtime/checkpoint.hpp's binary codec instead.
 ///
 /// Schema (event instance):
 /// {
@@ -30,13 +33,8 @@ namespace stem::core {
 /// }
 [[nodiscard]] std::string encode(const EventInstance& inst);
 [[nodiscard]] std::string encode(const PhysicalObservation& obs);
-/// Tagged entity frame: {"observation": {...}} or {"instance": {...}}.
-/// Shard checkpoints (runtime/checkpoint.cpp) persist buffered entities
-/// through this wrapper so either kind round-trips through one function.
-[[nodiscard]] std::string encode(const Entity& entity);
 
 [[nodiscard]] std::optional<EventInstance> decode_instance(std::string_view json);
 [[nodiscard]] std::optional<PhysicalObservation> decode_observation(std::string_view json);
-[[nodiscard]] std::optional<Entity> decode_entity(std::string_view json);
 
 }  // namespace stem::core

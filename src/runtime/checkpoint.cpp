@@ -1,6 +1,5 @@
 #include "runtime/checkpoint.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -8,62 +7,11 @@
 #include <variant>
 #include <utility>
 
-#include "core/serialize.hpp"
-
 namespace stem::runtime {
 
 namespace {
 
-/// Integer-field reader over the frame: consumes "<int64>" plus exactly
-/// one following separator (the emitter writes single spaces / newlines),
-/// flagging failure instead of throwing.
-struct FrameReader {
-  std::string_view s;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  bool consume(std::string_view token) {
-    if (failed || s.size() - pos < token.size() ||
-        s.substr(pos, token.size()) != token) {
-      failed = true;
-      return false;
-    }
-    pos += token.size();
-    return true;
-  }
-
-  std::int64_t read_int(char sep) {
-    if (failed) return 0;
-    std::int64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(s.data() + pos, s.data() + s.size(), value);
-    if (ec != std::errc{}) {
-      failed = true;
-      return 0;
-    }
-    pos = static_cast<std::size_t>(ptr - s.data());
-    if (pos >= s.size() || s[pos] != sep) {
-      failed = true;
-      return 0;
-    }
-    ++pos;
-    return value;
-  }
-
-  /// The rest of the current line (without the newline); consumes it.
-  std::string_view read_line() {
-    if (failed) return {};
-    const std::size_t nl = s.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      failed = true;
-      return {};
-    }
-    const std::string_view line = s.substr(pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  }
-};
-
-// --- Binary entity codec (replay log) ---
+// --- Binary entity codec (replay records and checkpoint frames) ---
 
 template <typename T>
 void put(std::string& out, T value) {
@@ -129,8 +77,9 @@ void put_attributes(std::string& out, const core::AttributeSet& attrs) {
   }
 }
 
-/// Bounds-checked reader over a packed entity: every read checks the
-/// remaining length first and flags failure instead of throwing.
+/// Bounds-checked reader over packed bytes (a replay record or checkpoint
+/// frame): every read checks the remaining length first and flags failure
+/// instead of throwing.
 struct ByteReader {
   std::string_view s;
   std::size_t pos = 0;
@@ -367,17 +316,17 @@ std::optional<Arrivals> unpack_arrivals(std::string_view record) {
 }
 
 std::string encode_definition_state(const core::DefinitionState& state) {
-  std::string out = "state " + std::to_string(state.seq) + ' ' +
-                    std::to_string(state.next_prune_at.ticks()) + ' ' +
-                    std::to_string(state.load_routed) + ' ' + std::to_string(state.load_tried) +
-                    ' ' + std::to_string(state.buffers.size()) + '\n';
+  std::string out;
+  put(out, state.seq);
+  put(out, state.next_prune_at.ticks());
+  put(out, state.load_routed);
+  put(out, state.load_tried);
+  put_varint(out, state.buffers.size());
   for (const auto& slot : state.buffers) {
-    out += "slot " + std::to_string(slot.size()) + '\n';
+    put_varint(out, slot.size());
     for (const core::DefinitionState::BufferedEntity& b : slot) {
-      out += std::to_string(b.stamp);
-      out += ' ';
-      out += core::encode(*b.entity);
-      out += '\n';
+      put(out, b.stamp);
+      pack_entity(out, *b.entity);
     }
   }
   return out;
@@ -385,35 +334,25 @@ std::string encode_definition_state(const core::DefinitionState& state) {
 
 std::optional<core::DefinitionState> decode_definition_state(std::string_view frame,
                                                              core::EventDefinition def) {
-  FrameReader r{frame};
-  r.consume("state ");
+  ByteReader r{frame};
   // Braced initializers evaluate left to right: the fields read in frame order.
   core::DefinitionState state{.def = std::move(def),
-                              .seq = static_cast<std::uint64_t>(r.read_int(' ')),
-                              .next_prune_at = time_model::TimePoint(r.read_int(' ')),
+                              .seq = r.get<std::uint64_t>(),
+                              .next_prune_at = r.time_point(),
                               .buffers = {},
-                              .load_routed = static_cast<std::uint64_t>(r.read_int(' ')),
-                              .load_tried = static_cast<std::uint64_t>(r.read_int(' '))};
-  const std::int64_t nslots = r.read_int('\n');
-  if (r.failed || nslots < 0 ||
-      static_cast<std::size_t>(nslots) > frame.size()) {  // count sanity: frame holds >=1 byte/slot
-    return std::nullopt;
-  }
-  state.buffers.resize(static_cast<std::size_t>(nslots));
+                              .load_routed = r.get<std::uint64_t>(),
+                              .load_tried = r.get<std::uint64_t>()};
+  state.buffers.resize(r.count(1));  // a slot takes at least its count byte
   for (auto& slot : state.buffers) {
-    r.consume("slot ");
-    const std::int64_t count = r.read_int('\n');
-    if (r.failed || count < 0 || static_cast<std::size_t>(count) > frame.size()) {
-      return std::nullopt;
-    }
-    slot.reserve(static_cast<std::size_t>(count));
-    for (std::int64_t k = 0; k < count; ++k) {
-      const std::int64_t stamp = r.read_int(' ');
-      std::optional<core::Entity> entity = core::decode_entity(r.read_line());
-      if (r.failed || stamp < 0 || !entity.has_value()) return std::nullopt;
+    // A buffered entity takes at least its u64 stamp and kind byte.
+    const std::size_t n = r.count(sizeof(std::uint64_t) + 1);
+    slot.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto stamp = r.get<std::uint64_t>();
+      std::optional<core::Entity> entity = r.entity();
+      if (r.failed) return std::nullopt;
       slot.push_back(core::DefinitionState::BufferedEntity{
-          std::make_shared<const core::Entity>(std::move(*entity)),
-          static_cast<std::uint64_t>(stamp)});
+          std::make_shared<const core::Entity>(std::move(*entity)), stamp});
     }
   }
   if (r.failed || r.pos != frame.size()) return std::nullopt;

@@ -21,25 +21,26 @@ namespace stem::runtime {
 /// and is re-supplied from the runtime's registration copy at decode
 /// time, so condition trees never cross the wire.
 ///
-/// Frame layout (line-oriented; entities ride the tagged JSON entity
-/// frames of core/serialize.cpp):
-///   state <seq> <next_prune_ticks> <load_routed> <load_tried> <nslots>
-///   slot <count>                       (nslots times)
-///   <stamp> <entity-json>              (count times per slot)
+/// Frame layout (the binary codec of pack_entity below, so every field,
+/// doubles included, round-trips bit for bit):
+///   u64 seq, i64 next_prune_ticks, u64 load_routed, u64 load_tried,
+///   varint nslots, nslots x (varint count, count x (u64 stamp, entity))
 [[nodiscard]] std::string encode_definition_state(const core::DefinitionState& state);
 
 /// Decodes a frame produced by encode_definition_state, adopting `def` as
 /// the definition spec. Returns nullopt on any malformed input (truncated
-/// frame, bad counts, undecodable entity) — never throws, never reads out
-/// of bounds, so a corrupted checkpoint fails recovery loudly instead of
-/// resurrecting a shard with silently wrong state.
+/// frame, count past the end, undecodable entity, trailing bytes) — never
+/// throws, never reads out of bounds, so a corrupted checkpoint fails
+/// recovery loudly instead of resurrecting a shard with silently wrong
+/// state.
 [[nodiscard]] std::optional<core::DefinitionState> decode_definition_state(
     std::string_view frame, core::EventDefinition def);
 
-/// Binary entity codec: the replay log's in-process form of an arrival.
-/// Fixed-width fields are copied byte-for-byte in host order (doubles
-/// survive exactly; the bytes never leave the process); lengths and
-/// counts are LEB128 varints.
+/// Binary entity codec: the in-process form of an entity in replay
+/// records and checkpoint frames. Fixed-width fields are copied
+/// byte-for-byte in host order (doubles survive exactly, NaN and signed
+/// zero included; the bytes never leave the process); lengths and counts
+/// are LEB128 varints.
 ///   entity      := u8 kind (0 observation, 1 instance) body
 ///   observation := str mote, str sensor, u64 seq, i64 time, location, attributes
 ///   instance    := str observer, str event, u64 seq, u8 layer, i64 gen_time,

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/affinity.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace stem::runtime {
@@ -91,10 +90,7 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
   shard_holds_.resize(options_.shards);
   for (auto& shard : shards_) {
     Shard* s = shard.get();
-    shard->worker = std::thread([this, s] {
-      if (options_.pin_shards) pin_current_thread(s->index);
-      worker_loop(*s);
-    });
+    shard->worker = std::thread([this, s] { worker_loop(*s); });
   }
   if (options_.cascade) {
     cascade_thread_ = std::thread([this] { cascade_loop(); });
@@ -680,7 +676,6 @@ bool ShardedEngineRuntime::issue_split_locked(std::uint32_t group, std::uint32_t
   issue_subset_locked(group, high, grp.shard, to);
   grp.split = true;
   grp.high_shard = to;
-  grp.split_point = point;
   grp.high_defs = std::move(high);
   ++splits_;
   return true;
@@ -706,7 +701,6 @@ bool ShardedEngineRuntime::merge_group(std::size_t def_index) {
   for (const std::uint32_t d : grp.high_defs) def_high_[d] = 0;
   grp.split = false;
   grp.high_shard = grp.shard;
-  grp.split_point = 0;
   grp.high_defs.clear();
   ++group_merges_;
   return true;
@@ -1252,7 +1246,6 @@ void ShardedEngineRuntime::supervisor_loop() {
       crashes_.fetch_add(1, std::memory_order_relaxed);
       Shard* s = &shard;
       shard.worker = std::thread([this, s] {
-        if (options_.pin_shards) pin_current_thread(s->index);
         if (recover_shard(*s)) worker_loop(*s);
       });
     }

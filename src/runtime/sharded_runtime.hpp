@@ -89,13 +89,6 @@ struct RuntimeOptions {
   /// byte-identical to the sequential cascade at any setting); deeper
   /// pipelines buffer proportionally more in-flight closure state.
   std::uint32_t cascade_pipeline = 1;
-  /// Pin each shard worker thread to a distinct logical CPU (shard index
-  /// modulo the process's allowed-CPU count; see runtime/affinity.hpp).
-  /// Off by default: pinning helps on dedicated multi-core hosts (stable
-  /// cache/NUMA placement for the per-shard engines) and hurts when the
-  /// process shares cores with other work. No-op on platforms without
-  /// affinity support and on failure — never fatal.
-  bool pin_shards = false;
   /// Test-only fault-injection hook: when set, every shard worker invokes
   /// it (with its shard index) before processing each work item — the
   /// stress suite uses it to stall a consumer shard at random so inbox
@@ -229,7 +222,6 @@ struct TaggedInstance {
 /// kPublishBatch arrivals), so the out_mutex handshake is amortized
 /// instead of per-item. Without cascade feedback no admission
 /// gate binds and every claim takes a whole inbox item.
-/// RuntimeOptions::pin_shards optionally pins each worker to a CPU.
 ///
 /// **Rebalancing** (migrate_definition / rebalance_now / automatic
 /// epochs): initial placement is load-blind, so a skewed stream can pin
@@ -574,7 +566,7 @@ class ShardedEngineRuntime {
     /// consulted when a send control item extracts a group.
     std::unordered_map<std::uint32_t, std::uint32_t> local_of;
 
-    std::size_t index = 0;  ///< position in shards_ (pinning/stall hook)
+    std::size_t index = 0;  ///< position in shards_ (crash/stall hooks)
 
     /// Stamp-ordered inbox. Producers (ingest + migration and checkpoint
     /// control) push under ingest_mutex_, which is the queue's
@@ -750,9 +742,10 @@ class ShardedEngineRuntime {
 
   /// A definition group: the co-located definitions of one event type.
   /// When split, the group is two independently placed sub-groups: the
-  /// *low* side (sensor keys hashing below split_point, plus every
-  /// keyless/wildcard definition) stays on `shard`, the *high* side
-  /// ([split_point, 2^64-1] — see core::KeyRange) lives on `high_shard`.
+  /// *high* side (`high_defs`: sensor keys hashing at or above the median
+  /// key hash issue_split_locked picked) lives on `high_shard`, the *low*
+  /// side (lower hashes plus every keyless/wildcard definition) stays on
+  /// `shard`.
   /// All fields are guarded by ingest_mutex_; `ticket` serializes every
   /// move/split/merge of the group (one in flight at a time).
   struct Group {
@@ -761,7 +754,6 @@ class ShardedEngineRuntime {
     std::shared_ptr<MigrationTicket> ticket;  ///< last migration; null if none
     bool split = false;
     std::uint32_t high_shard = 0;          ///< host of the high sub-group
-    std::uint64_t split_point = 0;         ///< key-hash boundary (high: hash >= point)
     std::vector<std::uint32_t> high_defs;  ///< high sub-group, ascending
     // Splittability, maintained incrementally at registration: a group is
     // splittable iff its definitions span >= 2 distinct sensor-key hashes.

@@ -4,11 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serialize.hpp"
@@ -135,10 +137,35 @@ Stream make_stream(std::uint64_t seed, int n) {
   return s;
 }
 
-/// Every entity shape the replay codec carries: observations with point
-/// or field (polygon) locations and double, int, string and bool
-/// attributes, plus top-level EXT instances with punctual or interval
-/// times, point or field locations and provenance.
+/// Attribute values a decimal text form cannot carry exactly: NaN and the
+/// infinities, a negative zero, an integral double, an int64 past 2^53
+/// and a denormal, cycled by `k`.
+core::AttributeValue raw_value(int k) {
+  switch (k % 7) {
+    case 0:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+      return std::numeric_limits<double>::infinity();
+    case 2:
+      return -std::numeric_limits<double>::infinity();
+    case 3:
+      return -0.0;
+    case 4:
+      return 50.0;
+    case 5:
+      return std::int64_t{(std::int64_t{1} << 53) + 1};
+    default:
+      return 5e-324;
+  }
+}
+
+/// Every entity shape the replay and checkpoint codecs carry:
+/// observations with point or field (polygon) locations and double, int,
+/// string and bool attributes, plus top-level EXT instances with punctual
+/// or interval times, point or field locations and provenance. Every
+/// entity also carries a `raw` attribute (raw_value) that no condition
+/// reads: it cannot change the stream, but buffered entities carry it
+/// across checkpoints and crashes.
 Stream make_mixed_stream(std::uint64_t seed, int n) {
   sim::Rng rng(seed);
   Stream s;
@@ -171,6 +198,7 @@ Stream make_mixed_stream(std::uint64_t seed, int n) {
       }
       inst.attributes.set("value", value);
       inst.attributes.set("zone", std::string(zone));
+      inst.attributes.set("raw", raw_value(i));
       inst.confidence = rng.uniform(0.2, 1.0);
       for (std::int64_t k = rng.uniform_int(1, 3); k > 0; --k) {
         inst.provenance.push_back(core::EventInstanceKey{
@@ -190,6 +218,7 @@ Stream make_mixed_stream(std::uint64_t seed, int n) {
       if (i % 2 == 0) o.attributes.set("value", static_cast<std::int64_t>(value));
       o.attributes.set("zone", std::string(zone));
       o.attributes.set("armed", rng.uniform_int(0, 1) == 1);
+      o.attributes.set("raw", raw_value(i));
       s.entities.push_back(core::Entity(std::move(o)));
     }
     s.nows.push_back(now);
@@ -394,9 +423,10 @@ TEST_P(CrashRecoveryTest, CrashesInterleavedWithMigrations) {
 }
 
 TEST_P(CrashRecoveryTest, MixedEntityShapesRecoverExactly) {
-  // Field locations, int/string/bool attributes and top-level interval
-  // instances with provenance cross the replay record and checkpoint
-  // frames; the recovered stream must still equal the sequential one.
+  // Field locations, int/string/bool attributes, top-level interval
+  // instances with provenance and NaN/infinite/signed-zero attribute
+  // values cross the replay records and checkpoint frames; the recovered
+  // stream must still equal the sequential one.
   for (const std::size_t shards : {2u, 4u}) {
     for (const std::size_t batch : {1u, 16u}) {
       const std::string ctx = "X seed=" + std::to_string(GetParam()) +
@@ -474,103 +504,6 @@ TEST(CrashRecovery, CheckpointWithCascadeThrows) {
                std::invalid_argument);
 }
 
-// --- Checkpoint frame codec ---
-
-core::DefinitionState populated_state() {
-  DetectionEngine engine(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
-  // A two-slot join that buffers partial matches (never completes within
-  // the fed stream), so the snapshot carries non-empty slot buffers.
-  engine.add_definition(EventDefinition{
-      EventTypeId("J"),
-      {{"a", SlotFilter::observation(SensorId("SRa"))},
-       {"b", SlotFilter::observation(SensorId("SRb"))}},
-      core::c_and({core::c_time(0, time_model::TemporalOp::kBefore, 1),
-                   core::c_distance(0, 1, core::RelationalOp::kLt, 0.001)}),
-      seconds(600),
-      {},
-      ConsumptionMode::kConsume});
-  TimePoint now = TimePoint::epoch();
-  for (int i = 0; i < 6; ++i) {
-    now += seconds(1);
-    engine.observe(core::Entity(obs(i, i % 2 == 0 ? "SRa" : "SRb",
-                                    static_cast<std::uint64_t>(i), now,
-                                    {static_cast<double>(i) * 10.0, 0.0}, 50.0 + i)),
-                   now);
-  }
-  return engine.snapshot_definition_state(0);
-}
-
-TEST(CheckpointCodec, RoundTripIsAFixedPoint) {
-  const core::DefinitionState state = populated_state();
-  ASSERT_FALSE(state.buffers.empty());
-  std::size_t buffered = 0;
-  for (const auto& slot : state.buffers) buffered += slot.size();
-  ASSERT_GT(buffered, 0u) << "snapshot must carry partial matches for the test to mean anything";
-
-  const std::string frame = encode_definition_state(state);
-  std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->seq, state.seq);
-  EXPECT_EQ(decoded->next_prune_at, state.next_prune_at);
-  EXPECT_EQ(decoded->load_routed, state.load_routed);
-  EXPECT_EQ(decoded->load_tried, state.load_tried);
-  ASSERT_EQ(decoded->buffers.size(), state.buffers.size());
-  // encode(decode(encode(x))) == encode(x): the codec is a fixed point.
-  EXPECT_EQ(encode_definition_state(*decoded), frame);
-}
-
-TEST(CheckpointCodec, FreshStateWithMaxPruneClockRoundTrips) {
-  DetectionEngine engine(ObserverId("OB"), core::Layer::kCyber, {0, 0});
-  engine.add_definition(EventDefinition{
-      EventTypeId("F"),
-      {{"x", SlotFilter::observation(SensorId("SR"))}},
-      core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt, 50.0),
-      seconds(60),
-      {},
-      ConsumptionMode::kConsume});
-  const core::DefinitionState state = engine.snapshot_definition_state(0);
-  EXPECT_EQ(state.next_prune_at, TimePoint::max());
-  const std::string frame = encode_definition_state(state);
-  std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->next_prune_at, TimePoint::max());
-  EXPECT_EQ(encode_definition_state(*decoded), frame);
-}
-
-TEST(CheckpointCodec, EveryTruncationIsRejectedCleanly) {
-  const core::DefinitionState state = populated_state();
-  const std::string frame = encode_definition_state(state);
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(decode_definition_state(std::string_view(frame).substr(0, len), state.def)
-                     .has_value())
-        << "prefix of length " << len << " decoded";
-  }
-}
-
-TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
-  const core::DefinitionState state = populated_state();
-  const std::string frame = encode_definition_state(state);
-  const std::string mutants[] = {
-      "garbage",
-      "state x 0 0 0 0\n",
-      "state 1 0 0 0 -3\n",
-      "state 1 0 0 0 999999999\n",
-      frame + "trailing",
-      std::string("STATE") + frame.substr(5),
-  };
-  for (const std::string& m : mutants) {
-    EXPECT_FALSE(decode_definition_state(m, state.def).has_value()) << m.substr(0, 40);
-  }
-  // Flip one byte at a time across the whole frame: decode must return
-  // nullopt or a value — never crash or read out of bounds (ASan/UBSan
-  // legs in CI back this up).
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    std::string flipped = frame;
-    flipped[i] = static_cast<char>(flipped[i] ^ 0x20);
-    (void)decode_definition_state(flipped, state.def);
-  }
-}
-
 // --- Replay-record entity codec ---
 
 /// One entity of every shape the codec distinguishes.
@@ -586,6 +519,10 @@ std::vector<core::Entity> codec_entities() {
   field.attributes.set("off", false);
   field.attributes.set("tiny", 5e-324);  // denormal: must survive bit-exact
   field.attributes.set("negzero", -0.0);
+  field.attributes.set("nan", std::numeric_limits<double>::quiet_NaN());
+  field.attributes.set("inf", std::numeric_limits<double>::infinity());
+  field.attributes.set("-inf", -std::numeric_limits<double>::infinity());
+  field.attributes.set("big", std::int64_t{(std::int64_t{1} << 53) + 1});
   field.attributes.set("empty", std::string());
   out.push_back(core::Entity(field));
 
@@ -631,11 +568,17 @@ std::string packed(const core::Entity& entity) {
   return out;
 }
 
+/// The JSON wire form of either kind.
+std::string json(const core::Entity& entity) {
+  return entity.is_observation() ? core::encode(entity.observation())
+                                 : core::encode(entity.instance());
+}
+
 /// Equality over every field: the JSON form covers each field by name,
 /// and the packed bytes pin doubles bit for bit.
 void expect_same_entity(const core::Entity& got, const core::Entity& want) {
   EXPECT_EQ(got.is_observation(), want.is_observation());
-  EXPECT_EQ(core::encode(got), core::encode(want));
+  EXPECT_EQ(json(got), json(want));
   EXPECT_EQ(packed(got), packed(want));
 }
 
@@ -646,7 +589,7 @@ TEST(ReplayCodec, EveryEntityShapeRoundTripsExactly) {
     const std::string bytes = packed(e);
     std::string_view in = bytes;
     std::optional<core::Entity> decoded = unpack_entity(in);
-    ASSERT_TRUE(decoded.has_value()) << core::encode(e);
+    ASSERT_TRUE(decoded.has_value()) << json(e);
     EXPECT_TRUE(in.empty()) << "decode left " << in.size() << " bytes";
     expect_same_entity(*decoded, e);
     all += bytes;
@@ -669,6 +612,13 @@ TEST(ReplayCodec, EveryEntityShapeRoundTripsExactly) {
   EXPECT_EQ(field->location().as_field().vertices()[3].x, 1e-300);
   EXPECT_EQ(*field->attributes().find("tiny"), core::AttributeValue(5e-324));
   EXPECT_TRUE(std::signbit(std::get<double>(*field->attributes().find("negzero"))));
+  EXPECT_TRUE(std::isnan(std::get<double>(*field->attributes().find("nan"))));
+  EXPECT_EQ(*field->attributes().find("inf"),
+            core::AttributeValue(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(*field->attributes().find("-inf"),
+            core::AttributeValue(-std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(*field->attributes().find("big"),
+            core::AttributeValue(std::int64_t{(std::int64_t{1} << 53) + 1}));
   EXPECT_EQ(*field->attributes().find("value"), core::AttributeValue(std::int64_t{-9'000'000'000}));
   const core::EventInstance& interval = entities.back().instance();
   const std::string interval_bytes = packed(entities.back());
@@ -793,6 +743,125 @@ TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
       std::string flipped = record;
       flipped[i] = static_cast<char>(flipped[i] ^ mask);
       (void)unpack_arrivals(flipped);
+    }
+  }
+}
+
+// --- Checkpoint frame codec ---
+
+/// A hand-built two-slot state buffering every codec_entities() shape:
+/// even-indexed entities in slot 0, odd-indexed ones in slot 1.
+core::DefinitionState codec_state() {
+  core::DefinitionState state{
+      .def = EventDefinition{EventTypeId("J"),
+                             {{"a", SlotFilter::any()}, {"b", SlotFilter::any()}},
+                             core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                             seconds(600),
+                             {},
+                             ConsumptionMode::kConsume},
+      .seq = 41,
+      .next_prune_at = TimePoint(-17),
+      .buffers = std::vector<std::vector<core::DefinitionState::BufferedEntity>>(2),
+      .load_routed = 1234,
+      .load_tried = ~0ULL};
+  const std::vector<core::Entity> entities = codec_entities();
+  for (std::size_t k = 0; k < entities.size(); ++k) {
+    state.buffers[k % 2].push_back(core::DefinitionState::BufferedEntity{
+        std::make_shared<const core::Entity>(entities[k]), (std::uint64_t{1} << 40) + k});
+  }
+  return state;
+}
+
+std::string varint(std::uint64_t v) {
+  std::string out;
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>(v | 0x80));
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+TEST(CheckpointCodec, RoundTripIsAFixedPoint) {
+  const core::DefinitionState state = codec_state();
+  const std::string frame = encode_definition_state(state);
+  std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->seq, state.seq);
+  EXPECT_EQ(decoded->next_prune_at, state.next_prune_at);
+  EXPECT_EQ(decoded->load_routed, state.load_routed);
+  EXPECT_EQ(decoded->load_tried, state.load_tried);
+  ASSERT_EQ(decoded->buffers.size(), state.buffers.size());
+  for (std::size_t slot = 0; slot < state.buffers.size(); ++slot) {
+    const auto& want = state.buffers[slot];
+    const auto& got = decoded->buffers[slot];
+    ASSERT_EQ(got.size(), want.size()) << "slot " << slot;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].stamp, want[k].stamp) << "slot " << slot << " entity " << k;
+      expect_same_entity(*got[k].entity, *want[k].entity);
+    }
+  }
+  // encode(decode(encode(x))) == encode(x): the codec is a fixed point.
+  EXPECT_EQ(encode_definition_state(*decoded), frame);
+}
+
+TEST(CheckpointCodec, FreshStateWithMaxPruneClockRoundTrips) {
+  DetectionEngine engine(ObserverId("OB"), core::Layer::kCyber, {0, 0});
+  engine.add_definition(EventDefinition{
+      EventTypeId("F"),
+      {{"x", SlotFilter::observation(SensorId("SR"))}},
+      core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt, 50.0),
+      seconds(60),
+      {},
+      ConsumptionMode::kConsume});
+  const core::DefinitionState state = engine.snapshot_definition_state(0);
+  EXPECT_EQ(state.next_prune_at, TimePoint::max());
+  const std::string frame = encode_definition_state(state);
+  std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->next_prune_at, TimePoint::max());
+  EXPECT_EQ(encode_definition_state(*decoded), frame);
+}
+
+TEST(CheckpointCodec, EveryTruncationIsRejectedCleanly) {
+  const core::DefinitionState state = codec_state();
+  const std::string frame = encode_definition_state(state);
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(decode_definition_state(std::string_view(frame).substr(0, len), state.def)
+                     .has_value())
+        << "prefix of length " << len << " decoded";
+  }
+}
+
+TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
+  const core::DefinitionState state = codec_state();
+  const std::string frame = encode_definition_state(state);
+  // Four 8-byte header fields, the slot count, slot 0's entity count (both
+  // one-byte varints here), then the first entity's u64 stamp and kind tag.
+  constexpr std::size_t kSlots = 4 * sizeof(std::uint64_t);
+  constexpr std::size_t kTag = kSlots + 2 + sizeof(std::uint64_t);
+  ASSERT_EQ(frame[kSlots], '\2');
+  ASSERT_EQ(static_cast<std::size_t>(frame[kSlots + 1]), state.buffers[0].size());
+  ASSERT_EQ(frame[kTag], '\0');
+  const std::string past_end = varint(frame.size());
+  std::string bad_tag = frame;
+  bad_tag[kTag] = '\2';
+  const std::pair<std::string, const char*> mutants[] = {
+      {"", "empty frame"},
+      {frame.substr(0, kSlots) + past_end + frame.substr(kSlots + 1), "slot count past the end"},
+      {frame.substr(0, kSlots + 1) + past_end + frame.substr(kSlots + 2),
+       "entity count past the end"},
+      {bad_tag, "unknown entity kind"},
+      {frame + '\0', "one trailing byte"},
+  };
+  for (const auto& [m, what] : mutants) {
+    EXPECT_FALSE(decode_definition_state(m, state.def).has_value()) << what;
+  }
+  // Flip each byte in turn across the whole frame: decode must return
+  // nullopt or a value — never crash or read out of bounds (the ASan and
+  // UBSan CI legs back this up).
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (const char mask : {'\x01', '\x20', '\x80'}) {
+      std::string flipped = frame;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      (void)decode_definition_state(flipped, state.def);
     }
   }
 }

@@ -10,9 +10,7 @@
 /// a value on *any* input — truncated frames, single-bit corruption,
 /// seeded random mutation, raw garbage — and never crash, throw, or read
 /// out of bounds. The ASan/UBSan CI legs turn any violation into a hard
-/// failure. Checkpoint frames ride the same entity encoding (see
-/// runtime/checkpoint.hpp), so this hardens crash recovery's on-disk
-/// surface too.
+/// failure.
 
 namespace stem::core {
 namespace {
@@ -54,15 +52,9 @@ PhysicalObservation sample_observation() {
   return o;
 }
 
-/// All the frames the fuzzers mutate: instance, observation, and both
-/// tagged entity framings.
+/// All the frames the fuzzers mutate: one instance, one observation.
 std::vector<std::string> seed_frames() {
-  return {
-      encode(sample_instance()),
-      encode(sample_observation()),
-      encode(Entity(sample_instance())),
-      encode(Entity(sample_observation())),
-  };
+  return {encode(sample_instance()), encode(sample_observation())};
 }
 
 /// Feed one mutated frame through every decoder. Any return value is
@@ -71,7 +63,6 @@ std::vector<std::string> seed_frames() {
 void poke(const std::string& frame) {
   (void)decode_instance(frame);
   (void)decode_observation(frame);
-  (void)decode_entity(frame);
 }
 
 TEST(SerializeFuzz, EveryTruncationIsHandled) {
@@ -79,11 +70,16 @@ TEST(SerializeFuzz, EveryTruncationIsHandled) {
     for (std::size_t len = 0; len <= frame.size(); ++len) {
       poke(frame.substr(0, len));
     }
-    // Truncated frames must never round-trip as valid full frames.
+    // Truncated frames must never round-trip as valid full frames, under
+    // either kind's decoder.
     for (std::size_t len = 1; len < frame.size(); ++len) {
-      const auto e = decode_entity(frame.substr(0, len));
-      if (e.has_value()) {
-        EXPECT_NE(encode(*e), frame) << "prefix " << len << " aliased the full frame";
+      const std::string prefix = frame.substr(0, len);
+      if (const auto inst = decode_instance(prefix)) {
+        EXPECT_NE(encode(*inst), frame) << "instance prefix " << len << " aliased the full frame";
+      }
+      if (const auto obs = decode_observation(prefix)) {
+        EXPECT_NE(encode(*obs), frame) << "observation prefix " << len
+                                       << " aliased the full frame";
       }
     }
   }
@@ -155,8 +151,6 @@ TEST(SerializeFuzz, IntactFramesStillRoundTripAfterFuzzing) {
   // proves the decoders still accept the genuine article.
   EXPECT_TRUE(decode_instance(encode(sample_instance())).has_value());
   EXPECT_TRUE(decode_observation(encode(sample_observation())).has_value());
-  EXPECT_TRUE(decode_entity(encode(Entity(sample_instance()))).has_value());
-  EXPECT_TRUE(decode_entity(encode(Entity(sample_observation()))).has_value());
 }
 
 }  // namespace

@@ -12,4 +12,4 @@ BUILD_DIR=${1:-build}
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 cd "$BUILD_DIR"
-ctest --output-on-failure -j"$(nproc)"
+ctest --output-on-failure --no-tests=error -j"$(nproc)"

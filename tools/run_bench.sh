@@ -19,12 +19,10 @@
 #
 # Env:
 #   STEM_BENCH_MIN_TIME  per-benchmark min running time in seconds (default 0.05)
-#   STEM_BENCH_PIN       1 = pin sharded-runtime workers to distinct CPUs
-#                        (default 0; pointless below one core per shard)
 #
-# Every BENCH_*.json carries logical_cpus + stem_bench_pin in its context
-# header, so a reader (or bench_compare) can tell a single-core container
-# recording from a many-core one without out-of-band notes.
+# Every BENCH_*.json carries logical_cpus in its context header, so a
+# reader (or bench_compare) can tell a single-core container recording from
+# a many-core one without out-of-band notes.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,7 +30,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench/baselines}
 MIN_TIME=${STEM_BENCH_MIN_TIME:-0.05}
-PIN=${STEM_BENCH_PIN:-0}
 LOGICAL_CPUS=$(nproc)
 
 # The e1-e4, e9-e11 microbenchmarks use BENCHMARK_MAIN and understand
@@ -73,11 +70,10 @@ fi
 for target in "${GBENCH_TARGETS[@]}"; do
   exe="$BUILD_DIR/bench/$target"
   out="$OUT_DIR/BENCH_${target}.json"
-  echo "bench: $target -> $out (logical_cpus=$LOGICAL_CPUS pin=$PIN)" >&2
+  echo "bench: $target -> $out (logical_cpus=$LOGICAL_CPUS)" >&2
   status=0
-  STEM_BENCH_PIN="$PIN" "$exe" --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
-    --benchmark_context=logical_cpus="$LOGICAL_CPUS" \
-    --benchmark_context=stem_bench_pin="$PIN" >"$out" || status=$?
+  "$exe" --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
+    --benchmark_context=logical_cpus="$LOGICAL_CPUS" >"$out" || status=$?
   if [[ "$status" -ne 0 ]]; then
     rm -f "$out"  # never leave a truncated baseline behind
     echo "error: $target exited with status $status; baseline run aborted" >&2
