@@ -240,8 +240,10 @@ DefinitionState DetectionEngine::snapshot_definition_state(std::size_t def_index
       }
     }
   }
-  return DefinitionState{ds.def, seq_counters_[ds.seq_idx], carried_prune,
-                         std::move(buffers), ds.load_routed, ds.load_tried};
+  // `def` is an empty placeholder (no id, no slots): the spec is not copied.
+  return DefinitionState{EventDefinition{EventTypeId{}, {}, AndNode{}, {}, {}, {}},
+                         seq_counters_[ds.seq_idx], carried_prune, std::move(buffers),
+                         ds.load_routed, ds.load_tried};
 }
 
 std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {

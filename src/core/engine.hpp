@@ -163,10 +163,12 @@ class DetectionEngine : public Observer {
   [[nodiscard]] DefinitionState extract_definition_state(std::size_t def_index);
 
   /// Non-destructive variant of extract_definition_state: copies the
-  /// definition's full dynamic state (buffered entities by shared_ptr)
-  /// without retiring the slot — the engine keeps running untouched.
-  /// Shard checkpoints are built from these. Throws std::out_of_range for
-  /// an unknown or extracted index.
+  /// definition's dynamic state (buffered entities by shared_ptr) without
+  /// retiring the slot — the engine keeps running untouched. `def` is an
+  /// empty placeholder (no id, no slots): the spec is immutable after
+  /// registration, so a caller that needs it keeps its own copy (shard
+  /// checkpoints are built from these and re-supply it at decode). Throws
+  /// std::out_of_range for an unknown or extracted index.
   [[nodiscard]] DefinitionState snapshot_definition_state(std::size_t def_index) const;
 
   /// Installs a previously extracted definition, rebuilding its routing

@@ -185,17 +185,17 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // Placement. Same event type => same group => same shard: definitions
   // sharing a type share an instance sequence counter, and splitting them
   // would renumber the merged stream relative to a sequential engine.
+  std::vector<std::string> keys;  // the slots' routing keys, built once
+  for (const core::SlotSpec& slot : def.slots) {
+    if (std::string key = routing_key(slot.filter.signature()); !key.empty()) {
+      keys.push_back(std::move(key));
+    }
+  }
   std::uint32_t shard = 0;
   const auto git = type_group_.find(def.id.value());
   if (git != type_group_.end()) {
     shard = groups_[git->second].shard;
   } else {
-    std::vector<std::string> keys;
-    for (const core::SlotSpec& slot : def.slots) {
-      if (std::string key = routing_key(slot.filter.signature()); !key.empty()) {
-        keys.push_back(std::move(key));
-      }
-    }
     const auto affine = [&](const std::size_t s) {
       return std::any_of(keys.begin(), keys.end(),
                          [&](const std::string& k) { return shard_keys_[s].contains(k); });
@@ -248,14 +248,10 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   host.local_of.emplace(global, local);
   // Pre-first-checkpoint recovery rebuilds the engine from the initial
   // placement (then replays any migration controls from the log).
-  if (options_.checkpoint_epoch != 0) host.initial_defs.emplace_back(global, def);
+  if (options_.checkpoint_epoch != 0) host.initial_globals.push_back(global);
   def_shard_.push_back(shard);
   ++shard_def_count_[shard];
-  for (const core::SlotSpec& slot : def.slots) {
-    if (std::string key = routing_key(slot.filter.signature()); !key.empty()) {
-      shard_keys_[shard].insert(std::move(key));
-    }
-  }
+  for (std::string& key : keys) shard_keys_[shard].insert(std::move(key));
   // Definition-granular: ingest maps matched definitions to shards through
   // def_shard_, so a migration never touches the index.
   ingest_routes_.add_collapsed(def, global);
@@ -1273,11 +1269,12 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
     const std::lock_guard lk(shard.log_mutex);
     ck = shard.checkpoint;  // copy: the stored one must survive this recovery
   }
+  // Both branches take specs from def_specs_: it stops growing once
+  // ingestion starts (and a crash implies ingestion), so reading it
+  // off-thread is safe.
   if (ck.has_value()) {
     shard.stats_base = ck->stats;
     for (const auto& [global, frame] : ck->frames) {
-      // def_specs_ stops growing once ingestion starts (and a crash
-      // implies ingestion), so reading it off-thread is safe.
       std::optional<core::DefinitionState> state =
           decode_definition_state(frame, def_specs_[global]);
       if (!state.has_value()) {
@@ -1290,8 +1287,8 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
     }
   } else {
     shard.stats_base = core::EngineStats{};
-    for (const auto& [global, def] : shard.initial_defs) {
-      adopt(global, static_cast<std::uint32_t>(engine->add_definition(def)));
+    for (const std::uint32_t global : shard.initial_globals) {
+      adopt(global, static_cast<std::uint32_t>(engine->add_definition(def_specs_[global])));
     }
   }
   shard.engine = std::move(engine);
@@ -2128,6 +2125,13 @@ RuntimeStats ShardedEngineRuntime::stats() const {
   s.crashes = crashes_.load(std::memory_order_relaxed);
   s.recoveries = recoveries_.load(std::memory_order_relaxed);
   s.replayed = replayed_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    const std::lock_guard lk(shard->log_mutex);
+    for (const LoggedItem& e : shard->replay_log) {
+      s.replay_log_bytes += e.record.size();
+      s.replay_log_arrivals += record_arrivals(e.record);
+    }
+  }
   s.closures_in_flight_max = closures_in_flight_max_.load(std::memory_order_relaxed);
   s.cascade_feedback_batches = cascade_feedback_batches_.load(std::memory_order_relaxed);
   const std::lock_guard lk(merge_mutex_);

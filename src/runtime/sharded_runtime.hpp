@@ -163,6 +163,10 @@ struct RuntimeStats {
   std::uint64_t crashes = 0;      ///< injected worker deaths reaped
   std::uint64_t recoveries = 0;   ///< shards rebuilt from checkpoint + log
   std::uint64_t replayed = 0;     ///< log arrivals re-fed during recoveries
+  /// Replay-log gauges, summed over shards: packed record bytes and the
+  /// arrivals they hold, logged since each shard's last checkpoint.
+  std::uint64_t replay_log_bytes = 0;
+  std::uint64_t replay_log_arrivals = 0;
   /// Key-range group splits issued (split_group + policy split orders).
   std::uint64_t splits = 0;
   /// Split groups reunified onto their primary shard (merge_group).
@@ -663,10 +667,10 @@ class ShardedEngineRuntime {
     std::atomic<std::uint64_t> parked_gate{~std::uint64_t{0}};
 
     // --- Crash recovery (inert unless checkpoint_epoch != 0) ---
-    /// Initial placement (global index, spec) in registration order:
-    /// recovery before the first checkpoint rebuilds the engine from
-    /// these. Written pre-start by add_definition only.
-    std::vector<std::pair<std::uint32_t, core::EventDefinition>> initial_defs;
+    /// Initial placement (global indices into def_specs_) in registration
+    /// order: recovery before the first checkpoint rebuilds the engine
+    /// from these. Written pre-start by add_definition only.
+    std::vector<std::uint32_t> initial_globals;
     /// Guards replay_log and checkpoint (producers append, the worker
     /// truncates at checkpoints, recovery and shutdown read).
     std::mutex log_mutex;

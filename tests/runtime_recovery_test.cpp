@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <thread>
 #include <sstream>
 #include <stdexcept>
@@ -504,6 +506,54 @@ TEST(CrashRecovery, CheckpointWithCascadeThrows) {
                std::invalid_argument);
 }
 
+TEST(CrashRecovery, ReplayLogStaysCompact) {
+  // A fire-shaped stream (8 motes, 32 sensors, one double `value`, 100 us
+  // apart) in 64-arrival batches, logged on one shard whose checkpoint
+  // epoch never arrives: the log holds every arrival, packed with
+  // back-referenced names and delta-coded stamps, nows, seqs and times.
+  RuntimeOptions options;
+  options.shards = 1;
+  options.checkpoint_epoch = std::size_t{1} << 20;
+  ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  // One close-pair join per sensor: no attribute prefilter, so every
+  // arrival is routed (and logged).
+  for (int k = 0; k < 32; ++k) {
+    const SensorId sensor("SR" + std::to_string(k));
+    sharded.add_definition(EventDefinition{
+        EventTypeId("PAIR" + std::to_string(k)),
+        {{"a", SlotFilter::observation(sensor)}, {"b", SlotFilter::observation(sensor)}},
+        core::c_and({core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                     core::c_distance(0, 1, core::RelationalOp::kLt, 1.0)}),
+        seconds(1),
+        {},
+        ConsumptionMode::kConsume});
+  }
+  sim::Rng rng(19);
+  constexpr std::size_t kBatches = 64;
+  constexpr std::size_t kBatch = 64;
+  std::uint64_t i = 0;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    Stream batch;
+    for (std::size_t j = 0; j < kBatch; ++j, ++i) {
+      const TimePoint t(static_cast<time_model::Tick>(i) * 100'000);
+      batch.entities.push_back(core::Entity(
+          obs(static_cast<int>(i % 8), "SR" + std::to_string(rng.uniform_int(0, 31)), i, t,
+              {rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(0, 100))));
+      batch.nows.push_back(t);
+    }
+    sharded.ingest_batch(std::span(batch.entities), std::span(batch.nows));
+  }
+  (void)sharded.flush();
+  const RuntimeStats stats = sharded.stats();
+  EXPECT_EQ(stats.checkpoints, 0u);
+  EXPECT_EQ(stats.arrivals, kBatches * kBatch);
+  EXPECT_EQ(stats.replay_log_arrivals, kBatches * kBatch);
+  ASSERT_GT(stats.replay_log_arrivals, 0u);
+  const double per_arrival = static_cast<double>(stats.replay_log_bytes) /
+                             static_cast<double>(stats.replay_log_arrivals);
+  EXPECT_LE(per_arrival, 44.0);
+}
+
 // --- Replay-record entity codec ---
 
 /// One entity of every shape the codec distinguishes.
@@ -562,10 +612,56 @@ std::vector<core::Entity> codec_entities() {
   return out;
 }
 
-std::string packed(const core::Entity& entity) {
+/// A record of every arrival in the parallel arrays, in order.
+std::string record_of(const std::vector<core::Entity>& entities,
+                      const std::vector<TimePoint>& nows,
+                      const std::vector<std::uint64_t>& stamps) {
+  std::vector<std::uint32_t> indices(entities.size());
+  std::iota(indices.begin(), indices.end(), 0U);
   std::string out;
-  pack_entity(out, entity);
+  pack_arrivals(out, indices, entities, nows, stamps);
   return out;
+}
+
+/// A one-arrival record (stamp 0, now 0) of `entity`: its bytes pin every
+/// field bit for bit, since a fresh context encodes deterministically.
+std::string packed(const core::Entity& entity) {
+  return record_of({entity}, {TimePoint(0)}, {0});
+}
+
+/// The entity of a one-arrival record, or nullopt.
+std::optional<core::Entity> unpacked(std::string_view record) {
+  std::optional<Arrivals> arrivals = unpack_arrivals(record);
+  if (!arrivals.has_value() || arrivals->entities.size() != 1) return std::nullopt;
+  return std::move(arrivals->entities.front());
+}
+
+/// Replaces the first occurrence of `from` in `bytes` by `to`.
+std::string patched(std::string bytes, const std::string& from, const std::string& to) {
+  const std::size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) bytes.replace(at, from.size(), to);
+  return bytes;
+}
+
+template <typename T>
+std::string raw(T value) {
+  std::string out(sizeof(T), '\0');
+  std::memcpy(out.data(), &value, sizeof(T));
+  return out;
+}
+
+std::string varint(std::uint64_t v) {
+  std::string out;
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>(v | 0x80));
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+/// The codec's zigzag varint of a signed step.
+std::string zigzag_varint(std::int64_t step) {
+  const auto u = static_cast<std::uint64_t>(step);
+  return varint((u << 1) ^ (0 - (u >> 63)));
 }
 
 /// The JSON wire form of either kind.
@@ -582,31 +678,36 @@ void expect_same_entity(const core::Entity& got, const core::Entity& want) {
   EXPECT_EQ(packed(got), packed(want));
 }
 
+/// Decodes `record` and checks it holds exactly the given arrivals.
+void expect_record_round_trips(const std::string& record, const std::vector<core::Entity>& entities,
+                               const std::vector<TimePoint>& nows,
+                               const std::vector<std::uint64_t>& stamps) {
+  const std::optional<Arrivals> decoded = unpack_arrivals(record);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->entities.size(), entities.size());
+  EXPECT_EQ(record_arrivals(record), entities.size());
+  for (std::size_t k = 0; k < entities.size(); ++k) {
+    EXPECT_EQ(decoded->stamps[k], stamps[k]) << "arrival " << k;
+    EXPECT_EQ(decoded->nows[k], nows[k]) << "arrival " << k;
+    expect_same_entity(decoded->entities[k], entities[k]);
+  }
+}
+
 TEST(ReplayCodec, EveryEntityShapeRoundTripsExactly) {
   const std::vector<core::Entity> entities = codec_entities();
-  std::string all;
   for (const core::Entity& e : entities) {
-    const std::string bytes = packed(e);
-    std::string_view in = bytes;
-    std::optional<core::Entity> decoded = unpack_entity(in);
+    const std::optional<core::Entity> decoded = unpacked(packed(e));
     ASSERT_TRUE(decoded.has_value()) << json(e);
-    EXPECT_TRUE(in.empty()) << "decode left " << in.size() << " bytes";
-    expect_same_entity(*decoded, e);
-    all += bytes;
-  }
-  // Back to back: each decode consumes exactly its own entity.
-  std::string_view in = all;
-  for (const core::Entity& e : entities) {
-    std::optional<core::Entity> decoded = unpack_entity(in);
-    ASSERT_TRUE(decoded.has_value());
     expect_same_entity(*decoded, e);
   }
-  EXPECT_TRUE(in.empty());
+  // Back to back in one record: later entities back-reference the names
+  // earlier ones tabled, and delta-code against their fields.
+  const std::vector<TimePoint> nows(entities.size(), TimePoint(3));
+  const std::vector<std::uint64_t> stamps(entities.size(), 9);
+  expect_record_round_trips(record_of(entities, nows, stamps), entities, nows, stamps);
 
   // Spot checks on the fields JSON renders with limited precision.
-  const std::string field_bytes = packed(entities[1]);
-  std::string_view field_in = field_bytes;
-  const std::optional<core::Entity> field = unpack_entity(field_in);
+  const std::optional<core::Entity> field = unpacked(packed(entities[1]));
   ASSERT_TRUE(field.has_value());
   ASSERT_TRUE(field->location().is_field());
   EXPECT_EQ(field->location().as_field().vertices()[3].x, 1e-300);
@@ -621,9 +722,7 @@ TEST(ReplayCodec, EveryEntityShapeRoundTripsExactly) {
             core::AttributeValue(std::int64_t{(std::int64_t{1} << 53) + 1}));
   EXPECT_EQ(*field->attributes().find("value"), core::AttributeValue(std::int64_t{-9'000'000'000}));
   const core::EventInstance& interval = entities.back().instance();
-  const std::string interval_bytes = packed(entities.back());
-  std::string_view interval_in = interval_bytes;
-  const std::optional<core::Entity> decoded = unpack_entity(interval_in);
+  const std::optional<core::Entity> decoded = unpacked(packed(entities.back()));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->instance().est_time, interval.est_time);
   EXPECT_EQ(decoded->instance().est_location, interval.est_location);
@@ -658,96 +757,9 @@ TEST(ReplayCodec, RecordRoundTripsTheSelectedArrivals) {
   pack_arrivals(empty, {}, entities, nows, stamps);
   ASSERT_TRUE(unpack_arrivals(empty).has_value());
   EXPECT_TRUE(unpack_arrivals(empty)->entities.empty());
+  EXPECT_EQ(record_arrivals(empty), 0u);
   EXPECT_FALSE(unpack_arrivals(record + '\0').has_value());
 }
-
-TEST(ReplayCodec, EveryTruncationIsRejectedCleanly) {
-  std::vector<std::uint64_t> stamps;
-  std::vector<TimePoint> nows;
-  std::vector<std::uint32_t> indices;
-  const std::vector<core::Entity> entities = codec_entities();
-  for (const core::Entity& e : entities) {
-    const std::string bytes = packed(e);
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-      std::string_view in = std::string_view(bytes).substr(0, len);
-      EXPECT_FALSE(unpack_entity(in).has_value()) << "prefix of length " << len << " decoded";
-    }
-    indices.push_back(static_cast<std::uint32_t>(stamps.size()));
-    stamps.push_back(stamps.size() + 1);
-    nows.push_back(TimePoint(static_cast<time_model::Tick>(stamps.size())));
-  }
-  std::string record;
-  pack_arrivals(record, indices, entities, nows, stamps);
-  for (std::size_t len = 0; len < record.size(); ++len) {
-    EXPECT_FALSE(unpack_arrivals(std::string_view(record).substr(0, len)).has_value())
-        << "record prefix of length " << len << " decoded";
-  }
-}
-
-/// Replaces the first occurrence of `from` in `bytes` by `to` (same size).
-std::string patched(std::string bytes, const std::string& from, const std::string& to) {
-  const std::size_t at = bytes.find(from);
-  EXPECT_NE(at, std::string::npos);
-  if (at != std::string::npos) bytes.replace(at, from.size(), to);
-  return bytes;
-}
-
-template <typename T>
-std::string raw(T value) {
-  std::string out(sizeof(T), '\0');
-  std::memcpy(out.data(), &value, sizeof(T));
-  return out;
-}
-
-TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
-  const std::vector<core::Entity> entities = codec_entities();
-  const core::Entity& interval = entities.back();
-  const std::string bytes = packed(interval);
-  const auto reject = [](const std::string& m, const char* what) {
-    std::string_view in = m;
-    EXPECT_FALSE(unpack_entity(in).has_value()) << what;
-  };
-  reject(patched(bytes, std::string(1, '\1'), std::string(1, '\2')), "unknown entity kind");
-  // Interval end before begin.
-  const std::string begin = raw<time_model::Tick>(11'000'000);
-  const std::string end = raw<time_model::Tick>(11'500'000);
-  reject(patched(bytes, begin + end, end + begin), "inverted interval");
-  // A 7-vertex polygon relabelled as 2 vertices.
-  const geom::Polygon& disk = interval.instance().est_location.as_field();
-  const std::string first_vertex = raw(disk.vertices()[0].x);
-  reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\2') + first_vertex),
-         "two-vertex polygon");
-  reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\x7f') + first_vertex),
-         "vertex count past the end");
-  // A bool attribute byte other than 0/1.
-  const std::string armed = std::string(1, '\5') + "armed" + std::string(1, '\2');
-  reject(patched(bytes, armed + std::string(1, '\0'), armed + std::string(1, '\2')),
-         "bool byte 2");
-  reject(patched(bytes, armed, std::string(1, '\5') + "armed" + std::string(1, '\4')),
-         "unknown attribute type");
-  // A varint that never terminates, and a count no input can hold.
-  EXPECT_FALSE(unpack_arrivals(std::string(12, '\xff')).has_value());
-  EXPECT_FALSE(unpack_arrivals(std::string("\xff\xff\xff\x0f")).has_value());
-
-  // Flip each byte in turn across a whole record: decode must return
-  // nullopt or a value — never crash or read out of bounds (the ASan and
-  // UBSan CI legs back this up).
-  std::vector<TimePoint> nows(entities.size(), TimePoint(1));
-  std::vector<std::uint64_t> stamps(entities.size(), 1);
-  std::vector<std::uint32_t> indices;
-  for (std::uint32_t i = 0; i < entities.size(); ++i) indices.push_back(i);
-  std::string record;
-  pack_arrivals(record, indices, entities, nows, stamps);
-  for (std::size_t i = 0; i < record.size(); ++i) {
-    for (const char mask : {'\x01', '\x20', '\x80'}) {
-      std::string flipped = record;
-      flipped[i] = static_cast<char>(flipped[i] ^ mask);
-      (void)unpack_arrivals(flipped);
-    }
-  }
-}
-
-// --- Checkpoint frame codec ---
 
 /// A hand-built two-slot state buffering every codec_entities() shape:
 /// even-indexed entities in slot 0, odd-indexed ones in slot 1.
@@ -772,18 +784,266 @@ core::DefinitionState codec_state() {
   return state;
 }
 
-std::string varint(std::uint64_t v) {
-  std::string out;
-  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>(v | 0x80));
-  out.push_back(static_cast<char>(v));
-  return out;
+TEST(ReplayCodec, DeltaFieldsRoundTripAtTheExtremes) {
+  // Adjacent arrivals whose stamps, nows, times and seqs jump between the
+  // 64-bit extremes and zero, backwards as well as forwards: every
+  // difference wraps, and every value must still come back bit for bit.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t kUMax = std::numeric_limits<std::uint64_t>::max();
+  const std::int64_t ticks[] = {kMin, kMax, 0, kMax, kMin, -1, 1, kMin, 0};
+  const std::uint64_t words[] = {kUMax, 0, kUMax, 1, std::uint64_t{1} << 63, 0, kUMax, 5, 4};
+  std::vector<core::Entity> entities;
+  std::vector<TimePoint> nows;
+  std::vector<std::uint64_t> stamps;
+  constexpr std::size_t n = std::size(ticks);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::int64_t t = ticks[(k + 3) % n];
+    core::PhysicalObservation o = obs(1, "SRa", words[(k + 1) % n], TimePoint(t), {-0.0, 5e-324},
+                                      std::numeric_limits<double>::quiet_NaN());
+    o.attributes.set("i", std::int64_t{kMin});
+    entities.push_back(core::Entity(o));
+    nows.push_back(TimePoint(ticks[k]));
+    stamps.push_back(words[k]);
+    // An instance after each observation: extreme generation and
+    // estimated times, seqs and provenance seqs.
+    EventInstance inst;
+    inst.key = core::EventInstanceKey{ObserverId("OB"), EventTypeId("E"), words[(k + 2) % n]};
+    inst.layer = core::Layer::kCyber;
+    inst.gen_time = TimePoint(ticks[(k + 5) % n]);
+    inst.gen_location = Point{std::numeric_limits<double>::infinity(), -0.0};
+    if (k % 2 == 0) {
+      inst.est_time = time_model::TimeInterval(TimePoint(kMin), TimePoint(kMax));
+    } else {
+      inst.est_time = TimePoint(ticks[(k + 7) % n]);
+    }
+    inst.est_location = geom::Location(Point{5e-324, -std::numeric_limits<double>::infinity()});
+    inst.confidence = -0.0;
+    inst.provenance = {core::EventInstanceKey{ObserverId("MT1"), EventTypeId("SRa"), kUMax},
+                       core::EventInstanceKey{ObserverId("OB"), EventTypeId("E"), 0}};
+    entities.push_back(core::Entity(inst));
+    nows.push_back(TimePoint(ticks[(k + 4) % n]));
+    stamps.push_back(words[(k + 6) % n]);
+  }
+  expect_record_round_trips(record_of(entities, nows, stamps), entities, nows, stamps);
+
+  // The same entities in a checkpoint frame, stamps at the extremes too.
+  core::DefinitionState state = codec_state();
+  state.seq = kUMax;
+  state.next_prune_at = TimePoint(kMin);
+  state.buffers.assign(1, {});
+  for (std::size_t k = 0; k < entities.size(); ++k) {
+    state.buffers[0].push_back(core::DefinitionState::BufferedEntity{
+        std::make_shared<const core::Entity>(entities[k]), stamps[k]});
+  }
+  const std::string frame = encode_definition_state(state);
+  const std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->seq, kUMax);
+  EXPECT_EQ(decoded->next_prune_at, TimePoint(kMin));
+  ASSERT_EQ(decoded->buffers.size(), 1u);
+  ASSERT_EQ(decoded->buffers[0].size(), entities.size());
+  for (std::size_t k = 0; k < entities.size(); ++k) {
+    EXPECT_EQ(decoded->buffers[0][k].stamp, stamps[k]);
+    expect_same_entity(*decoded->buffers[0][k].entity, entities[k]);
+  }
+  EXPECT_EQ(encode_definition_state(*decoded), frame);
 }
+
+/// Occurrences of `needle` in `bytes`.
+std::size_t occurrences(std::string_view bytes, std::string_view needle) {
+  std::size_t n = 0;
+  for (std::size_t at = bytes.find(needle); at != std::string_view::npos;
+       at = bytes.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ReplayCodec, MixedRecordBackReferencesItsStringTable) {
+  // Observations and instances in one record: the instances' observer,
+  // event and provenance keys reuse names the observations (and earlier
+  // instances) tabled, so each distinct name is spelled out once.
+  std::vector<core::Entity> entities;
+  for (int k = 0; k < 6; ++k) {
+    entities.push_back(core::Entity(obs(1 + k % 2, k % 3 == 0 ? "SRq" : "SRr",
+                                        static_cast<std::uint64_t>(100 + k),
+                                        TimePoint(1000 * k), {1.0 * k, 2.0}, 10.0 * k)));
+    EventInstance inst;
+    inst.key = core::EventInstanceKey{ObserverId("MT1"), EventTypeId("SRq"),
+                                      static_cast<std::uint64_t>(k)};
+    inst.layer = core::Layer::kSensor;
+    inst.gen_time = TimePoint(1000 * k + 1);
+    inst.gen_location = Point{1, 2};
+    inst.est_time = TimePoint(1000 * k);
+    inst.est_location = geom::Location(Point{1, 2});
+    inst.attributes.set("value", 1.5 * k);
+    inst.provenance = {core::EventInstanceKey{ObserverId("MT2"), EventTypeId("SRr"), 7},
+                       core::EventInstanceKey{ObserverId("MT1"), EventTypeId("value"), 8}};
+    entities.push_back(core::Entity(inst));
+  }
+  std::vector<TimePoint> nows;
+  std::vector<std::uint64_t> stamps;
+  for (std::size_t k = 0; k < entities.size(); ++k) {
+    nows.push_back(TimePoint(static_cast<time_model::Tick>(1000 * k)));
+    stamps.push_back(k + 1);
+  }
+  const std::string record = record_of(entities, nows, stamps);
+  expect_record_round_trips(record, entities, nows, stamps);
+  for (const char* name : {"MT1", "MT2", "SRq", "SRr", "value"}) {
+    EXPECT_EQ(occurrences(record, name), 1u) << name;
+  }
+}
+
+TEST(ReplayCodec, BackReferencesPastTheTableAreRejected) {
+  // Two observations sharing their names: the second one's mote and
+  // sensor are back-references 1 and 2; the table then holds 3 entries
+  // (mote, sensor, and the attribute name "value").
+  const std::vector<core::Entity> entities = {
+      core::Entity(obs(1, "SRa", 1, TimePoint(0), {0, 0}, 1.0)),
+      core::Entity(obs(1, "SRa", 2, TimePoint(0), {0, 0}, 2.0))};
+  const std::vector<TimePoint> nows(2, TimePoint(0));
+  const std::vector<std::uint64_t> stamps = {1, 2};
+  const std::string record = record_of(entities, nows, stamps);
+  // The second arrival starts where a one-arrival record would end:
+  // Δstamp, Δnow, kind, then its mote and sensor references.
+  const std::size_t second = record_of({entities[0]}, {nows[0]}, {stamps[0]}).size();
+  const std::size_t mote_ref = second + 3;
+  ASSERT_EQ(record[mote_ref], '\1');
+  ASSERT_EQ(record[mote_ref + 1], '\2');
+  const auto with = [&](std::size_t at, char k) {
+    std::string m = record;
+    m[at] = k;
+    return m;
+  };
+  EXPECT_FALSE(unpack_arrivals(with(mote_ref + 1, '\4')).has_value()) << "one past the table";
+  EXPECT_FALSE(unpack_arrivals(with(mote_ref, '\x7f')).has_value()) << "far past the table";
+  // The last entry is in range: the sensor then reads as "value".
+  const std::optional<Arrivals> last = unpack_arrivals(with(mote_ref + 1, '\3'));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->entities[1].observation().sensor, SensorId("value"));
+  // Forward references: in a first arrival nothing is tabled before its
+  // mote, and only the mote before its sensor.
+  const std::string first = record_of({entities[0]}, {nows[0]}, {stamps[0]});
+  const std::string mote = std::string(1, '\0') + "\3MT1";
+  const std::string sensor = std::string(1, '\0') + "\3SRa";
+  EXPECT_FALSE(unpack_arrivals(patched(first, mote, "\1")).has_value()) << "mote ref 1";
+  EXPECT_FALSE(unpack_arrivals(patched(first, sensor, "\2")).has_value()) << "sensor ref 2";
+  const std::optional<Arrivals> self = unpack_arrivals(patched(first, sensor, "\1"));
+  ASSERT_TRUE(self.has_value()) << "a back-reference to the mote just tabled";
+  EXPECT_EQ(self->entities[0].observation().sensor, SensorId("MT1"));
+  // A reference varint that never terminates.
+  EXPECT_FALSE(unpack_arrivals(record.substr(0, mote_ref) + std::string(11, '\xff') +
+                               record.substr(mote_ref + 1))
+                   .has_value());
+}
+
+TEST(ReplayCodec, MinimalArrivalsFillARecord) {
+  // The smallest arrival: same stamp, now, seq and time as the one before
+  // (one-byte zero deltas), back-referenced empty ids, a point location
+  // and no attributes — 25 bytes. A record made of nothing else must
+  // decode: unpack_arrivals' count() minimum is a true lower bound.
+  core::PhysicalObservation minimal;
+  minimal.time = TimePoint(0);
+  const std::vector<core::Entity> entities(300, core::Entity(minimal));
+  const std::vector<TimePoint> nows(entities.size(), TimePoint(0));
+  const std::vector<std::uint64_t> stamps(entities.size(), 0);
+  const std::string record = record_of(entities, nows, stamps);
+  const std::size_t one = packed(entities[0]).size();
+  EXPECT_EQ(record.size(), one + 1 + 25 * (entities.size() - 1));  // +1: two-byte count
+  expect_record_round_trips(record, entities, nows, stamps);
+
+  // The same for a checkpoint frame's buffered entities (24 bytes each).
+  core::DefinitionState state = codec_state();
+  state.buffers.assign(3, {});  // two empty slots around the full one
+  for (const core::Entity& e : entities) {
+    state.buffers[1].push_back(
+        core::DefinitionState::BufferedEntity{std::make_shared<const core::Entity>(e), 0});
+  }
+  const std::string frame = encode_definition_state(state);
+  const std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->buffers[1].size(), entities.size());
+  EXPECT_EQ(encode_definition_state(*decoded), frame);
+}
+
+TEST(ReplayCodec, EveryTruncationIsRejectedCleanly) {
+  std::vector<std::uint64_t> stamps;
+  std::vector<TimePoint> nows;
+  const std::vector<core::Entity> entities = codec_entities();
+  for (const core::Entity& e : entities) {
+    const std::string bytes = packed(e);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(unpack_arrivals(std::string_view(bytes).substr(0, len)).has_value())
+          << "prefix of length " << len << " decoded";
+    }
+    stamps.push_back(stamps.size() + 1);
+    nows.push_back(TimePoint(static_cast<time_model::Tick>(stamps.size())));
+  }
+  const std::string record = record_of(entities, nows, stamps);
+  for (std::size_t len = 0; len < record.size(); ++len) {
+    EXPECT_FALSE(unpack_arrivals(std::string_view(record).substr(0, len)).has_value())
+        << "record prefix of length " << len << " decoded";
+  }
+}
+
+TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
+  const std::vector<core::Entity> entities = codec_entities();
+  const core::Entity& interval = entities.back();
+  // count, Δstamp and Δnow (one byte each), then the entity.
+  const std::string bytes = packed(interval);
+  constexpr std::size_t kKind = 3;
+  ASSERT_EQ(bytes[kKind], '\1');
+  const auto reject = [](const std::string& m, const char* what) {
+    EXPECT_FALSE(unpack_arrivals(m).has_value()) << what;
+  };
+  std::string bad_kind = bytes;
+  bad_kind[kKind] = '\2';
+  reject(bad_kind, "unknown entity kind");
+  // Interval end before begin: the end's +500000-tick step from the
+  // begin turned into a -500000 one (same varint width).
+  reject(patched(bytes, zigzag_varint(500'000), zigzag_varint(-500'000)),
+         "inverted interval");
+  // A 7-vertex polygon relabelled as 2 vertices.
+  const geom::Polygon& disk = interval.instance().est_location.as_field();
+  const std::string first_vertex = raw(disk.vertices()[0].x);
+  reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\2') + first_vertex),
+         "two-vertex polygon");
+  reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\x7f') + first_vertex),
+         "vertex count past the end");
+  // A bool attribute byte other than 0/1 (the name's first use tables it).
+  const std::string armed = std::string(1, '\5') + "armed" + std::string(1, '\2');
+  reject(patched(bytes, armed + std::string(1, '\0'), armed + std::string(1, '\2')),
+         "bool byte 2");
+  reject(patched(bytes, armed, std::string(1, '\5') + "armed" + std::string(1, '\4')),
+         "unknown attribute type");
+  // A varint that never terminates, and a count no input can hold.
+  EXPECT_FALSE(unpack_arrivals(std::string(12, '\xff')).has_value());
+  EXPECT_FALSE(unpack_arrivals(std::string("\xff\xff\xff\x0f")).has_value());
+
+  // Flip each byte in turn across a whole record: decode must return
+  // nullopt or a value — never crash or read out of bounds (the ASan and
+  // UBSan CI legs back this up).
+  const std::vector<TimePoint> nows(entities.size(), TimePoint(1));
+  const std::vector<std::uint64_t> stamps(entities.size(), 1);
+  const std::string record = record_of(entities, nows, stamps);
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    for (const char mask : {'\x01', '\x20', '\x80'}) {
+      std::string flipped = record;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      (void)unpack_arrivals(flipped);
+    }
+  }
+}
+
+// --- Checkpoint frame codec ---
 
 TEST(CheckpointCodec, RoundTripIsAFixedPoint) {
   const core::DefinitionState state = codec_state();
   const std::string frame = encode_definition_state(state);
   std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
   ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->def, state.def);
   EXPECT_EQ(decoded->seq, state.seq);
   EXPECT_EQ(decoded->next_prune_at, state.next_prune_at);
   EXPECT_EQ(decoded->load_routed, state.load_routed);
@@ -803,21 +1063,29 @@ TEST(CheckpointCodec, RoundTripIsAFixedPoint) {
 }
 
 TEST(CheckpointCodec, FreshStateWithMaxPruneClockRoundTrips) {
-  DetectionEngine engine(ObserverId("OB"), core::Layer::kCyber, {0, 0});
-  engine.add_definition(EventDefinition{
+  const EventDefinition def{
       EventTypeId("F"),
       {{"x", SlotFilter::observation(SensorId("SR"))}},
       core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt, 50.0),
       seconds(60),
       {},
-      ConsumptionMode::kConsume});
+      ConsumptionMode::kConsume};
+  DetectionEngine engine(ObserverId("OB"), core::Layer::kCyber, {0, 0});
+  engine.add_definition(def);
   const core::DefinitionState state = engine.snapshot_definition_state(0);
   EXPECT_EQ(state.next_prune_at, TimePoint::max());
+  // A snapshot carries dynamic state only.
+  EXPECT_TRUE(state.def.id.empty());
+  EXPECT_TRUE(state.def.slots.empty());
   const std::string frame = encode_definition_state(state);
-  std::optional<core::DefinitionState> decoded = decode_definition_state(frame, state.def);
+  std::optional<core::DefinitionState> decoded = decode_definition_state(frame, def);
   ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->def, def);
   EXPECT_EQ(decoded->next_prune_at, TimePoint::max());
   EXPECT_EQ(encode_definition_state(*decoded), frame);
+  // The decoded state implants: the spec came from the caller.
+  DetectionEngine restored(ObserverId("OB"), core::Layer::kCyber, {0, 0});
+  EXPECT_EQ(restored.implant_definition_state(std::move(*decoded)), 0u);
 }
 
 TEST(CheckpointCodec, EveryTruncationIsRejectedCleanly) {
@@ -834,9 +1102,9 @@ TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
   const core::DefinitionState state = codec_state();
   const std::string frame = encode_definition_state(state);
   // Four 8-byte header fields, the slot count, slot 0's entity count (both
-  // one-byte varints here), then the first entity's u64 stamp and kind tag.
+  // one-byte varints here), then the first entity's Δstamp and kind tag.
   constexpr std::size_t kSlots = 4 * sizeof(std::uint64_t);
-  constexpr std::size_t kTag = kSlots + 2 + sizeof(std::uint64_t);
+  const std::size_t kTag = kSlots + 2 + zigzag_varint(std::int64_t{1} << 40).size();
   ASSERT_EQ(frame[kSlots], '\2');
   ASSERT_EQ(static_cast<std::size_t>(frame[kSlots + 1]), state.buffers[0].size());
   ASSERT_EQ(frame[kTag], '\0');
@@ -862,6 +1130,60 @@ TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
       std::string flipped = frame;
       flipped[i] = static_cast<char>(flipped[i] ^ mask);
       (void)decode_definition_state(flipped, state.def);
+    }
+  }
+}
+
+/// 1-8 random byte edits (overwrite, delete or insert) of `bytes`.
+std::string mutated(std::string bytes, sim::Rng& rng) {
+  const int edits = 1 + static_cast<int>(rng.uniform_int(0, 7));
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        bytes[at] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 1:
+        bytes.erase(at, 1);
+        break;
+      default:
+        bytes.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        break;
+    }
+  }
+  return bytes;
+}
+
+TEST(CrashRecoveryCodec, SeededRandomMutationsAreHandled) {
+  // Random edits of a record and a frame: decode returns nullopt or a
+  // value, never crashes or reads out of bounds, and whatever decodes
+  // re-encodes to a canonical form that is a fixed point.
+  sim::Rng rng(0xc0dec);
+  const std::vector<core::Entity> entities = codec_entities();
+  std::vector<TimePoint> nows;
+  std::vector<std::uint64_t> stamps;
+  for (std::size_t k = 0; k < entities.size(); ++k) {
+    nows.push_back(TimePoint(static_cast<time_model::Tick>(100 * k)));
+    stamps.push_back(10 + 2 * k);
+  }
+  const std::string record = record_of(entities, nows, stamps);
+  const core::DefinitionState state = codec_state();
+  const std::string frame = encode_definition_state(state);
+  for (int round = 0; round < 2000; ++round) {
+    if (const std::optional<Arrivals> got = unpack_arrivals(mutated(record, rng))) {
+      const std::string canonical = record_of(got->entities, got->nows, got->stamps);
+      const std::optional<Arrivals> again = unpack_arrivals(canonical);
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(record_of(again->entities, again->nows, again->stamps), canonical);
+    }
+    if (const std::optional<core::DefinitionState> got =
+            decode_definition_state(mutated(frame, rng), state.def)) {
+      const std::string canonical = encode_definition_state(*got);
+      const std::optional<core::DefinitionState> again =
+          decode_definition_state(canonical, state.def);
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(encode_definition_state(*again), canonical);
     }
   }
 }
