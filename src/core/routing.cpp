@@ -71,6 +71,17 @@ void RoutingIndex::add_impl(const EventDefinition& def, std::uint32_t def_idx, b
   }
 }
 
+void RoutingIndex::freeze() {
+  for (auto* buckets : {&by_sensor_, &by_type_}) {
+    for (auto& [key, bucket] : *buckets) {
+      for (ThresholdGroup& g : bucket.thresholds) {
+        g.above.ensure_dispatchable(/*upper=*/true);
+        g.below.ensure_dispatchable(/*upper=*/false);
+      }
+    }
+  }
+}
+
 void RoutingIndex::remove(const EventDefinition& def, std::uint32_t def_idx) {
   for (std::uint32_t j = 0; j < def.slots.size(); ++j) {
     const SlotRoute r{def_idx, j};
@@ -259,49 +270,6 @@ void RoutingIndex::unregister_keyed(Bucket& bucket, const EventDefinition& def, 
     break;
   }
   throw std::logic_error("RoutingIndex: removing a threshold route that was never registered");
-}
-
-void VersionedRouting::add(const EventDefinition& def, std::uint32_t def_idx,
-                           std::uint32_t target) {
-  index_.add_collapsed(def, def_idx);
-  if (versions_.empty()) versions_.push_back(Version{});
-  Version& base = versions_.front();
-  if (def_idx >= base.target.size()) base.target.resize(def_idx + 1, 0);
-  base.target[def_idx] = target;
-}
-
-void VersionedRouting::publish(std::uint64_t from_stamp, const std::vector<std::uint32_t>& defs,
-                               std::uint32_t to) {
-  if (versions_.empty()) versions_.push_back(Version{});
-  if (versions_.back().from_stamp != from_stamp) {
-    // Copy-on-write: only the flat placement vector is duplicated; the
-    // match structures in index_ are shared by construction.
-    versions_.push_back(Version{from_stamp, versions_.back().target});
-  }
-  std::vector<std::uint32_t>& map = versions_.back().target;
-  for (const std::uint32_t d : defs) map[d] = to;
-}
-
-void VersionedRouting::retire_below(std::uint64_t stamp) {
-  while (versions_.size() >= 2 && versions_[1].from_stamp <= stamp) versions_.pop_front();
-}
-
-const std::vector<std::uint32_t>& VersionedRouting::map_for(std::uint64_t stamp) const {
-  for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
-    if (it->from_stamp <= stamp) return it->target;
-  }
-  return versions_.front().target;  // base version (from_stamp 0)
-}
-
-std::uint64_t VersionedRouting::target_mask(const Entity& entity, std::uint64_t stamp,
-                                            std::vector<SlotRoute>& scratch) {
-  scratch.clear();
-  index_.collect(entity, scratch, [](const SlotRoute&) { return true; });
-  if (scratch.empty()) return 0;
-  const std::vector<std::uint32_t>& map = map_for(stamp);
-  std::uint64_t mask = 0;
-  for (const SlotRoute r : scratch) mask |= std::uint64_t{1} << map[r.def_idx];
-  return mask;
 }
 
 }  // namespace stem::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -64,6 +63,12 @@ class RoutingIndex {
   /// per-arrival walk O(matched definitions), not O(matched slots).
   void add_collapsed(const EventDefinition& def, std::uint32_t def_idx);
 
+  /// Does now what the first dispatch of each threshold side would do —
+  /// sorts its pending registrations and compacts them if they outgrew
+  /// their bound — so that collect() only reads until the next add() or
+  /// remove().
+  void freeze();
+
   /// Incrementally unregisters what add(def, def_idx) registered. Buckets
   /// and threshold groups emptied by the removal are erased. Throws
   /// std::logic_error when a route to remove is not present (indicates an
@@ -82,10 +87,11 @@ class RoutingIndex {
   ///
   /// Non-const: threshold registrations land in small per-side pending
   /// lists (keeping add O(1) amortized) and are folded into the segment
-  /// nodes lazily on dispatch. Callers already serialize collect() with
-  /// add()/remove() (the engine is single-threaded; the runtime's ingest
-  /// index is registration-frozen and read under the ingest lock, the
-  /// coordinator's only by the coordinator thread).
+  /// nodes lazily on dispatch. Callers serialize collect() with
+  /// add()/remove() — the engine is single-threaded — or freeze() the
+  /// index first, after which collect() writes nothing and may run on
+  /// several threads at once (the sharded runtime's ingest and cascade
+  /// coordinator share one index that way).
   template <typename Accept>
   void collect(const Entity& entity, std::vector<SlotRoute>& out, Accept&& accept) {
     Bucket* bucket = nullptr;
@@ -266,65 +272,6 @@ class RoutingIndex {
   std::unordered_map<std::string, Bucket> by_sensor_;
   std::unordered_map<std::string, Bucket> by_type_;
   std::vector<SlotRoute> any_;  // sorted by (def_idx, slot_idx), no duplicates
-};
-
-/// Stamp-versioned, copy-on-write routing view: one definition-granular
-/// RoutingIndex that is frozen once registration ends, plus a short history
-/// of def->target placement maps, each effective from a stamp onward.
-///
-/// Built for the cascade coordinator, which with pipelined closures may
-/// drive several stamps' closures concurrently while a migration barrier
-/// sits between them: the closure for a pre-barrier stamp must route
-/// feedback to a group's old shard at the same time as a post-barrier
-/// closure routes to the new one. A single mutable index cannot express
-/// that; mutating it per flip also costs a bucket/threshold-structure
-/// erase+insert per definition. Here a flip copies only the flat
-/// def->target vector (O(definitions) trivially-copyable words), the
-/// match structures are never touched after start, and every in-flight
-/// closure resolves targets through the version effective at its stamp.
-///
-/// Thread contract: add() is registration-time only; publish(),
-/// retire_below() and target_mask() are called by one thread (the
-/// coordinator). target_mask() is non-const for the same lazy-compaction
-/// reason as RoutingIndex::collect().
-class VersionedRouting {
- public:
-  /// Registers `def` under `def_idx` (collapsed to one route per def) with
-  /// its initial placement `target` in the base version.
-  void add(const EventDefinition& def, std::uint32_t def_idx, std::uint32_t target);
-
-  /// Publishes a new placement version effective for stamps >= from_stamp:
-  /// a copy of the newest map with each def in `defs` moved to `to`.
-  /// Same-stamp publishes fold into the just-published version (two
-  /// migrations can share a barrier when no arrival lands between them).
-  /// from_stamp must be non-decreasing across calls.
-  void publish(std::uint64_t from_stamp, const std::vector<std::uint32_t>& defs,
-               std::uint32_t to);
-
-  /// Drops versions no closure can need anymore: every version superseded
-  /// by another version with from_stamp <= `stamp` (the oldest unclosed
-  /// stamp) is retired.
-  void retire_below(std::uint64_t stamp);
-
-  /// Collects the definitions that can possibly match `entity` (via
-  /// `scratch`, clobbered) and returns the bitmask of their targets under
-  /// the version effective at `stamp`. Zero means the entity is inert. The
-  /// per-definition routes are left in `scratch` (ascending def_idx) for
-  /// callers that need them.
-  std::uint64_t target_mask(const Entity& entity, std::uint64_t stamp,
-                            std::vector<SlotRoute>& scratch);
-
- private:
-  /// One placement snapshot: def_idx -> target, effective at from_stamp.
-  struct Version {
-    std::uint64_t from_stamp = 0;
-    std::vector<std::uint32_t> target;
-  };
-
-  [[nodiscard]] const std::vector<std::uint32_t>& map_for(std::uint64_t stamp) const;
-
-  RoutingIndex index_;           ///< frozen after registration
-  std::deque<Version> versions_; ///< ascending from_stamp; front is oldest live
 };
 
 }  // namespace stem::core

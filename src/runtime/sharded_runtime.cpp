@@ -1,6 +1,7 @@
 #include "runtime/sharded_runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <numeric>
@@ -51,6 +52,14 @@ std::string routing_key(const core::FilterSignature& sig) {
       return {};
   }
   return {};
+}
+
+/// The instances of a tagged release, tags dropped (poll/flush).
+std::vector<core::EventInstance> untagged(std::vector<TaggedInstance> tagged) {
+  std::vector<core::EventInstance> out;
+  out.reserve(tagged.size());
+  for (TaggedInstance& t : tagged) out.push_back(std::move(t.instance));
+  return out;
 }
 
 }  // namespace
@@ -256,10 +265,6 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // def_shard_, so a migration never touches the index.
   ingest_routes_.add_collapsed(def, global);
   if (options_.cascade) {
-    // The coordinator's stamp-versioned view starts from the same
-    // placement and diverges only through placement versions published
-    // at migration barriers, resolved per closure stamp.
-    cascade_routes_.add(def, global, shard);
     // A new definition changes the type graph's reach: recompute the
     // per-definition downstream masks on the next ingest.
     cascade_graph_built_ = false;
@@ -304,7 +309,7 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
 
   const std::lock_guard ingest_lk(ingest_mutex_);
   if (shutdown_.load(std::memory_order_acquire)) return;  // stopped: drop
-  started_ = true;
+  start_locked();
   if (options_.cascade && !cascade_graph_built_) build_cascade_graph();
 
   // Route + stamp the whole batch into ingest-local scratch; merge_mutex_
@@ -462,6 +467,24 @@ bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
   return false;
 }
 
+void ShardedEngineRuntime::start_locked() {
+  if (started_) return;
+  started_ = true;
+  // Registration is over: freeze the index so the cascade coordinator can
+  // collect from it concurrently with ingest.
+  ingest_routes_.freeze();
+  if (options_.cascade) queue_placement_locked(0);
+}
+
+void ShardedEngineRuntime::queue_placement_locked(std::uint64_t from_stamp) {
+  {
+    const std::lock_guard lk(cascade_mutex_);
+    placements_.push_back(PlacementVersion{from_stamp, def_shard_});
+    placements_pending_.fetch_add(1, std::memory_order_release);
+  }
+  signal_cascade();
+}
+
 void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
   // Control items carry no arrivals: they bypass the arrival-capacity
   // check (blocking on it under ingest_mutex_ could stall the very
@@ -503,6 +526,8 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
   auto ticket = std::make_shared<MigrationTicket>();
   ticket->globals = std::move(defs);  // ascending global order
 
+  // Placement is now dynamic; worker threads own the local index maps.
+  start_locked();
   // Flip placement under the ingest lock: every arrival stamped before
   // this point was routed to `from` (and is already, or will be, ahead of
   // the control items in its inbox); every arrival stamped after is
@@ -510,13 +535,11 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
   for (const std::uint32_t d : ticket->globals) def_shard_[d] = to;
   grp.ticket = ticket;
   ++migrations_;
-  // Placement is now dynamic; worker threads own the local index maps.
-  started_ = true;
 
   // Cascade mode: the control items act at sub-stamp (barrier-1, +inf) —
   // after every pre-barrier closure, before any post-barrier arrival —
-  // and the coordinator's routing copy flips when the closure frontier
-  // reaches the barrier, so feedback for pre-barrier stamps still reaches
+  // and the coordinator maps closures from the barrier on through a new
+  // placement version, so feedback for pre-barrier stamps still reaches
   // the group's old shard.
   const std::uint64_t barrier = next_stamp_;
   if (options_.cascade) {
@@ -538,12 +561,7 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
         }
       }
     }
-    {
-      const std::lock_guard clk(cascade_mutex_);
-      reroutes_.push_back(CascadeReroute{barrier, ticket->globals, from, to});
-      reroutes_pending_.fetch_add(1, std::memory_order_release);
-    }
-    signal_cascade();
+    queue_placement_locked(barrier);
   } else if (options_.ordering == OrderingTier::kPerDefinitionOrder) {
     // Per-definition order: the destination's post-barrier chunks must not
     // be released before the source has drained up to the barrier, or a
@@ -1471,6 +1489,20 @@ void ShardedEngineRuntime::cascade_loop() {
   const auto by_parent_then_def = [](const core::Emission& a, const core::Emission& b) {
     return a.emit_index != b.emit_index ? a.emit_index < b.emit_index : a.def < b.def;
   };
+  // Live placement versions, ascending from_stamp (see PlacementVersion).
+  std::deque<PlacementVersion> placements;
+  // Shards hosting a definition `fed` can match under the placement at
+  // `stamp`. ingest_routes_ was frozen before the first stamp, so collect()
+  // only reads it here, concurrently with ingest.
+  const auto targets = [&](const core::Entity& fed, std::uint64_t stamp) {
+    routes.clear();
+    ingest_routes_.collect(fed, routes, [](const core::SlotRoute&) { return true; });
+    auto v = placements.rbegin();  // the base (from_stamp 0) ends the walk
+    while (v->from_stamp > stamp) ++v;
+    std::uint64_t mask = 0;
+    for (const core::SlotRoute r : routes) mask |= std::uint64_t{1} << v->shard[r.def_idx];
+    return mask;
+  };
 
   const auto find_active = [&](std::uint64_t stamp) -> Active* {
     for (Active& a : active) {
@@ -1587,7 +1619,7 @@ void ShardedEngineRuntime::cascade_loop() {
       // Known without another roundtrip, so the closure finishes here.
       for (std::size_t k = base; k < a.closure.size(); ++k) {
         core::Entity fed(std::move(a.closure[k].instance));
-        if (cascade_routes_.target_mask(fed, a.p.stamp, routes) != 0) ++a.truncated;
+        if (targets(fed, a.p.stamp) != 0) ++a.truncated;
         a.closure[k].instance = std::move(fed).extract_instance();
       }
       a.remaining = 0;
@@ -1605,7 +1637,7 @@ void ShardedEngineRuntime::cascade_loop() {
     for (std::size_t k = base; k < a.closure.size(); ++k) {
       core::Emission& em = a.closure[k];
       core::Entity fed(std::move(em.instance));
-      const std::uint64_t mask = cascade_routes_.target_mask(fed, a.p.stamp, routes);
+      const std::uint64_t mask = targets(fed, a.p.stamp);
       if (mask == 0) {  // inert: no shard hosts a candidate definition
         em.instance = std::move(fed).extract_instance();
         continue;
@@ -1680,7 +1712,7 @@ void ShardedEngineRuntime::cascade_loop() {
   // Merges the oldest closure once finished: whole closures always leave
   // in stamp order (the relaxed tiers released their emissions earlier,
   // so only the withheld tail moves here), the watermark advances to just
-  // below the new oldest unclosed stamp, and routing versions nothing
+  // below the new oldest unclosed stamp, and placement versions nothing
   // in flight can need are retired.
   const auto merge_front = [&]() -> bool {
     if (active.empty() || !active.front().finished) return false;
@@ -1706,7 +1738,7 @@ void ShardedEngineRuntime::cascade_loop() {
         instances_ += nf.closure.size();
         nf.closure.clear();
       }
-      // Staged, not published: poll_into publishes it once it has handed
+      // Staged, not published: poll_tagged publishes it once it has handed
       // out cascade_out_, which now holds every emission stamped below.
       cascade_watermark_ =
           pending_.empty() ? last_stamp_assigned_ : pending_.front().stamp - 1;
@@ -1716,7 +1748,9 @@ void ShardedEngineRuntime::cascade_loop() {
     // notifying on every merge would wake it once per closure just to
     // re-check a predicate that can only pass at quiescence.
     if (drained) merged_cv_.notify_all();
-    cascade_routes_.retire_below(a.p.stamp + 1);
+    while (placements.size() >= 2 && placements[1].from_stamp <= a.p.stamp + 1) {
+      placements.pop_front();
+    }
     return true;
   };
 
@@ -1781,31 +1815,26 @@ void ShardedEngineRuntime::cascade_loop() {
     }
   };
 
-  std::vector<CascadeReroute> reroute_scratch;
   for (;;) {
     if (cascade_stop_.load(std::memory_order_seq_cst)) return;
     // Snapshot before the pass: anything published after this load bumps
     // the counter past `seen`, so a no-progress pass either observes it
     // or skips the park below.
     const std::uint64_t seen = cascade_signal_.load(std::memory_order_seq_cst);
-    if (reroutes_pending_.load(std::memory_order_acquire) != 0) {
-      reroute_scratch.clear();
-      {
-        const std::lock_guard lk(cascade_mutex_);
-        while (!reroutes_.empty()) {
-          reroute_scratch.push_back(std::move(reroutes_.front()));
-          reroutes_.pop_front();
-        }
-        reroutes_pending_.store(0, std::memory_order_relaxed);
-      }
-      // Eager: each version is effective from its barrier stamp onward, so
-      // in-flight pre-barrier closures keep resolving through the older
-      // placement and the flip needs no frontier rendezvous.
-      for (const CascadeReroute& r : reroute_scratch) {
-        cascade_routes_.publish(r.barrier, r.defs, r.to);
-      }
-    }
     bool progressed = activate();
+    // Take queued placement versions *after* activating: a version is
+    // queued before any arrival at or past its stamp is pending, so every
+    // activated closure's version is here before it routes. Eager: each
+    // version is effective from its stamp onward, so in-flight pre-barrier
+    // closures keep resolving through the older placement and the flip
+    // needs no frontier rendezvous.
+    if (placements_pending_.load(std::memory_order_acquire) != 0) {
+      const std::lock_guard lk(cascade_mutex_);
+      for (; !placements_.empty(); placements_.pop_front()) {
+        placements.push_back(std::move(placements_.front()));
+      }
+      placements_pending_.store(0, std::memory_order_relaxed);
+    }
     for (auto& sp : shards_) sweep_shard(*sp);
     // Renumber+dispatch strictly in stamp order: step the oldest
     // unfinished closure as far as it goes; younger closures only have
@@ -1841,199 +1870,144 @@ void ShardedEngineRuntime::cascade_loop() {
   }
 }
 
-void ShardedEngineRuntime::emit_to(std::vector<core::EventInstance>* plain,
-                                   std::vector<TaggedInstance>* tagged, std::uint64_t stamp,
-                                   core::Emission&& em) {
-  if (tagged != nullptr) {
-    tagged->push_back(TaggedInstance{stamp, em.def, std::move(em.instance)});
-  } else {
-    plain->push_back(std::move(em.instance));
-  }
-}
-
-void ShardedEngineRuntime::drain_ready_locked(std::vector<core::EventInstance>* plain,
-                                              std::vector<TaggedInstance>* tagged) {
-  while (!pending_.empty()) {
-    const Pending p = pending_.front();
-    bool ready = true;
-    for (std::uint64_t m = p.mask; m != 0; m &= m - 1) {
-      const auto s = static_cast<std::size_t>(std::countr_zero(m));
-      if (shards_[s]->watermark.load(std::memory_order_acquire) < p.stamp) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) return;  // stream order: nothing later may overtake
-
-    gather_scratch_.clear();
-    for (std::uint64_t m = p.mask; m != 0; m &= m - 1) {
-      const auto s = static_cast<std::size_t>(std::countr_zero(m));
-      Shard& shard = *shards_[s];
-      const std::lock_guard lk(shard.out_mutex);
-      if (!shard.outbox.empty() && shard.outbox.front().stamp == p.stamp) {
-        OutChunk chunk = std::move(shard.outbox.front());
-        shard.outbox.pop_front();
-        for (core::Emission& em : chunk.emissions) gather_scratch_.push_back(std::move(em));
-      }
-    }
-    // Restore the sequential engine's within-arrival order: ascending
-    // global definition index, stable so one definition's multiple
-    // bindings keep their enumeration order. (A single shard's chunk is
-    // ascending in *local* registration order, which after a migration is
-    // no longer a subsequence of global order — so sort unconditionally.)
-    if (gather_scratch_.size() > 1) {
-      std::stable_sort(gather_scratch_.begin(), gather_scratch_.end(),
-                       [](const core::Emission& a, const core::Emission& b) {
-                         return a.def < b.def;
-                       });
-    }
-    for (core::Emission& em : gather_scratch_) {
-      // Renumber each instance with a merge-side per-group (= per event
-      // type) counter. With the group unsplit this is the identity: the
-      // release order above *is* the engine's emission order for the
-      // type, so the engine-assigned seq already equals this counter.
-      // With the group split across shards it restores exactly the
-      // sequence a single engine would have assigned, keeping the global
-      // tier byte-identical to the sequential reference across splits.
-      const std::uint32_t g = def_group_[em.def];
-      if (g >= group_seq_.size()) group_seq_.resize(g + 1, 0);
-      em.instance.key.seq = group_seq_[g]++;
-      emit_to(plain, tagged, p.stamp, std::move(em));
-      ++instances_;
-    }
-    low_watermark_ = p.stamp;
-    pending_.pop_front();
-  }
-}
-
-void ShardedEngineRuntime::drain_relaxed_locked(std::vector<core::EventInstance>* plain,
-                                                std::vector<TaggedInstance>* tagged) {
+std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
+  const bool global = options_.ordering == OrderingTier::kGlobalTotalOrder;
   const bool perdef = options_.ordering == OrderingTier::kPerDefinitionOrder;
-  // Sweep every shard's outbox to a fixpoint. Per-definition order gates
-  // a migration destination's post-barrier chunks on release holds; a
-  // hold clears once the source worker has drained past the barrier
-  // (sent_through) *and* everything it published before the barrier has
-  // been released here (outbox front empty or past the barrier). The
-  // clearing inputs are snapshotted once per pass — sent_through strictly
-  // before the outbox front, so a front that moved past the barrier after
-  // its sent_through was read can only make the check conservatively
-  // *hold* longer, never release early. Each pass that releases anything
-  // may unblock another shard's hold, hence the fixpoint; it terminates
-  // because holds only clear monotonically and outboxes only shrink while
-  // merge_mutex_ is held (workers still publish, but every published
-  // chunk is also releasable in a later poll).
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    if (perdef) {
-      sent_snap_scratch_.resize(shards_.size());
-      front_snap_scratch_.resize(shards_.size());
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        sent_snap_scratch_[s] = shards_[s]->sent_through.load(std::memory_order_seq_cst);
-        const std::lock_guard lk(shards_[s]->out_mutex);
-        front_snap_scratch_[s] =
-            shards_[s]->outbox.empty() ? 0 : shards_[s]->outbox.front().stamp;
-      }
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      std::deque<ReleaseHold>& holds = shard_holds_[s];
-      for (;;) {
-        OutChunk chunk;
-        {
-          const std::lock_guard lk(shard.out_mutex);
-          if (shard.outbox.empty()) break;
-          const std::uint64_t t = shard.outbox.front().stamp;
-          bool held = false;
-          while (perdef && !holds.empty() && t >= holds.front().barrier) {
-            const ReleaseHold h = holds.front();
-            if (sent_snap_scratch_[h.from] >= h.barrier &&
-                (front_snap_scratch_[h.from] == 0 ||
-                 front_snap_scratch_[h.from] >= h.barrier)) {
-              holds.pop_front();  // the source's pre-barrier stream is out
-              continue;
-            }
-            held = true;
-            break;
-          }
-          if (held) break;
-          chunk = std::move(shard.outbox.front());
-          shard.outbox.pop_front();
-        }
-        for (core::Emission& em : chunk.emissions) {
-          emit_to(plain, tagged, chunk.stamp, std::move(em));
-          ++instances_;
-        }
-        progress = true;
-      }
-    }
-  }
-
-  // Advance the low watermark. The pending frontier (stamps every
-  // recipient shard's watermark has passed) is computed *after* the
-  // sweep and clamped below any chunk still unreleased — one published
-  // after its shard was swept, or fenced by a hold. Reading a shard's
-  // watermark and its remaining outbox front under one out_mutex section
-  // makes the clamp sound: chunks are pushed before the watermark store
-  // (publish), so a stamp counted into the frontier either has its
-  // chunks already released or still visible in the front we clamp by.
-  std::uint64_t clamp = ~std::uint64_t{0};
-  front_snap_scratch_.resize(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    const std::lock_guard lk(shard.out_mutex);
-    front_snap_scratch_[s] = shard.watermark.load(std::memory_order_acquire);
-    if (!shard.outbox.empty() && shard.outbox.front().stamp != 0) {
-      clamp = std::min(clamp, shard.outbox.front().stamp - 1);
-    }
+  const std::size_t n = shards_.size();
+  // The frontier F: pending arrivals are popped while every recipient
+  // shard has passed them, against one watermark snapshot taken *before*
+  // the sweep. publish() pushes a run's chunks before its watermark store,
+  // under the same out_mutex, so every chunk of a stamp <= F is already in
+  // its outbox: the sweep below either releases it or finds it still at
+  // the front, where it clamps the low watermark.
+  std::array<std::uint64_t, 64> wm{};
+  for (std::size_t s = 0; s < n; ++s) {
+    wm[s] = shards_[s]->watermark.load(std::memory_order_acquire);
   }
   while (!pending_.empty()) {
-    const Pending p = pending_.front();
+    const Pending& p = pending_.front();
     bool done = true;
-    for (std::uint64_t m = p.mask; m != 0; m &= m - 1) {
-      if (front_snap_scratch_[static_cast<std::size_t>(std::countr_zero(m))] < p.stamp) {
-        done = false;
-        break;
-      }
+    for (std::uint64_t m = p.mask; m != 0 && done; m &= m - 1) {
+      done = wm[static_cast<std::size_t>(std::countr_zero(m))] >= p.stamp;
     }
     if (!done) break;
-    relaxed_frontier_ = p.stamp;
+    frontier_ = p.stamp;
     pending_.pop_front();
   }
-  low_watermark_ = std::max(low_watermark_, std::min(relaxed_frontier_, clamp));
-}
 
-void ShardedEngineRuntime::poll_into(std::vector<core::EventInstance>* plain,
-                                     std::vector<TaggedInstance>* tagged) {
-  const std::lock_guard lk(merge_mutex_);
-  if (options_.cascade) {
-    // The coordinator merges autonomously as closures complete; poll just
-    // takes what has been released so far.
-    if (tagged != nullptr) {
-      if (tagged->empty()) {
-        tagged->swap(cascade_out_);
-      } else {
-        tagged->insert(tagged->end(), std::make_move_iterator(cascade_out_.begin()),
-                       std::make_move_iterator(cascade_out_.end()));
-        cascade_out_.clear();
-      }
-    } else {
-      plain->reserve(plain->size() + cascade_out_.size());
-      for (TaggedInstance& t : cascade_out_) plain->push_back(std::move(t.instance));
-      cascade_out_.clear();
+  // Sweep each outbox once under its out_mutex, taking the chunks up to
+  // the limit: F in the global tier (a stamp is complete only once every
+  // recipient has passed it), unbounded in the relaxed tiers. Per-definition
+  // order additionally fences a migration destination's post-barrier
+  // chunks behind release holds; a hold clears once the source worker has
+  // drained past the barrier (sent_through) *and* everything it published
+  // before the barrier has been released (outbox front empty or past the
+  // barrier). The clearing inputs are snapshotted once per pass —
+  // sent_through strictly before the outbox front, so a front that moved
+  // past the barrier after its sent_through was read can only hold longer,
+  // never release early. A pass that releases anything may clear another
+  // shard's hold, so the sweep repeats to a fixpoint while holds exist; it
+  // terminates because holds only clear and outboxes only shrink while
+  // merge_mutex_ is held (chunks published meanwhile go to a later poll).
+  const std::uint64_t limit = global ? frontier_ : ~std::uint64_t{0};
+  std::vector<OutChunk> taken;
+  std::uint64_t clamp = ~std::uint64_t{0};
+  for (bool holding = true; holding;) {
+    holding = perdef && std::any_of(shard_holds_.begin(), shard_holds_.end(),
+                                    [](const auto& h) { return !h.empty(); });
+    std::array<std::uint64_t, 64> sent{};
+    std::array<std::uint64_t, 64> front{};
+    for (std::size_t s = 0; holding && s < n; ++s) {
+      sent[s] = shards_[s]->sent_through.load(std::memory_order_seq_cst);
+      const std::lock_guard lk(shards_[s]->out_mutex);
+      front[s] = shards_[s]->outbox.empty() ? 0 : shards_[s]->outbox.front().stamp;
     }
-    low_watermark_ = cascade_watermark_;
-    return;
+    const std::size_t before = taken.size();
+    clamp = ~std::uint64_t{0};
+    for (std::size_t s = 0; s < n; ++s) {
+      Shard& shard = *shards_[s];
+      std::deque<ReleaseHold>& holds = shard_holds_[s];
+      const std::lock_guard lk(shard.out_mutex);
+      for (; !shard.outbox.empty(); shard.outbox.pop_front()) {
+        const std::uint64_t t = shard.outbox.front().stamp;
+        if (t > limit) break;
+        while (!holds.empty() && t >= holds.front().barrier) {
+          const ReleaseHold h = holds.front();
+          if (sent[h.from] < h.barrier || (front[h.from] != 0 && front[h.from] < h.barrier)) {
+            break;
+          }
+          holds.pop_front();  // the source's pre-barrier stream is out
+        }
+        if (!holds.empty() && t >= holds.front().barrier) break;  // fenced
+        taken.push_back(std::move(shard.outbox.front()));
+      }
+      if (!shard.outbox.empty()) clamp = std::min(clamp, shard.outbox.front().stamp - 1);
+    }
+    holding = holding && taken.size() > before;
   }
-  if (options_.ordering == OrderingTier::kGlobalTotalOrder) {
-    drain_ready_locked(plain, tagged);
-  } else {
-    drain_relaxed_locked(plain, tagged);
+  // Every chunk <= F was taken in the global tier, so there W = F.
+  low_watermark_ = std::max(low_watermark_, std::min(frontier_, clamp));
+
+  // Global tier: order by stamp (each shard's run is already ascending),
+  // restore the sequential engine's within-arrival order — ascending global
+  // definition index, stable so one definition's bindings keep their
+  // enumeration order (a shard's chunk is in *local* registration order,
+  // which after a migration is no longer a subsequence of global order) —
+  // and renumber each instance from a merge-side per-group (= per event
+  // type) counter. With the group unsplit that is the identity; split
+  // across shards, it restores exactly the sequence a single engine would
+  // have assigned, keeping the global tier byte-identical to the
+  // sequential reference.
+  if (global) {
+    std::stable_sort(taken.begin(), taken.end(),
+                     [](const OutChunk& a, const OutChunk& b) { return a.stamp < b.stamp; });
   }
+  std::size_t total = 0;
+  for (const OutChunk& chunk : taken) total += chunk.emissions.size();
+  std::vector<TaggedInstance> out;
+  out.reserve(total);
+  const auto by_def = [](const TaggedInstance& a, const TaggedInstance& b) {
+    return a.def < b.def;
+  };
+  for (std::size_t i = 0; i < taken.size();) {
+    const std::size_t first = out.size();
+    const std::uint64_t stamp = taken[i].stamp;
+    for (; i < taken.size() && taken[i].stamp == stamp; ++i) {
+      for (core::Emission& em : taken[i].emissions) {
+        out.push_back(TaggedInstance{stamp, em.def, std::move(em.instance)});
+      }
+    }
+    if (!global) continue;
+    const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
+    if (!std::is_sorted(begin, out.end(), by_def)) std::stable_sort(begin, out.end(), by_def);
+    for (auto it = begin; it != out.end(); ++it) {
+      const std::uint32_t g = def_group_[it->def];
+      if (g >= group_seq_.size()) group_seq_.resize(g + 1, 0);
+      it->instance.key.seq = group_seq_[g]++;
+    }
+  }
+  instances_ += out.size();
+  return out;
 }
 
-void ShardedEngineRuntime::flush_into(std::vector<core::EventInstance>* plain,
-                                      std::vector<TaggedInstance>* tagged) {
+std::vector<core::EventInstance> ShardedEngineRuntime::poll() {
+  return untagged(poll_tagged());
+}
+
+std::vector<TaggedInstance> ShardedEngineRuntime::poll_tagged() {
+  const std::lock_guard lk(merge_mutex_);
+  if (!options_.cascade) return drain_locked();
+  // The coordinator merges autonomously as closures complete; poll just
+  // takes what has been released so far.
+  low_watermark_ = cascade_watermark_;
+  return std::exchange(cascade_out_, {});
+}
+
+std::vector<core::EventInstance> ShardedEngineRuntime::flush() {
+  return untagged(flush_tagged());
+}
+
+std::vector<TaggedInstance> ShardedEngineRuntime::flush_tagged() {
   if (options_.cascade) {
     // Closed stamps leave pending_ only after their full cascade closure
     // has been merged, so an empty frontier means quiescence. A stopped
@@ -2043,8 +2017,7 @@ void ShardedEngineRuntime::flush_into(std::vector<core::EventInstance>* plain,
       return pending_.empty() || shutdown_.load(std::memory_order_acquire);
     });
     lk.unlock();
-    poll_into(plain, tagged);
-    return;
+    return poll_tagged();
   }
   std::vector<std::uint64_t> targets(shards_.size(), 0);
   std::vector<std::uint64_t> ctl_targets(shards_.size(), 0);
@@ -2071,31 +2044,7 @@ void ShardedEngineRuntime::flush_into(std::vector<core::EventInstance>* plain,
       return !wait_ctl || shard.ctl_done.load(std::memory_order_seq_cst) >= ctl_targets[s];
     });
   }
-  poll_into(plain, tagged);
-}
-
-std::vector<core::EventInstance> ShardedEngineRuntime::poll() {
-  std::vector<core::EventInstance> out;
-  poll_into(&out, nullptr);
-  return out;
-}
-
-std::vector<TaggedInstance> ShardedEngineRuntime::poll_tagged() {
-  std::vector<TaggedInstance> out;
-  poll_into(nullptr, &out);
-  return out;
-}
-
-std::vector<core::EventInstance> ShardedEngineRuntime::flush() {
-  std::vector<core::EventInstance> out;
-  flush_into(&out, nullptr);
-  return out;
-}
-
-std::vector<TaggedInstance> ShardedEngineRuntime::flush_tagged() {
-  std::vector<TaggedInstance> out;
-  flush_into(nullptr, &out);
-  return out;
+  return poll_tagged();
 }
 
 std::uint64_t ShardedEngineRuntime::low_watermark() const {

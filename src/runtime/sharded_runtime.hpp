@@ -211,7 +211,7 @@ struct TaggedInstance {
 /// particular, a shard hosting a wildcard definition receives the full
 /// stream. Each definition lives on exactly one shard, so every instance
 /// is produced exactly once. A migration only rewrites placement entries;
-/// the index never changes after registration.
+/// the index is frozen when ingest starts and never changes afterwards.
 ///
 /// **Ingest path** (hot): each shard's inbox is a segmented FIFO
 /// (runtime/inbox_queue.hpp) whose memory follows its occupancy. Producers
@@ -244,18 +244,24 @@ struct TaggedInstance {
 ///
 /// **Ordering** (poll/flush): arrivals are stamped on ingest; each shard
 /// processes its arrivals in stamp order and reports a processed-stamp
-/// watermark. The merge releases an arrival's emissions only once every
-/// recipient shard's watermark has passed its stamp, ordering instances by
-/// (arrival stamp, definition registration index) — exactly the order a
-/// single sequential DetectionEngine fed the same stream would emit
-/// (tests/runtime_shard_test.cpp proves equality differentially).
+/// watermark. Every non-cascade tier releases through one drain: a poll
+/// pops the pending arrivals up to the frontier F every recipient shard
+/// has passed, then sweeps each shard's outbox once. The global tier takes
+/// the chunks up to F and orders them by (arrival stamp, definition
+/// registration index) — exactly the order a single sequential
+/// DetectionEngine fed the same stream would emit
+/// (tests/runtime_shard_test.cpp proves equality differentially); the
+/// relaxed tiers take whatever is published, behind per-definition
+/// release holds in the per-definition tier. The low watermark is F,
+/// clamped below any chunk still unreleased.
 ///
 /// **Hierarchical cascade** (RuntimeOptions::cascade): instances detected
 /// at one layer become entities evaluated at the next (paper Fig. 2). A
 /// dedicated coordinator thread drives each arrival's *cascade closure*:
 /// once every recipient shard has processed the arrival, its merged
-/// emissions (level 1) are routed through a stamp-versioned copy-on-write
-/// view of the routing index (core::VersionedRouting) and re-ingested as
+/// emissions (level 1) are routed through the same frozen routing index as
+/// ingest, mapped to shards by stamp-versioned copies of the placement
+/// map, and re-ingested as
 /// *feedback items* carrying the hierarchical sub-stamp
 /// `(arrival stamp, depth, emit index)`, batched per (shard, level); the
 /// recipients' level-2 emissions are gathered, merged and re-ingested in
@@ -277,7 +283,7 @@ struct TaggedInstance {
 /// to the sequential cascade), the relaxed tiers stream completed levels
 /// out earlier (see RuntimeOptions::ordering). Migrations stay exact:
 /// control items gate on the admission frontier of their barrier stamp,
-/// and routing flips are published as new placement versions that each
+/// and placement flips are published as new versions that each
 /// in-flight closure resolves by its own stamp, so feedback for
 /// pre-barrier stamps still reaches the group's old shard
 /// (tests/runtime_cascade_test.cpp proves stream equality against
@@ -317,19 +323,16 @@ class ShardedEngineRuntime {
   /// Batched ingest where every arrival shares one observation time.
   void ingest_batch(std::span<const core::Entity> batch, time_model::TimePoint now);
 
-  /// Returns the merged instances whose arrivals have been fully processed
-  /// by every recipient shard, in stream order. Non-blocking; call
+  /// Returns the merged instances the ordering tier lets out so far, each
+  /// tagged with its (stamp, definition) provenance. Non-blocking; call
   /// periodically between ingests to keep per-shard output buffers short.
-  [[nodiscard]] std::vector<core::EventInstance> poll();
+  [[nodiscard]] std::vector<TaggedInstance> poll_tagged();
   /// Waits until every ingested arrival has been processed, then returns
   /// the remainder of the merged stream.
-  [[nodiscard]] std::vector<core::EventInstance> flush();
-
-  /// poll()/flush() with (stamp, definition) provenance tags on every
-  /// instance — the natural consumption shape for the relaxed ordering
-  /// tiers (available in every tier).
-  [[nodiscard]] std::vector<TaggedInstance> poll_tagged();
   [[nodiscard]] std::vector<TaggedInstance> flush_tagged();
+  /// poll_tagged()/flush_tagged() with the tags dropped.
+  [[nodiscard]] std::vector<core::EventInstance> poll();
+  [[nodiscard]] std::vector<core::EventInstance> flush();
   /// Monotone low watermark of the released stream: every emission whose
   /// arrival stamp is <= the returned value has already been handed out by
   /// a previous poll/flush, and no later release will carry a stamp at or
@@ -517,16 +520,15 @@ class ShardedEngineRuntime {
     time_model::TimePoint now;
   };
 
-  /// Cascade mode: a routing flip the coordinator publishes into its
-  /// stamp-versioned routing view as a placement version effective from
-  /// `barrier` — feedback for stamps before the barrier still resolves
-  /// through the older version to the group's old shard, concurrent
-  /// post-barrier closures through the new one.
-  struct CascadeReroute {
-    std::uint64_t barrier = 0;
-    std::vector<std::uint32_t> defs;  ///< the group's global def indices
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
+  /// Cascade mode: a copy of the def->shard placement map, effective for
+  /// closures with stamp >= from_stamp. The coordinator keeps the live
+  /// ones and maps each closure's matches through the newest version at or
+  /// below its stamp, so feedback for stamps before a migration barrier
+  /// still reaches the group's old shard while post-barrier closures
+  /// already use the new one. A flip copies only the flat map.
+  struct PlacementVersion {
+    std::uint64_t from_stamp = 0;
+    std::vector<std::uint32_t> shard;  ///< global def index -> shard
   };
 
   /// One processed arrival's emissions (tagged with *global* definition
@@ -811,26 +813,14 @@ class ShardedEngineRuntime {
   /// depth, sub) — i.e. published a ck at or beyond it.
   bool ck_reached_all(std::uint64_t mask, std::uint64_t stamp, std::uint32_t depth,
                       std::uint32_t sub);
-  /// Appends merged instances that are ready into exactly one of the two
-  /// sinks; merge_mutex_ must be held. Global-total-order release: stamp
-  /// frontier gating + within-stamp definition sort + per-event-type
-  /// sequence renumbering (non-cascade).
-  void drain_ready_locked(std::vector<core::EventInstance>* plain,
-                          std::vector<TaggedInstance>* tagged);
-  /// Relaxed-tier release (per-definition / unordered): sweeps every
-  /// shard's outbox to a fixpoint — per-definition order additionally
-  /// fences migration destinations behind release holds — then advances
-  /// the low watermark from the pending frontier, clamped by any chunk
-  /// still unreleased. merge_mutex_ must be held.
-  void drain_relaxed_locked(std::vector<core::EventInstance>* plain,
-                            std::vector<TaggedInstance>* tagged);
-  /// Tier- and mode-dispatching bodies of poll/flush (+_tagged).
-  void poll_into(std::vector<core::EventInstance>* plain, std::vector<TaggedInstance>* tagged);
-  void flush_into(std::vector<core::EventInstance>* plain, std::vector<TaggedInstance>* tagged);
-  /// Appends one released emission to whichever sink is non-null.
-  static void emit_to(std::vector<core::EventInstance>* plain,
-                      std::vector<TaggedInstance>* tagged, std::uint64_t stamp,
-                      core::Emission&& em);
+  /// Non-cascade release, every tier (merge_mutex_ held): pops pending_
+  /// up to the frontier F every recipient shard has passed, sweeps each
+  /// outbox once for the chunks up to the tier's limit (F in the global
+  /// tier, unbounded in the relaxed ones; per-definition holds fence
+  /// migration destinations, repeating the sweep to a fixpoint while any
+  /// exist), orders and renumbers the global tier's chunks, and advances
+  /// the low watermark to F clamped below any chunk still unreleased.
+  std::vector<TaggedInstance> drain_locked();
   /// Moves the whole of `group` to `to` and enqueues the extract/implant
   /// control pair; ingest_mutex_ must be held and the group must have no
   /// migration in flight.
@@ -838,8 +828,8 @@ class ShardedEngineRuntime {
   /// Shared issuance core: sets def_shard_[d] = `to` for the `defs` subset
   /// of `group` (a whole group, or one side of a split) — no routing index
   /// changes — installs the group ticket, registers the
-  /// per-definition-order release hold (cascade mode: queues the
-  /// coordinator's placement version), and pushes the control pair.
+  /// per-definition-order release hold (cascade mode: queues the new
+  /// placement version for the coordinator), and pushes the control pair.
   /// Callers update Group host fields. ingest_mutex_ must be held.
   void issue_subset_locked(std::uint32_t group, std::vector<std::uint32_t> defs,
                            std::uint32_t from, std::uint32_t to);
@@ -853,6 +843,13 @@ class ShardedEngineRuntime {
   bool wait_group_ticket(std::unique_lock<std::mutex>& lk, std::uint32_t group);
   /// One policy pass over the epoch's group loads; ingest_mutex_ held.
   std::size_t rebalance_locked();
+  /// Ends registration on the first ingest or migration: freezes
+  /// ingest_routes_ and, in cascade mode, queues the registration-time
+  /// placement as the coordinator's base version. ingest_mutex_ held.
+  void start_locked();
+  /// Cascade mode: queues a copy of def_shard_, effective from
+  /// `from_stamp`, for the coordinator. ingest_mutex_ held.
+  void queue_placement_locked(std::uint64_t from_stamp);
   /// Enqueues a control item, bypassing capacity (it carries no arrivals).
   void push_control(Shard& shard, WorkItem item);
   /// Pushes an item into the shard's inbox and wakes its worker; with
@@ -890,9 +887,11 @@ class ShardedEngineRuntime {
   std::atomic<bool> publish_loads_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Ingest routing: every definition registered once, collapsed, under
-  /// its global index; registration-frozen after start. def_shard_ turns
-  /// its matches into recipient shards.
+  /// The one routing index: every definition registered once, collapsed,
+  /// under its global index, and frozen (RoutingIndex::freeze) once ingest
+  /// or a migration starts. Ingest reads it under ingest_mutex_ and maps
+  /// its matches through def_shard_; the cascade coordinator reads it
+  /// without a lock and maps them through its PlacementVersions.
   core::RoutingIndex ingest_routes_;
   std::unordered_map<std::string, std::uint32_t> type_group_;  ///< event type -> group
   std::vector<Group> groups_;                    // guarded by ingest_mutex_
@@ -956,13 +955,12 @@ class ShardedEngineRuntime {
   std::uint64_t replicated_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t instances_ = 0;
-  std::vector<core::Emission> gather_scratch_;  // guarded by merge_mutex_
-  /// Released-stream low watermark (see low_watermark()); advanced by the
-  /// tier-specific drains, and in cascade mode by poll_into as it hands
-  /// out cascade_out_ (see cascade_watermark_).
+  /// Released-stream low watermark (see low_watermark()); advanced by
+  /// drain_locked, and in cascade mode by poll_tagged as it hands out
+  /// cascade_out_ (see cascade_watermark_).
   std::uint64_t low_watermark_ = 0;  // guarded by merge_mutex_
   /// Global-total-order, non-cascade: per-group (= per event type)
-  /// released-instance counters — the merge assigns each released
+  /// released-instance counters — drain_locked assigns each released
   /// emission its sequential sequence number, which is the identity while
   /// the group is whole and restores stream exactness when it is split.
   /// Indexed by group; grown lazily (def_group_ is registration-frozen
@@ -979,23 +977,13 @@ class ShardedEngineRuntime {
     std::uint64_t barrier = 0;
     std::uint32_t from = 0;
   };
-  std::vector<std::deque<ReleaseHold>> shard_holds_;   // guarded by merge_mutex_
-  std::vector<std::uint64_t> sent_snap_scratch_;       // guarded by merge_mutex_
-  std::vector<std::uint64_t> front_snap_scratch_;      // guarded by merge_mutex_
-  /// Relaxed tiers: highest stamp every recipient shard has passed
-  /// (pending_ is popped up to here; monotone). The published watermark
-  /// is this frontier clamped below any still-unreleased chunk.
-  std::uint64_t relaxed_frontier_ = 0;  // guarded by merge_mutex_
+  std::vector<std::deque<ReleaseHold>> shard_holds_;  // guarded by merge_mutex_
+  /// Non-cascade: highest stamp every recipient shard has passed (pending_
+  /// is popped up to here; monotone). The published watermark is this
+  /// frontier clamped below any still-unreleased chunk.
+  std::uint64_t frontier_ = 0;  // guarded by merge_mutex_
 
   // --- Cascade mode (all unused unless options_.cascade) ---
-  /// The coordinator's stamp-versioned copy-on-write routing view:
-  /// registration mirrors ingest_routes_ (same definitions, same initial
-  /// placement); after start it is touched only by the coordinator
-  /// thread, which publishes queued CascadeReroutes as placement versions
-  /// effective from their barrier and resolves each in-flight closure
-  /// through the version at its own stamp. It keeps its own index because
-  /// collect() compacts lazily, so two threads cannot share one.
-  core::VersionedRouting cascade_routes_;
   /// Per definition: bitmask of shards hosting any definition reachable
   /// from its output type (1+ cascade steps) under registration-time
   /// placement. Built once by build_cascade_graph() under ingest_mutex_
@@ -1006,22 +994,24 @@ class ShardedEngineRuntime {
   bool cascade_graph_built_ = false;   // guarded by ingest_mutex_
   bool cascade_conservative_ = false;  // guarded by ingest_mutex_
   std::thread cascade_thread_;
-  /// Guards the coordinator's wake-up state and the reroute queue.
+  /// Guards the coordinator's wake-up state and the placement queue.
   /// Coordinator wake protocol: publishers bump cascade_signal_ (seq_cst
   /// RMW, a release) and notify cascade_ec_ — one fenced load when the
   /// coordinator is awake, no mutex on the publish fast path. The
   /// coordinator snapshots the counter before a pass and parks only if it
   /// is unchanged after a no-progress pass (EventCount's Dekker pair makes
-  /// the sleep race-free). cascade_mutex_ now guards only reroutes_.
+  /// the sleep race-free). cascade_mutex_ now guards only placements_.
   mutable std::mutex cascade_mutex_;
   EventCount cascade_ec_;
   std::atomic<std::uint64_t> cascade_signal_{0};
   std::atomic<bool> cascade_stop_{false};
-  std::deque<CascadeReroute> reroutes_;  // guarded by cascade_mutex_, ascending barrier
-  /// Nonzero when reroutes_ has entries; lets the pump skip the mutex on
-  /// the (overwhelmingly common) reroute-free pass. Bumped under
+  /// Placement versions not yet taken by the coordinator (the base at
+  /// start, then one per migration barrier).
+  std::deque<PlacementVersion> placements_;  // guarded by cascade_mutex_, ascending
+  /// Nonzero when placements_ has entries; lets the pump skip the mutex on
+  /// the (overwhelmingly common) flip-free pass. Bumped under
   /// cascade_mutex_ before the signal, cleared under it by the drain.
-  std::atomic<std::uint32_t> reroutes_pending_{0};
+  std::atomic<std::uint32_t> placements_pending_{0};
   /// Global admission frontier: the stamp immediately below the first
   /// in-flight closure that has not finished dispatching feedback. Every
   /// per-shard frontier (Shard::admitted, the reachability-refined gate

@@ -181,9 +181,13 @@ constexpr OrderingTier kAllTiers[] = {OrderingTier::kGlobalTotalOrder,
 /// the sequential reference. `migrations` > 0 forces that many
 /// whole-group moves at seed-derived batch boundaries (in the
 /// per-definition tier these exercise the release-hold fencing).
+/// `poll_each_batch` false skips the per-batch polls: the final flush then
+/// releases the whole stream from every shard in one drain, across every
+/// migration barrier.
 void run_ordering_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_size,
                                ConsumptionMode mode, double skew_hot, OrderingTier tier,
-                               const std::string& tag, std::size_t migrations = 0) {
+                               const std::string& tag, std::size_t migrations = 0,
+                               bool poll_each_batch = true) {
   RuntimeOptions options;
   options.shards = shards;
   options.ordering = tier;
@@ -211,7 +215,8 @@ void run_ordering_differential(std::uint64_t seed, std::size_t shards, std::size
   const std::string ctx = tag + "/" + tier_name(tier) + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
-                          " skew=" + std::to_string(skew_hot);
+                          " skew=" + std::to_string(skew_hot) +
+                          (poll_each_batch ? "" : " flush-only");
   const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
@@ -236,7 +241,7 @@ void run_ordering_differential(std::uint64_t seed, std::size_t shards, std::size
     const std::size_t n = std::min(batch_size, stream.entities.size() - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                          std::span(stream.nows).subspan(i, n));
-    collect(sharded.poll_tagged());
+    if (poll_each_batch) collect(sharded.poll_tagged());
   }
   collect(oracle::flush_tagged_within(sharded, ctx));
 
@@ -292,14 +297,20 @@ TEST_P(OrderingTierTest, RelaxedTiersSurviveForcedMigrations) {
   // chunks behind the source's drain — the per-definition projections
   // must stay in reference order through every hand-off. The unordered
   // tier must still deliver the exact multiset with a sound watermark.
+  // The flush-only arm releases every shard's whole stream in one drain,
+  // holds and all.
   for (const OrderingTier tier :
        {OrderingTier::kPerDefinitionOrder, OrderingTier::kUnorderedWatermarked}) {
     for (const std::size_t shards : {2u, 4u, 8u}) {
       for (const std::size_t batch : {1u, 64u}) {
-        run_ordering_differential(GetParam() ^ 0x316ULL, shards, batch,
-                                  ConsumptionMode::kUnrestricted, 0.0, tier, "OM", 4);
-        run_ordering_differential(GetParam() ^ 0x317ULL, shards, batch,
-                                  ConsumptionMode::kConsume, 0.9, tier, "OMS", 4);
+        for (const bool poll_each_batch : {true, false}) {
+          run_ordering_differential(GetParam() ^ 0x316ULL, shards, batch,
+                                    ConsumptionMode::kUnrestricted, 0.0, tier, "OM", 4,
+                                    poll_each_batch);
+          run_ordering_differential(GetParam() ^ 0x317ULL, shards, batch,
+                                    ConsumptionMode::kConsume, 0.9, tier, "OMS", 4,
+                                    poll_each_batch);
+        }
       }
     }
   }
@@ -308,12 +319,15 @@ TEST_P(OrderingTierTest, RelaxedTiersSurviveForcedMigrations) {
 TEST_P(OrderingTierTest, GlobalTierStaysByteExactUnderMigrations) {
   // The default tier's exactness re-checked through the tagged API, with
   // migrations in flight (subsumes the untagged differential's contract:
-  // same stream, stamps attached).
+  // same stream, stamps attached). The flush-only arm orders the whole
+  // stream, gathered from every shard across the migrations, in one drain.
   for (const std::size_t shards : {2u, 4u}) {
     for (const std::size_t batch : {1u, 64u}) {
-      run_ordering_differential(GetParam() ^ 0x60ULL, shards, batch,
-                                ConsumptionMode::kUnrestricted, 0.0,
-                                OrderingTier::kGlobalTotalOrder, "OG", 4);
+      for (const bool poll_each_batch : {true, false}) {
+        run_ordering_differential(GetParam() ^ 0x60ULL, shards, batch,
+                                  ConsumptionMode::kUnrestricted, 0.0,
+                                  OrderingTier::kGlobalTotalOrder, "OG", 4, poll_each_batch);
+      }
     }
   }
 }

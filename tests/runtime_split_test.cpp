@@ -136,10 +136,12 @@ std::string tier_name(OrderingTier tier) {
 
 /// Forces split -> sub-group migration -> merge at quarter points of the
 /// stream and applies the tier's oracle contract end to end.
+/// `poll_each_batch` false skips the per-batch polls, so the final flush
+/// releases the whole stream across the split, move and merge barriers.
 void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_size,
                             ConsumptionMode mode, OrderingTier tier, const std::string& tag,
                             bool cascade = false, std::uint32_t pipeline = 1,
-                            std::size_t queue_capacity = 4096) {
+                            std::size_t queue_capacity = 4096, bool poll_each_batch = true) {
   RuntimeOptions options;
   options.shards = shards;
   options.queue_capacity = queue_capacity;
@@ -169,7 +171,8 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size) +
                           (cascade ? " cascade pipeline=" + std::to_string(pipeline) : "") +
-                          " queue=" + std::to_string(queue_capacity);
+                          " queue=" + std::to_string(queue_capacity) +
+                          (poll_each_batch ? "" : " flush-only");
   const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   WatermarkAudit audit(ctx);
   std::vector<TaggedInstance> got_tagged;
@@ -206,7 +209,7 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
     const std::size_t len = std::min(batch_size, n - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, len),
                          std::span(stream.nows).subspan(i, len));
-    collect(sharded.poll_tagged());
+    if (poll_each_batch) collect(sharded.poll_tagged());
   }
   collect(oracle::flush_tagged_within(sharded, ctx));
 
@@ -240,10 +243,14 @@ class SplitDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SplitDifferentialTest, GlobalTierStaysByteExactThroughSplitMoveMerge) {
   for (const std::size_t shards : {2u, 4u}) {
     for (const std::size_t batch : {1u, 64u}) {
-      run_split_differential(GetParam(), shards, batch, ConsumptionMode::kUnrestricted,
-                             OrderingTier::kGlobalTotalOrder, "SGU");
-      run_split_differential(GetParam() ^ 0x5eedULL, shards, batch, ConsumptionMode::kConsume,
-                             OrderingTier::kGlobalTotalOrder, "SGC");
+      for (const bool poll_each_batch : {true, false}) {
+        run_split_differential(GetParam(), shards, batch, ConsumptionMode::kUnrestricted,
+                               OrderingTier::kGlobalTotalOrder, "SGU", false, 1, 4096,
+                               poll_each_batch);
+        run_split_differential(GetParam() ^ 0x5eedULL, shards, batch,
+                               ConsumptionMode::kConsume, OrderingTier::kGlobalTotalOrder,
+                               "SGC", false, 1, 4096, poll_each_batch);
+      }
     }
   }
 }
@@ -253,10 +260,14 @@ TEST_P(SplitDifferentialTest, RelaxedTiersKeepTheirContractsThroughSplitMoveMerg
        {OrderingTier::kPerDefinitionOrder, OrderingTier::kUnorderedWatermarked}) {
     for (const std::size_t shards : {2u, 4u}) {
       for (const std::size_t batch : {1u, 64u}) {
-        run_split_differential(GetParam() ^ 0x316ULL, shards, batch,
-                               ConsumptionMode::kUnrestricted, tier, "SRU");
-        run_split_differential(GetParam() ^ 0x317ULL, shards, batch, ConsumptionMode::kConsume,
-                               tier, "SRC");
+        for (const bool poll_each_batch : {true, false}) {
+          run_split_differential(GetParam() ^ 0x316ULL, shards, batch,
+                                 ConsumptionMode::kUnrestricted, tier, "SRU", false, 1, 4096,
+                                 poll_each_batch);
+          run_split_differential(GetParam() ^ 0x317ULL, shards, batch,
+                                 ConsumptionMode::kConsume, tier, "SRC", false, 1, 4096,
+                                 poll_each_batch);
+        }
       }
     }
   }
