@@ -5,7 +5,8 @@
 
 namespace stem::runtime {
 
-void SpilloverPolicy::decide(const RebalanceView& view, std::vector<MigrationOrder>& out) {
+void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
+                    std::vector<MigrationOrder>& out) {
   const std::size_t shards = view.shard_load.size();
   if (shards < 2 || view.groups.empty()) return;
 
@@ -13,7 +14,7 @@ void SpilloverPolicy::decide(const RebalanceView& view, std::vector<MigrationOrd
       std::accumulate(view.shard_load.begin(), view.shard_load.end(), std::uint64_t{0});
   if (total == 0) return;
   const double mean = static_cast<double>(total) / static_cast<double>(shards);
-  const double hot = options_.overload_factor * mean;
+  const double hot = options.overload_factor * mean;
 
   // Working copy of the loads so one pass's picks stay consistent.
   std::vector<std::uint64_t> load(view.shard_load.begin(), view.shard_load.end());
@@ -24,7 +25,7 @@ void SpilloverPolicy::decide(const RebalanceView& view, std::vector<MigrationOrd
 
   std::size_t issued = 0;
   for (const std::uint32_t src : by_load) {
-    if (options_.max_migrations != 0 && issued >= options_.max_migrations) break;
+    if (options.max_migrations != 0 && issued >= options.max_migrations) break;
     // Hotness is judged on the epoch's observed loads, not the working
     // copy: a shard that merely *received* a group this pass must not be
     // treated as a fresh hotspot (that would churn groups within one

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,24 +25,24 @@ struct GroupLoad {
   bool movable = true;
   /// True when the group can be split by sensor-key range (its definitions
   /// span >= 2 distinct sensor routing keys, it is not already split, and
-  /// no migration is in flight): the policy may order a split instead of
+  /// no migration is in flight): the plan may order a split instead of
   /// skipping an indivisibly hot shard.
   bool splittable = false;
 };
 
-/// One epoch's cluster view, handed to the policy. shard_load[s] is the
+/// One epoch's cluster view, handed to plan_spillover. shard_load[s] is the
 /// sum of the costs of the groups hosted on shard s this epoch.
 struct RebalanceView {
   std::span<const std::uint64_t> shard_load;
   std::span<const GroupLoad> groups;
-  /// Optional skip sink: when non-null, the policy increments it once per
+  /// Optional skip sink: when non-null, the plan increments it once per
   /// hot shard it must leave alone because no move strictly improves the
   /// imbalance and no hosted group is splittable (surfaced as
   /// RuntimeStats::spillover_skipped_indivisible).
   std::uint64_t* skipped_indivisible = nullptr;
 };
 
-/// A policy's instruction: move `group` to shard `to` — or, with `split`
+/// A planned move: move `group` to shard `to` — or, with `split`
 /// set, split it by sensor-key range and send the high sub-group to `to`.
 /// The runtime validates orders (unknown group, out-of-range shard,
 /// unmovable group, to == current host, or an unsplittable group on a
@@ -52,40 +53,25 @@ struct MigrationOrder {
   bool split = false;
 };
 
-/// Decides, once per epoch, which definition groups to migrate where.
-/// Called under the runtime's ingest lock: implementations must not call
-/// back into the runtime and should be quick.
-class RebalancePolicy {
- public:
-  virtual ~RebalancePolicy() = default;
-  virtual void decide(const RebalanceView& view, std::vector<MigrationOrder>& out) = 0;
+/// Tuning of plan_spillover.
+struct SpilloverOptions {
+  double overload_factor = 1.5;  ///< "hot" threshold, in multiples of the mean
+  std::size_t max_migrations = 0;  ///< cap per pass; 0 = one per hot shard
 };
 
-/// Default policy: for every shard whose epoch load exceeds
-/// `overload_factor` x the mean shard load (hottest first), migrate the
+/// The rebalancer's planning rule, run once per epoch under the runtime's
+/// ingest lock: for every shard whose epoch load exceeds
+/// `overload_factor` x the mean shard load (hottest first), order the
 /// highest-cost movable group hosted there to the least-loaded shard —
 /// but only when that *strictly improves* the imbalance
 /// (dest_load + cost < src_load). A shard that is hot because of one
 /// indivisible group is no longer silently left alone: if the culprit is
-/// splittable, the policy orders a key-range split (planning on roughly
+/// splittable, the plan orders a key-range split (planning on roughly
 /// half the group's cost moving); only when it is not does the shard stay
 /// put, counted through RebalanceView::skipped_indivisible.
-/// At most one migration per hot shard per pass; loads are updated
-/// in-place between picks so one pass stays consistent.
-class SpilloverPolicy final : public RebalancePolicy {
- public:
-  struct Options {
-    double overload_factor = 1.5;  ///< "hot" threshold, in multiples of the mean
-    std::size_t max_migrations = 0;  ///< cap per pass; 0 = one per hot shard
-  };
-
-  SpilloverPolicy() = default;
-  explicit SpilloverPolicy(Options options) : options_(options) {}
-
-  void decide(const RebalanceView& view, std::vector<MigrationOrder>& out) override;
-
- private:
-  Options options_;
-};
+/// At most one order per hot shard per pass; loads are updated in-place
+/// between picks so one pass stays consistent. Appends to `out`.
+void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
+                    std::vector<MigrationOrder>& out);
 
 }  // namespace stem::runtime

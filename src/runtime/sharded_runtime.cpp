@@ -78,9 +78,6 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
         "ShardedEngineRuntime: crash_hook requires checkpoint_epoch != 0 (recovery rebuilds "
         "a dead shard from its checkpoint plus the replay log)");
   }
-  if (options_.rebalance_policy == nullptr) {
-    options_.rebalance_policy = std::make_shared<SpilloverPolicy>();
-  }
   publish_loads_.store(options_.rebalance_epoch != 0, std::memory_order_relaxed);
   // Inbox memory follows occupancy, not queue_capacity: each shard starts
   // with one 64-cell segment (InboxQueue) and a drained inbox keeps at
@@ -430,7 +427,7 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
 
   if (options_.cascade) signal_cascade();  // new pending arrivals to close
 
-  // Epoch boundary: let the policy look at the load just attributed.
+  // Epoch boundary: plan moves from the load just attributed.
   if (options_.rebalance_epoch != 0 && epoch_arrivals_ >= options_.rebalance_epoch) {
     epoch_arrivals_ = 0;
     rebalance_locked();
@@ -563,11 +560,11 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
     }
     queue_placement_locked(barrier);
   } else if (options_.ordering == OrderingTier::kPerDefinitionOrder) {
-    // Per-definition order: the destination's post-barrier chunks must not
+    // Per-definition order: the destination's post-barrier blocks must not
     // be released before the source has drained up to the barrier, or a
     // migrated definition's later emissions could overtake its earlier
     // ones. The hold is registered before either control item exists, so
-    // no post-barrier chunk can possibly be published yet.
+    // no post-barrier block can possibly be published yet.
     const std::lock_guard merge_lk(merge_mutex_);
     shard_holds_[to].push_back(ReleaseHold{barrier, from});
   }
@@ -772,7 +769,7 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
       const std::lock_guard tlk(grp.ticket->m);
       settled = grp.ticket->done;
     }
-    // A split group's sides are pinned for the policy (rejoin via
+    // A split group's sides are pinned for the plan (rejoin via
     // merge_group, not rebalancing) but its load still lands on the right
     // shards via the extra high row below.
     const bool movable = settled && !grp.split;
@@ -786,7 +783,7 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   }
   // Saturating deltas: a (theoretical) stale-over-fresh snapshot must
   // cost an epoch of attribution, never wrap to ~2^64 and stampede the
-  // policy.
+  // plan.
   const auto sat_delta = [](const std::uint64_t now, const std::uint64_t prev) {
     return now >= prev ? now - prev : 0;
   };
@@ -806,9 +803,8 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   for (const GroupLoad& g : group_load_scratch_) shard_load_scratch_[g.shard] += g.cost;
 
   order_scratch_.clear();
-  options_.rebalance_policy->decide(
-      RebalanceView{shard_load_scratch_, group_load_scratch_, &spillover_skipped_},
-      order_scratch_);
+  plan_spillover(RebalanceView{shard_load_scratch_, group_load_scratch_, &spillover_skipped_},
+                 SpilloverOptions{}, order_scratch_);
 
   std::size_t issued = 0;
   for (const MigrationOrder& order : order_scratch_) {
@@ -835,12 +831,19 @@ void ShardedEngineRuntime::observe(Shard& shard, Run& run,
                                    const std::shared_ptr<const core::Entity>& entity,
                                    time_model::TimePoint now, std::uint64_t stamp,
                                    std::uint32_t depth, std::uint32_t sub) {
-  run.emissions.clear();
-  shard.engine->observe(entity, now, run.emissions);
-  if (!run.emissions.empty()) {
-    for (core::Emission& em : run.emissions) em.def = shard.global_def[em.def];
-    run.chunks.push_back(OutChunk{stamp, std::move(run.emissions), depth, sub, now});
-    run.emissions = {};
+  OutBlock& block = run.block;
+  if (block.emissions.capacity() == 0) {
+    block.emissions.reserve(run.emission_hint);
+    block.marks.reserve(run.mark_hint);
+  }
+  const std::size_t first = block.emissions.size();
+  shard.engine->observe(entity, now, block.emissions);  // appends
+  if (block.emissions.size() != first) {
+    for (std::size_t k = first; k < block.emissions.size(); ++k) {
+      block.emissions[k].def = shard.global_def[block.emissions[k].def];
+    }
+    block.marks.push_back(
+        OutBlock::Mark{stamp, sub, static_cast<std::uint32_t>(block.emissions.size()), now});
   }
   run.ck_stamp = stamp;
   run.ck_depth = depth;
@@ -874,10 +877,19 @@ void ShardedEngineRuntime::publish(Shard& shard, Run& run) {
   // carries the checkpoint's cumulative counters (zero before any crash).
   core::EngineStats stats = shard.stats_base;
   stats += shard.engine->stats();
+  // The run's block leaves whole: into the outbox when anything emitted,
+  // freed here otherwise. Only its sizes stay, as the next run's hint.
+  OutBlock block = std::exchange(run.block, OutBlock{});
+  if (run.dirty) {
+    run.emission_hint = block.emissions.size();
+    run.mark_hint = block.marks.size();
+  }
   {
     const std::lock_guard lk(shard.out_mutex);
-    if (!run.chunks.empty()) shard.out_dirty.store(true, std::memory_order_relaxed);
-    for (OutChunk& chunk : run.chunks) shard.outbox.push_back(std::move(chunk));
+    if (!block.marks.empty()) {
+      shard.outbox.push_back(std::move(block));
+      shard.out_dirty.store(true, std::memory_order_relaxed);
+    }
     shard.published_stats = stats;
     // Swap, don't copy: the retired publication becomes the next
     // collection scratch, so steady-state publishing at 1e5+ definitions
@@ -900,7 +912,6 @@ void ShardedEngineRuntime::publish(Shard& shard, Run& run) {
     shard.queued_arrivals.fetch_sub(run.arrivals, std::memory_order_seq_cst);
     shard.space_ec.notify_all();
   }
-  run.chunks.clear();
   run.arrivals = 0;
   run.last_seq = 0;
   run.dirty = false;
@@ -931,7 +942,7 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
     // live publications of one definition would let a stale value
     // overwrite a newer one in the rebalancer's merge.
     if (!suppress) publish(shard, run);
-    // The barrier's pre-epoch is fully drained: chunks below `barrier` are
+    // The barrier's pre-epoch is fully drained: marks below `barrier` are
     // all published. Monotone max — barriers surface in stamp order per
     // shard, but a recovery replay may revisit an older one.
     if (ctl.barrier > shard.sent_through.load(std::memory_order_seq_cst)) {
@@ -1459,7 +1470,7 @@ void ShardedEngineRuntime::cascade_loop() {
   const bool per_def = options_.ordering == OrderingTier::kPerDefinitionOrder;
 
   // One in-flight closure. Lifecycle: activated (awaiting its arrival
-  // chunks) -> alternating [renumber+dispatch a level / await its
+  // marks) -> alternating [renumber+dispatch a level / await its
   // consumption] -> finished (the terminal level was renumbered in the
   // same pass that learned no further dispatch happens, so "finished
   // dispatching" and "closure complete" coincide; the admission
@@ -1511,31 +1522,35 @@ void ShardedEngineRuntime::cascade_loop() {
     return nullptr;
   };
 
-  // Pops every outbox chunk belonging to an in-flight closure into that
+  // Takes every outbox mark belonging to an in-flight closure into that
   // closure's level buffer. Per-shard outboxes are sub-stamp ordered, so
-  // stopping at the first chunk of a not-yet-activated stamp preserves
-  // order — that chunk is picked up after its closure activates.
+  // stopping at the first mark of a not-yet-activated stamp preserves
+  // order — the block keeps its cursor there, and the mark is picked up
+  // after its closure activates.
   const auto sweep_shard = [&](Shard& shard) {
     // Quiet-shard fast path: nothing published since the last drain, so
     // skip the mutex. The flag only clears when the outbox empties —
-    // chunks held back for a not-yet-activated stamp keep it set, since
+    // marks held back for a not-yet-activated stamp keep it set, since
     // a later activate() (not a publish) is what makes them consumable.
     if (!shard.out_dirty.load(std::memory_order_relaxed)) return;
     const std::lock_guard lk(shard.out_mutex);
-    while (!shard.outbox.empty()) {
-      OutChunk& front = shard.outbox.front();
-      Active* a = find_active(front.stamp);
-      if (a == nullptr) break;
-      a->now = front.now;
-      for (core::Emission& em : front.emissions) {
-        // Tag with the source item's sub so level order (parent order,
-        // then definition) can be restored before renumbering.
-        em.emit_index = front.sub;
-        a->level.push_back(std::move(em));
+    for (; !shard.outbox.empty(); shard.outbox.pop_front()) {
+      OutBlock& block = shard.outbox.front();
+      for (; block.next < block.marks.size(); ++block.next) {
+        const OutBlock::Mark& mark = block.marks[block.next];
+        Active* a = find_active(mark.stamp);
+        if (a == nullptr) return;  // out_dirty stays set
+        a->now = mark.now;
+        for (std::uint32_t k = block.begin_of(block.next); k < mark.end; ++k) {
+          // Tag with the source item's sub so level order (parent order,
+          // then definition) can be restored before renumbering.
+          core::Emission& em = block.emissions[k];
+          em.emit_index = mark.sub;
+          a->level.push_back(std::move(em));
+        }
       }
-      shard.outbox.pop_front();
     }
-    if (shard.outbox.empty()) shard.out_dirty.store(false, std::memory_order_relaxed);
+    shard.out_dirty.store(false, std::memory_order_relaxed);
   };
 
   const auto activate = [&]() -> bool {
@@ -1838,12 +1853,12 @@ void ShardedEngineRuntime::cascade_loop() {
     for (auto& sp : shards_) sweep_shard(*sp);
     // Renumber+dispatch strictly in stamp order: step the oldest
     // unfinished closure as far as it goes; younger closures only have
-    // their chunks swept and buffered until the prefix ahead of them has
+    // their marks swept and buffered until the prefix ahead of them has
     // finished, which keeps per-group sequence numbering — and therefore
     // the global tier's merged stream — byte-identical to the sequential
     // engine. The overlap is in the *shards*: while this closure waits on
     // its recipients, shards outside its remaining reach are already
-    // consuming younger arrivals (see publish_frontiers), whose chunks
+    // consuming younger arrivals (see publish_frontiers), whose marks
     // land here ready to renumber without further roundtrips.
     for (Active& a : active) {
       if (a.finished) continue;
@@ -1876,10 +1891,10 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   const std::size_t n = shards_.size();
   // The frontier F: pending arrivals are popped while every recipient
   // shard has passed them, against one watermark snapshot taken *before*
-  // the sweep. publish() pushes a run's chunks before its watermark store,
-  // under the same out_mutex, so every chunk of a stamp <= F is already in
-  // its outbox: the sweep below either releases it or finds it still at
-  // the front, where it clamps the low watermark.
+  // the sweep. publish() pushes a run's block — every mark of the run —
+  // before its watermark store, under the same out_mutex, so every mark
+  // of a stamp <= F is already in its outbox: the sweep below either
+  // takes it or finds it still untaken, where it clamps the low watermark.
   std::array<std::uint64_t, 64> wm{};
   for (std::size_t s = 0; s < n; ++s) {
     wm[s] = shards_[s]->watermark.load(std::memory_order_acquire);
@@ -1895,22 +1910,31 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
     pending_.pop_front();
   }
 
-  // Sweep each outbox once under its out_mutex, taking the chunks up to
-  // the limit: F in the global tier (a stamp is complete only once every
-  // recipient has passed it), unbounded in the relaxed tiers. Per-definition
-  // order additionally fences a migration destination's post-barrier
-  // chunks behind release holds; a hold clears once the source worker has
-  // drained past the barrier (sent_through) *and* everything it published
-  // before the barrier has been released (outbox front empty or past the
-  // barrier). The clearing inputs are snapshotted once per pass —
+  // Sweep each outbox once under its out_mutex, detaching the blocks that
+  // hold marks up to the limit: F in the global tier (a stamp is complete
+  // only once every recipient has passed it), unbounded in the relaxed
+  // tiers. F may fall inside a block; the block is detached whole and its
+  // marks above F are put back below. Per-definition order additionally
+  // fences a migration destination's post-barrier blocks behind release
+  // holds. A hold never falls inside a block — a worker publishes before
+  // every control item, so no block straddles a migration barrier — so the
+  // block's first untaken mark decides. A hold clears once the source
+  // worker has drained past the barrier (sent_through) *and* everything it
+  // published before the barrier has been taken (outbox front empty or
+  // past the barrier). The clearing inputs are snapshotted once per pass —
   // sent_through strictly before the outbox front, so a front that moved
   // past the barrier after its sent_through was read can only hold longer,
-  // never release early. A pass that releases anything may clear another
+  // never release early. A pass that takes anything may clear another
   // shard's hold, so the sweep repeats to a fixpoint while holds exist; it
   // terminates because holds only clear and outboxes only shrink while
-  // merge_mutex_ is held (chunks published meanwhile go to a later poll).
+  // merge_mutex_ is held (blocks published meanwhile go to a later poll).
+  // The relaxed tiers release in take order (pass, then shard), which
+  // keeps a moved definition's pre-barrier stream ahead of its
+  // post-barrier one; the global tier merges each shard's blocks by stamp.
   const std::uint64_t limit = global ? frontier_ : ~std::uint64_t{0};
-  std::vector<OutChunk> taken;
+  std::array<std::list<OutBlock>, 64> taken;  // global tier: per shard
+  std::list<OutBlock> released;               // relaxed tiers: take order
+  std::size_t total = 0;                      // emissions up to the limit
   std::uint64_t clamp = ~std::uint64_t{0};
   for (bool holding = true; holding;) {
     holding = perdef && std::any_of(shard_holds_.begin(), shard_holds_.end(),
@@ -1920,16 +1944,17 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
     for (std::size_t s = 0; holding && s < n; ++s) {
       sent[s] = shards_[s]->sent_through.load(std::memory_order_seq_cst);
       const std::lock_guard lk(shards_[s]->out_mutex);
-      front[s] = shards_[s]->outbox.empty() ? 0 : shards_[s]->outbox.front().stamp;
+      front[s] = shards_[s]->outbox.empty() ? 0 : shards_[s]->outbox.front().front_stamp();
     }
-    const std::size_t before = taken.size();
+    bool took = false;
     clamp = ~std::uint64_t{0};
     for (std::size_t s = 0; s < n; ++s) {
       Shard& shard = *shards_[s];
       std::deque<ReleaseHold>& holds = shard_holds_[s];
       const std::lock_guard lk(shard.out_mutex);
-      for (; !shard.outbox.empty(); shard.outbox.pop_front()) {
-        const std::uint64_t t = shard.outbox.front().stamp;
+      auto cut = shard.outbox.begin();
+      for (; cut != shard.outbox.end(); ++cut) {
+        const std::uint64_t t = cut->front_stamp();
         if (t > limit) break;
         while (!holds.empty() && t >= holds.front().barrier) {
           const ReleaseHold h = holds.front();
@@ -1939,45 +1964,64 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
           holds.pop_front();  // the source's pre-barrier stream is out
         }
         if (!holds.empty() && t >= holds.front().barrier) break;  // fenced
-        taken.push_back(std::move(shard.outbox.front()));
+        total += cut->marks[cut->end_through(limit) - 1].end - cut->begin_of(cut->next);
       }
-      if (!shard.outbox.empty()) clamp = std::min(clamp, shard.outbox.front().stamp - 1);
+      took = took || cut != shard.outbox.begin();
+      std::list<OutBlock>& to = global ? taken[s] : released;
+      to.splice(to.end(), shard.outbox, shard.outbox.begin(), cut);
+      if (!shard.outbox.empty()) clamp = std::min(clamp, shard.outbox.front().front_stamp() - 1);
     }
-    holding = holding && taken.size() > before;
+    holding = holding && took;
   }
-  // Every chunk <= F was taken in the global tier, so there W = F.
+  // Every mark <= F was taken in the global tier, so there W = F.
   low_watermark_ = std::max(low_watermark_, std::min(frontier_, clamp));
 
-  // Global tier: order by stamp (each shard's run is already ascending),
-  // restore the sequential engine's within-arrival order — ascending global
-  // definition index, stable so one definition's bindings keep their
-  // enumeration order (a shard's chunk is in *local* registration order,
-  // which after a migration is no longer a subsequence of global order) —
-  // and renumber each instance from a merge-side per-group (= per event
-  // type) counter. With the group unsplit that is the identity; split
-  // across shards, it restores exactly the sequence a single engine would
-  // have assigned, keeping the global tier byte-identical to the
-  // sequential reference.
-  if (global) {
-    std::stable_sort(taken.begin(), taken.end(),
-                     [](const OutChunk& a, const OutChunk& b) { return a.stamp < b.stamp; });
-  }
-  std::size_t total = 0;
-  for (const OutChunk& chunk : taken) total += chunk.emissions.size();
   std::vector<TaggedInstance> out;
   out.reserve(total);
+  // Releases the block's first untaken mark.
+  const auto take = [&out](OutBlock& block) {
+    const OutBlock::Mark& mark = block.marks[block.next];
+    for (std::uint32_t k = block.begin_of(block.next); k < mark.end; ++k) {
+      core::Emission& em = block.emissions[k];
+      out.push_back(TaggedInstance{mark.stamp, em.def, std::move(em.instance)});
+    }
+    ++block.next;
+  };
+  if (!global) {
+    for (OutBlock& block : released) {
+      while (block.next < block.marks.size()) take(block);
+    }
+    instances_ += out.size();
+    return out;
+  }
+
+  // Global tier: k-way merge of the shards' detached blocks by stamp (each
+  // shard's marks ascend), restoring the sequential engine's within-arrival
+  // order — ascending global definition index, stable so one definition's
+  // bindings keep their enumeration order (a shard's block is in *local*
+  // registration order, which after a migration is no longer a subsequence
+  // of global order) — and renumbering each instance from a merge-side
+  // per-group (= per event type) counter. With the group unsplit that is
+  // the identity; split across shards, it restores exactly the sequence a
+  // single engine would have assigned, keeping the global tier
+  // byte-identical to the sequential reference.
   const auto by_def = [](const TaggedInstance& a, const TaggedInstance& b) {
     return a.def < b.def;
   };
-  for (std::size_t i = 0; i < taken.size();) {
+  for (;;) {
+    std::uint64_t stamp = ~std::uint64_t{0};
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!taken[s].empty()) stamp = std::min(stamp, taken[s].front().front_stamp());
+    }
+    if (stamp > limit) break;
     const std::size_t first = out.size();
-    const std::uint64_t stamp = taken[i].stamp;
-    for (; i < taken.size() && taken[i].stamp == stamp; ++i) {
-      for (core::Emission& em : taken[i].emissions) {
-        out.push_back(TaggedInstance{stamp, em.def, std::move(em.instance)});
+    for (std::size_t s = 0; s < n; ++s) {
+      std::list<OutBlock>& blocks = taken[s];
+      while (!blocks.empty() && blocks.front().front_stamp() == stamp) {
+        take(blocks.front());
+        if (blocks.front().next == blocks.front().marks.size()) blocks.pop_front();
       }
     }
-    if (!global) continue;
     const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
     if (!std::is_sorted(begin, out.end(), by_def)) std::stable_sort(begin, out.end(), by_def);
     for (auto it = begin; it != out.end(); ++it) {
@@ -1985,6 +2029,13 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
       if (g >= group_seq_.size()) group_seq_.resize(g + 1, 0);
       it->instance.key.seq = group_seq_[g]++;
     }
+  }
+  // What is left is at most one block per shard whose marks above F stay
+  // for a later poll: back to the outbox front, cursor kept.
+  for (std::size_t s = 0; s < n; ++s) {
+    if (taken[s].empty()) continue;
+    const std::lock_guard lk(shards_[s]->out_mutex);
+    shards_[s]->outbox.splice(shards_[s]->outbox.begin(), taken[s]);
   }
   instances_ += out.size();
   return out;
@@ -2022,7 +2073,7 @@ std::vector<TaggedInstance> ShardedEngineRuntime::flush_tagged() {
   std::vector<std::uint64_t> targets(shards_.size(), 0);
   std::vector<std::uint64_t> ctl_targets(shards_.size(), 0);
   // Per-definition order: trailing migration controls must finish too —
-  // an unprocessed send leaves its destination's chunks fenced behind a
+  // an unprocessed send leaves its destination's blocks fenced behind a
   // hold that only the send's sent_through store can clear.
   const bool wait_ctl = options_.ordering == OrderingTier::kPerDefinitionOrder;
   {

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,16 +61,13 @@ struct RuntimeOptions {
   /// admitted into an empty inbox. It allocates nothing: inbox memory
   /// follows what is actually queued, whatever the bound.
   std::size_t queue_capacity = 4096;
-  /// Arrivals between automatic rebalance-policy passes; 0 disables
-  /// adaptive rebalancing (placement then changes only via
-  /// migrate_definition()). Each pass attributes the epoch's load to
-  /// definition groups from the engines' per-definition counters and lets
-  /// the policy issue migrations.
+  /// Arrivals between automatic rebalance passes; 0 disables adaptive
+  /// rebalancing (placement then changes only via migrate_definition()).
+  /// Each pass attributes the epoch's load to definition groups from the
+  /// engines' per-definition counters and issues the moves plan_spillover
+  /// orders (migrate the highest-cost movable group off any shard above
+  /// 1.5x the mean load, or split it when no whole move helps).
   std::size_t rebalance_epoch = 0;
-  /// Policy consulted each epoch; defaults to SpilloverPolicy (migrate the
-  /// highest-cost movable group off any shard above 1.5x the mean load)
-  /// when rebalancing is enabled and no policy is supplied.
-  std::shared_ptr<RebalancePolicy> rebalance_policy;
   /// Enables deterministic hierarchical cascading: derived instances are
   /// routed back to the shards hosting their consumers as *feedback*
   /// items, each shard processes work in sub-stamp order behind the
@@ -142,7 +141,7 @@ struct RuntimeStats {
   std::uint64_t dropped = 0;      ///< arrivals no shard was interested in
   std::uint64_t instances = 0;    ///< instances merged out so far
   std::uint64_t migrations = 0;   ///< definition-group migrations issued
-  std::uint64_t rebalance_passes = 0;  ///< automatic policy passes run
+  std::uint64_t rebalance_passes = 0;  ///< rebalance passes run
   std::uint64_t max_inbox = 0;    ///< high-water inbox depth (arrivals), any shard
   /// Cascade mode: derived instances re-ingested as feedback (counted
   /// once per instance, not per recipient shard) — comparable to
@@ -167,7 +166,7 @@ struct RuntimeStats {
   /// arrivals they hold, logged since each shard's last checkpoint.
   std::uint64_t replay_log_bytes = 0;
   std::uint64_t replay_log_arrivals = 0;
-  /// Key-range group splits issued (split_group + policy split orders).
+  /// Key-range group splits issued (split_group + planned split orders).
   std::uint64_t splits = 0;
   /// Split groups reunified onto their primary shard (merge_group).
   std::uint64_t group_merges = 0;
@@ -231,7 +230,7 @@ struct TaggedInstance {
 /// epochs): initial placement is load-blind, so a skewed stream can pin
 /// one shard. The runtime keeps per-definition load counters (published
 /// by the shard engines), attributes each epoch's cost to definition
-/// groups, and lets a RebalancePolicy move groups between shards *live*:
+/// groups, and moves the groups plan_spillover picks between shards *live*:
 /// the group's placement entries flip to the destination under the ingest
 /// lock (an epoch barrier in the arrival stamp order), a pair of control
 /// items flows through the two shards' stamp-ordered inboxes, the source
@@ -246,14 +245,16 @@ struct TaggedInstance {
 /// processes its arrivals in stamp order and reports a processed-stamp
 /// watermark. Every non-cascade tier releases through one drain: a poll
 /// pops the pending arrivals up to the frontier F every recipient shard
-/// has passed, then sweeps each shard's outbox once. The global tier takes
-/// the chunks up to F and orders them by (arrival stamp, definition
+/// has passed, then sweeps each shard's outbox once. Each outbox entry is
+/// one worker run's block of emissions with a mark per emitting arrival.
+/// The global tier takes the marks up to F — F may fall inside a block —
+/// and k-way merges them across shards by (arrival stamp, definition
 /// registration index) — exactly the order a single sequential
 /// DetectionEngine fed the same stream would emit
 /// (tests/runtime_shard_test.cpp proves equality differentially); the
 /// relaxed tiers take whatever is published, behind per-definition
 /// release holds in the per-definition tier. The low watermark is F,
-/// clamped below any chunk still unreleased.
+/// clamped below any mark still untaken.
 ///
 /// **Hierarchical cascade** (RuntimeOptions::cascade): instances detected
 /// at one layer become entities evaluated at the next (paper Fig. 2). A
@@ -355,7 +356,7 @@ class ShardedEngineRuntime {
   /// sub-stamp granularity (after every pre-barrier closure item on the
   /// affected shards) and the coordinator renumbers sequences in closure
   /// order, so the cascade stream too is unchanged by a split — the
-  /// SpilloverPolicy may therefore relieve cascade-hot groups. Returns
+  /// rebalancer may therefore relieve cascade-hot groups. Returns
   /// false when the group is already split, spans fewer than two distinct
   /// sensor keys, or already lives on `to_shard`; throws
   /// std::out_of_range on bad indices. Thread-safe, callable mid-stream.
@@ -377,7 +378,7 @@ class ShardedEngineRuntime {
   /// ingestion is running. Throws std::out_of_range on bad indices.
   bool migrate_definition(std::size_t def_index, std::size_t to_shard);
 
-  /// Runs one rebalance-policy pass immediately over the load observed
+  /// Runs one rebalance pass immediately over the load observed
   /// since the last pass; returns the number of migrations issued. Usable
   /// with rebalance_epoch == 0 for externally paced rebalancing.
   std::size_t rebalance_now();
@@ -531,18 +532,46 @@ class ShardedEngineRuntime {
     std::vector<std::uint32_t> shard;  ///< global def index -> shard
   };
 
-  /// One processed arrival's emissions (tagged with *global* definition
-  /// indices), in a shard's outbox. Only emitting arrivals enqueue a
-  /// chunk; completion of silent arrivals is conveyed by the watermark.
-  /// Cascade mode: (depth, sub) identify the source item — (0, 0) for the
-  /// arrival itself, the feedback item's sub-stamp otherwise — and `now`
-  /// carries the observation time forward for the next level's re-feeds.
-  struct OutChunk {
-    std::uint64_t stamp = 0;
+  /// One worker run's published output, an outbox entry: the emissions
+  /// of every emitting item the run consumed (tagged with *global*
+  /// definition indices), in processing order, and one mark per emitting
+  /// item saying where its emissions end. Silent items get no mark; their
+  /// completion is conveyed by the watermark. A run is stamp-ordered, so
+  /// marks ascend by (stamp, sub). Both consumers — the non-cascade drain
+  /// and the cascade coordinator — may take a prefix of the marks and
+  /// leave the rest for a later pass: `next` is that cursor. Once
+  /// published, only a consumer touches the block — moving the taken
+  /// marks' emissions out and advancing `next` — under out_mutex or, for
+  /// a block the drain has detached from its outbox, under merge_mutex_.
+  struct OutBlock {
+    /// Cascade mode: `sub` identifies the source item within its stamp —
+    /// 0 for the arrival itself, the feedback item's emit index otherwise
+    /// — and `now` carries the observation time forward for the next
+    /// level's re-feeds.
+    struct Mark {
+      std::uint64_t stamp = 0;
+      std::uint32_t sub = 0;
+      std::uint32_t end = 0;  ///< one past the item's last emission
+      time_model::TimePoint now;
+    };
     std::vector<core::Emission> emissions;
-    std::uint32_t depth = 0;
-    std::uint32_t sub = 0;
-    time_model::TimePoint now;
+    std::vector<Mark> marks;
+    std::uint32_t next = 0;  ///< first mark not yet taken
+
+    /// First emission of mark `i`.
+    [[nodiscard]] std::uint32_t begin_of(std::uint32_t i) const {
+      return i == 0 ? 0 : marks[i - 1].end;
+    }
+    /// Stamp of the first mark not yet taken.
+    [[nodiscard]] std::uint64_t front_stamp() const { return marks[next].stamp; }
+    /// One past the last mark with stamp <= `limit` (marks ascend).
+    [[nodiscard]] std::uint32_t end_through(std::uint64_t limit) const {
+      if (marks.back().stamp <= limit) return static_cast<std::uint32_t>(marks.size());
+      return static_cast<std::uint32_t>(
+          std::upper_bound(marks.begin() + next, marks.end(), limit,
+                           [](std::uint64_t v, const Mark& m) { return v < m.stamp; }) -
+          marks.begin());
+    }
   };
 
   /// A shard's serialized engine state at a checkpoint barrier: one frame
@@ -604,7 +633,10 @@ class ShardedEngineRuntime {
 
     std::mutex out_mutex;                     ///< guards outbox/watermark pub
     std::condition_variable done_cv;          ///< flush waits for watermark
-    std::deque<OutChunk> outbox;              ///< ascending stamp
+    /// Published runs, ascending stamp; a block leaves once every mark is
+    /// taken. A list so the drain can detach a prefix under the lock and
+    /// merge it outside, and so an empty outbox holds no memory.
+    std::list<OutBlock> outbox;
     /// Set (under out_mutex) whenever a publish touches the outbox or the
     /// completion key; cleared by the coordinator's sweep. The pump polls
     /// it relaxed to skip out_mutex for shards with nothing new — the
@@ -642,9 +674,9 @@ class ShardedEngineRuntime {
     std::atomic<std::uint64_t> ctl_done{0};
     /// Highest migration barrier whose send side this shard has completed:
     /// every pre-barrier arrival routed here has been processed and its
-    /// chunks published. The merge's release holds read it (seq_cst store
+    /// block published. The merge's release holds read it (seq_cst store
     /// after the send-side publish) to decide when a migration
-    /// destination may release post-barrier chunks.
+    /// destination may release post-barrier blocks.
     std::atomic<std::uint64_t> sent_through{0};
     /// Cascade mode: true once this shard hosts (or was ever the
     /// destination of) a definition with an event-type or wildcard slot —
@@ -707,11 +739,12 @@ class ShardedEngineRuntime {
     std::thread worker;
   };
 
-  /// A worker's unpublished progress — the chunks and completions of the
-  /// work consumed since its last publish — plus its scratch buffers. The
-  /// completion key and watermark persist across publishes (republishing
-  /// them is a no-op) and are seeded from the shard's published values,
-  /// so a reincarnated worker never moves them backwards.
+  /// A worker's unpublished progress — the block of the work consumed
+  /// since its last publish and its completions — plus a scratch buffer.
+  /// The completion key and watermark persist across publishes
+  /// (republishing them is a no-op) and are seeded from the shard's
+  /// published values, so a reincarnated worker never moves them
+  /// backwards.
   struct Run {
     explicit Run(const Shard& shard)
         : ck_stamp(shard.ck_stamp),
@@ -719,7 +752,12 @@ class ShardedEngineRuntime {
           ck_sub(shard.ck_sub),
           watermark(shard.watermark.load(std::memory_order_relaxed)) {}
 
-    std::vector<OutChunk> chunks;
+    /// Filled by observe and moved whole into the outbox by publish, so no
+    /// capacity outlives a publish. The previous run's sizes are the next
+    /// block's reservation, taken when its first item is observed.
+    OutBlock block;
+    std::size_t emission_hint = 0;
+    std::size_t mark_hint = 0;
     /// Sub-stamp of the last consumed item, and the newest consumed arrival.
     std::uint64_t ck_stamp;
     std::uint32_t ck_depth;
@@ -730,7 +768,6 @@ class ShardedEngineRuntime {
     std::uint64_t arrivals = 0;
     std::uint64_t last_seq = 0;
     bool dirty = false;
-    std::vector<core::Emission> emissions;                              ///< observe scratch
     std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> loads;  ///< publish scratch
   };
 
@@ -785,9 +822,12 @@ class ShardedEngineRuntime {
                std::uint32_t sub);
   /// Observes an arrival item's [begin, end) slice into the run.
   void observe_arrivals(Shard& shard, Run& run, const WorkItem& item);
-  /// Publishes the run — outbox chunks, stats/def-load snapshots, the
-  /// completion key and the watermark — then releases its consumed items
-  /// (consumed_seq, arrival capacity) and resets it.
+  /// Publishes the run — its block moved whole into the outbox (or freed
+  /// when nothing emitted), stats/def-load snapshots, the completion key
+  /// and the watermark, the block before the watermark under one
+  /// out_mutex hold — then releases its consumed items (consumed_seq,
+  /// arrival capacity) and resets it, keeping only the block's sizes as
+  /// the next run's reservation hint.
   void publish(Shard& shard, Run& run);
   /// Executes a migration control item (send: extract + hand over;
   /// receive: wait + implant) and republishes snapshots — unless
@@ -815,11 +855,15 @@ class ShardedEngineRuntime {
                       std::uint32_t sub);
   /// Non-cascade release, every tier (merge_mutex_ held): pops pending_
   /// up to the frontier F every recipient shard has passed, sweeps each
-  /// outbox once for the chunks up to the tier's limit (F in the global
-  /// tier, unbounded in the relaxed ones; per-definition holds fence
-  /// migration destinations, repeating the sweep to a fixpoint while any
-  /// exist), orders and renumbers the global tier's chunks, and advances
-  /// the low watermark to F clamped below any chunk still unreleased.
+  /// outbox once, detaching the blocks with marks up to the tier's limit
+  /// (F in the global tier, unbounded in the relaxed ones; per-definition
+  /// holds fence migration destinations at block granularity, repeating
+  /// the sweep to a fixpoint while any exist), and advances the low
+  /// watermark to F clamped below any mark still untaken. Outside the
+  /// shard locks the global tier k-way merges the detached blocks by
+  /// stamp, orders and renumbers each stamp's emissions, and puts a block
+  /// F fell inside back at its outbox front, cursor kept; the relaxed
+  /// tiers release the blocks in take order.
   std::vector<TaggedInstance> drain_locked();
   /// Moves the whole of `group` to `to` and enqueues the extract/implant
   /// control pair; ingest_mutex_ must be held and the group must have no
@@ -841,7 +885,7 @@ class ShardedEngineRuntime {
   /// Blocks until `group`'s in-flight migration (if any) has implanted,
   /// releasing `lk` while waiting; false when shutdown interrupted.
   bool wait_group_ticket(std::unique_lock<std::mutex>& lk, std::uint32_t group);
-  /// One policy pass over the epoch's group loads; ingest_mutex_ held.
+  /// One rebalance pass over the epoch's group loads; ingest_mutex_ held.
   std::size_t rebalance_locked();
   /// Ends registration on the first ingest or migration: freezes
   /// ingest_routes_ and, in cascade mode, queues the registration-time
@@ -968,7 +1012,7 @@ class ShardedEngineRuntime {
   std::vector<std::uint64_t> group_seq_;  // guarded by merge_mutex_
   /// Per-definition-order tier: release fences installed at migration
   /// issuance, one deque per *destination* shard in ascending barrier
-  /// order. The destination may not release a chunk with stamp >= the
+  /// order. The destination may not release a mark with stamp >= the
   /// front hold's barrier until the source shard has completed the send
   /// side (sent_through >= barrier) and released everything it published
   /// below the barrier — exactly the stamp-order hand-off a moved
@@ -980,7 +1024,7 @@ class ShardedEngineRuntime {
   std::vector<std::deque<ReleaseHold>> shard_holds_;  // guarded by merge_mutex_
   /// Non-cascade: highest stamp every recipient shard has passed (pending_
   /// is popped up to here; monotone). The published watermark is this
-  /// frontier clamped below any still-unreleased chunk.
+  /// frontier clamped below any still-untaken mark.
   std::uint64_t frontier_ = 0;  // guarded by merge_mutex_
 
   // --- Cascade mode (all unused unless options_.cascade) ---

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -553,6 +555,96 @@ TEST_P(CascadePipelineTest, WatermarkNeverRunsAheadOfRelease) {
         OrderingTier::kUnorderedWatermarked}) {
     for (const std::uint32_t pipeline : {1u, 4u}) {
       run_watermark_interleaved(GetParam(), tier, pipeline);
+    }
+  }
+}
+
+/// The paper's HOT -> CP -> ALM chain alone, over 4 shards, with the CP
+/// shard stalled on every work item. The HOT shard hosts no instance-typed
+/// definition, so it runs ahead of the closure frontier and publishes
+/// blocks whose later marks belong to stamps the coordinator has not
+/// activated yet: a sweep takes the block's active prefix, stops at the
+/// first inactive stamp, and a later sweep resumes at that mark. Each tier
+/// must keep its contract against the sequential cascade.
+void run_partial_sweep(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeline) {
+  core::EngineOptions engine_options;
+  engine_options.max_cascade_depth = 4;
+  RuntimeOptions options;
+  options.shards = 4;
+  options.cascade = true;
+  options.engine = engine_options;
+  options.ordering = tier;
+  options.cascade_pipeline = pipeline;
+  auto stalled = std::make_shared<std::atomic<std::size_t>>(~std::size_t{0});
+  options.stall_hook = [stalled](std::size_t shard) {
+    if (shard == stalled->load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0},
+                             engine_options);
+  std::vector<EventDefinition> defs = cascade_definitions(ConsumptionMode::kUnrestricted, "PS");
+  defs.erase(defs.begin() + 4, defs.end());  // HOT (two sensors, one type), CP, ALM
+  for (const EventDefinition& def : defs) {
+    sharded.add_definition(def);
+    sequential.add_definition(def);
+  }
+  ASSERT_NE(sharded.shard_of(0), sharded.shard_of(2));  // HOT's shard is feedback-free
+  stalled->store(sharded.shard_of(2));
+
+  // Only arrivals the chain routes somewhere, so stamps are arrival
+  // indices (routing drops the rest before stamping).
+  const Stream all = make_stream(seed, 384);
+  Stream stream;
+  for (std::size_t i = 0; i < all.entities.size(); ++i) {
+    if (!sequential.routes_anywhere(all.entities[i])) continue;
+    stream.entities.push_back(all.entities[i]);
+    stream.nows.push_back(all.nows[i]);
+  }
+  const std::vector<oracle::Ref> want = oracle::sequential_reference(
+      sequential, stream.entities, stream.nows, /*cascade=*/true, /*canonicalize_seq=*/false);
+
+  const std::string ctx = "PS seed=" + std::to_string(seed) +
+                          " tier=" + std::to_string(static_cast<int>(tier)) +
+                          " pipeline=" + std::to_string(pipeline);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
+  oracle::WatermarkAudit audit(ctx);
+  std::vector<TaggedInstance> got_tagged;
+  for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
+    const std::size_t n = std::min<std::size_t>(16, stream.entities.size() - i);
+    sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
+                         std::span(stream.nows).subspan(i, n));
+    std::vector<TaggedInstance> released = sharded.poll_tagged();
+    audit.observe(released);
+    audit.after_poll(sharded.low_watermark());
+    got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
+                      std::make_move_iterator(released.end()));
+  }
+  std::vector<TaggedInstance> released = oracle::flush_tagged_within(sharded, ctx);
+  audit.observe(released);
+  got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
+                    std::make_move_iterator(released.end()));
+  audit.at_quiescence(sharded.low_watermark(), stream.entities.size());
+
+  const std::vector<oracle::Ref> got = oracle::to_refs(got_tagged, /*canonicalize_seq=*/false);
+  switch (tier) {
+    case OrderingTier::kGlobalTotalOrder:
+      oracle::check_equal(got, want, ctx);
+      break;
+    case OrderingTier::kPerDefinitionOrder:
+      oracle::check_per_def(got, want, ctx);
+      break;
+    case OrderingTier::kUnorderedWatermarked:
+      oracle::check_multiset(got, want, ctx);
+      break;
+  }
+}
+
+TEST_P(CascadePipelineTest, CoordinatorResumesBlocksAtInactiveStamps) {
+  for (const OrderingTier tier :
+       {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,
+        OrderingTier::kUnorderedWatermarked}) {
+    for (const std::uint32_t pipeline : {1u, 4u}) {
+      run_partial_sweep(GetParam(), tier, pipeline);
     }
   }
 }

@@ -23,7 +23,7 @@
 /// skewed workload with automatic epoch rebalancing must narrow the
 /// per-shard arrival-load spread versus rebalancing disabled, with no
 /// instance lost, duplicated, or reordered and inbox depth bounded by the
-/// configured capacity. SpilloverPolicy's decision rules get direct units
+/// configured capacity. plan_spillover's decision rules get direct units
 /// at the bottom.
 
 namespace stem::runtime {
@@ -697,35 +697,32 @@ TEST(MigrationApiTest, MigratedDefinitionKeepsDetectingOnNewShard) {
 }
 
 // ---------------------------------------------------------------------------
-// SpilloverPolicy decision units.
+// plan_spillover decision units.
 // ---------------------------------------------------------------------------
 
-TEST(SpilloverPolicyTest, MigratesHighestCostGroupOffHotShard) {
-  SpilloverPolicy policy;
+TEST(PlanSpilloverTest, MigratesHighestCostGroupOffHotShard) {
   const std::vector<std::uint64_t> shard_load = {900, 50, 30, 20};
   const std::vector<GroupLoad> groups = {
       {0, 0, 500, true}, {1, 0, 400, true}, {2, 1, 50, true}, {3, 2, 30, true}, {4, 3, 20, true}};
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups}, out);
+  plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].group, 0u);  // the 500-cost group
   EXPECT_EQ(out[0].to, 3u);     // the least-loaded shard
 }
 
-TEST(SpilloverPolicyTest, LeavesIndivisibleHotGroupAlone) {
+TEST(PlanSpilloverTest, LeavesIndivisibleHotGroupAlone) {
   // One group is the whole hot load: moving it would just move the
   // hotspot, so the strict-improvement rule must reject the migration.
-  SpilloverPolicy policy;
   const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
   const std::vector<GroupLoad> groups = {
       {0, 0, 1000, true}, {1, 1, 10, true}, {2, 2, 10, true}, {3, 3, 10, true}};
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups}, out);
+  plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
   EXPECT_TRUE(out.empty());
 }
 
-TEST(SpilloverPolicyTest, SkipsUnmovableGroupsAndBalancedShards) {
-  SpilloverPolicy policy;
+TEST(PlanSpilloverTest, SkipsUnmovableGroupsAndBalancedShards) {
   {
     // Hot shard, but its big group is mid-migration: pick the next one.
     const std::vector<std::uint64_t> shard_load = {900, 50, 30, 20};
@@ -733,7 +730,7 @@ TEST(SpilloverPolicyTest, SkipsUnmovableGroupsAndBalancedShards) {
         {0, 0, 500, false}, {1, 0, 400, true}, {2, 1, 50, true}, {3, 2, 30, true},
         {4, 3, 20, true}};
     std::vector<MigrationOrder> out;
-    policy.decide(RebalanceView{shard_load, groups}, out);
+    plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].group, 1u);
   }
@@ -743,21 +740,20 @@ TEST(SpilloverPolicyTest, SkipsUnmovableGroupsAndBalancedShards) {
     const std::vector<GroupLoad> groups = {
         {0, 0, 100, true}, {1, 1, 110, true}, {2, 2, 90, true}, {3, 3, 100, true}};
     std::vector<MigrationOrder> out;
-    policy.decide(RebalanceView{shard_load, groups}, out);
+    plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
     EXPECT_TRUE(out.empty());
   }
 }
 
-TEST(SpilloverPolicyTest, HonorsMigrationCap) {
-  SpilloverPolicy::Options opts;
+TEST(PlanSpilloverTest, HonorsMigrationCap) {
+  SpilloverOptions opts;
   opts.max_migrations = 1;
-  SpilloverPolicy policy(opts);
   const std::vector<std::uint64_t> shard_load = {900, 800, 10, 10};
   const std::vector<GroupLoad> groups = {
       {0, 0, 450, true}, {1, 0, 450, true}, {2, 1, 400, true}, {3, 1, 400, true},
       {4, 2, 10, true},  {5, 3, 10, true}};
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups}, out);
+  plan_spillover(RebalanceView{shard_load, groups}, opts, out);
   EXPECT_EQ(out.size(), 1u);
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "ordering_oracle.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "sim/random.hpp"
 
@@ -13,7 +16,9 @@
 /// arrivals, across shard counts {1, 2, 4, 8}, ingest batch sizes
 /// {1, 16, 256}, both consumption modes, wildcard-definition replication
 /// (a shard hosting an any-filter definition receives the full stream),
-/// same-event-type co-location, and tight-queue backpressure. Mirrors
+/// same-event-type co-location, tight-queue backpressure, and a stalled
+/// shard whose lag makes the global frontier fall inside the other
+/// shards' published blocks. Mirrors
 /// tests/engine_index_test.cpp, with the sequential engine — itself
 /// differentially verified against the seed semantics — as the reference.
 
@@ -267,6 +272,69 @@ TEST_P(ShardedVsSequentialTest, HugeCapacityAllocatesNothingStreamsMatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedVsSequentialTest, ::testing::Values(1u, 2u, 3u, 5u, 8u));
+
+/// Global tier with one shard stalled on every work item and a poll after
+/// every batch. The frontier F trails the stalled shard, while the others
+/// publish runs that span several batches, so F regularly falls inside a
+/// published block: a poll must release that block's marks up to F and a
+/// later poll must resume at the first mark above it. (At 2 shards and
+/// batch 256 both shards host a wildcard and publish one whole batch per
+/// run, so there F only meets block boundaries.) Every poll is also
+/// checked against the low watermark read just before it.
+void run_partial_block_differential(std::uint64_t seed, std::size_t shards,
+                                    std::size_t batch_size) {
+  RuntimeOptions options;
+  options.shards = shards;
+  // Two batches of inbox: ingest waits on the stalled shard, so the polls
+  // interleave with its progress instead of all running before it starts.
+  options.queue_capacity = 2 * batch_size;
+  const std::size_t stalled = shards / 2;
+  options.stall_hook = [stalled](std::size_t shard) {
+    if (shard == stalled) std::this_thread::sleep_for(std::chrono::microseconds(500));
+  };
+  ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
+  for (const EventDefinition& def : shard_definitions(ConsumptionMode::kUnrestricted, "B")) {
+    sharded.add_definition(def);
+    sequential.add_definition(def);
+  }
+  // WILD routes every arrival somewhere, so stamps are arrival indices.
+  const Stream stream = make_stream(seed, static_cast<int>(32 * batch_size));
+  const std::vector<oracle::Ref> want = oracle::sequential_reference(
+      sequential, stream.entities, stream.nows, /*cascade=*/false, /*canonicalize_seq=*/false);
+
+  const std::string ctx = "B seed=" + std::to_string(seed) + " shards=" + std::to_string(shards) +
+                          " batch=" + std::to_string(batch_size);
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
+  std::vector<TaggedInstance> got;
+  for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
+    const std::size_t n = std::min(batch_size, stream.entities.size() - i);
+    sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
+                         std::span(stream.nows).subspan(i, n));
+    const std::uint64_t promised = sharded.low_watermark();
+    std::vector<TaggedInstance> released = sharded.poll_tagged();
+    for (const TaggedInstance& t : released) {
+      ASSERT_GT(t.stamp, promised) << ctx << " released at or below the watermark";
+    }
+    got.insert(got.end(), std::make_move_iterator(released.begin()),
+               std::make_move_iterator(released.end()));
+  }
+  std::vector<TaggedInstance> rest = oracle::flush_tagged_within(sharded, ctx);
+  got.insert(got.end(), std::make_move_iterator(rest.begin()),
+             std::make_move_iterator(rest.end()));
+  oracle::check_equal(oracle::to_refs(got, /*canonicalize_seq=*/false), want, ctx);
+  EXPECT_EQ(sharded.low_watermark(), stream.entities.size()) << ctx;
+}
+
+TEST(ShardPartialBlock, GlobalTierReleasesBlocksUpToTheFrontier) {
+  for (const std::uint64_t seed : {11u, 12u}) {
+    for (const std::size_t shards : {2u, 4u}) {
+      for (const std::size_t batch : {16u, 256u}) {
+        run_partial_block_differential(seed, shards, batch);
+      }
+    }
+  }
+}
 
 TEST(ShardPlacement, SameEventTypeCoLocated) {
   RuntimeOptions options;

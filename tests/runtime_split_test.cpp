@@ -453,11 +453,10 @@ TEST(SplitSoakTest, SingleKeyHotGroupStaysPutAndCountsTheSkips) {
 }
 
 // ---------------------------------------------------------------------------
-// SpilloverPolicy split-order units.
+// plan_spillover split-order units.
 // ---------------------------------------------------------------------------
 
-TEST(SpilloverSplitPolicyTest, SplitsTheIndivisibleHotGroupWhenSplittable) {
-  SpilloverPolicy policy;
+TEST(PlanSpilloverSplitTest, SplitsTheIndivisibleHotGroupWhenSplittable) {
   const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
   const std::vector<GroupLoad> groups = {{0, 0, 1000, true, true},
                                          {1, 1, 10, true, false},
@@ -465,15 +464,14 @@ TEST(SpilloverSplitPolicyTest, SplitsTheIndivisibleHotGroupWhenSplittable) {
                                          {3, 3, 10, true, false}};
   std::uint64_t skipped = 0;
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups, &skipped}, out);
+  plan_spillover(RebalanceView{shard_load, groups, &skipped}, SpilloverOptions{}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].group, 0u);
   EXPECT_TRUE(out[0].split);
   EXPECT_EQ(skipped, 0u);
 }
 
-TEST(SpilloverSplitPolicyTest, CountsTheSkipWhenNothingIsSplittable) {
-  SpilloverPolicy policy;
+TEST(PlanSpilloverSplitTest, CountsTheSkipWhenNothingIsSplittable) {
   const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
   const std::vector<GroupLoad> groups = {{0, 0, 1000, true, false},
                                          {1, 1, 10, true, false},
@@ -481,17 +479,16 @@ TEST(SpilloverSplitPolicyTest, CountsTheSkipWhenNothingIsSplittable) {
                                          {3, 3, 10, true, false}};
   std::uint64_t skipped = 0;
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups, &skipped}, out);
+  plan_spillover(RebalanceView{shard_load, groups, &skipped}, SpilloverOptions{}, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(skipped, 1u);
 }
 
-TEST(SpilloverSplitPolicyTest, RejectsSplitThatWouldJustMoveTheHotspot) {
+TEST(PlanSpilloverSplitTest, RejectsSplitThatWouldJustMoveTheHotspot) {
   // Half the group still overloads every destination: splitting would
   // shuffle the peak around, not lower it — skip instead.
-  SpilloverPolicy::Options opts;
+  SpilloverOptions opts;
   opts.overload_factor = 1.0;
-  SpilloverPolicy policy(opts);
   const std::vector<std::uint64_t> shard_load = {1000, 900, 900, 900};
   const std::vector<GroupLoad> groups = {{0, 0, 1000, true, true},
                                          {1, 1, 900, true, false},
@@ -499,15 +496,14 @@ TEST(SpilloverSplitPolicyTest, RejectsSplitThatWouldJustMoveTheHotspot) {
                                          {3, 3, 900, true, false}};
   std::uint64_t skipped = 0;
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups, &skipped}, out);
+  plan_spillover(RebalanceView{shard_load, groups, &skipped}, opts, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(skipped, 1u);
 }
 
-TEST(SpilloverSplitPolicyTest, PrefersWholeMoveOverSplitWhenOneImproves) {
+TEST(PlanSpilloverSplitTest, PrefersWholeMoveOverSplitWhenOneImproves) {
   // A smaller whole group whose move strictly improves wins over cutting
   // the big one: splits are the fallback, not the default.
-  SpilloverPolicy policy;
   const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
   const std::vector<GroupLoad> groups = {{0, 0, 995, true, true},
                                          {1, 0, 5, true, false},
@@ -516,7 +512,7 @@ TEST(SpilloverSplitPolicyTest, PrefersWholeMoveOverSplitWhenOneImproves) {
                                          {4, 3, 10, true, false}};
   std::uint64_t skipped = 0;
   std::vector<MigrationOrder> out;
-  policy.decide(RebalanceView{shard_load, groups, &skipped}, out);
+  plan_spillover(RebalanceView{shard_load, groups, &skipped}, SpilloverOptions{}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].group, 1u);  // the small group whose whole move improves
   EXPECT_FALSE(out[0].split);
