@@ -8,16 +8,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
-#include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "runtime/sharded_runtime.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -252,10 +248,9 @@ void BM_SpatialJoin(benchmark::State& state) {
       benchmark::Counter::kAvgThreads);
 }
 
-/// The 64-definition shard-scaling workload: 8 sensors x 8 thresholds
-/// spread over the value range, so arrivals regularly fire and the
-/// per-arrival work (routing + evaluation + instance synthesis) is large
-/// enough to parallelize. Entities rotate through the 8 sensors.
+/// The 64-definition threshold workload: 8 sensors x 8 thresholds spread
+/// over the value range, so arrivals regularly fire. Entities rotate
+/// through the 8 sensors.
 std::vector<EventDefinition> scaling_defs() {
   std::vector<EventDefinition> defs;
   for (std::size_t i = 0; i < 64; ++i) {
@@ -263,160 +258,6 @@ std::vector<EventDefinition> scaling_defs() {
                                  numbered("SR", i % 8)));
   }
   return defs;
-}
-
-/// Shard scaling on the 64-definition workload, batched ingest (256).
-/// Arg(0) is the reference: the same workload through one sequential
-/// DetectionEngine's observe_batch. Arg(N>0) runs a ShardedEngineRuntime
-/// with N worker shards; wall-clock (UseRealTime) captures the end-to-end
-/// ingest -> workers -> ordered-merge pipeline. Shard speedup requires
-/// cores: on a single-CPU host the runtime adds queue/merge overhead and
-/// cannot beat Arg(0).
-void BM_ShardScaling(benchmark::State& state) {
-  constexpr std::size_t kBatch = 256;
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto entities = make_entities(4096, "SR", 8);
-  std::vector<time_model::TimePoint> nows;
-  nows.reserve(entities.size());
-  for (const auto& e : entities) nows.push_back(e.occurrence_time().end());
-
-  std::uint64_t produced = 0;
-  if (shards == 0) {
-    core::DetectionEngine engine(ObserverId("X"), core::Layer::kSensor, {0, 0});
-    for (EventDefinition& def : scaling_defs()) engine.add_definition(std::move(def));
-    std::size_t i = 0;
-    for (auto _ : state) {
-      const std::size_t at = (i * kBatch) & 4095;
-      auto out = engine.observe_batch(std::span(entities).subspan(at, kBatch),
-                                      std::span(nows).subspan(at, kBatch));
-      produced += out.size();
-      benchmark::DoNotOptimize(out);
-      ++i;
-    }
-  } else {
-    runtime::RuntimeOptions options;
-    options.shards = shards;
-    runtime::ShardedEngineRuntime rt(ObserverId("X"), core::Layer::kSensor, {0, 0}, options);
-    for (EventDefinition& def : scaling_defs()) rt.add_definition(std::move(def));
-    std::size_t i = 0;
-    // flush() inside the timed region: every iteration fully processes its
-    // batch, so no backlog drains untimed and the comparison with Arg(0)
-    // is symmetric. Within-batch shard parallelism is still exercised.
-    for (auto _ : state) {
-      const std::size_t at = (i * kBatch) & 4095;
-      rt.ingest_batch(std::span(entities).subspan(at, kBatch),
-                      std::span(nows).subspan(at, kBatch));
-      auto out = rt.flush();
-      produced += out.size();
-      benchmark::DoNotOptimize(out);
-      ++i;
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
-  state.counters["instances/op"] = benchmark::Counter(
-      static_cast<double>(produced) / static_cast<double>(state.iterations()),
-      benchmark::Counter::kAvgThreads);
-}
-
-/// Entities whose sensor follows a skewed (Zipf, s = 1.2) or uniform
-/// distribution over the 8-sensor pool of the scaling workload. Under
-/// Zipf, sensor 0 draws ~45% of the arrivals, so the shard hosting its
-/// definitions saturates while the rest idle — the motivating case for
-/// adaptive rebalancing.
-std::vector<core::Entity> make_dist_entities(std::size_t n, bool zipf) {
-  sim::Rng rng(11);
-  // CDF over 8 sensors: p(k) ~ 1 / (k+1)^1.2.
-  double cdf[8];
-  double total = 0.0;
-  for (int k = 0; k < 8; ++k) total += 1.0 / std::pow(static_cast<double>(k + 1), 1.2);
-  double acc = 0.0;
-  for (int k = 0; k < 8; ++k) {
-    acc += (1.0 / std::pow(static_cast<double>(k + 1), 1.2)) / total;
-    cdf[k] = acc;
-  }
-  std::vector<core::Entity> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t sensor = i % 8;
-    if (zipf) {
-      const double u = rng.uniform();
-      sensor = 0;
-      while (sensor < 7 && u > cdf[sensor]) ++sensor;
-    }
-    core::PhysicalObservation obs;
-    obs.mote = ObserverId(numbered("MT", i % 8));
-    obs.sensor = SensorId(numbered("SR", sensor));
-    obs.seq = i;
-    obs.time = TimePoint(static_cast<time_model::Tick>(i) * 100'000);
-    obs.location = geom::Location(geom::Point{rng.uniform(0, 100), rng.uniform(0, 100)});
-    obs.attributes.set("value", rng.uniform(0, 100));
-    out.push_back(core::Entity(std::move(obs)));
-  }
-  return out;
-}
-
-/// Drives the 64-definition workload through a 4-shard runtime in 256-
-/// arrival batches. `epoch` > 0 turns on automatic rebalancing.
-void run_runtime_workload(benchmark::State& state, const std::vector<core::Entity>& entities,
-                          std::size_t epoch,
-                          runtime::OrderingTier tier = runtime::OrderingTier::kGlobalTotalOrder) {
-  constexpr std::size_t kBatch = 256;
-  std::vector<time_model::TimePoint> nows;
-  nows.reserve(entities.size());
-  for (const auto& e : entities) nows.push_back(e.occurrence_time().end());
-  runtime::RuntimeOptions options;
-  options.shards = 4;
-  options.rebalance_epoch = epoch;
-  options.ordering = tier;
-  runtime::ShardedEngineRuntime rt(ObserverId("X"), core::Layer::kSensor, {0, 0}, options);
-  for (EventDefinition& def : scaling_defs()) rt.add_definition(std::move(def));
-  std::size_t i = 0;
-  std::uint64_t produced = 0;
-  for (auto _ : state) {
-    const std::size_t at = (i * kBatch) & 4095;
-    rt.ingest_batch(std::span(entities).subspan(at, kBatch),
-                    std::span(nows).subspan(at, kBatch));
-    auto out = rt.flush();
-    produced += out.size();
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
-  const auto loads = rt.shard_arrival_loads();
-  const auto total = static_cast<double>(
-      std::accumulate(loads.begin(), loads.end(), std::uint64_t{0}));
-  const auto peak = static_cast<double>(*std::max_element(loads.begin(), loads.end()));
-  // Load-spread headline: 1.0 = perfectly even, 4.0 = one shard owns all.
-  state.counters["max/mean load"] = benchmark::Counter(
-      total > 0 ? peak / (total / static_cast<double>(loads.size())) : 0.0,
-      benchmark::Counter::kAvgThreads);
-  state.counters["migrations"] = benchmark::Counter(
-      static_cast<double>(rt.stats().migrations), benchmark::Counter::kAvgThreads);
-}
-
-/// Skewed vs uniform arrival mix through the sharded runtime with static
-/// placement: quantifies what a pinned hot shard costs end to end.
-void BM_SkewedLoad(benchmark::State& state, bool zipf) {
-  run_runtime_workload(state, make_dist_entities(4096, zipf), /*epoch=*/0);
-}
-
-/// Adaptive rebalancing on/off over the Zipf-skewed mix. On a single-core
-/// host both legs measure queue+merge overhead (see docs: the shard
-/// workers are time-sliced, so spreading load cannot buy wall-clock
-/// time); the `max/mean load` counter still shows the policy narrowing
-/// the spread — re-record on a multi-core host for the throughput delta.
-void BM_Rebalance(benchmark::State& state, bool enabled) {
-  run_runtime_workload(state, make_dist_entities(4096, /*zipf=*/true),
-                       enabled ? 1024 : 0);
-}
-
-/// What each delivery-ordering tier costs on the Zipf-skewed mix: the
-/// byte-exact global merge serializes release behind the slowest shard;
-/// per-definition order frees cross-definition interleaving but pays for
-/// release-hold bookkeeping; unordered releases chunks as produced and
-/// only maintains the low watermark.
-void BM_OrderingTier(benchmark::State& state, runtime::OrderingTier tier) {
-  run_runtime_workload(state, make_dist_entities(4096, /*zipf=*/true), /*epoch=*/0, tier);
 }
 
 /// Per-arrival entity-copy elision (the ROADMAP lever): the same buffered
@@ -468,141 +309,6 @@ void BM_SharedArrival(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// Hierarchical cascade end to end: a 3-layer workload (8 per-sensor HOT
-/// thresholds -> CP pair join over HOT instances -> ALM) through a
-/// 4-shard cascading runtime at depth caps 1 / 2 / 4. Depth 1 suppresses
-/// all re-ingestion (the L1-only stream), 2 adds the CP layer, 4 closes
-/// the full hierarchy. Deterministic closure serializes arrivals behind
-/// the frontier, so this family measures the coordination cost a
-/// multi-level workload pays for byte-exact merging. items == arrivals.
-void add_cascade_hierarchy(runtime::ShardedEngineRuntime& rt) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    EventDefinition hot = threshold_def(numbered("HOT", i), 75.0, numbered("SR", i));
-    hot.synthesis.attributes.push_back(
-        core::AttributeRule{"value", core::ValueAggregate::kMax, "value", {0}});
-    rt.add_definition(std::move(hot));
-  }
-  for (std::size_t i = 0; i < 8; ++i) {
-    EventDefinition cp{EventTypeId(numbered("CP", i)),
-                       {{"a", SlotFilter::instance_of(EventTypeId(numbered("HOT", i)))},
-                        {"b", SlotFilter::instance_of(EventTypeId(numbered("HOT", i)))}},
-                       core::c_and({core::c_time(0, time_model::TemporalOp::kBefore, 1),
-                                    core::c_distance(0, 1, core::RelationalOp::kLt, 40.0)}),
-                       seconds(30),
-                       {},
-                       ConsumptionMode::kConsume};
-    cp.synthesis.attributes.push_back(
-        core::AttributeRule{"value", core::ValueAggregate::kMax, "value", {0, 1}});
-    rt.add_definition(std::move(cp));
-    rt.add_definition(EventDefinition{
-        EventTypeId(numbered("ALM", i)),
-        {{"f", SlotFilter::instance_of(EventTypeId(numbered("CP", i)))}},
-        core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt, 75.0),
-        seconds(30),
-        {},
-        ConsumptionMode::kConsume});
-  }
-}
-
-void BM_CascadeDepth(benchmark::State& state) {
-  constexpr std::size_t kBatch = 256;
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto entities = make_entities(4096, "SR", 8);
-  std::vector<time_model::TimePoint> nows;
-  nows.reserve(entities.size());
-  for (const auto& e : entities) nows.push_back(e.occurrence_time().end());
-
-  runtime::RuntimeOptions options;
-  options.shards = 4;
-  options.cascade = true;
-  options.cascade_pipeline = 4;
-  options.engine.max_cascade_depth = depth;
-  runtime::ShardedEngineRuntime rt(ObserverId("X"), core::Layer::kSensor, {0, 0}, options);
-  add_cascade_hierarchy(rt);
-
-  std::size_t i = 0;
-  std::uint64_t produced = 0;
-  for (auto _ : state) {
-    const std::size_t at = (i * kBatch) & 4095;
-    rt.ingest_batch(std::span(entities).subspan(at, kBatch),
-                    std::span(nows).subspan(at, kBatch));
-    auto out = rt.flush();
-    produced += out.size();
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
-  state.counters["instances/op"] = benchmark::Counter(
-      static_cast<double>(produced) / static_cast<double>(state.iterations()),
-      benchmark::Counter::kAvgThreads);
-  state.counters["reingested"] = benchmark::Counter(
-      static_cast<double>(rt.stats().cascade_reingested), benchmark::Counter::kAvgThreads);
-}
-
-/// Cascade delivery latency per ordering tier: time from ingesting a
-/// 256-arrival batch to the *first* released emission of that batch, with
-/// four pipelined closures (cascade_pipeline = 4); the full drain between
-/// iterations is untimed. The global tier must merge the batch's oldest
-/// whole closure before anything leaves, so its first-release cost grows
-/// with the depth cap; the relaxed tiers stream a closure's levels as
-/// they are renumbered (per-definition: from the oldest open closure;
-/// unordered: from any), so depth ~1 ties global and depth 4 beats it —
-/// the tier headroom BM_OrderingTier shows, now reachable by cascades.
-/// Arg: cascade depth cap.
-void BM_CascadeTier(benchmark::State& state, runtime::OrderingTier tier) {
-  constexpr std::size_t kBatch = 256;
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto entities = make_entities(4096, "SR", 8);
-  std::vector<time_model::TimePoint> nows;
-  nows.reserve(entities.size());
-  for (const auto& e : entities) nows.push_back(e.occurrence_time().end());
-
-  runtime::RuntimeOptions options;
-  options.shards = 4;
-  options.cascade = true;
-  options.cascade_pipeline = 4;
-  options.ordering = tier;
-  options.engine.max_cascade_depth = depth;
-  runtime::ShardedEngineRuntime rt(ObserverId("X"), core::Layer::kSensor, {0, 0}, options);
-  add_cascade_hierarchy(rt);
-
-  std::size_t i = 0;
-  std::uint64_t produced = 0;
-  std::uint64_t assigned = 0;
-  for (auto _ : state) {
-    const std::size_t at = (i * kBatch) & 4095;
-    const std::uint64_t base = assigned;  // stamps assigned before this batch
-    rt.ingest_batch(std::span(entities).subspan(at, kBatch),
-                    std::span(nows).subspan(at, kBatch));
-    // Unroutable arrivals (sensor readings under every HOT threshold
-    // segment) are dropped unstamped, so the stamp frontier advances by
-    // the *routed* count, not kBatch.
-    assigned = rt.stats().arrivals;
-    bool seen = false;
-    while (!seen) {
-      for (const runtime::TaggedInstance& t : rt.poll_tagged()) {
-        ++produced;
-        if (t.stamp > base) seen = true;
-      }
-      // No emission can come (the whole batch closed silent): stop waiting.
-      if (!seen && rt.low_watermark() >= assigned) break;
-      // Polling must not starve the coordinator/workers of the core(s)
-      // they need to produce the release we are waiting for.
-      if (!seen) std::this_thread::yield();
-    }
-    state.PauseTiming();
-    produced += rt.flush_tagged().size();
-    state.ResumeTiming();
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
-  state.counters["instances/op"] = benchmark::Counter(
-      static_cast<double>(produced) / static_cast<double>(state.iterations()),
-      benchmark::Counter::kAvgThreads);
-  state.counters["closures_max"] = benchmark::Counter(
-      static_cast<double>(rt.stats().closures_in_flight_max), benchmark::Counter::kAvgThreads);
-}
-
 /// Batched ingest amortization on a single engine: observe_batch over the
 /// 64-definition workload at batch sizes 1 / 16 / 256. items == entities.
 void BM_BatchSize(benchmark::State& state) {
@@ -636,33 +342,8 @@ BENCHMARK(BM_BufferCap)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_WindowLength)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
 BENCHMARK(BM_RoutingFanout)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_SpatialJoin)->Arg(64)->Arg(256)->Arg(1024);
-// Arg(0) = sequential reference engine; Arg(N) = N-shard runtime.
-BENCHMARK(BM_ShardScaling)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // Arg(0) = per-arrival deep copy, Arg(1) = prestored shared storage.
 BENCHMARK(BM_SharedArrival)->Arg(0)->Arg(1);
-BENCHMARK(BM_CascadeDepth)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-BENCHMARK_CAPTURE(BM_CascadeTier, global, runtime::OrderingTier::kGlobalTotalOrder)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_CascadeTier, perdef, runtime::OrderingTier::kPerDefinitionOrder)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_CascadeTier, unordered, runtime::OrderingTier::kUnorderedWatermarked)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime();
 BENCHMARK(BM_BatchSize)->Arg(1)->Arg(16)->Arg(256);
-BENCHMARK_CAPTURE(BM_SkewedLoad, uniform, false)->UseRealTime();
-BENCHMARK_CAPTURE(BM_SkewedLoad, zipf, true)->UseRealTime();
-BENCHMARK_CAPTURE(BM_Rebalance, Off, false)->UseRealTime();
-BENCHMARK_CAPTURE(BM_Rebalance, On, true)->UseRealTime();
-BENCHMARK_CAPTURE(BM_OrderingTier, global, runtime::OrderingTier::kGlobalTotalOrder)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_OrderingTier, perdef, runtime::OrderingTier::kPerDefinitionOrder)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_OrderingTier, unordered, runtime::OrderingTier::kUnorderedWatermarked)
-    ->UseRealTime();
 
 BENCHMARK_MAIN();

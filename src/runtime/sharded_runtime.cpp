@@ -1466,8 +1466,6 @@ void ShardedEngineRuntime::build_cascade_graph() {
 
 void ShardedEngineRuntime::cascade_loop() {
   const std::size_t pipeline = std::max<std::uint32_t>(1, options_.cascade_pipeline);
-  const bool hold_whole = options_.ordering == OrderingTier::kGlobalTotalOrder;
-  const bool per_def = options_.ordering == OrderingTier::kPerDefinitionOrder;
 
   // One in-flight closure. Lifecycle: activated (awaiting its arrival
   // marks) -> alternating [renumber+dispatch a level / await its
@@ -1576,28 +1574,6 @@ void ShardedEngineRuntime::cascade_loop() {
     return any;
   };
 
-  // Tier-relaxed release: stream `a`'s renumbered emissions from `from`
-  // on without waiting for the whole closure. Unordered releases from any
-  // in-flight closure as produced; per-definition order only from the
-  // oldest (younger closures buffer until they reach the front at merge,
-  // keeping each definition's stream stamp- and seq-ordered). The
-  // watermark stays clamped below the oldest in-flight closure, so early
-  // releases always carry stamps above it.
-  const auto release_tail = [&](Active& a, std::size_t from) {
-    if (hold_whole) return;
-    if (per_def && &a != &active.front()) return;
-    if (from >= a.closure.size()) return;
-    {
-      const std::lock_guard lk(merge_mutex_);
-      for (std::size_t k = from; k < a.closure.size(); ++k) {
-        cascade_out_.push_back(
-            TaggedInstance{a.p.stamp, a.closure[k].def, std::move(a.closure[k].instance)});
-      }
-      instances_ += a.closure.size() - from;
-    }
-    a.closure.resize(from);
-  };
-
   // Consumes `a`'s fully-gathered level: restore global level order,
   // renumber, and either finish the closure (empty / inert / depth-capped
   // level) or dispatch it as per-shard feedback batches.
@@ -1639,7 +1615,6 @@ void ShardedEngineRuntime::cascade_loop() {
       }
       a.remaining = 0;
       a.finished = true;
-      release_tail(a, base);
       return;
     }
     // Re-ingest the level as feedback, batched per shard (one queue splice
@@ -1676,7 +1651,6 @@ void ShardedEngineRuntime::cascade_loop() {
     if (!any_dispatch) {  // whole level inert: no roundtrip, closure complete
       a.remaining = 0;
       a.finished = true;
-      release_tail(a, base);
       return;
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -1694,7 +1668,6 @@ void ShardedEngineRuntime::cascade_loop() {
     a.remaining = next_remaining;
     a.depth = depth;
     a.next_level = depth + 1;
-    release_tail(a, base);
   };
 
   // Steps `a` once if its awaited level has been fully consumed: check
@@ -1724,11 +1697,11 @@ void ShardedEngineRuntime::cascade_loop() {
     return true;
   };
 
-  // Merges the oldest closure once finished: whole closures always leave
-  // in stamp order (the relaxed tiers released their emissions earlier,
-  // so only the withheld tail moves here), the watermark advances to just
-  // below the new oldest unclosed stamp, and placement versions nothing
-  // in flight can need are retired.
+  // Merges the oldest closure once finished: whole closures leave in
+  // stamp order under every tier (the sequential cascade's stream, which
+  // satisfies each tier's contract), the watermark advances to just below
+  // the new oldest unclosed stamp, and placement versions nothing in
+  // flight can need are retired.
   const auto merge_front = [&]() -> bool {
     if (active.empty() || !active.front().finished) return false;
     Active a = std::move(active.front());
@@ -1743,16 +1716,6 @@ void ShardedEngineRuntime::cascade_loop() {
       cascade_reingested_ += a.reingested;
       cascade_truncated_ += a.truncated;
       pending_.pop_front();
-      if (per_def && !active.empty()) {
-        // The new oldest closure may stream from here on: flush what it
-        // withheld while it was not the front.
-        Active& nf = active.front();
-        for (core::Emission& em : nf.closure) {
-          cascade_out_.push_back(TaggedInstance{nf.p.stamp, em.def, std::move(em.instance)});
-        }
-        instances_ += nf.closure.size();
-        nf.closure.clear();
-      }
       // Staged, not published: poll_tagged publishes it once it has handed
       // out cascade_out_, which now holds every emission stamped below.
       cascade_watermark_ =

@@ -116,15 +116,12 @@ struct RuntimeOptions {
   std::function<bool(std::size_t)> crash_hook;
   /// Options forwarded to every shard's DetectionEngine.
   core::EngineOptions engine;
-  /// Ordering contract of the merged stream (see OrderingTier). Cascade
-  /// mode honors it too: the global tier releases whole closures in stamp
-  /// order (byte-identical to the sequential cascade); under
-  /// kPerDefinitionOrder the oldest in-flight closure streams its levels
-  /// out as they complete (per-definition sequence order is preserved by
-  /// construction — levels release in closure order per stamp, stamps in
-  /// order per definition); under kUnorderedWatermarked every closure's
-  /// levels release as produced and the low watermark clamps below the
-  /// oldest in-flight closure.
+  /// Ordering contract of the merged stream (see OrderingTier); selects
+  /// how the non-cascade drain releases shard output. Cascade mode
+  /// releases whole closures in stamp order under every tier — the
+  /// sequential cascade's stream, byte-identical to
+  /// DetectionEngine::observe_cascading, which satisfies each tier's
+  /// contract.
   OrderingTier ordering = OrderingTier::kGlobalTotalOrder;
 };
 
@@ -279,10 +276,10 @@ struct TaggedInstance {
 /// instance sequence numbers from per-group counters in closure order
 /// (the identity while a group is unsplit; with a group split across
 /// shards it restores the sequential assignment, which is what makes
-/// split_group legal in cascade mode). Release honors the ordering tier:
-/// the global tier merges whole closures in stamp order (byte-identical
-/// to the sequential cascade), the relaxed tiers stream completed levels
-/// out earlier (see RuntimeOptions::ordering). Migrations stay exact:
+/// split_group legal in cascade mode). Every tier releases whole
+/// closures in stamp order — byte-identical to the sequential cascade,
+/// which satisfies each tier's contract (see RuntimeOptions::ordering).
+/// Migrations stay exact:
 /// control items gate on the admission frontier of their barrier stamp,
 /// and placement flips are published as new versions that each
 /// in-flight closure resolves by its own stamp, so feedback for
@@ -1078,7 +1075,7 @@ class ShardedEngineRuntime {
   std::condition_variable merged_cv_;  ///< with merge_mutex_: closure progress
   std::vector<TaggedInstance> cascade_out_;       // guarded by merge_mutex_
   /// Watermark staged by the coordinator as closures merge into
-  /// cascade_out_; published to low_watermark_ only once poll_into has
+  /// cascade_out_; published to low_watermark_ only once poll_tagged has
   /// taken cascade_out_, so a reader never sees W before every emission
   /// stamped <= W has been handed out.
   std::uint64_t cascade_watermark_ = 0;           // guarded by merge_mutex_

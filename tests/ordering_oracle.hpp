@@ -295,17 +295,17 @@ inline std::vector<TaggedInstance> flush_tagged_within(ShardedEngineRuntime& rt,
 ///   audit.after_poll(rt.low_watermark());
 /// and at quiescence: audit.at_quiescence(rt.low_watermark(), last_stamp).
 ///
-/// Valid in cascade mode too, sub-stamped emissions included: the runtime
-/// clamps low_watermark() strictly below the oldest in-flight (unclosed)
-/// closure, so even the relaxed tiers' early releases — fragments of a
-/// stamp's closure streamed across several polls while that closure is
-/// still open, possibly interleaved from several pipelined closures — must
-/// carry stamps above every previously promised watermark. observe()
-/// audits exactly that: a watermark that passed a stamp while part of its
-/// closure was still unreleased shows up as a later release at or below
-/// the promise. (The coordinator does advance the watermark *between*
-/// polls, so the audit checks each release against the last watermark the
-/// consumer actually saw — the consumer-facing contract.)
+/// Valid in cascade mode too, sub-stamped emissions included: every tier
+/// releases whole closures in stamp order and the runtime clamps
+/// low_watermark() strictly below the oldest in-flight (unclosed)
+/// closure, so every release — a closure merged while later pipelined
+/// closures are still open — must carry stamps above every previously
+/// promised watermark. observe() audits exactly that: a watermark that
+/// passed a stamp before its closure was released shows up as a later
+/// release at or below the promise. (The coordinator does advance the
+/// watermark *between* polls, so the audit checks each release against
+/// the last watermark the consumer actually saw — the consumer-facing
+/// contract.)
 class WatermarkAudit {
  public:
   explicit WatermarkAudit(std::string ctx) : ctx_(std::move(ctx)) {}

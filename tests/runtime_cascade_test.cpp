@@ -360,11 +360,11 @@ TEST(CascadeMigration, AutomaticRebalancingStaysExact) {
 // Pipelined closures: cascade x ordering tier x pipeline depth.
 // ---------------------------------------------------------------------------
 
-/// Relaxed-tier cascade leg: the merged stream is checked against the
-/// sequential cascading engine through the ordering oracle's per-tier
-/// projection (byte-exact / per-definition / multiset), with the
-/// watermark audited per poll — sub-stamped early releases from still
-/// in-flight closures must stay above every promised watermark.
+/// Cascade x tier leg: cascade mode releases whole closures in stamp
+/// order under every tier, so the merged stream must be byte-exact
+/// against the sequential cascading engine whatever the tier — running
+/// all three pins that the tier has no effect in cascade mode. The
+/// watermark is audited per poll.
 void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeline,
                      std::size_t depth, const std::string& tag,
                      const std::vector<Migration>& migrations = {},
@@ -423,18 +423,7 @@ void run_tier_matrix(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeli
                     std::make_move_iterator(released.end()));
   audit.at_quiescence(sharded.low_watermark(), sharded.stats().arrivals);
 
-  const std::vector<oracle::Ref> got = oracle::to_refs(got_tagged, /*canonicalize_seq=*/false);
-  switch (tier) {
-    case OrderingTier::kGlobalTotalOrder:
-      oracle::check_equal(got, want, ctx);
-      break;
-    case OrderingTier::kPerDefinitionOrder:
-      oracle::check_per_def(got, want, ctx);
-      break;
-    case OrderingTier::kUnorderedWatermarked:
-      oracle::check_multiset(got, want, ctx);
-      break;
-  }
+  oracle::check_equal(oracle::to_refs(got_tagged, /*canonicalize_seq=*/false), want, ctx);
 }
 
 class CascadePipelineTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -564,8 +553,8 @@ TEST_P(CascadePipelineTest, WatermarkNeverRunsAheadOfRelease) {
 /// definition, so it runs ahead of the closure frontier and publishes
 /// blocks whose later marks belong to stamps the coordinator has not
 /// activated yet: a sweep takes the block's active prefix, stops at the
-/// first inactive stamp, and a later sweep resumes at that mark. Each tier
-/// must keep its contract against the sequential cascade.
+/// first inactive stamp, and a later sweep resumes at that mark. Every
+/// tier must stay byte-exact against the sequential cascade.
 void run_partial_sweep(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeline) {
   core::EngineOptions engine_options;
   engine_options.max_cascade_depth = 4;
@@ -625,18 +614,7 @@ void run_partial_sweep(std::uint64_t seed, OrderingTier tier, std::uint32_t pipe
                     std::make_move_iterator(released.end()));
   audit.at_quiescence(sharded.low_watermark(), stream.entities.size());
 
-  const std::vector<oracle::Ref> got = oracle::to_refs(got_tagged, /*canonicalize_seq=*/false);
-  switch (tier) {
-    case OrderingTier::kGlobalTotalOrder:
-      oracle::check_equal(got, want, ctx);
-      break;
-    case OrderingTier::kPerDefinitionOrder:
-      oracle::check_per_def(got, want, ctx);
-      break;
-    case OrderingTier::kUnorderedWatermarked:
-      oracle::check_multiset(got, want, ctx);
-      break;
-  }
+  oracle::check_equal(oracle::to_refs(got_tagged, /*canonicalize_seq=*/false), want, ctx);
 }
 
 TEST_P(CascadePipelineTest, CoordinatorResumesBlocksAtInactiveStamps) {

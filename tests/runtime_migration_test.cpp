@@ -449,7 +449,9 @@ SoakResult run_soak(const Stream& stream, std::size_t rebalance_epoch,
                     std::span(stream.nows).subspan(i, n));
     for (const EventInstance& inst : rt.poll()) r.stream.push_back(describe(inst));
   }
-  for (const EventInstance& inst : rt.flush()) r.stream.push_back(describe(inst));
+  for (const EventInstance& inst : oracle::flush_within(rt, "soak")) {
+    r.stream.push_back(describe(inst));
+  }
 
   const std::vector<std::uint64_t> loads = rt.shard_arrival_loads();
   const auto total = static_cast<double>(
@@ -673,7 +675,7 @@ TEST(MigrationApiTest, GroupMovesTogetherAndBookkeepingFollows) {
   // Registration is closed once placement went dynamic.
   EXPECT_THROW(rt.add_definition(migration_definitions(ConsumptionMode::kConsume, "BK2")[0]),
                std::logic_error);
-  EXPECT_TRUE(rt.flush().empty());
+  EXPECT_TRUE(oracle::flush_within(rt, "bookkeeping").empty());
 }
 
 TEST(MigrationApiTest, MigratedDefinitionKeepsDetectingOnNewShard) {
@@ -690,7 +692,7 @@ TEST(MigrationApiTest, MigratedDefinitionKeepsDetectingOnNewShard) {
   rt.ingest(core::Entity(obs(1, "SR", 0, TimePoint(1000), {0, 0}, 80.0)), TimePoint(1000));
   EXPECT_TRUE(rt.migrate_definition(0, 1 - rt.shard_of(0)));
   rt.ingest(core::Entity(obs(1, "SR", 1, TimePoint(2000), {0, 0}, 90.0)), TimePoint(2000));
-  const auto out = rt.flush();
+  const auto out = oracle::flush_within(rt, "migrated detection");
   ASSERT_EQ(out.size(), 2u);
   // Sequence numbers are continuous across the migration.
   EXPECT_EQ(out[0].key.seq + 1, out[1].key.seq);

@@ -475,7 +475,9 @@ TEST(CrashRecovery, NoCrashesStillCheckpointsExactly) {
   }
   sharded.ingest_batch(std::span(stream.entities), std::span(stream.nows));
   std::vector<std::string> got;
-  for (const EventInstance& inst : sharded.flush()) got.push_back(describe(inst));
+  for (const EventInstance& inst : oracle::flush_within(sharded, "checkpoints only")) {
+    got.push_back(describe(inst));
+  }
   ASSERT_EQ(got, want);
   // flush() waits on the arrival watermark only; the trailing checkpoint
   // control item may still be in the inbox. Give the workers a bounded
@@ -543,7 +545,7 @@ TEST(CrashRecovery, ReplayLogStaysCompact) {
     }
     sharded.ingest_batch(std::span(batch.entities), std::span(batch.nows));
   }
-  (void)sharded.flush();
+  (void)oracle::flush_within(sharded, "replay log");
   const RuntimeStats stats = sharded.stats();
   EXPECT_EQ(stats.checkpoints, 0u);
   EXPECT_EQ(stats.arrivals, kBatches * kBatch);

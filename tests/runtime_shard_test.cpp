@@ -201,11 +201,11 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
                          std::span(stream.nows).subspan(i, n));
     collect(sharded.poll());
   }
-  collect(sharded.flush());
-
   const std::string ctx = tag + " seed=" + std::to_string(seed) +
                           " shards=" + std::to_string(shards) +
                           " batch=" + std::to_string(batch_size);
+  collect(oracle::flush_within(sharded, ctx));
+
   ASSERT_EQ(got.size(), want.size()) << ctx;
   for (std::size_t k = 0; k < got.size(); ++k) {
     ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
@@ -389,7 +389,7 @@ TEST(ShardPlacement, AddDefinitionAfterIngestThrows) {
                    {},
                    ConsumptionMode::kConsume}),
                std::logic_error);
-  EXPECT_EQ(rt.flush().size(), 1u);
+  EXPECT_EQ(oracle::flush_within(rt, "registration closed").size(), 1u);
 }
 
 }  // namespace

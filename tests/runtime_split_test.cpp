@@ -377,11 +377,11 @@ SoakResult run_soak(const Stream& stream, bool splittable, bool rebalance) {
                     std::span(stream.nows).subspan(i, n));
     drain(rt.poll());
     if (rebalance && (i / 64 + 1) % 32 == 0) {
-      drain(rt.flush());
+      drain(oracle::flush_within(rt, "soak"));
       rt.rebalance_now();
     }
   }
-  drain(rt.flush());
+  drain(oracle::flush_within(rt, "soak"));
   if (rebalance) rt.rebalance_now();
 
   const std::vector<std::uint64_t> loads = rt.shard_arrival_loads();
@@ -558,7 +558,7 @@ TEST(SplitApiTest, SplitPartitionsTheGroupAndMergeRestoresIt) {
   EXPECT_TRUE(rt.group_split(0));
   EXPECT_EQ(rt.stats().splits, 2u);
   EXPECT_EQ(rt.stats().group_merges, 1u);
-  EXPECT_TRUE(rt.flush().empty());
+  EXPECT_TRUE(oracle::flush_within(rt, "split cycle").empty());
 }
 
 TEST(SplitApiTest, SingleKeyAndWildcardGroupsRefuseToSplit) {
@@ -588,7 +588,9 @@ TEST(SplitApiTest, SequenceNumbersStayContinuousAcrossSplitAndMerge) {
   }
   std::vector<EventInstance> out;
   const auto drain = [&] {
-    for (EventInstance& inst : rt.flush()) out.push_back(std::move(inst));
+    for (EventInstance& inst : oracle::flush_within(rt, "seq continuity")) {
+      out.push_back(std::move(inst));
+    }
   };
   rt.ingest(core::Entity(obs(1, "SRa", 0, TimePoint(1000), {0, 0}, 80.0)), TimePoint(1000));
   drain();

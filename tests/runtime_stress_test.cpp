@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "ordering_oracle.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "sim/random.hpp"
 
@@ -153,6 +154,7 @@ TEST(RuntimeStressTest, BurstyProducerVsStalledConsumerStaysExact) {
     }
   };
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
+  const oracle::RunDeadline deadline(rt, "bursty");  // a stall prints the snapshot
   for (const EventDefinition& def : defs) rt.add_definition(def);
   stalled_shard.store(rt.shard_of(0), std::memory_order_relaxed);  // wildcard host
 
@@ -174,7 +176,7 @@ TEST(RuntimeStressTest, BurstyProducerVsStalledConsumerStaysExact) {
     if (bursts.chance(0.25)) collect(rt.poll());
     i += n;
   }
-  collect(rt.flush());
+  collect(oracle::flush_within(rt, "bursty"));
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < got.size(); ++k) ASSERT_EQ(got[k], want[k]) << "instance " << k;
@@ -225,6 +227,7 @@ TEST(RuntimeStressTest, ConcurrentBurstyProducersConserveEverything) {
     }
   };
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
+  const oracle::RunDeadline deadline(rt, "producers");
   // No wildcard here: each arrival goes to exactly one shard, so the
   // per-type counts are independent of producer interleaving.
   for (int i = 0; i < 4; ++i) {
@@ -255,7 +258,9 @@ TEST(RuntimeStressTest, ConcurrentBurstyProducersConserveEverything) {
   for (auto& t : producers) t.join();
 
   std::map<std::string, std::uint64_t> got_count;
-  for (const EventInstance& inst : rt.flush()) ++got_count[inst.key.event.value()];
+  for (const EventInstance& inst : oracle::flush_within(rt, "producers")) {
+    ++got_count[inst.key.event.value()];
+  }
   for (std::uint64_t p = 0; p < kProducers; ++p) {
     EXPECT_EQ(got_count["ST" + std::to_string(p)], want_count[p]) << "producer " << p;
   }
@@ -289,6 +294,9 @@ TEST(RuntimeStressTest, CleanShutdownMidBackpressure) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
       };
       ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
+      const std::string ctx =
+          "shutdown cascade=" + std::to_string(cascade) + " round=" + std::to_string(round);
+      const oracle::RunDeadline deadline(rt, ctx);
       for (const EventDefinition& def : stress_definitions("SD")) rt.add_definition(def);
 
       const Stream stream = make_stream(900 + round, 4'000);
@@ -308,12 +316,11 @@ TEST(RuntimeStressTest, CleanShutdownMidBackpressure) {
 
       // Post-shutdown API: flush must not hang on abandoned work, ingest
       // must be a no-op, and stats must stay readable.
-      const auto leftover = rt.flush();
+      (void)oracle::flush_within(rt, ctx);
       const RuntimeStats stats = rt.stats();
       EXPECT_LE(stats.instances, stats.arrivals * 5);  // sane, no hang
       rt.ingest(stream.entities[0], stream.nows[0]);
       EXPECT_TRUE(rt.poll().empty());
-      (void)leftover;
       rt.shutdown();  // idempotent
     }
   }
@@ -326,8 +333,8 @@ TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
   // inbox while admitting the other — the receive-side worker then waited
   // forever on a ready flag nobody would set, and shutdown()'s join hung.
   // Race ingestion, explicit migrations, auto-rebalancing, and shutdown
-  // hard across both runtime modes; a regression shows up as a hang (the
-  // ctest timeout), not an assertion.
+  // hard across both runtime modes; a regression shows up as a stalled
+  // round: its RunDeadline fails it with the runtime's snapshot.
   for (const bool cascade : {false, true}) {
     for (int round = 0; round < 8; ++round) {
       RuntimeOptions options;
@@ -336,6 +343,9 @@ TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
       options.cascade = cascade;
       options.rebalance_epoch = 64;  // migrations also issue inside ingest_batch
       ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
+      const oracle::RunDeadline deadline(
+          rt, "migration race cascade=" + std::to_string(cascade) +
+                  " round=" + std::to_string(round));
       for (const EventDefinition& def : stress_definitions("SM")) rt.add_definition(def);
 
       const Stream stream = make_stream(3000 + round, 3'000);

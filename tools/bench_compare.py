@@ -12,13 +12,13 @@ inverse cpu_time) is compared; the script exits nonzero when any
 benchmark regresses by more than --tolerance percent (default 10).
 
 Wall-clock benchmark families are noisier than single-threaded CPU-time
-ones — the sharded-runtime families (BM_ShardScaling, and anything else
-measured with UseRealTime) depend on scheduler behavior and machine
-load. --tolerance-for overrides the tolerance for every benchmark whose
-name starts with PREFIX (longest matching prefix wins), e.g.:
+ones — anything measured with UseRealTime depends on scheduler behavior
+and machine load. --tolerance-for overrides the tolerance for every
+benchmark whose name starts with PREFIX (longest matching prefix wins),
+e.g.:
 
   tools/bench_compare.py fresh/ bench/baselines \
-      --tolerance-for BM_ShardScaling=25
+      --tolerance-for BM_ReliableLink=40
 
 Benchmarks present on only one side are reported but never fail the
 comparison, so adding or retiring benchmarks does not break the gate.
@@ -51,16 +51,10 @@ def load_rates(path):
     return rates
 
 
-# Wall-clock (UseRealTime) runtime families are scheduler-sensitive, so
-# they always get a wider gate even when no --tolerance-for flag names
+# Noisy families (retransmission rounds vary with the simulated loss
+# draw) always get a wider gate even when no --tolerance-for flag names
 # them. CLI overrides take precedence (they are matched first on ties).
 DEFAULT_FAMILY_TOLERANCES = [
-    ("BM_ShardScaling", 25.0),
-    ("BM_SkewedLoad", 25.0),
-    ("BM_Rebalance", 25.0),
-    ("BM_CascadeDepth", 25.0),
-    ("BM_CascadeTier", 25.0),
-    ("BM_OrderingTier", 25.0),
     ("BM_ReliableLink", 25.0),
     # Single timed iteration per leg (registration + RSS accounting), so
     # run-to-run variance is higher than the steady-state loops.
@@ -130,7 +124,7 @@ def main():
                         help="allowed regression in percent (default 10)")
     parser.add_argument("--tolerance-for", action="append", default=[],
                         metavar="PREFIX=PCT",
-                        help="per-family tolerance override, e.g. BM_ShardScaling=25; "
+                        help="per-family tolerance override, e.g. BM_ReliableLink=40; "
                              "applies to every benchmark whose name starts with PREFIX "
                              "(repeatable; longest matching prefix wins)")
     args = parser.parse_args()

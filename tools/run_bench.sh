@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Runs the Google-Benchmark microbenchmarks and records one BENCH_<name>.json
 # baseline per executable. Future optimization PRs diff their numbers against
-# these files (wall-clock runtime families get a wider per-family gate):
+# these files:
 #   tools/run_bench.sh build /tmp/fresh
 #   tools/bench_compare.py /tmp/fresh bench/baselines
-# (fails on regression beyond the gate; the wall-clock runtime families —
-# BM_ShardScaling, BM_SkewedLoad, BM_Rebalance, BM_CascadeDepth,
-# BM_CascadeTier, BM_OrderingTier — carry a built-in 25% gate, overridable with
-# --tolerance-for PREFIX=PCT)
+# (fails on regression beyond the gate, overridable per family with
+# --tolerance-for PREFIX=PCT). The sharded runtime is measured end to end
+# by bench/e2e, not here.
 #
 # Usage: tools/run_bench.sh [build-dir] [out-dir]
 #   build-dir  CMake build tree (default: build; configured+built if missing)
@@ -150,20 +149,8 @@ print(f"temporal op (before, i-i):   {fmt(rate('BENCH_e1_temporal_ops.json', 'BM
 print(f"allen classify:              {fmt(rate('BENCH_e1_temporal_ops.json', 'BM_AllenClassify'))} ops/s")
 print(f"spatial point-in-field (64): {fmt(spatial)} ops/s")
 
-# Sharded-runtime families (BM_ShardScaling/0 is the sequential reference
-# engine on the same 64-definition workload; /N runs N worker shards —
-# UseRealTime appends the /real_time suffix). Shard speedup is meaningful
-# only with >= as many cores as shards.
-seq = rate("BENCH_e11_engine_throughput.json", "BM_ShardScaling/0/real_time")
-for shards in (1, 2, 4, 8):
-    r = rate("BENCH_e11_engine_throughput.json", f"BM_ShardScaling/{shards}/real_time")
-    speedup = "n/a" if not (r and seq) else f"{r / seq:.2f}x vs sequential"
-    print(f"shard scaling ({shards} shard{'s' if shards > 1 else ''}):     {fmt(r)} entities/s ({speedup})")
 print(f"batched ingest (batch=256):  {fmt(rate('BENCH_e11_engine_throughput.json', 'BM_BatchSize/256'))} entities/s")
 
-# Adaptive rebalancing under the Zipf-skewed mix: the interesting number
-# on a single-core recorder is the load-spread counter (max/mean per-shard
-# arrivals; 1.0 = even), not wall-clock — see the bench caveat in docs.
 def counter(path, name, key):
     try:
         with open(os.path.join(out_dir, path)) as f:
@@ -185,35 +172,6 @@ for n in (16384, 131072, 1048576):
     secs = "n/a" if not r else f"{n / r:.2f}s"
     rss_s = "n/a" if rss is None else f"{rss:.0f} MB"
     print(f"registration ({n:>7} defs): {fmt(r)} defs/s ({secs}, {rss_s} resident)")
-
-for leg in ("Off", "On"):
-    name = f"BM_Rebalance/{leg}/real_time"
-    spread = counter("BENCH_e11_engine_throughput.json", name, "max/mean load")
-    spread_s = "n/a" if spread is None else f"{spread:.2f}"
-    print(f"rebalance {leg.lower():<3} (zipf skew):   {fmt(rate('BENCH_e11_engine_throughput.json', name))} entities/s, max/mean shard load {spread_s}")
-
-# Hierarchical cascade through the 4-shard runtime: arrivals/s by depth
-# cap (1 = no re-ingestion, 4 = the full 3-layer closure), plus how many
-# derived instances the coordinator re-ingested across shards.
-for d in (1, 2, 4):
-    name = f"BM_CascadeDepth/{d}/real_time"
-    re_in = counter("BENCH_e11_engine_throughput.json", name, "reingested")
-    re_s = "n/a" if re_in is None else f"{re_in:.0f}"
-    print(f"cascade depth {d}:             {fmt(rate('BENCH_e11_engine_throughput.json', name))} arrivals/s ({re_s} reingested)")
-
-# Delivery-ordering tiers on the Zipf-skewed mix: what the byte-exact
-# global merge costs vs per-definition order vs unordered-with-watermark.
-for tier in ("global", "perdef", "unordered"):
-    name = f"BM_OrderingTier/{tier}/real_time"
-    print(f"ordering tier ({tier:<9}):   {fmt(rate('BENCH_e11_engine_throughput.json', name))} entities/s")
-
-# Cascade x ordering tier at pipeline depth 4: tier-relaxed closure
-# release lets perdef/unordered stream emissions while closures are in
-# flight, vs the global tier's stamp-ordered whole-closure merge.
-for tier in ("global", "perdef", "unordered"):
-    for pipe in (1, 4):
-        name = f"BM_CascadeTier/{tier}/{pipe}/real_time"
-        print(f"cascade tier {tier:<9} K={pipe}:  {fmt(rate('BENCH_e11_engine_throughput.json', name))} arrivals/s")
 
 # The per-arrival entity-copy lever: reference deep-copy observe vs the
 # prestored shared-storage path the sharded runtime workers use.
