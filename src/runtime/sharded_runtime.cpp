@@ -487,26 +487,20 @@ void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
   // check (blocking on it under ingest_mutex_ could stall the very
   // workers that free the space), and the inbox itself never blocks.
   const std::shared_ptr<MigrationTicket> ticket = item.control().ticket;
-  if (!push_locked(shard, std::move(item))) {
-    if (ticket == nullptr) return;  // checkpoint item: nothing to release
-    // Closed inbox: shutdown() won the race before this pair was issued
-    // (issuance and inbox close both hold ingest_mutex_, so a pair is
-    // never split — both pushes fail together). Complete the handshake
-    // so anyone waiting on this ticket (a worker in handle_control's
-    // receive wait, or migrate_definition's done wait) is released; the
-    // state transfer is abandoned with the rest of the in-flight work.
-    {
-      const std::lock_guard tlk(ticket->m);
-      ticket->ready = true;
-      ticket->done = true;
-    }
-    ticket->cv.notify_all();
-    return;
+  // Admitted, or a checkpoint item: nothing to release.
+  if (push_locked(shard, std::move(item)) || ticket == nullptr) return;
+  // Closed inbox: shutdown() won the race before this pair was issued
+  // (issuance and inbox close both hold ingest_mutex_, so a pair is
+  // never split — both pushes fail together). Complete the handshake
+  // so anyone waiting on this ticket (a worker in handle_control's
+  // receive wait, or migrate_definition's done wait) is released; the
+  // state transfer is abandoned with the rest of the in-flight work.
+  {
+    const std::lock_guard tlk(ticket->m);
+    ticket->ready = true;
+    ticket->done = true;
   }
-  // Admitted: flush()'s control-completion wait counts it (all callers
-  // hold ingest_mutex_). Failed pushes above are never counted — their
-  // handshake completes here, not on the worker.
-  ++shard.ctl_pushed;
+  ticket->cv.notify_all();
 }
 
 void ShardedEngineRuntime::issue_migration_locked(std::uint32_t group, std::uint32_t to) {
@@ -561,12 +555,12 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
     queue_placement_locked(barrier);
   } else if (options_.ordering == OrderingTier::kPerDefinitionOrder) {
     // Per-definition order: the destination's post-barrier blocks must not
-    // be released before the source has drained up to the barrier, or a
-    // migrated definition's later emissions could overtake its earlier
-    // ones. The hold is registered before either control item exists, so
-    // no post-barrier block can possibly be published yet.
+    // be released before every pre-barrier arrival is out, or a migrated
+    // definition's later emissions could overtake its earlier ones. The
+    // hold is registered before either control item exists, so no
+    // post-barrier block can possibly be published yet.
     const std::lock_guard merge_lk(merge_mutex_);
-    shard_holds_[to].push_back(ReleaseHold{barrier, from});
+    shard_holds_[to].push_back(barrier);
   }
   push_control(*shards_[from], WorkItem::of_control(Control{ticket, true, barrier}));
   push_control(*shards_[to], WorkItem::of_control(Control{ticket, false, barrier}));
@@ -942,12 +936,6 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
     // live publications of one definition would let a stale value
     // overwrite a newer one in the rebalancer's merge.
     if (!suppress) publish(shard, run);
-    // The barrier's pre-epoch is fully drained: marks below `barrier` are
-    // all published. Monotone max — barriers surface in stamp order per
-    // shard, but a recovery replay may revisit an older one.
-    if (ctl.barrier > shard.sent_through.load(std::memory_order_seq_cst)) {
-      shard.sent_through.store(ctl.barrier, std::memory_order_seq_cst);
-    }
     {
       const std::lock_guard tlk(ticket.m);
       // Already ready: the original pre-crash send, the shutdown ticket
@@ -1008,12 +996,6 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
     }
     ticket.cv.notify_all();
   }
-  // Control completion, for flush()'s per-definition-order wait (a replay
-  // may recount a control the dead worker completed, hence flush's >=).
-  // The empty lock/unlock pairs the notify with the waiter's predicate.
-  shard.ctl_done.fetch_add(1, std::memory_order_seq_cst);
-  { const std::lock_guard lk(shard.out_mutex); }
-  shard.done_cv.notify_all();
   return true;
 }
 
@@ -1235,9 +1217,6 @@ void ShardedEngineRuntime::take_checkpoint(Shard& shard, std::uint64_t push_seq)
   }
   shard.consumed_seq.store(push_seq, std::memory_order_relaxed);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  shard.ctl_done.fetch_add(1, std::memory_order_seq_cst);
-  { const std::lock_guard lk(shard.out_mutex); }
-  shard.done_cv.notify_all();
 }
 
 void ShardedEngineRuntime::die(Shard& shard) {
@@ -1850,7 +1829,6 @@ void ShardedEngineRuntime::cascade_loop() {
 
 std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   const bool global = options_.ordering == OrderingTier::kGlobalTotalOrder;
-  const bool perdef = options_.ordering == OrderingTier::kPerDefinitionOrder;
   const std::size_t n = shards_.size();
   // The frontier F: pending arrivals are popped while every recipient
   // shard has passed them, against one watermark snapshot taken *before*
@@ -1877,97 +1855,48 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   // hold marks up to the limit: F in the global tier (a stamp is complete
   // only once every recipient has passed it), unbounded in the relaxed
   // tiers. F may fall inside a block; the block is detached whole and its
-  // marks above F are put back below. Per-definition order additionally
-  // fences a migration destination's post-barrier blocks behind release
-  // holds. A hold never falls inside a block — a worker publishes before
-  // every control item, so no block straddles a migration barrier — so the
-  // block's first untaken mark decides. A hold clears once the source
-  // worker has drained past the barrier (sent_through) *and* everything it
-  // published before the barrier has been taken (outbox front empty or
-  // past the barrier). The clearing inputs are snapshotted once per pass —
-  // sent_through strictly before the outbox front, so a front that moved
-  // past the barrier after its sent_through was read can only hold longer,
-  // never release early. A pass that takes anything may clear another
-  // shard's hold, so the sweep repeats to a fixpoint while holds exist; it
-  // terminates because holds only clear and outboxes only shrink while
-  // merge_mutex_ is held (blocks published meanwhile go to a later poll).
-  // The relaxed tiers release in take order (pass, then shard), which
-  // keeps a moved definition's pre-barrier stream ahead of its
-  // post-barrier one; the global tier merges each shard's blocks by stamp.
+  // marks above F are put back below. In the per-definition tier a
+  // migration destination's blocks from its front hold's barrier on stay
+  // fenced until F reaches barrier - 1. Every recipient of every
+  // pre-barrier arrival, the source included, has then published its
+  // marks (a run's block goes out before its watermark store), so this
+  // same sweep takes the source's pre-barrier blocks and the merge below
+  // releases them first. A hold never falls inside a block: a worker
+  // publishes before every control item, so no block straddles a barrier.
   const std::uint64_t limit = global ? frontier_ : ~std::uint64_t{0};
-  std::array<std::list<OutBlock>, 64> taken;  // global tier: per shard
-  std::list<OutBlock> released;               // relaxed tiers: take order
+  std::array<std::list<OutBlock>, 64> taken;  // per shard, ascending stamp
   std::size_t total = 0;                      // emissions up to the limit
   std::uint64_t clamp = ~std::uint64_t{0};
-  for (bool holding = true; holding;) {
-    holding = perdef && std::any_of(shard_holds_.begin(), shard_holds_.end(),
-                                    [](const auto& h) { return !h.empty(); });
-    std::array<std::uint64_t, 64> sent{};
-    std::array<std::uint64_t, 64> front{};
-    for (std::size_t s = 0; holding && s < n; ++s) {
-      sent[s] = shards_[s]->sent_through.load(std::memory_order_seq_cst);
-      const std::lock_guard lk(shards_[s]->out_mutex);
-      front[s] = shards_[s]->outbox.empty() ? 0 : shards_[s]->outbox.front().front_stamp();
+  for (std::size_t s = 0; s < n; ++s) {
+    Shard& shard = *shards_[s];
+    std::deque<std::uint64_t>& holds = shard_holds_[s];
+    while (!holds.empty() && holds.front() - 1 <= frontier_) holds.pop_front();
+    const std::uint64_t fence = holds.empty() ? ~std::uint64_t{0} : holds.front();
+    const std::lock_guard lk(shard.out_mutex);
+    auto cut = shard.outbox.begin();
+    for (; cut != shard.outbox.end(); ++cut) {
+      const std::uint64_t t = cut->front_stamp();
+      if (t > limit || t >= fence) break;
+      total += cut->marks[cut->end_through(limit) - 1].end - cut->begin_of(cut->next);
     }
-    bool took = false;
-    clamp = ~std::uint64_t{0};
-    for (std::size_t s = 0; s < n; ++s) {
-      Shard& shard = *shards_[s];
-      std::deque<ReleaseHold>& holds = shard_holds_[s];
-      const std::lock_guard lk(shard.out_mutex);
-      auto cut = shard.outbox.begin();
-      for (; cut != shard.outbox.end(); ++cut) {
-        const std::uint64_t t = cut->front_stamp();
-        if (t > limit) break;
-        while (!holds.empty() && t >= holds.front().barrier) {
-          const ReleaseHold h = holds.front();
-          if (sent[h.from] < h.barrier || (front[h.from] != 0 && front[h.from] < h.barrier)) {
-            break;
-          }
-          holds.pop_front();  // the source's pre-barrier stream is out
-        }
-        if (!holds.empty() && t >= holds.front().barrier) break;  // fenced
-        total += cut->marks[cut->end_through(limit) - 1].end - cut->begin_of(cut->next);
-      }
-      took = took || cut != shard.outbox.begin();
-      std::list<OutBlock>& to = global ? taken[s] : released;
-      to.splice(to.end(), shard.outbox, shard.outbox.begin(), cut);
-      if (!shard.outbox.empty()) clamp = std::min(clamp, shard.outbox.front().front_stamp() - 1);
-    }
-    holding = holding && took;
+    taken[s].splice(taken[s].end(), shard.outbox, shard.outbox.begin(), cut);
+    if (!shard.outbox.empty()) clamp = std::min(clamp, shard.outbox.front().front_stamp() - 1);
   }
   // Every mark <= F was taken in the global tier, so there W = F.
   low_watermark_ = std::max(low_watermark_, std::min(frontier_, clamp));
 
+  // K-way merge of the shards' detached blocks by stamp (each shard's
+  // marks ascend), up to the limit. The global tier then restores the
+  // sequential engine's within-arrival order — ascending global definition
+  // index, stable so one definition's bindings keep their enumeration
+  // order (a shard's block is in *local* registration order, which after a
+  // migration is no longer a subsequence of global order) — and renumbers
+  // each instance from a merge-side per-group (= per event type) counter.
+  // With the group unsplit that is the identity; split across shards, it
+  // restores exactly the sequence a single engine would have assigned,
+  // keeping the global tier byte-identical to the sequential reference.
   std::vector<TaggedInstance> out;
   out.reserve(total);
-  // Releases the block's first untaken mark.
-  const auto take = [&out](OutBlock& block) {
-    const OutBlock::Mark& mark = block.marks[block.next];
-    for (std::uint32_t k = block.begin_of(block.next); k < mark.end; ++k) {
-      core::Emission& em = block.emissions[k];
-      out.push_back(TaggedInstance{mark.stamp, em.def, std::move(em.instance)});
-    }
-    ++block.next;
-  };
-  if (!global) {
-    for (OutBlock& block : released) {
-      while (block.next < block.marks.size()) take(block);
-    }
-    instances_ += out.size();
-    return out;
-  }
-
-  // Global tier: k-way merge of the shards' detached blocks by stamp (each
-  // shard's marks ascend), restoring the sequential engine's within-arrival
-  // order — ascending global definition index, stable so one definition's
-  // bindings keep their enumeration order (a shard's block is in *local*
-  // registration order, which after a migration is no longer a subsequence
-  // of global order) — and renumbering each instance from a merge-side
-  // per-group (= per event type) counter. With the group unsplit that is
-  // the identity; split across shards, it restores exactly the sequence a
-  // single engine would have assigned, keeping the global tier
-  // byte-identical to the sequential reference.
   const auto by_def = [](const TaggedInstance& a, const TaggedInstance& b) {
     return a.def < b.def;
   };
@@ -1976,15 +1905,22 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
     for (std::size_t s = 0; s < n; ++s) {
       if (!taken[s].empty()) stamp = std::min(stamp, taken[s].front().front_stamp());
     }
-    if (stamp > limit) break;
+    // Every list is spent, or (global tier) only marks above F are left.
+    if (stamp == ~std::uint64_t{0} || stamp > limit) break;
     const std::size_t first = out.size();
     for (std::size_t s = 0; s < n; ++s) {
       std::list<OutBlock>& blocks = taken[s];
       while (!blocks.empty() && blocks.front().front_stamp() == stamp) {
-        take(blocks.front());
-        if (blocks.front().next == blocks.front().marks.size()) blocks.pop_front();
+        OutBlock& block = blocks.front();
+        const OutBlock::Mark& mark = block.marks[block.next];
+        for (std::uint32_t k = block.begin_of(block.next); k < mark.end; ++k) {
+          core::Emission& em = block.emissions[k];
+          out.push_back(TaggedInstance{mark.stamp, em.def, std::move(em.instance)});
+        }
+        if (++block.next == block.marks.size()) blocks.pop_front();
       }
     }
+    if (!global) continue;
     const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
     if (!std::is_sorted(begin, out.end(), by_def)) std::stable_sort(begin, out.end(), by_def);
     for (auto it = begin; it != out.end(); ++it) {
@@ -1993,8 +1929,9 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
       it->instance.key.seq = group_seq_[g]++;
     }
   }
-  // What is left is at most one block per shard whose marks above F stay
-  // for a later poll: back to the outbox front, cursor kept.
+  // What is left (global tier only) is at most one block per shard whose
+  // marks above F stay for a later poll: back to the outbox front, cursor
+  // kept.
   for (std::size_t s = 0; s < n; ++s) {
     if (taken[s].empty()) continue;
     const std::lock_guard lk(shards_[s]->out_mutex);
@@ -2034,17 +1971,9 @@ std::vector<TaggedInstance> ShardedEngineRuntime::flush_tagged() {
     return poll_tagged();
   }
   std::vector<std::uint64_t> targets(shards_.size(), 0);
-  std::vector<std::uint64_t> ctl_targets(shards_.size(), 0);
-  // Per-definition order: trailing migration controls must finish too —
-  // an unprocessed send leaves its destination's blocks fenced behind a
-  // hold that only the send's sent_through store can clear.
-  const bool wait_ctl = options_.ordering == OrderingTier::kPerDefinitionOrder;
   {
     const std::lock_guard lk(ingest_mutex_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      targets[s] = shards_[s]->last_routed;
-      ctl_targets[s] = shards_[s]->ctl_pushed;
-    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) targets[s] = shards_[s]->last_routed;
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -2052,10 +1981,8 @@ std::vector<TaggedInstance> ShardedEngineRuntime::flush_tagged() {
     // Stop-aware: a shut-down runtime abandons unpushed work, so the
     // watermark may never reach a stamp that was routed but dropped.
     shard.done_cv.wait(lk, [&] {
-      if (shard.stop.load(std::memory_order_acquire)) return true;
-      if (shard.watermark.load(std::memory_order_acquire) < targets[s]) return false;
-      // >=: recovery replays can complete one control more than once.
-      return !wait_ctl || shard.ctl_done.load(std::memory_order_seq_cst) >= ctl_targets[s];
+      return shard.stop.load(std::memory_order_acquire) ||
+             shard.watermark.load(std::memory_order_acquire) >= targets[s];
     });
   }
   return poll_tagged();

@@ -37,16 +37,18 @@ enum class OrderingTier {
   /// release, which also keeps split groups stream-exact).
   kGlobalTotalOrder,
   /// Each definition's emissions arrive in stamp order; interleaving
-  /// *across* definitions is unspecified. The merge gates per shard
-  /// outbox (one definition's emissions all flow through its host shard,
-  /// in stamp order) instead of waiting on the globally slowest shard;
-  /// migration hand-offs are fenced by per-destination release holds so a
-  /// moved definition's stream stays in stamp order across the barrier.
+  /// *across* definitions is unspecified. A poll releases whatever the
+  /// shards have published, stamp-merged, instead of waiting on the
+  /// globally slowest shard (one definition's emissions all flow through
+  /// its host shard, in stamp order); a migration destination's
+  /// post-barrier output is held until the frontier has passed every
+  /// pre-barrier arrival, so a moved definition's stream stays in stamp
+  /// order across the barrier.
   kPerDefinitionOrder,
-  /// Emissions flow as produced (per-shard outbox order, cross-shard
-  /// free), tagged with a monotone low watermark: low_watermark() = W
-  /// guarantees every emission with stamp <= W has already been released,
-  /// so consumers can window/reorder externally.
+  /// Emissions flow as published (stamp-merged within one poll, without
+  /// waiting on the slowest shard), tagged with a monotone low watermark:
+  /// low_watermark() = W guarantees every emission with stamp <= W has
+  /// already been released, so consumers can window/reorder externally.
   kUnorderedWatermarked,
 };
 
@@ -242,16 +244,17 @@ struct TaggedInstance {
 /// processes its arrivals in stamp order and reports a processed-stamp
 /// watermark. Every non-cascade tier releases through one drain: a poll
 /// pops the pending arrivals up to the frontier F every recipient shard
-/// has passed, then sweeps each shard's outbox once. Each outbox entry is
-/// one worker run's block of emissions with a mark per emitting arrival.
-/// The global tier takes the marks up to F — F may fall inside a block —
-/// and k-way merges them across shards by (arrival stamp, definition
-/// registration index) — exactly the order a single sequential
-/// DetectionEngine fed the same stream would emit
-/// (tests/runtime_shard_test.cpp proves equality differentially); the
-/// relaxed tiers take whatever is published, behind per-definition
-/// release holds in the per-definition tier. The low watermark is F,
-/// clamped below any mark still untaken.
+/// has passed, sweeps each shard's outbox once, and k-way merges the
+/// taken marks across shards by arrival stamp. Each outbox entry is one
+/// worker run's block of emissions with a mark per emitting arrival. The
+/// global tier takes the marks up to F — F may fall inside a block — and
+/// orders each stamp by definition registration index, renumbering
+/// sequences: exactly the order a single sequential DetectionEngine fed
+/// the same stream would emit (tests/runtime_shard_test.cpp proves
+/// equality differentially). The relaxed tiers take whatever is
+/// published; in the per-definition tier a migration destination's
+/// blocks from the barrier on wait until F reaches barrier - 1. The low
+/// watermark is F, clamped below any mark still untaken.
 ///
 /// **Hierarchical cascade** (RuntimeOptions::cascade): instances detected
 /// at one layer become entities evaluated at the next (paper Fig. 2). A
@@ -661,20 +664,6 @@ class ShardedEngineRuntime {
     std::uint32_t ck_depth = 0;               ///< guarded by out_mutex
     std::uint32_t ck_sub = 0;                 ///< guarded by out_mutex
     std::uint64_t last_routed = 0;            ///< guarded by ingest_mutex_
-    /// Control items admitted to this shard's inbox (migration sides and
-    /// checkpoints), vs. fully handled. The per-definition-order flush
-    /// waits for the two to meet so every send-side `sent_through` store
-    /// is final before the last hold-fenced sweep. ctl_done may overcount
-    /// across crash-recovery replays (a control can be re-handled), hence
-    /// the >= comparison there.
-    std::uint64_t ctl_pushed = 0;  ///< guarded by ingest_mutex_
-    std::atomic<std::uint64_t> ctl_done{0};
-    /// Highest migration barrier whose send side this shard has completed:
-    /// every pre-barrier arrival routed here has been processed and its
-    /// block published. The merge's release holds read it (seq_cst store
-    /// after the send-side publish) to decide when a migration
-    /// destination may release post-barrier blocks.
-    std::atomic<std::uint64_t> sent_through{0};
     /// Cascade mode: true once this shard hosts (or was ever the
     /// destination of) a definition with an event-type or wildcard slot —
     /// i.e. it can receive feedback, so its arrivals must gate on the
@@ -725,8 +714,8 @@ class ShardedEngineRuntime {
     /// the last one: push sequences are dense per shard (a failed push
     /// rolls push_seq_next back) and the inbox is FIFO. A partial
     /// cascade-gated claim does not pop. Recovery replays log entries at
-    /// or before it; later ones are still in the inbox. Worker-owned; the supervisor's join orders the hand-off to
-    /// the replacement worker.
+    /// or before it; later ones are still in the inbox. Worker-owned; the
+    /// supervisor's join orders the hand-off to the replacement worker.
     std::uint64_t popped_seq = 0;
     std::uint64_t push_seq_next = 0;  ///< guarded by ingest_mutex_ (checkpointing on)
     /// Set by a dying worker (crash_hook) or an interrupted recovery;
@@ -854,13 +843,12 @@ class ShardedEngineRuntime {
   /// up to the frontier F every recipient shard has passed, sweeps each
   /// outbox once, detaching the blocks with marks up to the tier's limit
   /// (F in the global tier, unbounded in the relaxed ones; per-definition
-  /// holds fence migration destinations at block granularity, repeating
-  /// the sweep to a fixpoint while any exist), and advances the low
-  /// watermark to F clamped below any mark still untaken. Outside the
-  /// shard locks the global tier k-way merges the detached blocks by
-  /// stamp, orders and renumbers each stamp's emissions, and puts a block
-  /// F fell inside back at its outbox front, cursor kept; the relaxed
-  /// tiers release the blocks in take order.
+  /// holds fence a migration destination's blocks from the barrier on
+  /// until F reaches barrier - 1), and advances the low watermark to F
+  /// clamped below any mark still untaken. Outside the shard locks it
+  /// k-way merges the detached blocks by stamp; the global tier also
+  /// orders each stamp's emissions by definition, renumbers them, and puts
+  /// a block F fell inside back at its outbox front, cursor kept.
   std::vector<TaggedInstance> drain_locked();
   /// Moves the whole of `group` to `to` and enqueues the extract/implant
   /// control pair; ingest_mutex_ must be held and the group must have no
@@ -1007,18 +995,13 @@ class ShardedEngineRuntime {
   /// Indexed by group; grown lazily (def_group_ is registration-frozen
   /// before the first pending arrival exists).
   std::vector<std::uint64_t> group_seq_;  // guarded by merge_mutex_
-  /// Per-definition-order tier: release fences installed at migration
-  /// issuance, one deque per *destination* shard in ascending barrier
-  /// order. The destination may not release a mark with stamp >= the
-  /// front hold's barrier until the source shard has completed the send
-  /// side (sent_through >= barrier) and released everything it published
-  /// below the barrier — exactly the stamp-order hand-off a moved
-  /// definition's stream needs.
-  struct ReleaseHold {
-    std::uint64_t barrier = 0;
-    std::uint32_t from = 0;
-  };
-  std::vector<std::deque<ReleaseHold>> shard_holds_;  // guarded by merge_mutex_
+  /// Per-definition-order tier: release holds installed at migration
+  /// issuance, the barrier stamps of the moves onto each *destination*
+  /// shard, ascending. The destination may not release a mark with stamp
+  /// >= the front barrier until the frontier reaches barrier - 1, when
+  /// every pre-barrier emission is published and taken in the same sweep
+  /// — exactly the stamp-order hand-off a moved definition's stream needs.
+  std::vector<std::deque<std::uint64_t>> shard_holds_;  // guarded by merge_mutex_
   /// Non-cascade: highest stamp every recipient shard has passed (pending_
   /// is popped up to here; monotone). The published watermark is this
   /// frontier clamped below any still-untaken mark.

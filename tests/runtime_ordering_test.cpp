@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ordering_oracle.hpp"
@@ -19,7 +22,10 @@
 ///    stream re-checks it with stamps attached);
 ///  - per_definition_order must keep every definition's emissions in
 ///    reference order — including across forced mid-stream migrations,
-///    which exercise the release-hold fencing;
+///    which exercise the release holds (a destination's post-barrier
+///    output waits until the frontier passes every pre-barrier arrival),
+///    and across migrations issued while a consumer thread polls
+///    concurrently;
 ///  - unordered_watermarked must deliver exactly the reference multiset
 ///    and maintain a sound, monotone low watermark (checked incrementally
 ///    at every poll, in every tier).
@@ -294,9 +300,11 @@ TEST_P(OrderingTierTest, EveryTierMatchesItsContractOnStaticPlacement) {
 TEST_P(OrderingTierTest, RelaxedTiersSurviveForcedMigrations) {
   // Mid-stream whole-group migrations: in the per-definition tier each
   // one plants a release hold that fences the destination's post-barrier
-  // chunks behind the source's drain — the per-definition projections
-  // must stay in reference order through every hand-off. The unordered
-  // tier must still deliver the exact multiset with a sound watermark.
+  // chunks until the frontier passes every pre-barrier arrival, when the
+  // same drain takes the source's pre-barrier ones — the per-definition
+  // projections must stay in reference order through every hand-off. The
+  // unordered tier must still deliver the exact multiset with a sound
+  // watermark.
   // The flush-only arm releases every shard's whole stream in one drain,
   // holds and all.
   for (const OrderingTier tier :
@@ -561,6 +569,90 @@ TEST_P(DegenerateCascadeTest, FeedbackFreeCascadeIsThePlainPipeline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DegenerateCascadeTest, ::testing::Values(31u, 32u));
+
+// ---------------------------------------------------------------------------
+// Concurrent-poll migration leg: the per-definition release hold against a
+// consumer that polls while the producer migrates.
+// ---------------------------------------------------------------------------
+
+TEST(OrderingRaceTest, PerDefinitionHoldSurvivesConcurrentPolls) {
+  // A consumer thread polls in a tight loop while the producer ingests single
+  // arrivals, alternating between two single-slot definitions, and moves
+  // definition 0 between shards 0 and 2 after every 10 of them. A poll
+  // sweeps the shards in index order, so it may pass the source before it
+  // publishes its pre-barrier block and reach the destination after it has
+  // implanted and published post-barrier output; only the hold keeps that
+  // output back until the pre-barrier block can be released first.
+  // Definition 1's shard sits between the two in sweep order and its
+  // worker publishes every other arrival, which widens that window: with
+  // two shards a broken hold is caught in far fewer runs, and a consumer
+  // that yields between polls hardly ever catches it.
+  constexpr int kArrivals = 100000;
+  constexpr int kMigrateEvery = 10;
+  RuntimeOptions options;
+  options.shards = 3;
+  options.ordering = OrderingTier::kPerDefinitionOrder;
+  ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  const std::array<std::string, 2> sensors = {"SA", "SB"};
+  for (const std::string& sensor : sensors) {
+    rt.add_definition(EventDefinition{EventTypeId("T_" + sensor),
+                                      {{"x", SlotFilter::observation(SensorId(sensor))}},
+                                      core::c_attr(core::ValueAggregate::kAverage, "value", {0},
+                                                   core::RelationalOp::kGt, 0.0),
+                                      seconds(60),
+                                      {},
+                                      ConsumptionMode::kConsume});
+  }
+  ASSERT_EQ(rt.shard_of(0), 0u);
+  ASSERT_EQ(rt.shard_of(1), 1u);
+
+  const std::string ctx = "concurrent-poll migration";
+  // A stall prints the snapshot. The spinning consumer makes this leg slow
+  // under ThreadSanitizer (about 90 s on 2 CPUs), hence twice the usual
+  // deadline.
+  const oracle::RunDeadline deadline(rt, ctx, 2 * oracle::kRunDeadline);
+  // Releases are checked as they arrive, so the run keeps no copy of the
+  // stream: every definition's stamps must strictly ascend.
+  std::array<std::uint64_t, 2> last{};
+  std::uint64_t released = 0;
+  std::string violation;  // the first step back; empty while none
+  const auto check = [&](const std::vector<TaggedInstance>& batch) {
+    for (const TaggedInstance& t : batch) {
+      ++released;
+      if (!violation.empty()) continue;
+      if (t.def > 1 || t.stamp <= last[t.def]) {
+        violation = "def " + std::to_string(t.def) + " released stamp " +
+                    std::to_string(t.stamp) + " at release " + std::to_string(released) +
+                    (t.def > 1 ? "" : " after stamp " + std::to_string(last[t.def]));
+        continue;
+      }
+      last[t.def] = t.stamp;
+    }
+  };
+  std::atomic<bool> produced{false};
+  std::thread consumer([&] {
+    while (!produced.load(std::memory_order_acquire)) check(rt.poll_tagged());
+  });
+  TimePoint now = TimePoint::epoch();
+  std::uint64_t issued = 0;
+  for (int i = 0; i < kArrivals; ++i) {
+    now += time_model::milliseconds(1);
+    rt.ingest(core::Entity(obs(1, sensors[i % 2], static_cast<std::uint64_t>(i), now, {0, 0},
+                               50.0)),
+              now);
+    if ((i + 1) % kMigrateEvery == 0) {
+      issued += rt.migrate_definition(0, rt.shard_of(0) == 0 ? 2 : 0) ? 1 : 0;
+    }
+  }
+  produced.store(true, std::memory_order_release);
+  consumer.join();
+  check(oracle::flush_tagged_within(rt, ctx));
+
+  EXPECT_TRUE(violation.empty()) << ctx << ": " << violation;
+  // Every arrival matches its definition once, at its own stamp.
+  EXPECT_EQ(released, static_cast<std::uint64_t>(kArrivals)) << ctx;
+  EXPECT_EQ(issued, static_cast<std::uint64_t>(kArrivals / kMigrateEvery)) << ctx;
+}
 
 // ---------------------------------------------------------------------------
 // API units.

@@ -28,7 +28,9 @@
 /// must stay *byte-identical* to a sequential DetectionEngine fed the
 /// same arrivals — no lost, duplicated, or reordered instances, exact
 /// final counters. Mirrors tests/runtime_shard_test.cpp with the
-/// sequential engine as the reference oracle.
+/// sequential engine as the reference oracle. The migration arm also runs
+/// the per-definition tier, whose release holds must keep every
+/// definition's stream in reference order through crashes and replays.
 
 namespace stem::runtime {
 namespace {
@@ -287,11 +289,16 @@ struct CrashRun {
   std::size_t checkpoint_epoch = 24;
   std::size_t queue_capacity = 4096;
   bool migrate = false;
+  OrderingTier ordering = OrderingTier::kGlobalTotalOrder;
 };
 
 /// Feeds `stream` through a crash-hooked sharded runtime hosting `defs`
-/// and requires its stream to equal a sequential engine's, byte for byte.
-/// Stores the runtime's final counters in `final_stats` when given.
+/// and requires its tagged stream to equal a sequential engine's, byte
+/// for byte — or, in the per-definition tier, every definition's
+/// projection of it, with strictly increasing sequence numbers. Stores the
+/// runtime's final counters in `final_stats` when given. Every arrival
+/// must route somewhere (keep a wildcard registered): the reference
+/// stamps are arrival indices.
 void crash_differential(const std::vector<EventDefinition>& defs, const Stream& stream,
                         const CrashRun& run, const std::string& ctx,
                         RuntimeStats* final_stats = nullptr) {
@@ -301,6 +308,7 @@ void crash_differential(const std::vector<EventDefinition>& defs, const Stream& 
   options.queue_capacity = run.queue_capacity;
   options.checkpoint_epoch = run.checkpoint_epoch;
   options.crash_hook = schedule.hook();
+  options.ordering = run.ordering;
   ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
   DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
   for (const EventDefinition& def : defs) {
@@ -308,16 +316,13 @@ void crash_differential(const std::vector<EventDefinition>& defs, const Stream& 
     sequential.add_definition(def);
   }
 
-  std::vector<std::string> want;
-  for (std::size_t i = 0; i < stream.entities.size(); ++i) {
-    for (const EventInstance& inst : sequential.observe(stream.entities[i], stream.nows[i])) {
-      want.push_back(describe(inst));
-    }
-  }
+  const std::vector<oracle::Ref> want = oracle::sequential_reference(
+      sequential, stream.entities, stream.nows, /*cascade=*/false, /*canonicalize_seq=*/false);
 
-  std::vector<std::string> got;
-  const auto collect = [&](std::vector<EventInstance> instances) {
-    for (const EventInstance& inst : instances) got.push_back(describe(inst));
+  std::vector<TaggedInstance> got_tagged;
+  const auto collect = [&](std::vector<TaggedInstance> released) {
+    got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
+                      std::make_move_iterator(released.end()));
   };
   {
     const oracle::RunDeadline deadline(sharded, ctx);
@@ -326,7 +331,7 @@ void crash_differential(const std::vector<EventDefinition>& defs, const Stream& 
       const std::size_t n = std::min(run.batch_size, stream.entities.size() - i);
       sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                            std::span(stream.nows).subspan(i, n));
-      collect(sharded.poll());
+      collect(sharded.poll_tagged());
       if (run.migrate && ++batches % 5 == 0) {
         // Bounce a definition between shards while crashes are in flight:
         // migration control items ride the same logged inbox protocol, so
@@ -334,12 +339,16 @@ void crash_differential(const std::vector<EventDefinition>& defs, const Stream& 
         sharded.migrate_definition(2, batches / 5 % run.shards);
       }
     }
-    collect(oracle::flush_within(sharded, ctx));
+    collect(oracle::flush_tagged_within(sharded, ctx));
   }
-  ASSERT_EQ(got.size(), want.size()) << ctx;
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
+  const std::vector<oracle::Ref> got = oracle::to_refs(got_tagged, /*canonicalize_seq=*/false);
+  if (run.ordering == OrderingTier::kPerDefinitionOrder) {
+    oracle::check_per_def(got, want, ctx);
+    oracle::check_per_def_seq_monotone(got, ctx);
+  } else {
+    oracle::check_equal(got, want, ctx);
   }
+  if (::testing::Test::HasFatalFailure()) return;
 
   // Reaping is asynchronous: a worker that dies on a checkpoint control
   // item at the very tail holds no queued arrivals, so flush() can reach
@@ -370,14 +379,15 @@ void run_crash_differential(std::uint64_t seed, std::size_t shards, std::size_t 
                             ConsumptionMode mode, const std::string& tag,
                             std::vector<std::uint64_t> crash_at,
                             std::size_t checkpoint_epoch = 24,
-                            std::size_t queue_capacity = 4096, bool migrate = false) {
-  const std::string ctx = tag + " seed=" + std::to_string(seed) +
-                          " shards=" + std::to_string(shards) +
-                          " batch=" + std::to_string(batch_size) +
-                          " queue=" + std::to_string(queue_capacity);
+                            std::size_t queue_capacity = 4096, bool migrate = false,
+                            OrderingTier ordering = OrderingTier::kGlobalTotalOrder) {
+  const std::string ctx =
+      tag + " seed=" + std::to_string(seed) + " shards=" + std::to_string(shards) +
+      " batch=" + std::to_string(batch_size) + " queue=" + std::to_string(queue_capacity) +
+      (ordering == OrderingTier::kPerDefinitionOrder ? " perdef" : "");
   crash_differential(recovery_definitions(mode, tag), make_stream(seed, 320),
                      CrashRun{shards, batch_size, std::move(crash_at), checkpoint_epoch,
-                              queue_capacity, migrate},
+                              queue_capacity, migrate, ordering},
                      ctx);
 }
 
@@ -417,10 +427,15 @@ TEST_P(CrashRecoveryTest, CrashesInterleavedWithMigrations) {
   // arrivals wait, so migration pairs and checkpoint barriers queue behind
   // blocked arrival producers, and crashes land between the pops the
   // worker counts into push sequences and the log entries recovery pairs
-  // them with.
-  for (const std::size_t queue_capacity : {4096u, 1u, 2u}) {
-    run_crash_differential(GetParam() ^ 0x316ULL, 4, 8, ConsumptionMode::kConsume, "M", {17, 43},
-                           24, queue_capacity, /*migrate=*/true);
+  // them with. The per-definition tier runs the same schedule: its release
+  // holds gate a destination on the frontier, which a crashed source only
+  // passes once its replay has republished the pre-barrier output.
+  for (const OrderingTier ordering :
+       {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder}) {
+    for (const std::size_t queue_capacity : {4096u, 1u, 2u}) {
+      run_crash_differential(GetParam() ^ 0x316ULL, 4, 8, ConsumptionMode::kConsume, "M",
+                             {17, 43}, 24, queue_capacity, /*migrate=*/true, ordering);
+    }
   }
 }
 

@@ -9,7 +9,10 @@ FRESH and BASELINE are either two BENCH_*.json files or two directories
 holding them (matched by file name). For every benchmark name present in
 both files, the tracked counter (items_per_second when reported, else
 inverse cpu_time) is compared; the script exits nonzero when any
-benchmark regresses by more than --tolerance percent (default 10).
+benchmark regresses by more than --tolerance percent (default 10). A file
+recorded with --benchmark_repetitions=N holds N runs per name; each side
+is then compared on the median of its runs, and the run counts are
+printed beside the rates.
 
 Wall-clock benchmark families are noisier than single-threaded CPU-time
 ones — anything measured with UseRealTime depends on scheduler behavior
@@ -29,25 +32,34 @@ cross-machine numbers are not comparable.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 
 def load_rates(path):
-    """benchmark name -> (rate, unit); higher is always better. The unit
-    encodes the metric kind (items/s, or inverse cpu time in a specific
-    time unit) so mismatched kinds are never compared numerically."""
+    """benchmark name -> (rate, unit, runs); higher is always better. The
+    unit encodes the metric kind (items/s, or inverse cpu time in a
+    specific time unit) so mismatched kinds are never compared
+    numerically. `rate` is the median over the name's `runs` iteration
+    entries (one per --benchmark_repetitions repetition); the aggregate
+    entries Google Benchmark adds are skipped."""
     with open(path) as f:
         data = json.load(f)
-    rates = {}
+    samples = {}
     for b in data.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
-        name = b["name"]
         if "items_per_second" in b:
-            rates[name] = (float(b["items_per_second"]), "items/s")
+            sample = (float(b["items_per_second"]), "items/s")
         elif b.get("cpu_time"):
             unit = "1/cpu_time[%s]" % b.get("time_unit", "ns")
-            rates[name] = (1.0 / float(b["cpu_time"]), unit)
+            sample = (1.0 / float(b["cpu_time"]), unit)
+        else:
+            continue
+        samples.setdefault(b["name"], []).append(sample)
+    rates = {}
+    for name, runs in samples.items():
+        rates[name] = (statistics.median(r for r, _ in runs), runs[0][1], len(runs))
     return rates
 
 
@@ -82,8 +94,8 @@ def compare_file(fresh_path, base_path, tolerance, overrides=()):
         if name not in fresh:
             print(f"  only in baseline (skipped): {name}")
             continue
-        new, unit = fresh[name]
-        old, old_unit = base[name]
+        new, unit, new_runs = fresh[name]
+        old, old_unit, old_runs = base[name]
         if unit != old_unit:
             print(f"  metric changed ({old_unit} -> {unit}); skipped: {name}")
             continue
@@ -95,7 +107,8 @@ def compare_file(fresh_path, base_path, tolerance, overrides=()):
         if delta < -allowed:
             marker = "  <-- REGRESSION"
             failures.append((name, delta))
-        print(f"  {name:<40} {old:>14.4g} -> {new:>14.4g} {unit:<10} {delta:+7.1f}%{marker}")
+        print(f"  {name:<40} {old:>14.4g} -> {new:>14.4g} {unit:<10} {delta:+7.1f}%"
+              f"  runs {old_runs}->{new_runs}{marker}")
     for name in sorted(set(fresh) - set(base)):
         print(f"  new benchmark (no baseline): {name}")
     return failures
