@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -94,6 +95,11 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
   shard_routed_.assign(options_.shards, 0);
   dispatch_scratch_.resize(options_.shards);
   shard_holds_.resize(options_.shards);
+  if (options_.cascade) {
+    sources_.push_back(&cascade_outbox_);
+  } else {
+    for (auto& shard : shards_) sources_.push_back(shard.get());
+  }
   for (auto& shard : shards_) {
     Shard* s = shard.get();
     shard->worker = std::thread([this, s] { worker_loop(*s); });
@@ -170,14 +176,12 @@ void ShardedEngineRuntime::shutdown() noexcept {
   }
   if (cascade_thread_.joinable()) cascade_thread_.join();
   // Release any flush() parked on progress that will now never come (its
-  // predicates are stop-aware). The empty lock/unlock pairs the notify
+  // predicate is stop-aware). The empty lock/unlock pairs the notify
   // with the waiter's predicate evaluation.
-  for (auto& shard : shards_) {
-    { const std::lock_guard lk(shard->out_mutex); }
-    shard->done_cv.notify_all();
+  for (Outbox* source : sources_) {
+    { const std::lock_guard lk(source->out_mutex); }
+    source->done_cv.notify_all();
   }
-  { const std::lock_guard lk(merge_mutex_); }
-  merged_cv_.notify_all();
 }
 
 void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
@@ -365,7 +369,6 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     deliveries_ += deliveries;
     replicated_ += replicated;
     dropped_ += dropped;
-    last_stamp_assigned_ = next_stamp_ - 1;
   }
 
   const std::shared_ptr<const Batch> frozen = std::move(block);
@@ -1451,9 +1454,9 @@ void ShardedEngineRuntime::cascade_loop() {
   // consumption] -> finished (the terminal level was renumbered in the
   // same pass that learned no further dispatch happens, so "finished
   // dispatching" and "closure complete" coincide; the admission
-  // frontiers may pass it) -> merged in stamp order. `level` buffers
+  // frontiers may pass it) -> published in stamp order. `level` buffers
   // gathered child emissions tagged with their parent's sub; `closure`
-  // holds renumbered emissions not yet released to the merged stream.
+  // holds renumbered emissions not yet published.
   struct Active {
     Pending p{};
     std::uint32_t depth = 0;       ///< dispatched level awaiting consumption
@@ -1469,7 +1472,8 @@ void ShardedEngineRuntime::cascade_loop() {
     std::vector<core::Emission> closure;
     time_model::TimePoint now{};
   };
-  std::deque<Active> active;  // stamp order; mirrors pending_'s prefix
+  std::deque<Active> active;  // stamp order, oldest unpublished first
+  std::uint64_t activated = 0;  // newest activated stamp
   std::vector<core::SlotRoute> routes;
   std::vector<std::vector<FeedbackItem>> fb_batch(shards_.size());
   std::vector<std::uint64_t> cascade_seq;  // coordinator-owned per-group counters
@@ -1505,7 +1509,7 @@ void ShardedEngineRuntime::cascade_loop() {
   // order — the block keeps its cursor there, and the mark is picked up
   // after its closure activates.
   const auto sweep_shard = [&](Shard& shard) {
-    // Quiet-shard fast path: nothing published since the last drain, so
+    // Quiet-shard fast path: nothing published since the last sweep, so
     // skip the mutex. The flag only clears when the outbox empties —
     // marks held back for a not-yet-activated stamp keep it set, since
     // a later activate() (not a publish) is what makes them consumable.
@@ -1536,13 +1540,18 @@ void ShardedEngineRuntime::cascade_loop() {
     if (active.size() >= pipeline) return false;
     bool any = false;
     {
+      // The drain pops pending_ only through the newest closed stamp, and
+      // stamps are dense: the next one to activate sits at a known index.
       const std::lock_guard lk(merge_mutex_);
-      while (active.size() < pipeline && active.size() < pending_.size()) {
+      while (active.size() < pipeline && !pending_.empty()) {
+        const std::uint64_t i = activated + 1 - pending_.front().stamp;
+        if (i >= pending_.size()) break;
         Active a;
-        a.p = pending_[active.size()];
+        a.p = pending_[i];
         a.remaining = a.p.future;
         a.touched.assign(shards_.size(), 0);
         a.last_sub.assign(shards_.size(), 0);
+        activated = a.p.stamp;
         active.push_back(std::move(a));
         any = true;
       }
@@ -1676,58 +1685,17 @@ void ShardedEngineRuntime::cascade_loop() {
     return true;
   };
 
-  // Merges the oldest closure once finished: whole closures leave in
-  // stamp order under every tier (the sequential cascade's stream, which
-  // satisfies each tier's contract), the watermark advances to just below
-  // the new oldest unclosed stamp, and placement versions nothing in
-  // flight can need are retired.
-  const auto merge_front = [&]() -> bool {
-    if (active.empty() || !active.front().finished) return false;
-    Active a = std::move(active.front());
-    active.pop_front();
-    bool drained = false;
-    {
-      const std::lock_guard lk(merge_mutex_);
-      for (core::Emission& em : a.closure) {
-        cascade_out_.push_back(TaggedInstance{a.p.stamp, em.def, std::move(em.instance)});
-      }
-      instances_ += a.closure.size();
-      cascade_reingested_ += a.reingested;
-      cascade_truncated_ += a.truncated;
-      pending_.pop_front();
-      // Staged, not published: poll_tagged publishes it once it has handed
-      // out cascade_out_, which now holds every emission stamped below.
-      cascade_watermark_ =
-          pending_.empty() ? last_stamp_assigned_ : pending_.front().stamp - 1;
-      drained = pending_.empty();
-    }
-    // flush() parks on merged_cv_ until the pending frontier empties;
-    // notifying on every merge would wake it once per closure just to
-    // re-check a predicate that can only pass at quiescence.
-    if (drained) merged_cv_.notify_all();
-    while (placements.size() >= 2 && placements[1].from_stamp <= a.p.stamp + 1) {
-      placements.pop_front();
-    }
-    return true;
-  };
-
   // Recomputes the admission frontiers from the in-flight set. Base: the
-  // stamp just below the first not-yet-activated arrival (everything
-  // activated and finished imposes no constraint). Global frontier: below
-  // the first unfinished closure — the gate for shards outside the
-  // cascade graph, which run ahead of it by kCascadeRunahead. Per-shard
+  // newest activated stamp (everything activated and finished imposes no
+  // constraint). Global frontier: below the first unfinished closure — the
+  // gate for shards outside the cascade graph, which run ahead of it by
+  // kCascadeRunahead. Per-shard
   // frontier: below the first unfinished closure whose remaining
   // downstream reach includes the shard — reachable shards outside every
   // in-flight closure's reach admit younger arrivals immediately, which
   // is where the closure overlap comes from.
   const auto publish_frontiers = [&] {
-    std::uint64_t base;
-    {
-      const std::lock_guard lk(merge_mutex_);
-      base = active.size() < pending_.size() ? pending_[active.size()].stamp - 1
-                                             : last_stamp_assigned_;
-    }
-    std::uint64_t global = base;
+    std::uint64_t global = activated;
     for (const Active& a : active) {
       if (!a.finished) {
         global = a.p.stamp - 1;
@@ -1741,7 +1709,7 @@ void ShardedEngineRuntime::cascade_loop() {
       admitted_through_.store(global, std::memory_order_seq_cst);
       global_advanced = true;
     }
-    for (std::size_t s = 0; s < shards_.size(); ++s) adm[s] = base;
+    for (std::size_t s = 0; s < shards_.size(); ++s) adm[s] = activated;
     for (const Active& a : active) {
       if (a.finished) continue;
       for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -1807,10 +1775,43 @@ void ShardedEngineRuntime::cascade_loop() {
       while (try_step(a)) progressed = true;
       if (!a.finished) break;
     }
-    while (merge_front()) progressed = true;
+    // Publish the finished prefix as a worker publishes a run: one block,
+    // a mark per closure that emitted, then the watermark (the newest
+    // closed stamp), and retire placement versions nothing can need.
+    OutBlock closed;
+    std::uint64_t through = 0;
+    for (; !active.empty() && active.front().finished; active.pop_front()) {
+      Active& a = active.front();
+      if (!a.closure.empty()) {
+        if (closed.emissions.empty()) {
+          closed.emissions = std::move(a.closure);  // the common one-closure pass
+        } else {
+          closed.emissions.insert(closed.emissions.end(),
+                                  std::make_move_iterator(a.closure.begin()),
+                                  std::make_move_iterator(a.closure.end()));
+        }
+        closed.marks.push_back(OutBlock::Mark{
+            a.p.stamp, 0, static_cast<std::uint32_t>(closed.emissions.size()), a.now});
+      }
+      cascade_reingested_.fetch_add(a.reingested, std::memory_order_relaxed);
+      cascade_truncated_.fetch_add(a.truncated, std::memory_order_relaxed);
+      while (placements.size() >= 2 && placements[1].from_stamp <= a.p.stamp + 1) {
+        placements.pop_front();
+      }
+      through = a.p.stamp;
+    }
+    if (through != 0) {
+      {
+        const std::lock_guard lk(cascade_outbox_.out_mutex);
+        if (!closed.marks.empty()) cascade_outbox_.outbox.push_back(std::move(closed));
+        cascade_outbox_.watermark.store(through, std::memory_order_release);
+      }
+      cascade_outbox_.done_cv.notify_all();
+      progressed = true;
+    }
     // The frontiers are pure functions of the in-flight set: a pass that
     // made no progress cannot have moved them, so an idle wake skips the
-    // merge_mutex_ section and the store/notify sweep entirely.
+    // store/notify sweep entirely.
     if (progressed) {
       publish_frontiers();
       continue;
@@ -1829,21 +1830,23 @@ void ShardedEngineRuntime::cascade_loop() {
 
 std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   const bool global = options_.ordering == OrderingTier::kGlobalTotalOrder;
-  const std::size_t n = shards_.size();
-  // The frontier F: pending arrivals are popped while every recipient
-  // shard has passed them, against one watermark snapshot taken *before*
-  // the sweep. publish() pushes a run's block — every mark of the run —
-  // before its watermark store, under the same out_mutex, so every mark
-  // of a stamp <= F is already in its outbox: the sweep below either
-  // takes it or finds it still untaken, where it clamps the low watermark.
+  const std::size_t n = sources_.size();
+  // The frontier F: pending arrivals are popped while every source has
+  // passed them, against one watermark snapshot taken *before* the sweep.
+  // A publisher pushes its block — every mark of the run or pass — before
+  // its watermark store, under the same out_mutex, so every mark of a
+  // stamp <= F is already in its outbox: the sweep below either takes it
+  // or finds it still untaken, where it clamps the low watermark.
   std::array<std::uint64_t, 64> wm{};
   for (std::size_t s = 0; s < n; ++s) {
-    wm[s] = shards_[s]->watermark.load(std::memory_order_acquire);
+    wm[s] = sources_[s]->watermark.load(std::memory_order_acquire);
   }
   while (!pending_.empty()) {
     const Pending& p = pending_.front();
+    // Its recipient shards, or in cascade mode the coordinator (source 0).
+    const std::uint64_t sources = options_.cascade ? 1 : p.mask;
     bool done = true;
-    for (std::uint64_t m = p.mask; m != 0 && done; m &= m - 1) {
+    for (std::uint64_t m = sources; m != 0 && done; m &= m - 1) {
       done = wm[static_cast<std::size_t>(std::countr_zero(m))] >= p.stamp;
     }
     if (!done) break;
@@ -1868,33 +1871,35 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   std::size_t total = 0;                      // emissions up to the limit
   std::uint64_t clamp = ~std::uint64_t{0};
   for (std::size_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
+    Outbox& source = *sources_[s];
     std::deque<std::uint64_t>& holds = shard_holds_[s];
     while (!holds.empty() && holds.front() - 1 <= frontier_) holds.pop_front();
     const std::uint64_t fence = holds.empty() ? ~std::uint64_t{0} : holds.front();
-    const std::lock_guard lk(shard.out_mutex);
-    auto cut = shard.outbox.begin();
-    for (; cut != shard.outbox.end(); ++cut) {
+    const std::lock_guard lk(source.out_mutex);
+    auto cut = source.outbox.begin();
+    for (; cut != source.outbox.end(); ++cut) {
       const std::uint64_t t = cut->front_stamp();
       if (t > limit || t >= fence) break;
       total += cut->marks[cut->end_through(limit) - 1].end - cut->begin_of(cut->next);
     }
-    taken[s].splice(taken[s].end(), shard.outbox, shard.outbox.begin(), cut);
-    if (!shard.outbox.empty()) clamp = std::min(clamp, shard.outbox.front().front_stamp() - 1);
+    taken[s].splice(taken[s].end(), source.outbox, source.outbox.begin(), cut);
+    if (!source.outbox.empty()) clamp = std::min(clamp, source.outbox.front().front_stamp() - 1);
   }
   // Every mark <= F was taken in the global tier, so there W = F.
   low_watermark_ = std::max(low_watermark_, std::min(frontier_, clamp));
 
-  // K-way merge of the shards' detached blocks by stamp (each shard's
-  // marks ascend), up to the limit. The global tier then restores the
-  // sequential engine's within-arrival order — ascending global definition
-  // index, stable so one definition's bindings keep their enumeration
+  // K-way merge of the sources' detached blocks by stamp (each source's
+  // marks ascend), up to the limit. Outside cascade mode (the coordinator
+  // orders and renumbers closures itself) the global tier then restores
+  // the sequential engine's within-arrival order — ascending global
+  // definition index, stable so one definition's bindings keep their enumeration
   // order (a shard's block is in *local* registration order, which after a
   // migration is no longer a subsequence of global order) — and renumbers
   // each instance from a merge-side per-group (= per event type) counter.
   // With the group unsplit that is the identity; split across shards, it
   // restores exactly the sequence a single engine would have assigned,
   // keeping the global tier byte-identical to the sequential reference.
+  const bool renumber = global && !options_.cascade;
   std::vector<TaggedInstance> out;
   out.reserve(total);
   const auto by_def = [](const TaggedInstance& a, const TaggedInstance& b) {
@@ -1920,7 +1925,7 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
         if (++block.next == block.marks.size()) blocks.pop_front();
       }
     }
-    if (!global) continue;
+    if (!renumber) continue;
     const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
     if (!std::is_sorted(begin, out.end(), by_def)) std::stable_sort(begin, out.end(), by_def);
     for (auto it = begin; it != out.end(); ++it) {
@@ -1929,13 +1934,13 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
       it->instance.key.seq = group_seq_[g]++;
     }
   }
-  // What is left (global tier only) is at most one block per shard whose
+  // What is left (global tier only) is at most one block per source whose
   // marks above F stay for a later poll: back to the outbox front, cursor
   // kept.
   for (std::size_t s = 0; s < n; ++s) {
     if (taken[s].empty()) continue;
-    const std::lock_guard lk(shards_[s]->out_mutex);
-    shards_[s]->outbox.splice(shards_[s]->outbox.begin(), taken[s]);
+    const std::lock_guard lk(sources_[s]->out_mutex);
+    sources_[s]->outbox.splice(sources_[s]->outbox.begin(), taken[s]);
   }
   instances_ += out.size();
   return out;
@@ -1947,11 +1952,7 @@ std::vector<core::EventInstance> ShardedEngineRuntime::poll() {
 
 std::vector<TaggedInstance> ShardedEngineRuntime::poll_tagged() {
   const std::lock_guard lk(merge_mutex_);
-  if (!options_.cascade) return drain_locked();
-  // The coordinator merges autonomously as closures complete; poll just
-  // takes what has been released so far.
-  low_watermark_ = cascade_watermark_;
-  return std::exchange(cascade_out_, {});
+  return drain_locked();
 }
 
 std::vector<core::EventInstance> ShardedEngineRuntime::flush() {
@@ -1959,30 +1960,23 @@ std::vector<core::EventInstance> ShardedEngineRuntime::flush() {
 }
 
 std::vector<TaggedInstance> ShardedEngineRuntime::flush_tagged() {
-  if (options_.cascade) {
-    // Closed stamps leave pending_ only after their full cascade closure
-    // has been merged, so an empty frontier means quiescence. A stopped
-    // runtime abandons unclosed stamps — return what was merged.
-    std::unique_lock lk(merge_mutex_);
-    merged_cv_.wait(lk, [&] {
-      return pending_.empty() || shutdown_.load(std::memory_order_acquire);
-    });
-    lk.unlock();
-    return poll_tagged();
-  }
-  std::vector<std::uint64_t> targets(shards_.size(), 0);
+  // Each source's target: the last stamp routed to the shard, or the last
+  // stamp assigned, which the coordinator closes last.
+  std::vector<std::uint64_t> targets(sources_.size(), 0);
   {
     const std::lock_guard lk(ingest_mutex_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) targets[s] = shards_[s]->last_routed;
+    for (std::size_t s = 0; s < sources_.size(); ++s) {
+      targets[s] = options_.cascade ? next_stamp_ - 1 : shards_[s]->last_routed;
+    }
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::unique_lock lk(shard.out_mutex);
-    // Stop-aware: a shut-down runtime abandons unpushed work, so the
-    // watermark may never reach a stamp that was routed but dropped.
-    shard.done_cv.wait(lk, [&] {
-      return shard.stop.load(std::memory_order_acquire) ||
-             shard.watermark.load(std::memory_order_acquire) >= targets[s];
+  for (std::size_t s = 0; s < sources_.size(); ++s) {
+    Outbox& source = *sources_[s];
+    std::unique_lock lk(source.out_mutex);
+    // Stop-aware: a shut-down runtime abandons unfinished work, so a
+    // watermark may never reach its target.
+    source.done_cv.wait(lk, [&] {
+      return shutdown_.load(std::memory_order_acquire) ||
+             source.watermark.load(std::memory_order_acquire) >= targets[s];
     });
   }
   return poll_tagged();
@@ -2024,14 +2018,14 @@ RuntimeStats ShardedEngineRuntime::stats() const {
   }
   s.closures_in_flight_max = closures_in_flight_max_.load(std::memory_order_relaxed);
   s.cascade_feedback_batches = cascade_feedback_batches_.load(std::memory_order_relaxed);
+  s.cascade_reingested = cascade_reingested_.load(std::memory_order_relaxed);
+  s.cascade_truncated = cascade_truncated_.load(std::memory_order_relaxed);
   const std::lock_guard lk(merge_mutex_);
   s.arrivals = arrivals_;
   s.deliveries = deliveries_;
   s.replicated = replicated_;
   s.dropped = dropped_;
   s.instances = instances_;
-  s.cascade_reingested = cascade_reingested_;
-  s.cascade_truncated = cascade_truncated_;
   return s;
 }
 

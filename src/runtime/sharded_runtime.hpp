@@ -119,11 +119,10 @@ struct RuntimeOptions {
   /// Options forwarded to every shard's DetectionEngine.
   core::EngineOptions engine;
   /// Ordering contract of the merged stream (see OrderingTier); selects
-  /// how the non-cascade drain releases shard output. Cascade mode
-  /// releases whole closures in stamp order under every tier — the
-  /// sequential cascade's stream, byte-identical to
-  /// DetectionEngine::observe_cascading, which satisfies each tier's
-  /// contract.
+  /// how the drain releases output. In cascade mode its one source, the
+  /// coordinator, publishes whole closures in stamp order, so every tier
+  /// releases the sequential cascade's stream (byte-identical to
+  /// DetectionEngine::observe_cascading), which satisfies each contract.
   OrderingTier ordering = OrderingTier::kGlobalTotalOrder;
 };
 
@@ -138,7 +137,7 @@ struct RuntimeStats {
   std::uint64_t deliveries = 0;   ///< shard deliveries (>= arrivals)
   std::uint64_t replicated = 0;   ///< deliveries beyond the first per arrival
   std::uint64_t dropped = 0;      ///< arrivals no shard was interested in
-  std::uint64_t instances = 0;    ///< instances merged out so far
+  std::uint64_t instances = 0;    ///< instances released by poll/flush so far
   std::uint64_t migrations = 0;   ///< definition-group migrations issued
   std::uint64_t rebalance_passes = 0;  ///< rebalance passes run
   std::uint64_t max_inbox = 0;    ///< high-water inbox depth (arrivals), any shard
@@ -240,21 +239,20 @@ struct TaggedInstance {
 /// reordered (tests/runtime_migration_test.cpp proves stream equality
 /// under forced migrations differentially).
 ///
-/// **Ordering** (poll/flush): arrivals are stamped on ingest; each shard
-/// processes its arrivals in stamp order and reports a processed-stamp
-/// watermark. Every non-cascade tier releases through one drain: a poll
-/// pops the pending arrivals up to the frontier F every recipient shard
-/// has passed, sweeps each shard's outbox once, and k-way merges the
-/// taken marks across shards by arrival stamp. Each outbox entry is one
-/// worker run's block of emissions with a mark per emitting arrival. The
-/// global tier takes the marks up to F — F may fall inside a block — and
-/// orders each stamp by definition registration index, renumbering
-/// sequences: exactly the order a single sequential DetectionEngine fed
-/// the same stream would emit (tests/runtime_shard_test.cpp proves
-/// equality differentially). The relaxed tiers take whatever is
-/// published; in the per-definition tier a migration destination's
-/// blocks from the barrier on wait until F reaches barrier - 1. The low
-/// watermark is F, clamped below any mark still untaken.
+/// **Ordering** (poll/flush): arrivals are stamped on ingest. Every mode
+/// releases through one drain over fixed *sources* (Outbox): the shards,
+/// or in cascade mode the coordinator alone. A poll pops the pending
+/// arrivals up to the frontier F every source has passed, sweeps each
+/// outbox once, and k-way merges the taken marks by arrival stamp. The
+/// global tier takes the marks up to F — F may fall inside a block — and,
+/// outside cascade mode, orders each stamp by definition registration
+/// index, renumbering sequences: exactly the order a single sequential
+/// DetectionEngine fed the same stream would emit
+/// (tests/runtime_shard_test.cpp proves equality differentially). The
+/// relaxed tiers take whatever is published; in the per-definition tier a
+/// migration destination's blocks from the barrier on wait until F
+/// reaches barrier - 1. The low watermark is F, clamped below any mark
+/// still untaken.
 ///
 /// **Hierarchical cascade** (RuntimeOptions::cascade): instances detected
 /// at one layer become entities evaluated at the next (paper Fig. 2). A
@@ -279,10 +277,10 @@ struct TaggedInstance {
 /// instance sequence numbers from per-group counters in closure order
 /// (the identity while a group is unsplit; with a group split across
 /// shards it restores the sequential assignment, which is what makes
-/// split_group legal in cascade mode). Every tier releases whole
-/// closures in stamp order — byte-identical to the sequential cascade,
-/// which satisfies each tier's contract (see RuntimeOptions::ordering).
-/// Migrations stay exact:
+/// split_group legal in cascade mode). The coordinator publishes finished
+/// closures, a mark each, in stamp order into its outbox, so every tier
+/// releases whole closures in stamp order — byte-identical to the
+/// sequential cascade (see RuntimeOptions::ordering). Migrations stay exact:
 /// control items gate on the admission frontier of their barrier stamp,
 /// and placement flips are published as new versions that each
 /// in-flight closure resolves by its own stamp, so feedback for
@@ -532,22 +530,22 @@ class ShardedEngineRuntime {
     std::vector<std::uint32_t> shard;  ///< global def index -> shard
   };
 
-  /// One worker run's published output, an outbox entry: the emissions
-  /// of every emitting item the run consumed (tagged with *global*
-  /// definition indices), in processing order, and one mark per emitting
-  /// item saying where its emissions end. Silent items get no mark; their
-  /// completion is conveyed by the watermark. A run is stamp-ordered, so
-  /// marks ascend by (stamp, sub). Both consumers — the non-cascade drain
-  /// and the cascade coordinator — may take a prefix of the marks and
+  /// One published batch of output, an outbox entry: a worker run's
+  /// emissions, or a coordinator pass's finished closures (tagged with
+  /// *global* definition indices), in processing order, and one mark per
+  /// emitting item or closure saying where its emissions end. Silent items
+  /// get no mark; their completion is conveyed by the watermark. Marks
+  /// ascend by (stamp, sub). A consumer — the drain, or in cascade mode the
+  /// coordinator for a shard's blocks — may take a prefix of the marks and
   /// leave the rest for a later pass: `next` is that cursor. Once
   /// published, only a consumer touches the block — moving the taken
   /// marks' emissions out and advancing `next` — under out_mutex or, for
   /// a block the drain has detached from its outbox, under merge_mutex_.
   struct OutBlock {
-    /// Cascade mode: `sub` identifies the source item within its stamp —
-    /// 0 for the arrival itself, the feedback item's emit index otherwise
-    /// — and `now` carries the observation time forward for the next
-    /// level's re-feeds.
+    /// Cascade mode, a shard's marks: `sub` identifies the source item
+    /// within its stamp — 0 for the arrival itself, the feedback item's
+    /// emit index otherwise — and `now` carries the observation time
+    /// forward for the next level's re-feeds.
     struct Mark {
       std::uint64_t stamp = 0;
       std::uint32_t sub = 0;
@@ -584,7 +582,22 @@ class ShardedEngineRuntime {
     std::vector<std::pair<std::uint32_t, std::string>> frames;  ///< (global, frame)
   };
 
-  struct Shard {
+  /// A source of the drain. A publisher pushes its block, then stores its
+  /// watermark, under one out_mutex hold.
+  struct Outbox {
+    std::mutex out_mutex;
+    std::condition_variable done_cv;  ///< flush waits for the watermark
+    /// Published blocks, ascending stamp; a block leaves once every mark is
+    /// taken. A list so the drain can detach a prefix under the lock and
+    /// merge it outside, and so an empty outbox holds no memory.
+    std::list<OutBlock> outbox;
+    /// Highest stamp whose output is all published: a shard's newest
+    /// processed arrival (its arrivals are stamp-ordered), or the
+    /// coordinator's newest closed stamp. Read lock-free (acquire).
+    std::atomic<std::uint64_t> watermark{0};
+  };
+
+  struct Shard : Outbox {
     Shard(const core::ObserverId& id, core::Layer layer, geom::Point location,
           const core::EngineOptions& options)
         : engine(std::make_unique<core::DetectionEngine>(id, layer, location, options)) {}
@@ -631,17 +644,12 @@ class ShardedEngineRuntime {
     std::mutex fb_mutex;
     std::deque<FeedbackItem> feedback;
 
-    std::mutex out_mutex;                     ///< guards outbox/watermark pub
-    std::condition_variable done_cv;          ///< flush waits for watermark
-    /// Published runs, ascending stamp; a block leaves once every mark is
-    /// taken. A list so the drain can detach a prefix under the lock and
-    /// merge it outside, and so an empty outbox holds no memory.
-    std::list<OutBlock> outbox;
     /// Set (under out_mutex) whenever a publish touches the outbox or the
-    /// completion key; cleared by the coordinator's sweep. The pump polls
-    /// it relaxed to skip out_mutex for shards with nothing new — the
-    /// publisher's signal bump (a release the pump's snapshot acquires)
-    /// orders the store, so a skipped shard is re-polled on the next pass.
+    /// completion key; cleared by the coordinator's sweep. The coordinator
+    /// polls it relaxed to skip out_mutex for shards with nothing new — the
+    /// publisher's signal bump (a release the coordinator's snapshot
+    /// acquires) orders the store, so a skipped shard is re-polled on the
+    /// next pass.
     std::atomic<bool> out_dirty{false};
     /// Snapshot of engine.stats() published by the worker after each work
     /// item. stats() reads this (not the live engine counters, which only
@@ -651,11 +659,6 @@ class ShardedEngineRuntime {
     /// Per-definition cumulative loads, keyed by *global* index, published
     /// alongside published_stats; the rebalancer's cost attribution.
     std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> published_def_loads;
-    /// Highest stamp this shard has fully processed (its arrivals are
-    /// stamp-ordered, so everything routed to it up to the watermark is
-    /// done). Written under out_mutex *after* the matching outbox push;
-    /// poll() reads it lock-free with acquire ordering.
-    std::atomic<std::uint64_t> watermark{0};
     /// Sub-stamp of the last fully processed work item (arrival or
     /// feedback), published under out_mutex after the matching outbox
     /// push. The cascade coordinator reads it to know a level has drained
@@ -757,7 +760,7 @@ class ShardedEngineRuntime {
     std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> loads;  ///< publish scratch
   };
 
-  /// One not-yet-merged arrival: its stamp and recipient-shard bitmask.
+  /// One arrival the frontier has not passed: its stamp and recipient-shard bitmask.
   /// In cascade mode `future` is the bitmask of shards its closure could
   /// ever dispatch feedback to (the union of the matched definitions'
   /// downstream reach under the placement at ingest, or all-ones once a
@@ -824,7 +827,7 @@ class ShardedEngineRuntime {
   /// Coordinator body: drives up to cascade_pipeline pending arrivals'
   /// cascade closures concurrently as non-blocking state machines,
   /// advancing the admission frontier as each closure finishes
-  /// dispatching and merging closures in stamp order (see class comment).
+  /// dispatching and publishing closures in stamp order (see class comment).
   void cascade_loop();
   /// Bumps the progress counter and wakes the coordinator.
   void signal_cascade();
@@ -839,16 +842,16 @@ class ShardedEngineRuntime {
   /// depth, sub) — i.e. published a ck at or beyond it.
   bool ck_reached_all(std::uint64_t mask, std::uint64_t stamp, std::uint32_t depth,
                       std::uint32_t sub);
-  /// Non-cascade release, every tier (merge_mutex_ held): pops pending_
-  /// up to the frontier F every recipient shard has passed, sweeps each
-  /// outbox once, detaching the blocks with marks up to the tier's limit
-  /// (F in the global tier, unbounded in the relaxed ones; per-definition
-  /// holds fence a migration destination's blocks from the barrier on
-  /// until F reaches barrier - 1), and advances the low watermark to F
-  /// clamped below any mark still untaken. Outside the shard locks it
-  /// k-way merges the detached blocks by stamp; the global tier also
-  /// orders each stamp's emissions by definition, renumbers them, and puts
-  /// a block F fell inside back at its outbox front, cursor kept.
+  /// The release, every mode and tier (merge_mutex_ held): pops pending_
+  /// up to the frontier F every source has passed, sweeps each outbox
+  /// once, detaching the blocks with marks up to the tier's limit (F in
+  /// the global tier, unbounded in the relaxed ones; per-definition holds
+  /// fence a migration destination's blocks from the barrier on until F
+  /// reaches barrier - 1), and advances the low watermark to F clamped
+  /// below any mark still untaken. Outside the outbox locks it k-way
+  /// merges the detached blocks by stamp; the global tier puts a block F
+  /// fell inside back at its outbox front, cursor kept, and outside
+  /// cascade mode orders each stamp by definition and renumbers it.
   std::vector<TaggedInstance> drain_locked();
   /// Moves the whole of `group` to `to` and enqueues the extract/implant
   /// control pair; ingest_mutex_ must be held and the group must have no
@@ -915,6 +918,7 @@ class ShardedEngineRuntime {
   /// O(definitions) collection+copy entirely.
   std::atomic<bool> publish_loads_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Outbox*> sources_;  ///< the drain's: the shards, or cascade_outbox_
 
   /// The one routing index: every definition registered once, collapsed,
   /// under its global index, and frozen (RoutingIndex::freeze) once ingest
@@ -984,9 +988,8 @@ class ShardedEngineRuntime {
   std::uint64_t replicated_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t instances_ = 0;
-  /// Released-stream low watermark (see low_watermark()); advanced by
-  /// drain_locked, and in cascade mode by poll_tagged as it hands out
-  /// cascade_out_ (see cascade_watermark_).
+  /// Released-stream low watermark (see low_watermark()); advanced only
+  /// by drain_locked.
   std::uint64_t low_watermark_ = 0;  // guarded by merge_mutex_
   /// Global-total-order, non-cascade: per-group (= per event type)
   /// released-instance counters — drain_locked assigns each released
@@ -1002,8 +1005,8 @@ class ShardedEngineRuntime {
   /// every pre-barrier emission is published and taken in the same sweep
   /// — exactly the stamp-order hand-off a moved definition's stream needs.
   std::vector<std::deque<std::uint64_t>> shard_holds_;  // guarded by merge_mutex_
-  /// Non-cascade: highest stamp every recipient shard has passed (pending_
-  /// is popped up to here; monotone). The published watermark is this
+  /// The frontier F: highest stamp every source has passed (pending_ is
+  /// popped up to here; monotone). The published watermark is this
   /// frontier clamped below any still-untaken mark.
   std::uint64_t frontier_ = 0;  // guarded by merge_mutex_
 
@@ -1024,7 +1027,7 @@ class ShardedEngineRuntime {
   /// coordinator is awake, no mutex on the publish fast path. The
   /// coordinator snapshots the counter before a pass and parks only if it
   /// is unchanged after a no-progress pass (EventCount's Dekker pair makes
-  /// the sleep race-free). cascade_mutex_ now guards only placements_.
+  /// the sleep race-free). cascade_mutex_ guards only placements_.
   mutable std::mutex cascade_mutex_;
   EventCount cascade_ec_;
   std::atomic<std::uint64_t> cascade_signal_{0};
@@ -1032,9 +1035,9 @@ class ShardedEngineRuntime {
   /// Placement versions not yet taken by the coordinator (the base at
   /// start, then one per migration barrier).
   std::deque<PlacementVersion> placements_;  // guarded by cascade_mutex_, ascending
-  /// Nonzero when placements_ has entries; lets the pump skip the mutex on
-  /// the (overwhelmingly common) flip-free pass. Bumped under
-  /// cascade_mutex_ before the signal, cleared under it by the drain.
+  /// Nonzero when placements_ has entries; lets the coordinator skip the
+  /// mutex on the (overwhelmingly common) flip-free pass. Bumped under
+  /// cascade_mutex_ before the signal, cleared under it by the coordinator.
   std::atomic<std::uint32_t> placements_pending_{0};
   /// Global admission frontier: the stamp immediately below the first
   /// in-flight closure that has not finished dispatching feedback. Every
@@ -1047,24 +1050,16 @@ class ShardedEngineRuntime {
   /// sub-stamp can ever reach the shard's queues again, and the
   /// per-shard inbox/feedback merge orders what is already there.
   std::atomic<std::uint64_t> admitted_through_{0};
-  /// High-water concurrent closures and per-(shard, level) feedback
-  /// batches (RuntimeStats mirrors; written by the coordinator).
+  /// RuntimeStats mirrors, written by the coordinator.
   std::atomic<std::uint64_t> closures_in_flight_max_{0};
   std::atomic<std::uint64_t> cascade_feedback_batches_{0};
+  std::atomic<std::uint64_t> cascade_reingested_{0};
+  std::atomic<std::uint64_t> cascade_truncated_{0};
   /// False while no registered definition can match an event instance
   /// (no event-type or wildcard slot): feedback then provably never
   /// exists and workers skip the closure gate entirely.
   std::atomic<bool> feedback_possible_{false};
-  std::condition_variable merged_cv_;  ///< with merge_mutex_: closure progress
-  std::vector<TaggedInstance> cascade_out_;       // guarded by merge_mutex_
-  /// Watermark staged by the coordinator as closures merge into
-  /// cascade_out_; published to low_watermark_ only once poll_tagged has
-  /// taken cascade_out_, so a reader never sees W before every emission
-  /// stamped <= W has been handed out.
-  std::uint64_t cascade_watermark_ = 0;           // guarded by merge_mutex_
-  std::uint64_t last_stamp_assigned_ = 0;         // guarded by merge_mutex_
-  std::uint64_t cascade_reingested_ = 0;          // guarded by merge_mutex_
-  std::uint64_t cascade_truncated_ = 0;           // guarded by merge_mutex_
+  Outbox cascade_outbox_;  ///< finished closures, a block per pass
 };
 
 }  // namespace stem::runtime

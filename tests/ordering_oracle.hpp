@@ -298,14 +298,14 @@ inline std::vector<TaggedInstance> flush_tagged_within(ShardedEngineRuntime& rt,
 /// Valid in cascade mode too, sub-stamped emissions included: every tier
 /// releases whole closures in stamp order and the runtime clamps
 /// low_watermark() strictly below the oldest in-flight (unclosed)
-/// closure, so every release — a closure merged while later pipelined
+/// closure, so every release — a closure published while later pipelined
 /// closures are still open — must carry stamps above every previously
 /// promised watermark. observe() audits exactly that: a watermark that
 /// passed a stamp before its closure was released shows up as a later
-/// release at or below the promise. (The coordinator does advance the
-/// watermark *between* polls, so the audit checks each release against
-/// the last watermark the consumer actually saw — the consumer-facing
-/// contract.)
+/// release at or below the promise. The watermark advances only inside a
+/// poll or flush, in every mode (the drain is the one release), and the
+/// audit checks each release against the last watermark the consumer
+/// actually saw — the consumer-facing contract.
 class WatermarkAudit {
  public:
   explicit WatermarkAudit(std::string ctx) : ctx_(std::move(ctx)) {}

@@ -488,9 +488,9 @@ TEST_P(CascadePipelineTest, TierMatrixHoldsUnderPipelining) {
 /// low_watermark() read *between* polls: W promises that every emission
 /// stamped <= W was handed out by an earlier poll, so no later poll may
 /// return one. The consumer alternates watermark reads and polls while the
-/// coordinator merges closures concurrently, so a watermark published when
-/// a closure enters the release buffer (before a poll hands it out) shows
-/// up as a released stamp at or below an earlier read.
+/// coordinator publishes closures concurrently, so a watermark that moved
+/// when a closure was published (before a poll hands it out) shows up as
+/// a released stamp at or below an earlier read.
 void run_watermark_interleaved(std::uint64_t seed, OrderingTier tier, std::uint32_t pipeline) {
   core::EngineOptions engine_options;
   engine_options.max_cascade_depth = 4;

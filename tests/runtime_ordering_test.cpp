@@ -427,14 +427,14 @@ void run_cascade_tier_differential(std::uint64_t seed, std::size_t shards, std::
     const std::size_t n = std::min<std::size_t>(16, stream.entities.size() - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                          std::span(stream.nows).subspan(i, n));
-    // Cascade: the coordinator merges between polls, so only the
-    // watermark's monotonicity is audited incrementally.
-    audit.after_poll(sharded.low_watermark());
     std::vector<TaggedInstance> released = sharded.poll_tagged();
+    audit.observe(released);
+    audit.after_poll(sharded.low_watermark());
     got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
                       std::make_move_iterator(released.end()));
   }
   std::vector<TaggedInstance> released = oracle::flush_tagged_within(sharded, ctx);
+  audit.observe(released);
   got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
                     std::make_move_iterator(released.end()));
 
@@ -509,6 +509,8 @@ RuntimeStats run_feedback_free(const Stream& stream, const std::vector<Ref>& wan
     audit.after_poll(sharded.low_watermark());
     got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
                       std::make_move_iterator(released.end()));
+    // The counter follows the releases in every mode, not the merge.
+    EXPECT_EQ(sharded.stats().instances, got_tagged.size()) << ctx;
   };
   for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
     const std::size_t n = std::min(batch_size, stream.entities.size() - i);

@@ -326,6 +326,49 @@ TEST(RuntimeStressTest, CleanShutdownMidBackpressure) {
   }
 }
 
+TEST(RuntimeStressTest, ShutdownReleasesAParkedFlush) {
+  // A flush parked on outstanding work must return once shutdown()
+  // abandons that work. The wildcard definition's shard sleeps before
+  // every item, so its 1,000 single-arrival items hold it for seconds; a
+  // helper thread parks inside flush_tagged(), and the main thread shuts
+  // the runtime down. bounded_flush turns a lost wake-up into a failure
+  // with the runtime's snapshot instead of a hang.
+  for (const bool cascade : {false, true}) {
+    std::atomic<std::size_t> stalled{~std::size_t{0}};
+    RuntimeOptions options;
+    options.shards = 2;
+    options.cascade = cascade;
+    options.stall_hook = [&](std::size_t shard) {
+      if (shard == stalled.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    };
+    ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
+    const std::string ctx = "parked flush cascade=" + std::to_string(cascade);
+    const oracle::RunDeadline deadline(rt, ctx);
+    for (const EventDefinition& def : stress_definitions("PF")) rt.add_definition(def);
+    stalled.store(rt.shard_of(0), std::memory_order_relaxed);
+
+    const Stream stream = make_stream(4200, 1'000);
+    for (std::size_t i = 0; i < stream.entities.size(); ++i) {
+      rt.ingest(stream.entities[i], stream.nows[i]);
+    }
+    std::atomic<bool> flushed{false};
+    std::thread helper([&] {
+      (void)oracle::bounded_flush(rt, ctx, [&rt] { return rt.flush_tagged(); });
+      flushed.store(true, std::memory_order_seq_cst);
+    });
+    // The stalled shard needs at least 2 s for its items, so the flush
+    // cannot have returned yet.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(flushed.load(std::memory_order_seq_cst)) << ctx;
+    rt.shutdown();
+    helper.join();
+    EXPECT_TRUE(flushed.load(std::memory_order_seq_cst)) << ctx;
+    (void)rt.poll();  // post-shutdown API stays usable
+  }
+}
+
 TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
   // Regression: shutdown() used to close the shard inboxes without holding
   // the ingest lock, so it could interleave inside a migration issuance

@@ -11,8 +11,11 @@ both files, the tracked counter (items_per_second when reported, else
 inverse cpu_time) is compared; the script exits nonzero when any
 benchmark regresses by more than --tolerance percent (default 10). A file
 recorded with --benchmark_repetitions=N holds N runs per name; each side
-is then compared on the median of its runs, and the run counts are
-printed beside the rates.
+is then compared on the median of its runs, and the run counts and each
+side's coefficient of variation (sample standard deviation over mean,
+0 for a single run) are printed beside the rates. A name whose CV on
+either side exceeds its tolerance is marked `noisy`: its verdict is
+reported as usual, but the spread alone could decide it.
 
 Wall-clock benchmark families are noisier than single-threaded CPU-time
 ones — anything measured with UseRealTime depends on scheduler behavior
@@ -36,13 +39,13 @@ import statistics
 import sys
 
 
-def load_rates(path):
-    """benchmark name -> (rate, unit, runs); higher is always better. The
+def load_samples(path):
+    """benchmark name -> (unit, rates), one rate per iteration entry (one
+    per --benchmark_repetitions repetition); higher is always better. The
     unit encodes the metric kind (items/s, or inverse cpu time in a
     specific time unit) so mismatched kinds are never compared
-    numerically. `rate` is the median over the name's `runs` iteration
-    entries (one per --benchmark_repetitions repetition); the aggregate
-    entries Google Benchmark adds are skipped."""
+    numerically. The aggregate entries Google Benchmark adds are
+    skipped."""
     with open(path) as f:
         data = json.load(f)
     samples = {}
@@ -57,10 +60,22 @@ def load_rates(path):
         else:
             continue
         samples.setdefault(b["name"], []).append(sample)
-    rates = {}
-    for name, runs in samples.items():
-        rates[name] = (statistics.median(r for r, _ in runs), runs[0][1], len(runs))
-    return rates
+    return {name: (runs[0][1], [r for r, _ in runs]) for name, runs in samples.items()}
+
+
+def load_rates(path):
+    """benchmark name -> (rate, unit, runs): the median of the name's
+    `runs` samples (load_samples)."""
+    return {name: (statistics.median(rates), unit, len(rates))
+            for name, (unit, rates) in load_samples(path).items()}
+
+
+def cv_percent(rates):
+    """Coefficient of variation of one name's runs, in percent."""
+    mean = statistics.fmean(rates)
+    if len(rates) < 2 or mean <= 0:
+        return 0.0
+    return statistics.stdev(rates) / mean * 100.0
 
 
 # Noisy families (retransmission rounds vary with the simulated loss
@@ -87,15 +102,17 @@ def tolerance_of(name, default, overrides):
 
 
 def compare_file(fresh_path, base_path, tolerance, overrides=()):
-    fresh = load_rates(fresh_path)
-    base = load_rates(base_path)
+    fresh = load_samples(fresh_path)
+    base = load_samples(base_path)
     failures = []
     for name in sorted(base):
         if name not in fresh:
             print(f"  only in baseline (skipped): {name}")
             continue
-        new, unit, new_runs = fresh[name]
-        old, old_unit, old_runs = base[name]
+        unit, new_runs = fresh[name]
+        old_unit, old_runs = base[name]
+        new = statistics.median(new_runs)
+        old = statistics.median(old_runs)
         if unit != old_unit:
             print(f"  metric changed ({old_unit} -> {unit}); skipped: {name}")
             continue
@@ -103,12 +120,14 @@ def compare_file(fresh_path, base_path, tolerance, overrides=()):
             continue
         allowed = tolerance_of(name, tolerance, overrides)
         delta = (new - old) / old * 100.0
-        marker = ""
+        old_cv, new_cv = cv_percent(old_runs), cv_percent(new_runs)
+        marker = "  noisy" if max(old_cv, new_cv) > allowed else ""
         if delta < -allowed:
-            marker = "  <-- REGRESSION"
+            marker += "  <-- REGRESSION"
             failures.append((name, delta))
         print(f"  {name:<40} {old:>14.4g} -> {new:>14.4g} {unit:<10} {delta:+7.1f}%"
-              f"  runs {old_runs}->{new_runs}{marker}")
+              f"  runs {len(old_runs)}->{len(new_runs)}"
+              f"  cv {old_cv:.1f}%->{new_cv:.1f}%{marker}")
     for name in sorted(set(fresh) - set(base)):
         print(f"  new benchmark (no baseline): {name}")
     return failures

@@ -4,6 +4,8 @@
 Run: python3 tools/bench_compare_test.py
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -69,6 +71,28 @@ class BenchCompareTest(unittest.TestCase):
         failures = bench_compare.compare_file(fresh, base, 10.0)
         self.assertEqual([name for name, _ in failures], ["BM_Op"])
         self.assertAlmostEqual(failures[0][1], -15.0)
+
+    def test_a_spread_beyond_the_tolerance_is_marked_noisy_but_rules_alone(self):
+        base = self.repeated("base.json", [100.0, 100.0, 100.0])
+        fresh = self.repeated("fresh.json", [70.0, 100.0, 130.0])  # cv 30%
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            failures = bench_compare.compare_file(fresh, base, 10.0)
+        self.assertEqual(failures, [])  # the median held: no gate moved
+        self.assertIn("cv 0.0%->30.0%  noisy", out.getvalue())
+        self.assertAlmostEqual(bench_compare.cv_percent([70.0, 100.0, 130.0]), 30.0)
+        self.assertEqual(bench_compare.cv_percent([5.0]), 0.0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            failures = bench_compare.compare_file(fresh, base, 40.0)
+        self.assertNotIn("noisy", out.getvalue())
+
+    def test_a_noisy_regression_still_fails(self):
+        base = self.repeated("base.json", [100.0, 100.0, 100.0])
+        fresh = self.repeated("fresh.json", [40.0, 80.0, 120.0])
+        with contextlib.redirect_stdout(io.StringIO()):
+            failures = bench_compare.compare_file(fresh, base, 10.0)
+        self.assertEqual([name for name, _ in failures], ["BM_Op"])
 
 
 if __name__ == "__main__":
