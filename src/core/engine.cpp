@@ -12,7 +12,9 @@ DetectionEngine::DetectionEngine(ObserverId id, Layer layer, geom::Point locatio
                                  EngineOptions options)
     : id_(std::move(id)), layer_(layer), location_(location), options_(options) {}
 
-void DetectionEngine::validate_definition(const EventDefinition& def) const {
+void DetectionEngine::validate_definition(const EventDefinition* spec) const {
+  if (spec == nullptr) throw std::invalid_argument("DetectionEngine: null definition");
+  const EventDefinition& def = *spec;
   if (def.slots.empty()) {
     throw std::invalid_argument("DetectionEngine: definition '" + def.id.value() +
                                 "' declares no slots");
@@ -25,7 +27,7 @@ void DetectionEngine::validate_definition(const EventDefinition& def) const {
   }
 }
 
-std::uint32_t DetectionEngine::alloc_def_slot(EventDefinition def) {
+std::uint32_t DetectionEngine::alloc_def_slot(std::shared_ptr<const EventDefinition> def) {
   if (!free_slots_.empty()) {
     const std::uint32_t d = free_slots_.back();
     free_slots_.pop_back();
@@ -37,9 +39,9 @@ std::uint32_t DetectionEngine::alloc_def_slot(EventDefinition def) {
 }
 
 void DetectionEngine::init_def_state(DefState& ds) {
-  const std::size_t n = ds.def.slots.size();
+  const std::size_t n = ds.def->slots.size();
   const auto [seq_it, new_type] =
-      seq_index_.try_emplace(ds.def.id.value(), static_cast<std::uint32_t>(seq_counters_.size()));
+      seq_index_.try_emplace(ds.def->id.value(), static_cast<std::uint32_t>(seq_counters_.size()));
   if (new_type) seq_counters_.push_back(0);
   ds.seq_idx = seq_it->second;
   ds.buffered = n > 1;
@@ -47,7 +49,7 @@ void DetectionEngine::init_def_state(DefState& ds) {
   if (!ds.buffered) return;
 
   ds.guards.resize(n);
-  for (const SpatialGuard& g : extract_spatial_guards(ds.def.condition)) {
+  for (const SpatialGuard& g : extract_spatial_guards(ds.def->condition)) {
     if (g.slot >= n) continue;  // condition slots were validated above
     Guard guard;
     guard.radius = g.radius;
@@ -67,7 +69,7 @@ void DetectionEngine::init_def_state(DefState& ds) {
   // Consume-mode definitions keep private buffers — consumption retires
   // entities mid-buffer, which co-subscribers must not see — and use the
   // enumerator's inline guard precheck instead of an index.
-  if (ds.def.consumption == ConsumptionMode::kUnrestricted) {
+  if (ds.def->consumption == ConsumptionMode::kUnrestricted) {
     ds.stream_backed = true;
   } else {
     ds.buffers.resize(n);
@@ -75,9 +77,9 @@ void DetectionEngine::init_def_state(DefState& ds) {
 }
 
 std::string DetectionEngine::stream_key_for(const DefState& ds, std::size_t slot) {
-  std::string key = ds.def.slots[slot].filter.stream_key();
+  std::string key = ds.def->slots[slot].filter.stream_key();
   key += '|';
-  key += std::to_string(ds.def.window.ticks());
+  key += std::to_string(ds.def->window.ticks());
   return key;
 }
 
@@ -140,15 +142,19 @@ void DetectionEngine::attach_stream_spatial(StreamNode& sn, const std::vector<Gu
 }
 
 std::size_t DetectionEngine::add_definition(EventDefinition def) {
-  validate_definition(def);
+  return add_definition(std::make_shared<const EventDefinition>(std::move(def)));
+}
+
+std::size_t DetectionEngine::add_definition(std::shared_ptr<const EventDefinition> def) {
+  validate_definition(def.get());
   const std::uint32_t d = alloc_def_slot(std::move(def));
   DefState& ds = defs_[d];
   init_def_state(ds);
   if (ds.stream_backed) {
-    const std::size_t n = ds.def.slots.size();
+    const std::size_t n = ds.def->slots.size();
     ds.streams.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      ds.streams[j] = subscribe_stream(stream_key_for(ds, j), ds.def.window);
+      ds.streams[j] = subscribe_stream(stream_key_for(ds, j), ds.def->window);
     }
     for (std::size_t j = 0; j < n; ++j) {
       if (!ds.guards[j].empty()) attach_stream_spatial(*streams_[ds.streams[j]], ds.guards[j]);
@@ -156,7 +162,7 @@ std::size_t DetectionEngine::add_definition(EventDefinition def) {
   } else if (ds.buffered) {
     private_buffered_.push_back(d);
   }
-  routing_.add(ds.def, d);
+  routing_.add(*ds.def, d);
   ++active_defs_;
   return d;
 }
@@ -167,14 +173,14 @@ DefinitionState DetectionEngine::extract_definition_state(std::size_t def_index)
                             std::to_string(def_index));
   }
   DefState& ds = defs_[def_index];
-  routing_.remove(ds.def, static_cast<std::uint32_t>(def_index));
+  routing_.remove(*ds.def, static_cast<std::uint32_t>(def_index));
 
   // A stream-backed definition takes a *copy* of each subscribed stream's
   // buffer (co-subscribers keep theirs untouched) and then drops its
   // subscriptions; private buffers are moved out wholesale. Either way the
   // carried per-slot buffers are exactly what an unshared engine would
   // have held, so the checkpoint/migration codec sees no difference.
-  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def.slots.size());
+  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def->slots.size());
   time_model::TimePoint carried_prune = ds.next_prune_at;
   if (ds.stream_backed) {
     carried_prune = time_model::TimePoint::max();
@@ -220,7 +226,7 @@ DefinitionState DetectionEngine::snapshot_definition_state(std::size_t def_index
                             std::to_string(def_index));
   }
   const DefState& ds = defs_[def_index];
-  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def.slots.size());
+  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def->slots.size());
   time_model::TimePoint carried_prune = ds.next_prune_at;
   if (ds.stream_backed) {
     carried_prune = time_model::TimePoint::max();
@@ -240,18 +246,17 @@ DefinitionState DetectionEngine::snapshot_definition_state(std::size_t def_index
       }
     }
   }
-  // `def` is an empty placeholder (no id, no slots): the spec is not copied.
-  return DefinitionState{EventDefinition{EventTypeId{}, {}, AndNode{}, {}, {}, {}},
-                         seq_counters_[ds.seq_idx], carried_prune, std::move(buffers),
+  return DefinitionState{ds.def, seq_counters_[ds.seq_idx], carried_prune, std::move(buffers),
                          ds.load_routed, ds.load_tried};
 }
 
 std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
-  validate_definition(state.def);
-  if (state.buffers.size() != state.def.slots.size()) {
-    throw std::invalid_argument("DetectionEngine: implant of '" + state.def.id.value() + "': " +
-                                std::to_string(state.buffers.size()) + " slot buffers but " +
-                                std::to_string(state.def.slots.size()) + " slots");
+  validate_definition(state.def.get());
+  if (state.buffers.size() != state.def->slots.size()) {
+    throw std::invalid_argument("DetectionEngine: implant of '" + state.def->id.value() +
+                                "': " + std::to_string(state.buffers.size()) +
+                                " slot buffers but " + std::to_string(state.def->slots.size()) +
+                                " slots");
   }
   const std::uint32_t d = alloc_def_slot(std::move(state.def));
   DefState& ds = defs_[d];
@@ -307,10 +312,10 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
       ds.streams.resize(n);
       for (std::size_t s = 0; s < n; ++s) {
         if (state.buffers[s].empty()) {
-          ds.streams[s] = subscribe_stream(stream_key_for(ds, s), ds.def.window);
+          ds.streams[s] = subscribe_stream(stream_key_for(ds, s), ds.def->window);
           continue;
         }
-        const std::uint32_t id = create_stream(std::string(), ds.def.window);
+        const std::uint32_t id = create_stream(std::string(), ds.def->window);
         ds.streams[s] = id;
         StreamNode& sn = *streams_[id];
         for (auto& b : state.buffers[s]) {
@@ -327,7 +332,7 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
       }
     }
   }
-  routing_.add(ds.def, d);
+  routing_.add(*ds.def, d);
   ++active_defs_;
   return d;
 }
@@ -396,7 +401,7 @@ void DetectionEngine::rebuild_stream_spatial(StreamNode& sn) {
 }
 
 void DetectionEngine::prune_def(DefState& ds, time_model::TimePoint now) {
-  const time_model::TimePoint horizon = now - ds.def.window;
+  const time_model::TimePoint horizon = now - ds.def->window;
   time_model::TimePoint next = time_model::TimePoint::max();
   for (std::size_t s = 0; s < ds.buffers.size(); ++s) {
     auto& buf = ds.buffers[s];
@@ -404,7 +409,7 @@ void DetectionEngine::prune_def(DefState& ds, time_model::TimePoint now) {
       evict_front(ds, s);
     }
     if (!buf.empty()) {
-      const time_model::TimePoint at = buf.front().entity->occurrence_time().end() + ds.def.window;
+      const time_model::TimePoint at = buf.front().entity->occurrence_time().end() + ds.def->window;
       if (at < next) next = at;
     }
   }
@@ -461,7 +466,7 @@ void DetectionEngine::route(const Entity& entity) {
   // The index dispatches on the discriminant key (and threshold constant);
   // the residual filter fields are verified on each hit.
   routing_.collect(entity, matched_routes_, [&](const SlotRoute r) {
-    return defs_[r.def_idx].def.slots[r.slot_idx].filter.matches(entity);
+    return defs_[r.def_idx].def->slots[r.slot_idx].filter.matches(entity);
   });
 }
 
@@ -471,7 +476,7 @@ void DetectionEngine::insert_buffered(DefState& ds, std::size_t slot, const Buff
   if (buf.size() > options_.max_buffer) evict_front(ds, slot);
   // Lower (never raise) the prune watermarks: stale-low only costs a
   // spurious check, stale-high would let expired entities join bindings.
-  const time_model::TimePoint at = fresh.entity->occurrence_time().end() + ds.def.window;
+  const time_model::TimePoint at = fresh.entity->occurrence_time().end() + ds.def->window;
   if (at < ds.next_prune_at) ds.next_prune_at = at;
   if (at < global_prune_at_) global_prune_at_ = at;
 }
@@ -661,7 +666,7 @@ void DetectionEngine::fire_single(DefState& ds, const Entity& entity, time_model
   ++stats_.bindings_tried;
   ++ds.load_tried;
   const EvalContext ctx(scratch_.binding.data(), 1);
-  if (!eval_condition(ds.def.condition, ctx, options_.eval_mode)) return;
+  if (!eval_condition(ds.def->condition, ctx, options_.eval_mode)) return;
   ++stats_.bindings_matched;
   const auto d = static_cast<std::uint32_t>(&ds - defs_.data());
   sink.emit(d, synthesize(ds, scratch_.binding.data(), 1, now));
@@ -729,7 +734,7 @@ void DetectionEngine::prepare_candidates(DefState& ds, std::uint32_t slot) {
 
 void DetectionEngine::try_bindings(DefState& ds, std::size_t fixed_slot, const Buffered& fresh,
                                    time_model::TimePoint now, EmitSink& sink) {
-  const std::size_t n = ds.def.slots.size();
+  const std::size_t n = ds.def->slots.size();
   auto& chosen = scratch_.chosen;
   chosen.assign(n, nullptr);
   chosen[fixed_slot] = &fresh;
@@ -786,16 +791,16 @@ void DetectionEngine::try_bindings(DefState& ds, std::size_t fixed_slot, const B
 }
 
 bool DetectionEngine::emit_binding(DefState& ds, time_model::TimePoint now, EmitSink& sink) {
-  const std::size_t n = ds.def.slots.size();
+  const std::size_t n = ds.def->slots.size();
   for (std::size_t j = 0; j < n; ++j) scratch_.binding[j] = scratch_.chosen[j]->entity.get();
   ++stats_.bindings_tried;
   ++ds.load_tried;
   const EvalContext ctx(scratch_.binding.data(), n);
-  if (!eval_condition(ds.def.condition, ctx, options_.eval_mode)) return false;
+  if (!eval_condition(ds.def->condition, ctx, options_.eval_mode)) return false;
   ++stats_.bindings_matched;
   const auto d = static_cast<std::uint32_t>(&ds - defs_.data());
   sink.emit(d, synthesize(ds, scratch_.binding.data(), n, now));
-  if (ds.def.consumption != ConsumptionMode::kConsume) return false;
+  if (ds.def->consumption != ConsumptionMode::kConsume) return false;
   consume_participants(ds);
   return true;
 }
@@ -805,7 +810,7 @@ void DetectionEngine::consume_participants(DefState& ds) {
   // definitions reach here, and those keep private buffers — never shared
   // streams, never spatial indexes — so nothing else can observe the
   // mid-buffer removal.
-  const std::size_t n = ds.def.slots.size();
+  const std::size_t n = ds.def->slots.size();
   auto& stamps = scratch_.stamp_scratch;  // enumeration stopped; scratch is free
   stamps.clear();
   for (std::size_t j = 0; j < n; ++j) stamps.push_back(scratch_.chosen[j]->stamp);
@@ -819,7 +824,7 @@ void DetectionEngine::consume_participants(DefState& ds) {
 
 EventInstance DetectionEngine::synthesize(DefState& ds, const Entity* const* binding,
                                           std::size_t n, time_model::TimePoint now) {
-  const EventDefinition& def = ds.def;
+  const EventDefinition& def = *ds.def;
   const std::span<const Entity* const> bound(binding, n);
 
   EventInstance inst;

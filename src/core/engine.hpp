@@ -109,7 +109,10 @@ struct DefinitionState {
     std::uint64_t stamp = 0;  ///< source-engine arrival stamp (order only)
   };
 
-  EventDefinition def;
+  /// The registered spec, shared with the engine that hosts it (and the
+  /// sharded runtime's registration record): moving a definition between
+  /// engines never copies its condition tree.
+  std::shared_ptr<const EventDefinition> def;
   /// Instance sequence counter of the definition's event type at
   /// extraction. Definitions sharing an event type share the counter, so
   /// a co-located group must migrate together and carries one value.
@@ -150,8 +153,12 @@ class DetectionEngine : public Observer {
 
   /// Registers a definition and builds its routing/spatial index entries.
   /// Returns the definition's index (the tag emitted with its instances).
-  /// Throws std::invalid_argument if the condition references a slot index
-  /// beyond the declared slots, or if the definition has no slots.
+  /// Throws std::invalid_argument if `def` is null, if the condition
+  /// references a slot index beyond the declared slots, or if the
+  /// definition has no slots. The engine shares `def` (it is immutable);
+  /// snapshot and extract hand the same pointer back.
+  std::size_t add_definition(std::shared_ptr<const EventDefinition> def);
+  /// Convenience: wraps `def` in a fresh shared spec and registers it.
   std::size_t add_definition(EventDefinition def);
 
   /// Removes the definition at `def_index` and returns its full dynamic
@@ -164,18 +171,17 @@ class DetectionEngine : public Observer {
 
   /// Non-destructive variant of extract_definition_state: copies the
   /// definition's dynamic state (buffered entities by shared_ptr) without
-  /// retiring the slot — the engine keeps running untouched. `def` is an
-  /// empty placeholder (no id, no slots): the spec is immutable after
-  /// registration, so a caller that needs it keeps its own copy (shard
-  /// checkpoints are built from these and re-supply it at decode). Throws
-  /// std::out_of_range for an unknown or extracted index.
+  /// retiring the slot — the engine keeps running untouched. `def` is the
+  /// registered spec pointer itself, not a copy. Throws std::out_of_range
+  /// for an unknown or extracted index.
   [[nodiscard]] DefinitionState snapshot_definition_state(std::size_t def_index) const;
 
   /// Installs a previously extracted definition, rebuilding its routing
   /// and spatial index entries and renumbering its buffered entities into
-  /// this engine's stamp space. The event type's sequence counter is set
-  /// to the carried value (the source held the only live copy). Returns
-  /// the definition's index in this engine.
+  /// this engine's stamp space. The event type's sequence counter becomes
+  /// the larger of the carried and the local value (it never rewinds).
+  /// The spec pointer `state.def` is adopted as is (a null one throws
+  /// std::invalid_argument). Returns the definition's index in this engine.
   std::size_t implant_definition_state(DefinitionState state);
 
   /// Appends (definition index, cumulative load) for every registered
@@ -350,9 +356,9 @@ class DetectionEngine : public Observer {
   };
 
   struct DefState {
-    explicit DefState(EventDefinition d) : def(std::move(d)) {}
+    explicit DefState(std::shared_ptr<const EventDefinition> d) : def(std::move(d)) {}
 
-    EventDefinition def;
+    std::shared_ptr<const EventDefinition> def;  ///< null once extracted
     /// Consume-mode multi-slot definitions keep private per-slot buffers
     /// (consumption mutates mid-buffer); retain-mode ones subscribe their
     /// slots to shared streams instead.
@@ -435,11 +441,11 @@ class DetectionEngine : public Observer {
   /// subscription is the caller's step: add_definition subscribes every
   /// slot fresh; implant_definition_state must place carried non-empty
   /// buffers in private streams first.
-  void validate_definition(const EventDefinition& def) const;
+  void validate_definition(const EventDefinition* def) const;
   void init_def_state(DefState& ds);
   /// Allocates a definition slot (reusing a tombstone when available) and
-  /// move-constructs `def` into it; returns the slot index.
-  std::uint32_t alloc_def_slot(EventDefinition def);
+  /// moves `def` into it; returns the slot index.
+  std::uint32_t alloc_def_slot(std::shared_ptr<const EventDefinition> def);
 
   /// Canonical plan key of one slot subscription: full filter encoding
   /// plus the definition window (both must match for two slots to share a

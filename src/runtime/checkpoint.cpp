@@ -498,8 +498,8 @@ std::string encode_definition_state(const core::DefinitionState& state) {
   return out;
 }
 
-std::optional<core::DefinitionState> decode_definition_state(std::string_view frame,
-                                                             core::EventDefinition def) {
+std::optional<core::DefinitionState> decode_definition_state(
+    std::string_view frame, std::shared_ptr<const core::EventDefinition> def) {
   ByteReader r{frame};
   // Braced initializers evaluate left to right: the fields read in frame order.
   core::DefinitionState state{.def = std::move(def),

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -59,16 +60,17 @@ namespace stem::runtime {
 /// rebuilds a fresh DetectionEngine by implanting the decoded states and
 /// replaying the bounded post-checkpoint log. Only *dynamic* state is
 /// framed — `state.def` is ignored: the spec is immutable after
-/// registration and is re-supplied from the runtime's registration copy
-/// at decode time, so condition trees never cross the wire.
+/// registration, and the decoder is handed the runtime's one shared spec
+/// for the definition, so condition trees never cross the wire.
 [[nodiscard]] std::string encode_definition_state(const core::DefinitionState& state);
 
-/// Decodes a frame produced by encode_definition_state, adopting `def` as
-/// the definition spec. nullopt on any malformed input, so a corrupted
-/// checkpoint fails recovery loudly instead of resurrecting a shard with
-/// silently wrong state.
+/// Decodes a frame produced by encode_definition_state. The result's `def`
+/// is `def` itself — the pointer is adopted, the spec is not copied.
+/// nullopt on any malformed input, so a corrupted checkpoint fails
+/// recovery loudly instead of resurrecting a shard with silently wrong
+/// state.
 [[nodiscard]] std::optional<core::DefinitionState> decode_definition_state(
-    std::string_view frame, core::EventDefinition def);
+    std::string_view frame, std::shared_ptr<const core::EventDefinition> def);
 
 /// A decoded replay record: parallel (entity, now, stamp) arrays.
 struct Arrivals {

@@ -41,18 +41,20 @@ std::optional<std::uint64_t> def_sensor_hash(const core::EventDefinition& def) {
   return std::nullopt;
 }
 
-/// Kind-prefixed routing key of a keyed slot signature, or empty.
-std::string routing_key(const core::FilterSignature& sig) {
+/// Placement key of a keyed slot signature: the routing_key_hash of its
+/// key, shifted so sensor keys are even and event-type keys odd (the two
+/// kinds never compare equal); nullopt for a keyless signature.
+std::optional<std::uint64_t> placement_key(const core::FilterSignature& sig) {
   switch (sig.kind) {
     case core::FilterSignature::Kind::kSensor:
-      return "s:" + sig.key;
+      return core::routing_key_hash(sig.key) << 1;
     case core::FilterSignature::Kind::kEventType:
-      return "t:" + sig.key;
+      return (core::routing_key_hash(sig.key) << 1) | 1;
     case core::FilterSignature::Kind::kAny:
     case core::FilterSignature::Kind::kNever:
-      return {};
+      return std::nullopt;
   }
-  return {};
+  return std::nullopt;
 }
 
 /// The instances of a tagged release, tags dropped (poll/flush).
@@ -185,6 +187,9 @@ void ShardedEngineRuntime::shutdown() noexcept {
 }
 
 void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
+  // The one copy of the spec: the hosting engine, migration tickets,
+  // checkpoint decode and recovery all share it.
+  auto spec = std::make_shared<const core::EventDefinition>(std::move(def));
   const std::lock_guard lk(ingest_mutex_);
   if (started_) {
     throw std::logic_error(
@@ -195,20 +200,20 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // Placement. Same event type => same group => same shard: definitions
   // sharing a type share an instance sequence counter, and splitting them
   // would renumber the merged stream relative to a sequential engine.
-  std::vector<std::string> keys;  // the slots' routing keys, built once
-  for (const core::SlotSpec& slot : def.slots) {
-    if (std::string key = routing_key(slot.filter.signature()); !key.empty()) {
-      keys.push_back(std::move(key));
+  std::vector<std::uint64_t> keys;  // the slots' placement keys, hashed once
+  for (const core::SlotSpec& slot : spec->slots) {
+    if (const std::optional<std::uint64_t> key = placement_key(slot.filter.signature())) {
+      keys.push_back(*key);
     }
   }
   std::uint32_t shard = 0;
-  const auto git = type_group_.find(def.id.value());
+  const auto git = type_group_.find(spec->id.value());
   if (git != type_group_.end()) {
     shard = groups_[git->second].shard;
   } else {
     const auto affine = [&](const std::size_t s) {
       return std::any_of(keys.begin(), keys.end(),
-                         [&](const std::string& k) { return shard_keys_[s].contains(k); });
+                         [&](const std::uint64_t k) { return shard_keys_[s].contains(k); });
     };
     // Least-loaded shard; among equals prefer one already hosting one of
     // the definition's routing keys (bounds fan-out at equal balance).
@@ -226,7 +231,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // Register with the shard engine first: it validates and may throw, and
   // must not leave any placement state (groups_ included) half-updated.
   Shard& host = *shards_[shard];
-  const auto local = static_cast<std::uint32_t>(host.engine->add_definition(def));
+  const auto local = static_cast<std::uint32_t>(host.engine->add_definition(spec));
 
   const auto global = static_cast<std::uint32_t>(def_shard_.size());
   std::uint32_t group;
@@ -237,14 +242,14 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
     Group fresh;
     fresh.shard = shard;
     groups_.push_back(std::move(fresh));
-    type_group_.emplace(def.id.value(), group);
+    type_group_.emplace(spec->id.value(), group);
   }
   groups_[group].defs.push_back(global);
   def_group_.push_back(group);
   def_high_.push_back(0);
   // Splittability bookkeeping: the group becomes key-range splittable the
   // moment its definitions span two distinct sensor-key hashes.
-  if (const std::optional<std::uint64_t> h = def_sensor_hash(def)) {
+  if (const std::optional<std::uint64_t> h = def_sensor_hash(*spec)) {
     Group& grp = groups_[group];
     if (!grp.has_key) {
       grp.has_key = true;
@@ -261,15 +266,15 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   if (options_.checkpoint_epoch != 0) host.initial_globals.push_back(global);
   def_shard_.push_back(shard);
   ++shard_def_count_[shard];
-  for (std::string& key : keys) shard_keys_[shard].insert(std::move(key));
+  shard_keys_[shard].insert(keys.begin(), keys.end());
   // Definition-granular: ingest maps matched definitions to shards through
   // def_shard_, so a migration never touches the index.
-  ingest_routes_.add_collapsed(def, global);
+  ingest_routes_.add_collapsed(*spec, global);
   if (options_.cascade) {
     // A new definition changes the type graph's reach: recompute the
     // per-definition downstream masks on the next ingest.
     cascade_graph_built_ = false;
-    for (const core::SlotSpec& slot : def.slots) {
+    for (const core::SlotSpec& slot : spec->slots) {
       const auto kind = slot.filter.signature().kind;
       if (kind == core::FilterSignature::Kind::kEventType ||
           kind == core::FilterSignature::Kind::kAny) {
@@ -280,7 +285,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
       }
     }
   }
-  def_specs_.push_back(std::move(def));
+  def_specs_.push_back(std::move(spec));
 }
 
 void ShardedEngineRuntime::ingest(const core::Entity& entity, time_model::TimePoint now) {
@@ -473,6 +478,9 @@ void ShardedEngineRuntime::start_locked() {
   // Registration is over: freeze the index so the cascade coordinator can
   // collect from it concurrently with ingest.
   ingest_routes_.freeze();
+  // Placement's registration-time inputs are never read again.
+  shard_keys_.clear();
+  shard_keys_.shrink_to_fit();
   if (options_.cascade) queue_placement_locked(0);
 }
 
@@ -547,7 +555,7 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
     // its gate *before* the control pair is visible so its worker never
     // runs a post-barrier arrival ahead of the closure frontier.
     for (const std::uint32_t d : ticket->globals) {
-      for (const core::SlotSpec& slot : def_specs_[d].slots) {
+      for (const core::SlotSpec& slot : def_specs_[d]->slots) {
         const auto kind = slot.filter.signature().kind;
         if (kind == core::FilterSignature::Kind::kEventType ||
             kind == core::FilterSignature::Kind::kAny) {
@@ -609,9 +617,10 @@ bool ShardedEngineRuntime::wait_group_ticket(std::unique_lock<std::mutex>& lk,
   // worker must implant before the group can move again (the worker-side
   // index maps are only consistent at implanted boundaries). The wait
   // holds no runtime lock, and the implant only needs the two workers to
-  // drain their inboxes, so this always terminates.
+  // drain their inboxes, so this always terminates. An expired ticket is
+  // done: both control items were handled (or discarded) and dropped.
   for (;;) {
-    const std::shared_ptr<MigrationTicket> t = groups_[group].ticket;
+    const std::shared_ptr<MigrationTicket> t = groups_[group].ticket.lock();
     if (t == nullptr) break;
     bool done;
     {
@@ -654,18 +663,18 @@ bool ShardedEngineRuntime::split_group(std::size_t def_index, std::size_t to_sha
 bool ShardedEngineRuntime::issue_split_locked(std::uint32_t group, std::uint32_t to) {
   Group& grp = groups_[group];
   if (grp.split || !grp.multi_key || to == grp.shard) return false;
-  if (grp.ticket != nullptr) {
+  if (const std::shared_ptr<MigrationTicket> t = grp.ticket.lock()) {
     // Callers either waited the ticket out or (rebalance) marked the
     // group unmovable; re-check non-blockingly for safety.
-    const std::lock_guard tlk(grp.ticket->m);
-    if (!grp.ticket->done) return false;
+    const std::lock_guard tlk(t->m);
+    if (!t->done) return false;
   }
   // Partition around the median distinct sensor-key hash: hash >= point
   // goes high, everything else (lower hashes, keyless, wildcard) stays
   // low. Both sides are non-empty by construction (>= 2 distinct hashes).
   std::vector<std::uint64_t> hashes;
   for (const std::uint32_t d : grp.defs) {
-    if (const std::optional<std::uint64_t> h = def_sensor_hash(def_specs_[d])) {
+    if (const std::optional<std::uint64_t> h = def_sensor_hash(*def_specs_[d])) {
       hashes.push_back(*h);
     }
   }
@@ -675,7 +684,7 @@ bool ShardedEngineRuntime::issue_split_locked(std::uint32_t group, std::uint32_t
   const std::uint64_t point = hashes[hashes.size() / 2];
   std::vector<std::uint32_t> high;
   for (const std::uint32_t d : grp.defs) {
-    const std::optional<std::uint64_t> h = def_sensor_hash(def_specs_[d]);
+    const std::optional<std::uint64_t> h = def_sensor_hash(*def_specs_[d]);
     if (h.has_value() && *h >= point) {
       high.push_back(d);
       def_high_[d] = 1;
@@ -761,10 +770,10 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   high_row_scratch_.assign(groups_.size(), 0xffffffffu);
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     const Group& grp = groups_[g];
-    bool settled = true;
-    if (grp.ticket != nullptr) {
-      const std::lock_guard tlk(grp.ticket->m);
-      settled = grp.ticket->done;
+    bool settled = true;  // expired ticket: the migration is over
+    if (const std::shared_ptr<MigrationTicket> t = grp.ticket.lock()) {
+      const std::lock_guard tlk(t->m);
+      settled = t->done;
     }
     // A split group's sides are pinned for the plan (rejoin via
     // merge_group, not rebalancing) but its load still lands on the right
@@ -977,7 +986,8 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
       if (options_.checkpoint_epoch != 0) {
         // Keep the ticket's copy: if this shard later crashes and its
         // checkpoint predates this control, the recovery replay implants
-        // from the ticket again.
+        // from the ticket again. It goes with the ticket once both logs
+        // are truncated past the control pair.
         states = ticket.states;
       } else {
         states = std::move(ticket.states);
@@ -1280,7 +1290,7 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
     const std::lock_guard lk(shard.log_mutex);
     ck = shard.checkpoint;  // copy: the stored one must survive this recovery
   }
-  // Both branches take specs from def_specs_: it stops growing once
+  // Both branches share the specs in def_specs_: it stops growing once
   // ingestion starts (and a crash implies ingestion), so reading it
   // off-thread is safe.
   if (ck.has_value()) {
@@ -1408,7 +1418,7 @@ void ShardedEngineRuntime::build_cascade_graph() {
   std::vector<std::vector<std::uint32_t>> consumers(groups_.size());
   std::vector<std::uint32_t> wildcard;  // defs with kAny slots: consume every type
   for (std::uint32_t d = 0; d < defs; ++d) {
-    for (const core::SlotSpec& slot : def_specs_[d].slots) {
+    for (const core::SlotSpec& slot : def_specs_[d]->slots) {
       const core::FilterSignature sig = slot.filter.signature();
       if (sig.kind == core::FilterSignature::Kind::kEventType) {
         if (const auto it = type_group_.find(sig.key); it != type_group_.end()) {

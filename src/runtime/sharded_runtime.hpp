@@ -418,7 +418,8 @@ class ShardedEngineRuntime {
   /// Rendezvous for one group migration: the source worker fills `states`
   /// and flips `ready`; the destination worker waits for it, implants,
   /// and flips `done` (migrate_definition of the same group waits on
-  /// `done` before issuing a follow-up move).
+  /// `done` before issuing a follow-up move). Owned by the pair of control
+  /// items (and their replay-log copies); the group only observes it.
   struct MigrationTicket {
     std::mutex m;
     std::condition_variable cv;
@@ -783,7 +784,11 @@ class ShardedEngineRuntime {
   struct Group {
     std::vector<std::uint32_t> defs;  ///< global indices, ascending
     std::uint32_t shard = 0;          ///< current host (low sub-group when split)
-    std::shared_ptr<MigrationTicket> ticket;  ///< last migration; null if none
+    /// Last migration; empty if none. Weak: the ticket lives only while a
+    /// control item holds it (inbox or replay log), so a finished
+    /// migration's moved states are freed with the last of those, and an
+    /// expired ticket reads as done.
+    std::weak_ptr<MigrationTicket> ticket;
     bool split = false;
     std::uint32_t high_shard = 0;          ///< host of the high sub-group
     std::vector<std::uint32_t> high_defs;  ///< high sub-group, ascending
@@ -928,14 +933,17 @@ class ShardedEngineRuntime {
   core::RoutingIndex ingest_routes_;
   std::unordered_map<std::string, std::uint32_t> type_group_;  ///< event type -> group
   std::vector<Group> groups_;                    // guarded by ingest_mutex_
-  /// Registration copies (split key hashes, cascade reachability,
-  /// checkpoint decoding).
-  std::vector<core::EventDefinition> def_specs_;
+  /// The one shared spec of each definition, by global index. The hosting
+  /// engine holds the same pointer, and migration, checkpoint decode and
+  /// recovery pass it on; here it feeds split key hashes and cascade
+  /// reachability.
+  std::vector<std::shared_ptr<const core::EventDefinition>> def_specs_;
   std::vector<std::uint32_t> def_group_;  ///< global def index -> group
-  /// Routing keys and definition counts per shard at registration: the
-  /// inputs of add_definition's placement, which ends once ingest or a
-  /// migration starts (so migrations leave them alone).
-  std::vector<std::unordered_set<std::string>> shard_keys_;
+  /// Placement keys (routing-key hashes) and definition counts per shard
+  /// at registration: the inputs of add_definition's placement, which ends
+  /// once ingest or a migration starts (so migrations leave them alone;
+  /// start_locked releases the keys).
+  std::vector<std::unordered_set<std::uint64_t>> shard_keys_;
   std::vector<std::size_t> shard_def_count_;
   /// Global def index -> shard: the placement map. Migrations, splits and
   /// merges flip entries at the barrier (issue_subset_locked).

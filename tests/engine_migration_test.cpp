@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -211,12 +213,43 @@ TEST(EngineMigrationTest, ExtractedDefinitionStopsDetecting) {
   DetectionEngine eng(ObserverId("OB"), Layer::kSensor, {0, 0});
   eng.add_definition(state_mix()[0]);
   const auto state = eng.extract_definition_state(0);
-  EXPECT_EQ(state.def.id.value(), "TH");
+  EXPECT_EQ(state.def->id.value(), "TH");
   // No routing entries remain: the arrival is not even counted as routed.
   const auto out = eng.observe(Entity(obs("SRa", 0, TimePoint(1000), {0, 0}, 99.0)),
                                TimePoint(1000));
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(eng.stats().bindings_tried, 0u);
+}
+
+TEST(EngineMigrationTest, RegisteredSpecIsSharedNotCopied) {
+  // One immutable spec per definition: snapshot, extract and an implant
+  // -> extract round trip all hand back the pointer that was registered.
+  const auto mix = state_mix();
+  DetectionEngine eng(ObserverId("OB"), Layer::kSensor, {0, 0});
+  std::vector<std::shared_ptr<const EventDefinition>> specs;
+  for (const EventDefinition& def : mix) {
+    specs.push_back(std::make_shared<const EventDefinition>(def));
+    eng.add_definition(specs.back());
+  }
+  const TimePoint t0(1'000'000);
+  (void)eng.observe(Entity(obs("SRc", 0, t0, {1, 1}, 10.0)), t0);
+  for (std::size_t d = 0; d < specs.size(); ++d) {
+    EXPECT_EQ(eng.snapshot_definition_state(d).def.get(), specs[d].get()) << d;
+  }
+
+  DefinitionState state = eng.extract_definition_state(2);
+  EXPECT_EQ(state.def.get(), specs[2].get());
+  DetectionEngine other(ObserverId("OB"), Layer::kSensor, {0, 0});
+  const std::size_t local = other.implant_definition_state(std::move(state));
+  EXPECT_EQ(other.snapshot_definition_state(local).def.get(), specs[2].get());
+  EXPECT_EQ(other.extract_definition_state(local).def.get(), specs[2].get());
+  // The engines share the spec; the test's handle and nothing else holds
+  // it now that both have let it go.
+  EXPECT_EQ(specs[2].use_count(), 1);
+
+  EXPECT_THROW(eng.add_definition(std::shared_ptr<const EventDefinition>()),
+               std::invalid_argument);
+  EXPECT_EQ(eng.definition_count(), specs.size() - 1);
 }
 
 TEST(EngineMigrationTest, BufferedStateCarriesWatermarkAndLoads) {

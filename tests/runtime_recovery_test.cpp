@@ -508,6 +508,78 @@ TEST(CrashRecovery, NoCrashesStillCheckpointsExactly) {
   EXPECT_EQ(stats.replayed, 0u);
 }
 
+TEST(CrashRecovery, FinishedMigrationMovesBackAfterDestinationCrash) {
+  // A finished migration's ticket lives only as long as its control items
+  // (inbox and replay log). Two checkpoint epochs after the move, both
+  // logs are truncated past the control pair; the destination then
+  // crashes and recovers from a post-migration checkpoint, and moving the
+  // group back must still work, with the stream exact throughout.
+  constexpr std::size_t kEpoch = 16;
+  std::atomic<int> kill{-1};  // shard to crash on its next poll; -1 = none
+  RuntimeOptions options;
+  options.shards = 2;
+  options.checkpoint_epoch = kEpoch;
+  options.crash_hook = [&kill](std::size_t shard) {
+    int want = static_cast<int>(shard);
+    return kill.compare_exchange_strong(want, -1);
+  };
+  ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
+  for (const EventDefinition& def : recovery_definitions(ConsumptionMode::kConsume, "W")) {
+    sharded.add_definition(def);
+    sequential.add_definition(def);
+  }
+  const Stream stream = make_stream(0x7ea, 320);
+  const std::vector<oracle::Ref> want = oracle::sequential_reference(
+      sequential, stream.entities, stream.nows, /*cascade=*/false, /*canonicalize_seq=*/false);
+
+  const std::string ctx = "weak ticket";
+  constexpr std::size_t kMoved = 2;  // the NEAR join: buffered state moves
+  const std::size_t from = sharded.shard_of(kMoved);
+  const std::size_t to = 1 - from;
+  std::vector<TaggedInstance> got_tagged;
+  std::size_t fed = 0;
+  const auto feed = [&](const std::size_t until) {
+    for (; fed < until; ++fed) {
+      sharded.ingest_batch(std::span(stream.entities).subspan(fed, 1),
+                           std::span(stream.nows).subspan(fed, 1));
+      std::vector<TaggedInstance> released = sharded.poll_tagged();
+      got_tagged.insert(got_tagged.end(), std::make_move_iterator(released.begin()),
+                        std::make_move_iterator(released.end()));
+    }
+  };
+  // Waits (bounded by the run deadline) until `done` holds.
+  const auto await = [&](const auto& done) {
+    while (!done(sharded.stats())) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  {
+    const oracle::RunDeadline deadline(sharded, ctx);
+    feed(80);
+    ASSERT_TRUE(sharded.migrate_definition(kMoved, to));
+    // Every arrival routes (the wildcard definition), so each kEpoch
+    // arrivals push one checkpoint item to every shard, behind the control
+    // pair. Once all of them are taken, both logs are truncated past it.
+    feed(160);
+    await([&](const RuntimeStats& s) { return s.checkpoints == 2 * (160 / kEpoch); });
+    // The next checkpoint round reaches the destination whatever the
+    // arrivals' routing, so it polls (and dies) again.
+    kill.store(static_cast<int>(to));
+    feed(160 + kEpoch);
+    await([&](const RuntimeStats& s) { return kill.load() == -1 && s.recoveries == 1; });
+    ASSERT_TRUE(sharded.migrate_definition(kMoved, from));
+    feed(stream.entities.size());
+    std::vector<TaggedInstance> rest = oracle::flush_tagged_within(sharded, ctx);
+    got_tagged.insert(got_tagged.end(), std::make_move_iterator(rest.begin()),
+                      std::make_move_iterator(rest.end()));
+  }
+  EXPECT_EQ(sharded.shard_of(kMoved), from);
+  oracle::check_equal(oracle::to_refs(got_tagged, /*canonicalize_seq=*/false), want, ctx);
+  const RuntimeStats stats = sharded.stats();
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.migrations, 2u);
+}
+
 TEST(CrashRecovery, CrashHookWithoutCheckpointEpochThrows) {
   RuntimeOptions options;
   options.crash_hook = [](std::size_t) { return false; };
@@ -782,12 +854,13 @@ TEST(ReplayCodec, RecordRoundTripsTheSelectedArrivals) {
 /// even-indexed entities in slot 0, odd-indexed ones in slot 1.
 core::DefinitionState codec_state() {
   core::DefinitionState state{
-      .def = EventDefinition{EventTypeId("J"),
-                             {{"a", SlotFilter::any()}, {"b", SlotFilter::any()}},
-                             core::c_time(0, time_model::TemporalOp::kBefore, 1),
-                             seconds(600),
-                             {},
-                             ConsumptionMode::kConsume},
+      .def = std::make_shared<const EventDefinition>(
+          EventDefinition{EventTypeId("J"),
+                          {{"a", SlotFilter::any()}, {"b", SlotFilter::any()}},
+                          core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                          seconds(600),
+                          {},
+                          ConsumptionMode::kConsume}),
       .seq = 41,
       .next_prune_at = TimePoint(-17),
       .buffers = std::vector<std::vector<core::DefinitionState::BufferedEntity>>(2),
@@ -1080,29 +1153,30 @@ TEST(CheckpointCodec, RoundTripIsAFixedPoint) {
 }
 
 TEST(CheckpointCodec, FreshStateWithMaxPruneClockRoundTrips) {
-  const EventDefinition def{
+  const auto def = std::make_shared<const EventDefinition>(EventDefinition{
       EventTypeId("F"),
       {{"x", SlotFilter::observation(SensorId("SR"))}},
       core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt, 50.0),
       seconds(60),
       {},
-      ConsumptionMode::kConsume};
+      ConsumptionMode::kConsume});
   DetectionEngine engine(ObserverId("OB"), core::Layer::kCyber, {0, 0});
   engine.add_definition(def);
   const core::DefinitionState state = engine.snapshot_definition_state(0);
   EXPECT_EQ(state.next_prune_at, TimePoint::max());
-  // A snapshot carries dynamic state only.
-  EXPECT_TRUE(state.def.id.empty());
-  EXPECT_TRUE(state.def.slots.empty());
+  // A snapshot shares the registered spec; the frame carries dynamic
+  // state only.
+  EXPECT_EQ(state.def.get(), def.get());
   const std::string frame = encode_definition_state(state);
   std::optional<core::DefinitionState> decoded = decode_definition_state(frame, def);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->def, def);
+  EXPECT_EQ(decoded->def.get(), def.get());
   EXPECT_EQ(decoded->next_prune_at, TimePoint::max());
   EXPECT_EQ(encode_definition_state(*decoded), frame);
   // The decoded state implants: the spec came from the caller.
   DetectionEngine restored(ObserverId("OB"), core::Layer::kCyber, {0, 0});
   EXPECT_EQ(restored.implant_definition_state(std::move(*decoded)), 0u);
+  EXPECT_EQ(restored.snapshot_definition_state(0).def.get(), def.get());
 }
 
 TEST(CheckpointCodec, EveryTruncationIsRejectedCleanly) {
