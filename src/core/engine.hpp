@@ -114,8 +114,10 @@ struct DefinitionState {
   /// engines never copies its condition tree.
   std::shared_ptr<const EventDefinition> def;
   /// Instance sequence counter of the definition's event type at
-  /// extraction. Definitions sharing an event type share the counter, so
-  /// a co-located group must migrate together and carries one value.
+  /// extraction. Definitions sharing an event type on one engine share the
+  /// counter; the implanting engine keeps the larger of this and its own
+  /// value, so each definition's sequence keeps increasing wherever its
+  /// same-type siblings live.
   std::uint64_t seq = 0;
   /// Horizon watermark: earliest instant any buffered entity can expire.
   time_model::TimePoint next_prune_at = time_model::TimePoint::max();

@@ -8,7 +8,7 @@ namespace stem::runtime {
 void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
                     std::vector<MigrationOrder>& out) {
   const std::size_t shards = view.shard_load.size();
-  if (shards < 2 || view.groups.empty()) return;
+  if (shards < 2 || view.defs.empty()) return;
 
   const std::uint64_t total =
       std::accumulate(view.shard_load.begin(), view.shard_load.end(), std::uint64_t{0});
@@ -27,52 +27,31 @@ void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
   for (const std::uint32_t src : by_load) {
     if (options.max_migrations != 0 && issued >= options.max_migrations) break;
     // Hotness is judged on the epoch's observed loads, not the working
-    // copy: a shard that merely *received* a group this pass must not be
-    // treated as a fresh hotspot (that would churn groups within one
-    // pass); it gets its own epoch of observed load first.
+    // copy: a shard that merely *received* a definition this pass must not
+    // be treated as a fresh hotspot (that would churn definitions within
+    // one pass); it gets its own epoch of observed load first.
     if (static_cast<double>(view.shard_load[src]) <= hot) continue;
 
     const auto dst = static_cast<std::uint32_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
     if (dst == src) continue;
 
-    // Highest-cost movable group on the hot shard whose move strictly
-    // shrinks the source-destination gap.
-    const GroupLoad* pick = nullptr;
-    for (const GroupLoad& g : view.groups) {
-      if (g.shard != src || !g.movable || g.cost == 0) continue;
-      if (load[dst] + g.cost >= load[src]) continue;
-      if (pick == nullptr || g.cost > pick->cost) pick = &g;
+    // Highest-cost movable definition on the hot shard whose move
+    // strictly shrinks the source-destination gap.
+    const DefinitionCost* pick = nullptr;
+    for (const DefinitionCost& d : view.defs) {
+      if (d.shard != src || !d.movable || d.cost == 0) continue;
+      if (load[dst] + d.cost >= load[src]) continue;
+      if (pick == nullptr || d.cost > pick->cost) pick = &d;
     }
-    if (pick != nullptr) {
-      out.push_back(MigrationOrder{pick->group, dst});
-      load[src] -= pick->cost;
-      load[dst] += pick->cost;
-      ++issued;
-      continue;
-    }
-
-    // No whole-group move strictly improves — the shard is hot because of
-    // an indivisible group. Split the highest-cost splittable one by
-    // sensor-key range instead, planning on roughly half its cost moving
-    // (the runtime partitions by key hash, so the exact share depends on
-    // the key skew). Acceptance mirrors the whole-move rule: the
-    // destination must stay below the source's pre-split load, so the
-    // cluster's peak strictly drops even when the group *is* the whole
-    // hot load. Otherwise record the skip.
-    const GroupLoad* cut = nullptr;
-    for (const GroupLoad& g : view.groups) {
-      if (g.shard != src || !g.movable || !g.splittable || g.cost == 0) continue;
-      if (load[dst] + g.cost / 2 >= load[src]) continue;
-      if (cut == nullptr || g.cost > cut->cost) cut = &g;
-    }
-    if (cut == nullptr) {
+    if (pick == nullptr) {
+      // No single-definition move helps: the shard stays put.
       if (view.skipped_indivisible != nullptr) ++*view.skipped_indivisible;
       continue;
     }
-    out.push_back(MigrationOrder{cut->group, dst, true});
-    load[src] -= cut->cost / 2;
-    load[dst] += cut->cost / 2;
+    out.push_back(MigrationOrder{pick->def, dst});
+    load[src] -= pick->cost;
+    load[dst] += pick->cost;
     ++issued;
   }
 }

@@ -27,20 +27,6 @@ constexpr std::uint64_t kPublishBatch = 256;
 /// would grow its outbox without limit while the coordinator trails.
 constexpr std::uint64_t kCascadeRunahead = 256;
 
-/// Hash of the definition's first sensor routing key, or nullopt when it
-/// has none (wildcard / event-type slots only). This is the basis of
-/// key-range group splitting: a definition belongs to the high sub-group
-/// iff this hash lands at or above the group's split point.
-std::optional<std::uint64_t> def_sensor_hash(const core::EventDefinition& def) {
-  for (const core::SlotSpec& slot : def.slots) {
-    const core::FilterSignature sig = slot.filter.signature();
-    if (sig.kind == core::FilterSignature::Kind::kSensor) {
-      return core::routing_key_hash(sig.key);
-    }
-  }
-  return std::nullopt;
-}
-
 /// Placement key of a keyed slot signature: the routing_key_hash of its
 /// key, shifted so sensor keys are even and event-type keys odd (the two
 /// kinds never compare equal); nullopt for a keyless signature.
@@ -194,12 +180,13 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   if (started_) {
     throw std::logic_error(
         "ShardedEngineRuntime: add_definition after ingestion or migration started "
-        "(initial placement is registration-time; use migrate_definition to move groups)");
+        "(initial placement is registration-time; use move_definitions to move definitions)");
   }
 
-  // Placement. Same event type => same group => same shard: definitions
-  // sharing a type share an instance sequence counter, and splitting them
-  // would renumber the merged stream relative to a sequential engine.
+  // Placement. Same event type => the shard of the type's first
+  // definition: same-type definitions share an engine sequence counter,
+  // so keeping them together keeps the relaxed tiers' numbering
+  // sequential (the global tier and cascade mode renumber per type).
   std::vector<std::uint64_t> keys;  // the slots' placement keys, hashed once
   for (const core::SlotSpec& slot : spec->slots) {
     if (const std::optional<std::uint64_t> key = placement_key(slot.filter.signature())) {
@@ -207,9 +194,9 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
     }
   }
   std::uint32_t shard = 0;
-  const auto git = type_group_.find(spec->id.value());
-  if (git != type_group_.end()) {
-    shard = groups_[git->second].shard;
+  const auto type = type_index_.find(spec->id.value());
+  if (type != type_index_.end()) {
+    shard = def_shard_[type->second];
   } else {
     const auto affine = [&](const std::size_t s) {
       return std::any_of(keys.begin(), keys.end(),
@@ -229,35 +216,14 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   }
 
   // Register with the shard engine first: it validates and may throw, and
-  // must not leave any placement state (groups_ included) half-updated.
+  // must not leave any placement state half-updated.
   Shard& host = *shards_[shard];
   const auto local = static_cast<std::uint32_t>(host.engine->add_definition(spec));
 
   const auto global = static_cast<std::uint32_t>(def_shard_.size());
-  std::uint32_t group;
-  if (git != type_group_.end()) {
-    group = git->second;
-  } else {
-    group = static_cast<std::uint32_t>(groups_.size());
-    Group fresh;
-    fresh.shard = shard;
-    groups_.push_back(std::move(fresh));
-    type_group_.emplace(spec->id.value(), group);
-  }
-  groups_[group].defs.push_back(global);
-  def_group_.push_back(group);
-  def_high_.push_back(0);
-  // Splittability bookkeeping: the group becomes key-range splittable the
-  // moment its definitions span two distinct sensor-key hashes.
-  if (const std::optional<std::uint64_t> h = def_sensor_hash(*spec)) {
-    Group& grp = groups_[group];
-    if (!grp.has_key) {
-      grp.has_key = true;
-      grp.first_key_hash = *h;
-    } else if (*h != grp.first_key_hash) {
-      grp.multi_key = true;
-    }
-  }
+  def_type_.push_back(type != type_index_.end()
+                          ? type->second
+                          : type_index_.emplace(spec->id.value(), global).first->second);
   if (local >= host.global_def.size()) host.global_def.resize(local + 1, 0);
   host.global_def[local] = global;
   host.local_of.emplace(global, local);
@@ -265,6 +231,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // placement (then replays any migration controls from the log).
   if (options_.checkpoint_epoch != 0) host.initial_globals.push_back(global);
   def_shard_.push_back(shard);
+  def_ticket_.emplace_back();
   ++shard_def_count_[shard];
   shard_keys_[shard].insert(keys.begin(), keys.end());
   // Definition-granular: ingest maps matched definitions to shards through
@@ -329,8 +296,8 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   // Cascade mode: a closure's downstream reach is the union of its matched
   // definitions' transitive feedback targets (shards outside it may run
   // later arrivals while the closure is in flight). The table describes
-  // registration-time placement, so once a migration or split has moved a
-  // subset (cascade_conservative_) every arrival carries an all-ones reach.
+  // registration-time placement, so once a move has happened
+  // (cascade_conservative_) every arrival carries an all-ones reach.
   const bool exact_reach = options_.cascade && !cascade_conservative_;
   const std::uint64_t base_reach = cascade_conservative_ ? ~std::uint64_t{0} : 0;
   for (std::size_t i = 0; i < block->entities.size(); ++i) {
@@ -514,17 +481,8 @@ void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
   ticket->cv.notify_all();
 }
 
-void ShardedEngineRuntime::issue_migration_locked(std::uint32_t group, std::uint32_t to) {
-  Group& grp = groups_[group];
-  const std::uint32_t from = grp.shard;
-  issue_subset_locked(group, grp.defs, from, to);
-  grp.shard = to;
-}
-
-void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
-                                               std::vector<std::uint32_t> defs,
-                                               std::uint32_t from, std::uint32_t to) {
-  Group& grp = groups_[group];
+void ShardedEngineRuntime::move_locked(std::vector<std::uint32_t> defs, std::uint32_t to) {
+  const std::uint32_t from = def_shard_[defs.front()];
   auto ticket = std::make_shared<MigrationTicket>();
   ticket->globals = std::move(defs);  // ascending global order
 
@@ -534,15 +492,27 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
   // this point was routed to `from` (and is already, or will be, ahead of
   // the control items in its inbox); every arrival stamped after is
   // routed to `to` behind the implant item. That is the epoch barrier.
-  for (const std::uint32_t d : ticket->globals) def_shard_[d] = to;
-  grp.ticket = ticket;
+  for (const std::uint32_t d : ticket->globals) {
+    def_shard_[d] = to;
+    def_ticket_[d] = ticket;
+  }
   ++migrations_;
+  // A type now spans several shards when one of its definitions stayed
+  // off `to`.
+  for (std::uint32_t d = 0; d < def_shard_.size(); ++d) {
+    if (def_shard_[d] != to &&
+        std::any_of(ticket->globals.begin(), ticket->globals.end(),
+                    [&](const std::uint32_t m) { return def_type_[m] == def_type_[d]; })) {
+      ++splits_;
+      break;
+    }
+  }
 
   // Cascade mode: the control items act at sub-stamp (barrier-1, +inf) —
   // after every pre-barrier closure, before any post-barrier arrival —
   // and the coordinator maps closures from the barrier on through a new
   // placement version, so feedback for pre-barrier stamps still reaches
-  // the group's old shard.
+  // the definitions' old shard.
   const std::uint64_t barrier = next_stamp_;
   if (options_.cascade) {
     // The reachability table was computed against the pre-flip placement,
@@ -566,7 +536,7 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
     queue_placement_locked(barrier);
   } else if (options_.ordering == OrderingTier::kPerDefinitionOrder) {
     // Per-definition order: the destination's post-barrier blocks must not
-    // be released before every pre-barrier arrival is out, or a migrated
+    // be released before every pre-barrier arrival is out, or a moved
     // definition's later emissions could overtake its earlier ones. The
     // hold is registered before either control item exists, so no
     // post-barrier block can possibly be published yet.
@@ -577,155 +547,96 @@ void ShardedEngineRuntime::issue_subset_locked(std::uint32_t group,
   push_control(*shards_[to], WorkItem::of_control(Control{ticket, false, barrier}));
 }
 
-bool ShardedEngineRuntime::migrate_definition(std::size_t def_index, std::size_t to_shard) {
-  std::unique_lock lk(ingest_mutex_);
-  if (shutdown_.load(std::memory_order_acquire)) return false;  // stopped: no-op
-  if (def_index >= def_group_.size()) {
-    throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
-                            std::to_string(def_index));
+std::shared_ptr<ShardedEngineRuntime::MigrationTicket> ShardedEngineRuntime::busy_ticket(
+    std::span<const std::uint32_t> defs) const {
+  for (const std::uint32_t d : defs) {
+    // An expired ticket is done: both control items were handled (or
+    // discarded) and dropped.
+    if (std::shared_ptr<MigrationTicket> t = def_ticket_[d].lock()) {
+      const std::lock_guard tlk(t->m);
+      if (!t->done) return t;
+    }
   }
-  if (to_shard >= shards_.size()) {
-    throw std::out_of_range("ShardedEngineRuntime: unknown shard " + std::to_string(to_shard));
-  }
-  const std::uint32_t group = def_group_[def_index];
-  if (!wait_group_ticket(lk, group)) return false;  // stopped: no-op
-
-  Group& grp = groups_[group];
-  const auto to = static_cast<std::uint32_t>(to_shard);
-  if (!grp.split) {
-    if (grp.shard == to) return false;
-    issue_migration_locked(group, to);
-    return true;
-  }
-  // Split group: the named definition's *sub-group* is the migration unit
-  // (the two sides move independently; merge_group reunifies them).
-  const bool high = def_high_[def_index] != 0;
-  const std::uint32_t from = high ? grp.high_shard : grp.shard;
-  if (from == to) return false;
-  std::vector<std::uint32_t> defs;
-  for (const std::uint32_t d : grp.defs) {
-    if ((def_high_[d] != 0) == high) defs.push_back(d);
-  }
-  issue_subset_locked(group, std::move(defs), from, to);
-  (high ? grp.high_shard : grp.shard) = to;
-  return true;
+  return nullptr;
 }
 
-bool ShardedEngineRuntime::wait_group_ticket(std::unique_lock<std::mutex>& lk,
-                                             std::uint32_t group) {
-  // Wait out any in-flight migration of this group: its destination
-  // worker must implant before the group can move again (the worker-side
-  // index maps are only consistent at implanted boundaries). The wait
-  // holds no runtime lock, and the implant only needs the two workers to
-  // drain their inboxes, so this always terminates. An expired ticket is
-  // done: both control items were handled (or discarded) and dropped.
-  for (;;) {
-    const std::shared_ptr<MigrationTicket> t = groups_[group].ticket.lock();
-    if (t == nullptr) break;
-    bool done;
-    {
-      const std::lock_guard tlk(t->m);
-      done = t->done;
-    }
-    if (done) break;
-    lk.unlock();
-    {
-      std::unique_lock tlk(t->m);
-      t->cv.wait(tlk, [&] { return t->done; });
-    }
-    lk.lock();
+bool ShardedEngineRuntime::wait_ticket(std::unique_lock<std::mutex>& lk,
+                                       const std::shared_ptr<MigrationTicket>& ticket) {
+  // The destination worker must implant before the definitions can move
+  // again (the worker-side index maps are only consistent at implanted
+  // boundaries). The wait holds no runtime lock, and the implant only
+  // needs the two workers to drain their inboxes, so it terminates.
+  lk.unlock();
+  {
+    std::unique_lock tlk(ticket->m);
+    ticket->cv.wait(tlk, [&] { return ticket->done; });
   }
-  // The wait above releases ingest_mutex_, so a shutdown may have slipped
-  // in; issuing now would push a control pair onto closed inboxes.
+  lk.lock();
+  // A shutdown may have slipped in while the lock was released; issuing
+  // now would push a control pair onto closed inboxes.
   return !shutdown_.load(std::memory_order_acquire);
 }
 
-bool ShardedEngineRuntime::split_group(std::size_t def_index, std::size_t to_shard) {
+bool ShardedEngineRuntime::move_settled(
+    std::size_t to_shard, const std::function<std::vector<std::uint32_t>()>& select) {
   std::unique_lock lk(ingest_mutex_);
   if (shutdown_.load(std::memory_order_acquire)) return false;  // stopped: no-op
-  if (def_index >= def_group_.size()) {
-    throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
-                            std::to_string(def_index));
-  }
+  std::vector<std::uint32_t> defs = select();
   if (to_shard >= shards_.size()) {
     throw std::out_of_range("ShardedEngineRuntime: unknown shard " + std::to_string(to_shard));
   }
-  // Legal in cascade mode too: the split is issued as a subset migration,
-  // whose control pair acts at sub-stamp granularity (after every
-  // pre-barrier closure, before any post-barrier arrival), and the
-  // coordinator renumbers per-group sequences at dispatch time, restoring
-  // the single numbering the two sub-engines can no longer agree on.
-  const std::uint32_t group = def_group_[def_index];
-  if (!wait_group_ticket(lk, group)) return false;
-  return issue_split_locked(group, static_cast<std::uint32_t>(to_shard));
-}
-
-bool ShardedEngineRuntime::issue_split_locked(std::uint32_t group, std::uint32_t to) {
-  Group& grp = groups_[group];
-  if (grp.split || !grp.multi_key || to == grp.shard) return false;
-  if (const std::shared_ptr<MigrationTicket> t = grp.ticket.lock()) {
-    // Callers either waited the ticket out or (rebalance) marked the
-    // group unmovable; re-check non-blockingly for safety.
-    const std::lock_guard tlk(t->m);
-    if (!t->done) return false;
+  while (const std::shared_ptr<MigrationTicket> t = busy_ticket(defs)) {
+    if (!wait_ticket(lk, t)) return false;  // stopped: no-op
+    defs = select();  // placement may have changed while the lock was released
   }
-  // Partition around the median distinct sensor-key hash: hash >= point
-  // goes high, everything else (lower hashes, keyless, wildcard) stays
-  // low. Both sides are non-empty by construction (>= 2 distinct hashes).
-  std::vector<std::uint64_t> hashes;
-  for (const std::uint32_t d : grp.defs) {
-    if (const std::optional<std::uint64_t> h = def_sensor_hash(*def_specs_[d])) {
-      hashes.push_back(*h);
+  const auto to = static_cast<std::uint32_t>(to_shard);
+  // One control pair per source shard; definitions already on `to` stay.
+  bool issued = false;
+  for (std::uint32_t from = 0; from < shards_.size(); ++from) {
+    if (from == to) continue;
+    std::vector<std::uint32_t> subset;
+    for (const std::uint32_t d : defs) {
+      if (def_shard_[d] == from) subset.push_back(d);
     }
+    if (subset.empty()) continue;
+    move_locked(std::move(subset), to);
+    issued = true;
   }
-  std::sort(hashes.begin(), hashes.end());
-  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-  if (hashes.size() < 2) return false;  // unreachable given multi_key
-  const std::uint64_t point = hashes[hashes.size() / 2];
-  std::vector<std::uint32_t> high;
-  for (const std::uint32_t d : grp.defs) {
-    const std::optional<std::uint64_t> h = def_sensor_hash(*def_specs_[d]);
-    if (h.has_value() && *h >= point) {
-      high.push_back(d);
-      def_high_[d] = 1;
+  return issued;
+}
+
+bool ShardedEngineRuntime::move_definitions(std::span<const std::size_t> defs,
+                                            std::size_t to_shard) {
+  return move_settled(to_shard, [&] {
+    std::vector<std::uint32_t> out;
+    for (const std::size_t d : defs) {
+      if (d >= def_shard_.size()) {
+        throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
+                                std::to_string(d));
+      }
+      out.push_back(static_cast<std::uint32_t>(d));
     }
-  }
-  issue_subset_locked(group, high, grp.shard, to);
-  grp.split = true;
-  grp.high_shard = to;
-  grp.high_defs = std::move(high);
-  ++splits_;
-  return true;
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  });
 }
 
-bool ShardedEngineRuntime::merge_group(std::size_t def_index) {
-  std::unique_lock lk(ingest_mutex_);
-  if (shutdown_.load(std::memory_order_acquire)) return false;  // stopped: no-op
-  if (def_index >= def_group_.size()) {
-    throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
-                            std::to_string(def_index));
-  }
-  const std::uint32_t group = def_group_[def_index];
-  if (!wait_group_ticket(lk, group)) return false;
-  Group& grp = groups_[group];
-  if (!grp.split) return false;
-  if (grp.high_shard != grp.shard) {
-    // Reunify on the low side's shard. The engine's implant keeps the max
-    // of the live and implanted sequence counters, so the rejoined group
-    // resumes a single gap-free per-type numbering going forward.
-    issue_subset_locked(group, grp.high_defs, grp.high_shard, grp.shard);
-  }
-  for (const std::uint32_t d : grp.high_defs) def_high_[d] = 0;
-  grp.split = false;
-  grp.high_shard = grp.shard;
-  grp.high_defs.clear();
-  ++group_merges_;
-  return true;
-}
-
-bool ShardedEngineRuntime::group_split(std::size_t def_index) const {
-  const std::lock_guard lk(ingest_mutex_);
-  return groups_[def_group_.at(def_index)].split;
+bool ShardedEngineRuntime::migrate_definition(std::size_t def_index, std::size_t to_shard) {
+  return move_settled(to_shard, [&] {
+    if (def_index >= def_shard_.size()) {
+      throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
+                              std::to_string(def_index));
+    }
+    // The definition and the same-type definitions on its shard.
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t d = 0; d < def_shard_.size(); ++d) {
+      if (def_type_[d] == def_type_[def_index] && def_shard_[d] == def_shard_[def_index]) {
+        out.push_back(d);
+      }
+    }
+    return out;
+  });
 }
 
 std::size_t ShardedEngineRuntime::rebalance_now() {
@@ -744,8 +655,8 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   if (def_specs_.empty() || shards_.size() < 2) return 0;
 
   // Refresh the cumulative per-definition loads from the shards' latest
-  // publications. The snapshots trail in-flight work (and a mid-migration
-  // group is absent from both sides until implanted) — the counters are
+  // publications. The snapshots trail in-flight work (and a mid-move
+  // definition is absent from both sides until implanted) — the counters are
   // monotone per definition, so unattributed work simply lands in a later
   // epoch.
   def_load_now_.resize(def_specs_.size());
@@ -765,69 +676,36 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
     }
   }
 
-  group_load_scratch_.clear();
-  group_load_scratch_.reserve(groups_.size());
-  high_row_scratch_.assign(groups_.size(), 0xffffffffu);
-  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    const Group& grp = groups_[g];
-    bool settled = true;  // expired ticket: the migration is over
-    if (const std::shared_ptr<MigrationTicket> t = grp.ticket.lock()) {
-      const std::lock_guard tlk(t->m);
-      settled = t->done;
-    }
-    // A split group's sides are pinned for the plan (rejoin via
-    // merge_group, not rebalancing) but its load still lands on the right
-    // shards via the extra high row below.
-    const bool movable = settled && !grp.split;
-    const bool splittable = movable && grp.multi_key;
-    group_load_scratch_.push_back(GroupLoad{g, grp.shard, 0, movable, splittable});
-  }
-  for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(groups_.size()); ++g) {
-    if (!groups_[g].split) continue;
-    high_row_scratch_[g] = static_cast<std::uint32_t>(group_load_scratch_.size());
-    group_load_scratch_.push_back(GroupLoad{g, groups_[g].high_shard, 0, false, false});
-  }
   // Saturating deltas: a (theoretical) stale-over-fresh snapshot must
   // cost an epoch of attribution, never wrap to ~2^64 and stampede the
   // plan.
   const auto sat_delta = [](const std::uint64_t now, const std::uint64_t prev) {
     return now >= prev ? now - prev : 0;
   };
+  def_cost_scratch_.clear();
+  shard_load_scratch_.assign(shards_.size(), 0);
   for (std::uint32_t d = 0; d < def_specs_.size(); ++d) {
     const DefTotals& now = def_load_now_[d];
     const DefTotals& prev = def_load_prev_[d];
-    const std::uint64_t delta = sat_delta(now.routed, prev.routed) +
-                                sat_delta(now.tried, prev.tried) + now.buffered;
-    const std::uint32_t g = def_group_[d];
-    const std::uint32_t row =
-        (def_high_[d] != 0 && high_row_scratch_[g] != 0xffffffffu) ? high_row_scratch_[g] : g;
-    group_load_scratch_[row].cost += delta;
+    const std::uint64_t cost = sat_delta(now.routed, prev.routed) +
+                               sat_delta(now.tried, prev.tried) + now.buffered;
+    const bool movable = busy_ticket(std::span(&d, 1)) == nullptr;
+    def_cost_scratch_.push_back(DefinitionCost{d, def_shard_[d], cost, movable});
+    shard_load_scratch_[def_shard_[d]] += cost;
   }
   def_load_prev_ = def_load_now_;
 
-  shard_load_scratch_.assign(shards_.size(), 0);
-  for (const GroupLoad& g : group_load_scratch_) shard_load_scratch_[g.shard] += g.cost;
-
   order_scratch_.clear();
-  plan_spillover(RebalanceView{shard_load_scratch_, group_load_scratch_, &spillover_skipped_},
+  plan_spillover(RebalanceView{shard_load_scratch_, def_cost_scratch_, &spillover_skipped_},
                  SpilloverOptions{}, order_scratch_);
 
   std::size_t issued = 0;
   for (const MigrationOrder& order : order_scratch_) {
-    if (order.group >= groups_.size() || order.to >= shards_.size()) continue;
-    if (!group_load_scratch_[order.group].movable) continue;
-    if (order.split) {
-      if (issue_split_locked(order.group, order.to)) {
-        group_load_scratch_[order.group].movable = false;  // one move per pass
-        ++issued;
-      } else {
-        ++spillover_skipped_;  // invalid split order: the hot shard stays put
-      }
-      continue;
-    }
-    if (groups_[order.group].shard == order.to) continue;
-    issue_migration_locked(order.group, order.to);
-    group_load_scratch_[order.group].movable = false;  // one move per pass
+    if (order.def >= def_cost_scratch_.size() || order.to >= shards_.size()) continue;
+    DefinitionCost& row = def_cost_scratch_[order.def];
+    if (!row.movable || def_shard_[order.def] == order.to) continue;
+    move_locked({order.def}, order.to);
+    row.movable = false;  // one move per pass
     ++issued;
   }
   return issued;
@@ -929,9 +807,9 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
   // stamp-ordered inbox.
   MigrationTicket& ticket = *ctl.ticket;
   if (ctl.send) {
-    // Every pre-barrier arrival for the group has been processed;
-    // extract its engine state and hand it to the destination worker. A
-    // recovery replay re-extracts: the rebuilt engine holds the group
+    // Every pre-barrier arrival for the moved definitions has been
+    // processed; extract their engine state and hand it to the destination
+    // worker. A recovery replay re-extracts: the rebuilt engine holds them
     // again (restored from a pre-barrier checkpoint or implanted by an
     // earlier replayed receive) and it must leave either way.
     std::vector<core::DefinitionState> states;
@@ -952,8 +830,8 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
       const std::lock_guard tlk(ticket.m);
       // Already ready: the original pre-crash send, the shutdown ticket
       // sweep, or a receive abandoned mid-shutdown completed this
-      // handshake first — the extraction stands (the group has left this
-      // engine) but this hand-off is void.
+      // handshake first — the extraction stands (the definitions have left
+      // this engine) but this hand-off is void.
       if (!ticket.ready) {
         ticket.states = std::move(states);
         ticket.ready = true;
@@ -1411,17 +1289,17 @@ bool ShardedEngineRuntime::ck_reached_all(std::uint64_t mask, std::uint64_t stam
 void ShardedEngineRuntime::build_cascade_graph() {
   cascade_graph_built_ = true;
   const auto defs = static_cast<std::uint32_t>(def_specs_.size());
-  // Type-level consumption edges: definition d consumes a group's output
-  // type when one of its slots filters on instances of that type (or on
-  // anything). Producers are groups — one event type each — so reach is
-  // computed per group and shared by the group's definitions.
-  std::vector<std::vector<std::uint32_t>> consumers(groups_.size());
+  // Type-level consumption edges: definition d consumes a type's output
+  // when one of its slots filters on instances of that type (or on
+  // anything). Reach is computed per type (indexed by def_type_) and
+  // shared by the type's definitions.
+  std::vector<std::vector<std::uint32_t>> consumers(defs);
   std::vector<std::uint32_t> wildcard;  // defs with kAny slots: consume every type
   for (std::uint32_t d = 0; d < defs; ++d) {
     for (const core::SlotSpec& slot : def_specs_[d]->slots) {
       const core::FilterSignature sig = slot.filter.signature();
       if (sig.kind == core::FilterSignature::Kind::kEventType) {
-        if (const auto it = type_group_.find(sig.key); it != type_group_.end()) {
+        if (const auto it = type_index_.find(sig.key); it != type_index_.end()) {
           consumers[it->second].push_back(d);
         }
       } else if (sig.kind == core::FilterSignature::Kind::kAny) {
@@ -1429,31 +1307,31 @@ void ShardedEngineRuntime::build_cascade_graph() {
       }
     }
   }
-  // reach[g]: shards hosting any definition reachable from the group's
-  // output type in one or more cascade steps. Fixed-point iteration
+  // reach[t]: shards hosting any definition reachable from type t's
+  // output in one or more cascade steps. Fixed-point iteration
   // handles cascade cycles (the engine's depth cap bounds those at run
   // time, not here); it terminates because masks only ever grow.
-  std::vector<std::uint64_t> reach(groups_.size(), 0);
+  std::vector<std::uint64_t> reach(defs, 0);
   for (bool changed = true; changed;) {
     changed = false;
-    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-      std::uint64_t m = reach[g];
-      for (const std::uint32_t d : consumers[g]) {
+    for (const auto& [key, t] : type_index_) {
+      std::uint64_t m = reach[t];
+      for (const std::uint32_t d : consumers[t]) {
         m |= std::uint64_t{1} << def_shard_[d];
-        m |= reach[def_group_[d]];
+        m |= reach[def_type_[d]];
       }
       for (const std::uint32_t d : wildcard) {
         m |= std::uint64_t{1} << def_shard_[d];
-        m |= reach[def_group_[d]];
+        m |= reach[def_type_[d]];
       }
-      if (m != reach[g]) {
-        reach[g] = m;
+      if (m != reach[t]) {
+        reach[t] = m;
         changed = true;
       }
     }
   }
   cascade_future_.assign(defs, 0);
-  for (std::uint32_t d = 0; d < defs; ++d) cascade_future_[d] = reach[def_group_[d]];
+  for (std::uint32_t d = 0; d < defs; ++d) cascade_future_[d] = reach[def_type_[d]];
 }
 
 void ShardedEngineRuntime::cascade_loop() {
@@ -1486,7 +1364,7 @@ void ShardedEngineRuntime::cascade_loop() {
   std::uint64_t activated = 0;  // newest activated stamp
   std::vector<core::SlotRoute> routes;
   std::vector<std::vector<FeedbackItem>> fb_batch(shards_.size());
-  std::vector<std::uint64_t> cascade_seq;  // coordinator-owned per-group counters
+  std::vector<std::uint64_t> cascade_seq;  // coordinator-owned per-type counters
   std::vector<std::uint64_t> adm(shards_.size(), 0);
   const auto by_parent_then_def = [](const core::Emission& a, const core::Emission& b) {
     return a.emit_index != b.emit_index ? a.emit_index < b.emit_index : a.def < b.def;
@@ -1584,15 +1462,15 @@ void ShardedEngineRuntime::cascade_loop() {
       em.depth = depth;
       em.emit_index = static_cast<std::uint32_t>(k);
       // Renumber the instance key's sequence from coordinator-owned
-      // per-group counters, in closure order, *before* dispatch (children
-      // observe the renumbered parent). Identity while a group lives on
-      // one shard — each group's engine numbers its own emissions in this
-      // exact order — and with a split group it restores the sequential
-      // numbering the two sub-engines can no longer agree on, which is
-      // what makes split_group legal in cascade mode.
-      const std::uint32_t g = def_group_[em.def];
-      if (g >= cascade_seq.size()) cascade_seq.resize(g + 1, 0);
-      em.instance.key.seq = cascade_seq[g]++;
+      // per-type counters, in closure order, *before* dispatch (children
+      // observe the renumbered parent). Identity while a type's
+      // definitions share a shard — that engine numbers their emissions in
+      // this exact order — and with the type spread over several shards it
+      // restores the sequential numbering their engines can no longer
+      // agree on, which is what makes any move legal in cascade mode.
+      const std::uint32_t t = def_type_[em.def];
+      if (t >= cascade_seq.size()) cascade_seq.resize(t + 1, 0);
+      em.instance.key.seq = cascade_seq[t]++;
       a.closure.push_back(std::move(em));
     }
     a.level.clear();
@@ -1774,7 +1652,7 @@ void ShardedEngineRuntime::cascade_loop() {
     // Renumber+dispatch strictly in stamp order: step the oldest
     // unfinished closure as far as it goes; younger closures only have
     // their marks swept and buffered until the prefix ahead of them has
-    // finished, which keeps per-group sequence numbering — and therefore
+    // finished, which keeps per-type sequence numbering — and therefore
     // the global tier's merged stream — byte-identical to the sequential
     // engine. The overlap is in the *shards*: while this closure waits on
     // its recipients, shards outside its remaining reach are already
@@ -1905,8 +1783,8 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   // definition index, stable so one definition's bindings keep their enumeration
   // order (a shard's block is in *local* registration order, which after a
   // migration is no longer a subsequence of global order) — and renumbers
-  // each instance from a merge-side per-group (= per event type) counter.
-  // With the group unsplit that is the identity; split across shards, it
+  // each instance from a merge-side per-type counter. While the type's
+  // definitions share a shard that is the identity; spread over shards, it
   // restores exactly the sequence a single engine would have assigned,
   // keeping the global tier byte-identical to the sequential reference.
   const bool renumber = global && !options_.cascade;
@@ -1939,9 +1817,9 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
     const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
     if (!std::is_sorted(begin, out.end(), by_def)) std::stable_sort(begin, out.end(), by_def);
     for (auto it = begin; it != out.end(); ++it) {
-      const std::uint32_t g = def_group_[it->def];
-      if (g >= group_seq_.size()) group_seq_.resize(g + 1, 0);
-      it->instance.key.seq = group_seq_[g]++;
+      const std::uint32_t t = def_type_[it->def];
+      if (t >= type_seq_.size()) type_seq_.resize(t + 1, 0);
+      it->instance.key.seq = type_seq_[t]++;
     }
   }
   // What is left (global tier only) is at most one block per source whose
@@ -2012,7 +1890,6 @@ RuntimeStats ShardedEngineRuntime::stats() const {
     s.migrations = migrations_;
     s.rebalance_passes = rebalance_passes_;
     s.splits = splits_;
-    s.group_merges = group_merges_;
     s.spillover_skipped_indivisible = spillover_skipped_;
   }
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
@@ -2047,16 +1924,6 @@ std::vector<std::uint64_t> ShardedEngineRuntime::shard_arrival_loads() const {
 std::size_t ShardedEngineRuntime::shard_of(std::size_t def_index) const {
   const std::lock_guard lk(ingest_mutex_);
   return def_shard_.at(def_index);
-}
-
-std::size_t ShardedEngineRuntime::group_of(std::size_t def_index) const {
-  const std::lock_guard lk(ingest_mutex_);
-  return def_group_.at(def_index);
-}
-
-std::size_t ShardedEngineRuntime::group_count() const {
-  const std::lock_guard lk(ingest_mutex_);
-  return groups_.size();
 }
 
 }  // namespace stem::runtime

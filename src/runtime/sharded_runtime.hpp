@@ -34,7 +34,8 @@ enum class OrderingTier {
   /// has passed the stamp — the merged stream is byte-identical to a
   /// single sequential DetectionEngine fed the same arrivals, instance
   /// sequence numbers included (the merge renumbers per event type at
-  /// release, which also keeps split groups stream-exact).
+  /// release, which also keeps a type whose definitions sit on several
+  /// shards stream-exact).
   kGlobalTotalOrder,
   /// Each definition's emissions arrive in stamp order; interleaving
   /// *across* definitions is unspecified. A poll releases whatever the
@@ -64,11 +65,12 @@ struct RuntimeOptions {
   /// follows what is actually queued, whatever the bound.
   std::size_t queue_capacity = 4096;
   /// Arrivals between automatic rebalance passes; 0 disables adaptive
-  /// rebalancing (placement then changes only via migrate_definition()).
-  /// Each pass attributes the epoch's load to definition groups from the
-  /// engines' per-definition counters and issues the moves plan_spillover
-  /// orders (migrate the highest-cost movable group off any shard above
-  /// 1.5x the mean load, or split it when no whole move helps).
+  /// rebalancing (placement then changes only via migrate_definition()
+  /// and move_definitions()). Each pass attributes the epoch's load to
+  /// definitions from the engines' per-definition counters and issues the
+  /// moves plan_spillover orders (move the highest-cost movable definition
+  /// off any shard above 1.5x the mean load when that strictly improves
+  /// the balance).
   std::size_t rebalance_epoch = 0;
   /// Enables deterministic hierarchical cascading: derived instances are
   /// routed back to the shards hosting their consumers as *feedback*
@@ -138,7 +140,7 @@ struct RuntimeStats {
   std::uint64_t replicated = 0;   ///< deliveries beyond the first per arrival
   std::uint64_t dropped = 0;      ///< arrivals no shard was interested in
   std::uint64_t instances = 0;    ///< instances released by poll/flush so far
-  std::uint64_t migrations = 0;   ///< definition-group migrations issued
+  std::uint64_t migrations = 0;   ///< definition moves issued (one control pair each)
   std::uint64_t rebalance_passes = 0;  ///< rebalance passes run
   std::uint64_t max_inbox = 0;    ///< high-water inbox depth (arrivals), any shard
   /// Cascade mode: derived instances re-ingested as feedback (counted
@@ -164,15 +166,13 @@ struct RuntimeStats {
   /// arrivals they hold, logged since each shard's last checkpoint.
   std::uint64_t replay_log_bytes = 0;
   std::uint64_t replay_log_arrivals = 0;
-  /// Key-range group splits issued (split_group + planned split orders).
+  /// Moves after which an event type's definitions span more than one
+  /// shard (0 while every type stays whole, e.g. one definition per type).
   std::uint64_t splits = 0;
-  /// Split groups reunified onto their primary shard (merge_group).
-  std::uint64_t group_merges = 0;
-  /// Hot shards the rebalancer had to leave alone: no whole-group move
-  /// strictly improved the imbalance and no hosted group was splittable
-  /// (plus any split order the runtime had to reject). Persistently
-  /// nonzero under skew means the workload's hot keys collapse onto too
-  /// few sensor routing keys for key-range splitting to help.
+  /// Hot shards the rebalancer had to leave alone because no
+  /// single-definition move strictly improved the balance. Persistently
+  /// nonzero under skew means one definition carries most of a shard's
+  /// load, which no placement can divide.
   std::uint64_t spillover_skipped_indivisible = 0;
 };
 
@@ -191,13 +191,18 @@ struct TaggedInstance {
 /// N worker shards, each running its own single-threaded DetectionEngine,
 /// and merges per-shard emissions back into one deterministic stream.
 ///
-/// **Placement** (add_definition): definitions sharing an event type id
-/// are co-located (their instance sequence numbers share one counter, so
-/// splitting them would renumber the stream) — they form a *definition
-/// group*, the unit of migration; everything else goes to the
-/// least-loaded shard, preferring — among equally loaded shards — one
-/// that already hosts the definition's routing key (sensor / event-type
-/// bucket), which caps arrival fan-out without unbalancing the shards.
+/// **Placement** (add_definition): the definition is the unit of
+/// placement, load and migration. A definition whose event type is
+/// already registered starts on the shard of that type's first
+/// definition (same-type definitions share an engine sequence counter, so
+/// keeping them together keeps the relaxed tiers' numbering sequential);
+/// everything else goes to the least-loaded shard, preferring — among
+/// equally loaded shards — one that already hosts the definition's
+/// routing key (sensor / event-type bucket), which caps arrival fan-out
+/// without unbalancing the shards. Later moves may place a type's
+/// definitions on several shards; the global tier's merge and the
+/// cascade coordinator renumber sequences per type, so their streams stay
+/// exact.
 ///
 /// **Routing** (ingest): routing and placement are kept apart. One
 /// core::RoutingIndex (the structure the engine uses for candidate
@@ -224,15 +229,15 @@ struct TaggedInstance {
 /// instead of per-item. Without cascade feedback no admission
 /// gate binds and every claim takes a whole inbox item.
 ///
-/// **Rebalancing** (migrate_definition / rebalance_now / automatic
+/// **Rebalancing** (move_definitions / rebalance_now / automatic
 /// epochs): initial placement is load-blind, so a skewed stream can pin
 /// one shard. The runtime keeps per-definition load counters (published
-/// by the shard engines), attributes each epoch's cost to definition
-/// groups, and moves the groups plan_spillover picks between shards *live*:
-/// the group's placement entries flip to the destination under the ingest
-/// lock (an epoch barrier in the arrival stamp order), a pair of control
-/// items flows through the two shards' stamp-ordered inboxes, the source
-/// worker extracts the group's engine state after processing every
+/// by the shard engines), attributes each epoch's cost to definitions,
+/// and moves the ones plan_spillover picks between shards *live*: the
+/// moved definitions' placement entries flip to the destination under the
+/// ingest lock (an epoch barrier in the arrival stamp order), a pair of
+/// control items flows through the two shards' stamp-ordered inboxes, the
+/// source worker extracts their engine state after processing every
 /// pre-barrier arrival (core::DetectionEngine::extract_definition_state),
 /// and the destination worker implants it before processing any
 /// post-barrier arrival — so no instance is dropped, duplicated, or
@@ -274,17 +279,17 @@ struct TaggedInstance {
 /// shard's feedback queue stays sub-stamp-ordered and buffer mutations
 /// interleave exactly as in a sequential cascading engine at any
 /// pipeline depth. The coordinator renumbers each closure level's
-/// instance sequence numbers from per-group counters in closure order
-/// (the identity while a group is unsplit; with a group split across
-/// shards it restores the sequential assignment, which is what makes
-/// split_group legal in cascade mode). The coordinator publishes finished
+/// instance sequence numbers from per-type counters in closure order
+/// (the identity while a type's definitions share a shard; with the type
+/// spread over several shards it restores the sequential assignment, so
+/// any move is legal in cascade mode). The coordinator publishes finished
 /// closures, a mark each, in stamp order into its outbox, so every tier
 /// releases whole closures in stamp order — byte-identical to the
 /// sequential cascade (see RuntimeOptions::ordering). Migrations stay exact:
 /// control items gate on the admission frontier of their barrier stamp,
 /// and placement flips are published as new versions that each
 /// in-flight closure resolves by its own stamp, so feedback for
-/// pre-barrier stamps still reaches the group's old shard
+/// pre-barrier stamps still reaches the definitions' old shard
 /// (tests/runtime_cascade_test.cpp proves stream equality against
 /// DetectionEngine::observe_cascading differentially, migrations
 /// included, at several pipeline depths).
@@ -339,41 +344,25 @@ class ShardedEngineRuntime {
   /// after flush() the watermark equals the number of routed arrivals.
   [[nodiscard]] std::uint64_t low_watermark() const;
 
-  /// Splits the definition group containing `def_index` by sensor-key
-  /// range: its sensor-keyed definitions are partitioned by key hash
-  /// around the median (core::routing_key_hash — keyless/wildcard
-  /// definitions stay with the low sub-group) and the high sub-group
-  /// migrates to `to_shard` at an epoch barrier, exactly like a group
-  /// migration. Afterwards the two sub-groups rebalance independently
-  /// (migrate_definition moves the sub-group containing the definition).
-  /// Instance sequence numbers are partitioned by key range; the
-  /// global_total_order merge renumbers them back to the sequential
-  /// stream's values, so splitting is invisible there — the relaxed tiers
-  /// surface the partitioned counters (each definition's sequence stays
-  /// strictly increasing). In cascade mode the split barrier acts at
-  /// sub-stamp granularity (after every pre-barrier closure item on the
-  /// affected shards) and the coordinator renumbers sequences in closure
-  /// order, so the cascade stream too is unchanged by a split — the
-  /// rebalancer may therefore relieve cascade-hot groups. Returns
-  /// false when the group is already split, spans fewer than two distinct
-  /// sensor keys, or already lives on `to_shard`; throws
-  /// std::out_of_range on bad indices. Thread-safe, callable mid-stream.
-  bool split_group(std::size_t def_index, std::size_t to_shard);
-  /// Reunifies a split group: the high sub-group migrates back to the
-  /// primary shard (epoch barrier again) and the partition dissolves —
-  /// the engine-side sequence counter resumes past both partitions' high
-  /// water marks. Returns false when the group is not split. Thread-safe.
-  bool merge_group(std::size_t def_index);
-  /// True while the group containing `def_index` is split (introspection).
-  [[nodiscard]] bool group_split(std::size_t def_index) const;
+  /// Moves the given registered definitions (global indices) to
+  /// `to_shard`, live, at one epoch barrier in the arrival stream (see
+  /// class comment): one extract/implant control pair per source shard.
+  /// Definitions already on `to_shard` stay put; returns false when all
+  /// of them are. Blocks until every earlier move of these definitions has
+  /// been implanted, then issues this one asynchronously (the workers
+  /// complete it in stream order). Moving only some of a type's
+  /// definitions partitions the type's engine sequence counter: the
+  /// global tier's merge and the cascade coordinator renumber it back to
+  /// the sequential values, the relaxed tiers surface the partitioned
+  /// counters (each definition's sequence stays strictly increasing).
+  /// Thread-safe; callable while ingestion is running. Throws
+  /// std::out_of_range on bad indices.
+  bool move_definitions(std::span<const std::size_t> defs, std::size_t to_shard);
 
-  /// Moves the definition group (event type) containing the `def_index`-th
-  /// registered definition to `to_shard`, live, at an epoch barrier in the
-  /// arrival stream (see class comment). Returns false when the group
-  /// already lives there. Blocks until any previous migration of the same
-  /// group has been implanted, then issues this one asynchronously (the
-  /// workers complete it in stream order). Thread-safe; callable while
-  /// ingestion is running. Throws std::out_of_range on bad indices.
+  /// Moves the `def_index`-th registered definition to `to_shard`
+  /// together with the definitions of the same event type on its shard
+  /// (move_definitions). Returns false when it already lives there.
+  /// Thread-safe; throws std::out_of_range on bad indices.
   bool migrate_definition(std::size_t def_index, std::size_t to_shard);
 
   /// Runs one rebalance pass immediately over the load observed
@@ -410,22 +399,19 @@ class ShardedEngineRuntime {
   /// Shard currently hosting the `def_index`-th registered definition
   /// (placement introspection for tests and load inspection).
   [[nodiscard]] std::size_t shard_of(std::size_t def_index) const;
-  /// Definition group (co-located event type) of a definition.
-  [[nodiscard]] std::size_t group_of(std::size_t def_index) const;
-  [[nodiscard]] std::size_t group_count() const;
 
  private:
-  /// Rendezvous for one group migration: the source worker fills `states`
-  /// and flips `ready`; the destination worker waits for it, implants,
-  /// and flips `done` (migrate_definition of the same group waits on
-  /// `done` before issuing a follow-up move). Owned by the pair of control
-  /// items (and their replay-log copies); the group only observes it.
+  /// Rendezvous for one move: the source worker fills `states` and flips
+  /// `ready`; the destination worker waits for it, implants, and flips
+  /// `done` (a later move of the same definitions waits on `done` before
+  /// issuing). Owned by the pair of control items (and their replay-log
+  /// copies); the moved definitions' def_ticket_ entries only observe it.
   struct MigrationTicket {
     std::mutex m;
     std::condition_variable cv;
     bool ready = false;  // guarded by m
     bool done = false;   // guarded by m
-    std::vector<std::uint32_t> globals;  ///< group defs, ascending global index
+    std::vector<std::uint32_t> globals;  ///< moved defs, ascending global index
     std::vector<core::DefinitionState> states;  ///< parallel to globals
   };
 
@@ -524,7 +510,7 @@ class ShardedEngineRuntime {
   /// closures with stamp >= from_stamp. The coordinator keeps the live
   /// ones and maps each closure's matches through the newest version at or
   /// below its stamp, so feedback for stamps before a migration barrier
-  /// still reaches the group's old shard while post-barrier closures
+  /// still reaches a moved definition's old shard while post-barrier closures
   /// already use the new one. A flip copies only the flat map.
   struct PlacementVersion {
     std::uint64_t from_stamp = 0;
@@ -612,7 +598,7 @@ class ShardedEngineRuntime {
     /// hand-off orders the pre-start writes before any worker read.
     std::vector<std::uint32_t> global_def;
     /// Inverse map (global -> local), worker-owned for the same reason;
-    /// consulted when a send control item extracts a group.
+    /// consulted when a send control item extracts the moved definitions.
     std::unordered_map<std::uint32_t, std::uint32_t> local_of;
 
     std::size_t index = 0;  ///< position in shards_ (crash/stall hooks)
@@ -773,32 +759,6 @@ class ShardedEngineRuntime {
     std::uint64_t future = 0;
   };
 
-  /// A definition group: the co-located definitions of one event type.
-  /// When split, the group is two independently placed sub-groups: the
-  /// *high* side (`high_defs`: sensor keys hashing at or above the median
-  /// key hash issue_split_locked picked) lives on `high_shard`, the *low*
-  /// side (lower hashes plus every keyless/wildcard definition) stays on
-  /// `shard`.
-  /// All fields are guarded by ingest_mutex_; `ticket` serializes every
-  /// move/split/merge of the group (one in flight at a time).
-  struct Group {
-    std::vector<std::uint32_t> defs;  ///< global indices, ascending
-    std::uint32_t shard = 0;          ///< current host (low sub-group when split)
-    /// Last migration; empty if none. Weak: the ticket lives only while a
-    /// control item holds it (inbox or replay log), so a finished
-    /// migration's moved states are freed with the last of those, and an
-    /// expired ticket reads as done.
-    std::weak_ptr<MigrationTicket> ticket;
-    bool split = false;
-    std::uint32_t high_shard = 0;          ///< host of the high sub-group
-    std::vector<std::uint32_t> high_defs;  ///< high sub-group, ascending
-    // Splittability, maintained incrementally at registration: a group is
-    // splittable iff its definitions span >= 2 distinct sensor-key hashes.
-    bool has_key = false;
-    bool multi_key = false;
-    std::uint64_t first_key_hash = 0;
-  };
-
   /// Cumulative per-definition load totals (rebalance epoch deltas).
   struct DefTotals {
     std::uint64_t routed = 0;
@@ -841,7 +801,7 @@ class ShardedEngineRuntime {
   /// from its output type in one or more cascade steps. Called once under
   /// ingest_mutex_ before the first arrival is stamped; placements are
   /// the registration-time ones (migrations flip the table to all-ones,
-  /// see issue_subset_locked).
+  /// see move_locked).
   void build_cascade_graph();
   /// True once every shard in `mask` has processed sub-stamp (stamp,
   /// depth, sub) — i.e. published a ck at or beyond it.
@@ -858,27 +818,28 @@ class ShardedEngineRuntime {
   /// fell inside back at its outbox front, cursor kept, and outside
   /// cascade mode orders each stamp by definition and renumbers it.
   std::vector<TaggedInstance> drain_locked();
-  /// Moves the whole of `group` to `to` and enqueues the extract/implant
-  /// control pair; ingest_mutex_ must be held and the group must have no
-  /// migration in flight.
-  void issue_migration_locked(std::uint32_t group, std::uint32_t to);
-  /// Shared issuance core: sets def_shard_[d] = `to` for the `defs` subset
-  /// of `group` (a whole group, or one side of a split) — no routing index
-  /// changes — installs the group ticket, registers the
+  /// The one move primitive: sets def_shard_[d] = `to` for `defs`
+  /// (ascending global indices, all hosted on one shard other than `to`,
+  /// none with a move in flight) — no routing index changes — installs the
+  /// move's ticket in their def_ticket_ entries, registers the
   /// per-definition-order release hold (cascade mode: queues the new
-  /// placement version for the coordinator), and pushes the control pair.
-  /// Callers update Group host fields. ingest_mutex_ must be held.
-  void issue_subset_locked(std::uint32_t group, std::vector<std::uint32_t> defs,
-                           std::uint32_t from, std::uint32_t to);
-  /// Computes the key-range partition of an unsplit `group` and issues the
-  /// high sub-group's migration to `to`; returns false (no state changed)
-  /// when the group cannot be split or already lives on `to`.
-  /// ingest_mutex_ must be held.
-  bool issue_split_locked(std::uint32_t group, std::uint32_t to);
-  /// Blocks until `group`'s in-flight migration (if any) has implanted,
-  /// releasing `lk` while waiting; false when shutdown interrupted.
-  bool wait_group_ticket(std::unique_lock<std::mutex>& lk, std::uint32_t group);
-  /// One rebalance pass over the epoch's group loads; ingest_mutex_ held.
+  /// placement version for the coordinator), and pushes the extract/implant
+  /// control pair. ingest_mutex_ must be held.
+  void move_locked(std::vector<std::uint32_t> defs, std::uint32_t to);
+  /// The ticket of the first of `defs` whose last move has not implanted
+  /// yet; null when every one has settled. ingest_mutex_ held.
+  std::shared_ptr<MigrationTicket> busy_ticket(std::span<const std::uint32_t> defs) const;
+  /// Waits, with `lk` released, until `ticket`'s move has implanted;
+  /// false when shutdown interrupted.
+  bool wait_ticket(std::unique_lock<std::mutex>& lk,
+                   const std::shared_ptr<MigrationTicket>& ticket);
+  /// Public move body: under ingest_mutex_, waits until no definition
+  /// `select` returns (it re-selects after each wait and throws on bad
+  /// indices) has a move in flight, then moves them to `to_shard` with one
+  /// move_locked per source shard. False when none moved or stopped.
+  bool move_settled(std::size_t to_shard,
+                    const std::function<std::vector<std::uint32_t>()>& select);
+  /// One rebalance pass over the epoch's definition loads; ingest_mutex_ held.
   std::size_t rebalance_locked();
   /// Ends registration on the first ingest or migration: freezes
   /// ingest_routes_ and, in cascade mode, queues the registration-time
@@ -931,30 +892,34 @@ class ShardedEngineRuntime {
   /// its matches through def_shard_; the cascade coordinator reads it
   /// without a lock and maps them through its PlacementVersions.
   core::RoutingIndex ingest_routes_;
-  std::unordered_map<std::string, std::uint32_t> type_group_;  ///< event type -> group
-  std::vector<Group> groups_;                    // guarded by ingest_mutex_
+  /// The type index: event type -> global index of the type's first
+  /// definition, which stands for the type. It places a new definition
+  /// next to its type, and keys the per-type renumbering counters and
+  /// cascade reachability.
+  std::unordered_map<std::string, std::uint32_t> type_index_;
   /// The one shared spec of each definition, by global index. The hosting
   /// engine holds the same pointer, and migration, checkpoint decode and
-  /// recovery pass it on; here it feeds split key hashes and cascade
-  /// reachability.
+  /// recovery pass it on; here it feeds cascade reachability.
   std::vector<std::shared_ptr<const core::EventDefinition>> def_specs_;
-  std::vector<std::uint32_t> def_group_;  ///< global def index -> group
+  std::vector<std::uint32_t> def_type_;  ///< global def index -> its type_index_ entry
   /// Placement keys (routing-key hashes) and definition counts per shard
   /// at registration: the inputs of add_definition's placement, which ends
   /// once ingest or a migration starts (so migrations leave them alone;
   /// start_locked releases the keys).
   std::vector<std::unordered_set<std::uint64_t>> shard_keys_;
   std::vector<std::size_t> shard_def_count_;
-  /// Global def index -> shard: the placement map. Migrations, splits and
-  /// merges flip entries at the barrier (issue_subset_locked).
+  /// Global def index -> shard: the placement map. Moves flip entries at
+  /// the barrier (move_locked).
   std::vector<std::uint32_t> def_shard_;
-  /// 1 when the definition belongs to its group's high sub-group (guarded
-  /// by ingest_mutex_; all zero while the group is unsplit).
-  std::vector<std::uint8_t> def_high_;
+  /// Global def index -> its last move's ticket; empty if none. Weak: the
+  /// ticket lives only while a control item holds it (inbox or replay
+  /// log), so a finished move's states are freed with the last of those,
+  /// and an expired ticket reads as done.
+  std::vector<std::weak_ptr<MigrationTicket>> def_ticket_;
 
   /// Serializes stamp assignment + inbox dispatch so every shard's inbox
   /// stays stamp-ordered even under concurrent ingestion. Also guards all
-  /// placement state (groups_, def_shard_, ingest_routes_, epoch loads).
+  /// placement state (def_shard_, def_ticket_, ingest_routes_, epoch loads).
   mutable std::mutex ingest_mutex_;
   bool started_ = false;                              // guarded by ingest_mutex_
   std::uint64_t next_stamp_ = 1;                      // guarded by ingest_mutex_
@@ -969,13 +934,11 @@ class ShardedEngineRuntime {
   std::vector<DefTotals> def_load_now_;               // guarded by ingest_mutex_
   std::vector<DefTotals> def_load_prev_;              // guarded by ingest_mutex_
   std::vector<MigrationOrder> order_scratch_;         // guarded by ingest_mutex_
-  std::vector<GroupLoad> group_load_scratch_;         // guarded by ingest_mutex_
+  std::vector<DefinitionCost> def_cost_scratch_;      // guarded by ingest_mutex_
   std::vector<std::uint64_t> shard_load_scratch_;     // guarded by ingest_mutex_
-  std::vector<std::uint32_t> high_row_scratch_;       // guarded by ingest_mutex_
   std::uint64_t ckpt_arrivals_ = 0;                   // guarded by ingest_mutex_
   std::uint64_t ckpt_seq_ = 0;                        // guarded by ingest_mutex_
   std::uint64_t splits_ = 0;                          // guarded by ingest_mutex_
-  std::uint64_t group_merges_ = 0;                    // guarded by ingest_mutex_
   std::uint64_t spillover_skipped_ = 0;               // guarded by ingest_mutex_
 
   // --- Crash recovery (active only with crash_hook / checkpoint_epoch) ---
@@ -999,13 +962,13 @@ class ShardedEngineRuntime {
   /// Released-stream low watermark (see low_watermark()); advanced only
   /// by drain_locked.
   std::uint64_t low_watermark_ = 0;  // guarded by merge_mutex_
-  /// Global-total-order, non-cascade: per-group (= per event type)
-  /// released-instance counters — drain_locked assigns each released
-  /// emission its sequential sequence number, which is the identity while
-  /// the group is whole and restores stream exactness when it is split.
-  /// Indexed by group; grown lazily (def_group_ is registration-frozen
-  /// before the first pending arrival exists).
-  std::vector<std::uint64_t> group_seq_;  // guarded by merge_mutex_
+  /// Global-total-order, non-cascade: per-type released-instance
+  /// counters — drain_locked assigns each released emission its
+  /// sequential sequence number, which is the identity while a type's
+  /// definitions share a shard and restores stream exactness when they do
+  /// not. Indexed by def_type_; grown lazily (def_type_ is
+  /// registration-frozen before the first pending arrival exists).
+  std::vector<std::uint64_t> type_seq_;  // guarded by merge_mutex_
   /// Per-definition-order tier: release holds installed at migration
   /// issuance, the barrier stamps of the moves onto each *destination*
   /// shard, ascending. The destination may not release a mark with stamp

@@ -26,8 +26,8 @@
 /// migrate and flush calls. A stalled runtime prints its counters and
 /// fails the test instead of hanging until the ctest timeout.
 ///
-/// `canonicalize_seq` supports split groups in the relaxed tiers: there
-/// the two partitioned engine counters interleave per event type, so the
+/// `canonicalize_seq` supports a type spread over shards in the relaxed
+/// tiers: there the partitioned engine counters interleave per type, so the
 /// engine-assigned EventInstanceKey::seq legitimately diverges from the
 /// sequential numbering; the oracle zeroes it before comparing and
 /// separately asserts per-definition seq monotonicity.
@@ -161,8 +161,9 @@ inline void check_per_def(const std::vector<Ref>& got, const std::vector<Ref>& w
   }
 }
 
-/// Per-definition engine-seq monotonicity — the canonicalized relaxed
-/// split runs still promise strictly increasing counters per definition.
+/// Per-definition engine-seq monotonicity — canonicalized relaxed runs
+/// with a type spread over shards still promise strictly increasing
+/// counters per definition.
 inline void check_per_def_seq_monotone(const std::vector<Ref>& got, const std::string& ctx) {
   std::map<std::uint32_t, std::pair<bool, std::uint64_t>> last;  // def -> (seen, seq)
   for (const Ref& r : got) {

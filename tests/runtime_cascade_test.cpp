@@ -20,7 +20,7 @@
 /// {1, 64} x cascade depth caps {1, 2, 4} x seeds, both consumption
 /// modes, with wildcard definitions that re-match their own output (the
 /// cycle guard) and with forced mid-stream migrations of instance-typed
-/// definition groups. Mirrors tests/runtime_shard_test.cpp, with the
+/// definitions. Mirrors tests/runtime_shard_test.cpp, with the
 /// engine's cascading path — itself differentially verified against the
 /// hand-rolled frontier loop in tests/engine_cascade_test.cpp — as the
 /// reference.
@@ -69,9 +69,9 @@ EventDefinition with_value_attr(EventDefinition def, std::vector<core::SlotIndex
   return def;
 }
 
-/// A multi-level mix that stresses every cascade rule: a co-located L1
-/// group (two defs sharing type HOT), an L2 self-join over HOT instances
-/// (CP — the *instance-typed* group the migration test moves), an L3
+/// A multi-level mix that stresses every cascade rule: two co-located L1
+/// defs sharing type HOT, an L2 self-join over HOT instances
+/// (CP — the *instance-typed* definition the migration test moves), an L3
 /// alarm over CP, a wildcard auditor that re-matches its own output above
 /// 90 (terminates via the depth cap), and a wildcard+keyed join whose
 /// feedback slot interleaves instances with raw arrivals.
@@ -148,7 +148,7 @@ Stream make_stream(std::uint64_t seed, int n, bool skewed = false) {
   const char* sensors[] = {"SRa", "SRb", "SRc"};
   for (int i = 0; i < n; ++i) {
     now += time_model::milliseconds(100 + rng.uniform_int(0, 900));
-    // Skewed: 90% of arrivals hit SRa (pins the HOT group's shard).
+    // Skewed: 90% of arrivals hit SRa (pins HOT's shard).
     const auto* sensor = skewed ? (rng.uniform() < 0.9 ? "SRa" : sensors[rng.uniform_int(1, 2)])
                                 : sensors[rng.uniform_int(0, 2)];
     const TimePoint t = now - time_model::milliseconds(rng.uniform_int(0, 1500));
@@ -161,8 +161,8 @@ Stream make_stream(std::uint64_t seed, int n, bool skewed = false) {
   return s;
 }
 
-/// One forced migration: after `at` arrivals, move the group of
-/// definition `def` to the shard `hop` places clockwise from its host.
+/// One forced migration: after `at` arrivals, move definition `def`
+/// (with its same-type definitions on its shard) to the shard `hop` places clockwise from its host.
 struct Migration {
   std::size_t at = 0;
   std::size_t def = 0;
@@ -332,12 +332,11 @@ TEST_P(CascadeVsSequentialTest, TinyCapacityConstantWrapStreamsMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CascadeVsSequentialTest, ::testing::Values(1u, 2u, 3u));
 
-/// Forced mid-stream migrations of instance-typed definition groups (the
-/// CP self-join consumes HOT *instances*; its group moves twice, the HOT
-/// group once) while cascades are in flight: the stream must stay
-/// byte-identical — feedback for pre-barrier stamps reaches the group's
-/// old shard, post-barrier feedback its new one.
-TEST(CascadeMigration, InstanceTypedGroupsMoveMidStream) {
+/// Forced mid-stream migrations of instance-typed definitions (the CP
+/// self-join consumes HOT *instances*; CP moves twice, HOT once) while cascades are in flight: the stream must stay
+/// byte-identical — feedback for pre-barrier stamps reaches the moved
+/// definitions' old shard, post-barrier feedback its new one.
+TEST(CascadeMigration, InstanceTypedDefinitionsMoveMidStream) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     run_differential(seed, 4, 16, 4, ConsumptionMode::kUnrestricted, "M", 256,
                      /*skewed=*/true,
@@ -349,7 +348,7 @@ TEST(CascadeMigration, InstanceTypedGroupsMoveMidStream) {
 }
 
 /// Automatic rebalancing stays exact in cascade mode: the policy may move
-/// any group — instance-typed ones included — at epoch barriers while the
+/// any definition — instance-typed ones included — at epoch barriers while the
 /// skewed stream cascades.
 TEST(CascadeMigration, AutomaticRebalancingStaysExact) {
   run_differential(21u, 4, 16, 4, ConsumptionMode::kUnrestricted, "R", 256, /*skewed=*/true, {},

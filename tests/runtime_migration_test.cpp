@@ -14,7 +14,7 @@
 #include "sim/random.hpp"
 
 /// Differential *migration* suite: the sharded runtime's merged stream,
-/// with definition groups forcibly migrated between shards mid-stream,
+/// with definitions forcibly migrated between shards mid-stream,
 /// must stay byte-identical to a single sequential DetectionEngine fed
 /// the same arrivals — across shard counts {2, 4, 8} x ingest batch sizes
 /// {1, 64} x skew profiles {uniform, 90/10} x consumption modes, with >= 3
@@ -66,10 +66,10 @@ core::PhysicalObservation obs(int mote, const std::string& sensor, std::uint64_t
 
 /// The definition mix of tests/runtime_shard_test.cpp — keyed thresholds,
 /// spatial/temporal joins, a self-binding pair, two definitions *sharing
-/// an event type* (one migration group), a wildcard single-slot
+/// an event type* (migrate_definition moves them together), a wildcard single-slot
 /// definition and a wildcard join slot — so migrations are exercised for
 /// every placement/routing rule, including moving the full-stream
-/// (wildcard-hosting) group and moving a retain-mode definition whose
+/// wildcard definition and moving a retain-mode definition whose
 /// buffers are large enough to carry spatial-index state.
 std::vector<EventDefinition> migration_definitions(ConsumptionMode mode, const std::string& tag) {
   std::vector<EventDefinition> defs;
@@ -85,7 +85,7 @@ std::vector<EventDefinition> migration_definitions(ConsumptionMode mode, const s
       core::AttributeRule{"value", core::ValueAggregate::kMax, "value", {0}});
   defs.push_back(hot);
 
-  // Same event type as HOT: the pair is one co-located migration group.
+  // Same event type as HOT: the pair is co-located and moves together.
   defs.push_back(EventDefinition{EventTypeId("HOT_" + tag),
                                  {{"x", SlotFilter::observation(SensorId("SRb"))}},
                                  core::c_attr(core::ValueAggregate::kAverage, "value", {0},
@@ -224,7 +224,7 @@ void run_migration_differential(std::uint64_t seed, std::size_t shards, std::siz
   }
 
   // Deterministic seed-derived migration plan: >= 3 moves at distinct
-  // mid-stream positions, cycling over definitions (so every group kind —
+  // mid-stream positions, cycling over definitions (so every definition kind —
   // co-located pair, wildcard host, joins — migrates across runs) and
   // over destination shards.
   sim::Rng plan(seed ^ 0x9e3779b97f4a7c15ULL);
@@ -263,7 +263,7 @@ void run_migration_differential(std::uint64_t seed, std::size_t shards, std::siz
                       0, static_cast<std::int64_t>(sharded.definition_count()) - 1));
         const auto to = static_cast<std::size_t>(
             plan.uniform_int(0, static_cast<std::int64_t>(shards) - 1));
-        // Force a real move: if the group already lives on `to`, push it to
+        // Force a real move: if the definition already lives on `to`, push it to
         // the next shard instead.
         if (!sharded.migrate_definition(def, to)) {
           ASSERT_TRUE(sharded.migrate_definition(def, (to + 1) % shards));
@@ -488,10 +488,10 @@ TEST(RebalanceSoakTest, SkewedLoadSpreadNarrowsWithNoLossOrDuplication) {
   }
   ASSERT_EQ(off.stream, want);
 
-  // The default policy must have migrated the hot groups off shard 0 and
+  // The default policy must have migrated the hot definitions off shard 0 and
   // measurably narrowed the arrival-load spread. Static placement pins
   // ~90% of the stream on one of 4 shards (ratio ~3.6); spreading the
-  // four hot groups brings the ratio towards 1.
+  // four hot definitions brings the ratio towards 1.
   std::cout << "[soak] max/mean arrival-load ratio: off=" << off.load_ratio
             << " on=" << on.load_ratio << " (migrations=" << on.stats.migrations
             << ", passes=" << on.stats.rebalance_passes << ")\n";
@@ -517,8 +517,8 @@ struct RouteSpec {
 };
 
 /// Per key K0..K3: a threshold TH_k (value > 10 + 20k) and a two-slot
-/// generic self-join PAIR_k, plus one multi-key group GRP (one event
-/// type, a value > 50 threshold per key) that split_group can partition.
+/// generic self-join PAIR_k, plus one event type GRP with a value > 50
+/// threshold per key, whose definitions move_definitions can spread.
 /// Key KX has no definition, so its arrivals are dropped.
 std::vector<EventDefinition> placement_definitions(std::vector<RouteSpec>& specs) {
   std::vector<EventDefinition> defs;
@@ -596,7 +596,7 @@ void expect_burst_follows_placement(ShardedEngineRuntime& rt, const std::vector<
   (void)rt.poll();
 }
 
-TEST(PlacementDeliveryTest, DeliveriesFollowPlacementThroughMoveSplitAndMerge) {
+TEST(PlacementDeliveryTest, DeliveriesFollowPlacementThroughMovesApartAndTogether) {
   for (const bool cascade : {false, true}) {
     RuntimeOptions options;
     options.shards = 4;
@@ -621,27 +621,40 @@ TEST(PlacementDeliveryTest, DeliveriesFollowPlacementThroughMoveSplitAndMerge) {
     ASSERT_TRUE(rt.migrate_definition(kPair1, next_shard(kPair1)));
     expect_burst_follows_placement(rt, specs, now, mode + " after moving PAIR1");
 
+    // Two of GRP's four definitions apart from the other two.
     const std::size_t primary = rt.shard_of(kGrp);
-    const std::size_t high = (primary + 1) % rt.shard_count();
-    ASSERT_TRUE(rt.split_group(kGrp, high));
-    expect_burst_follows_placement(rt, specs, now, mode + " after split");
+    const std::size_t away = (primary + 1) % rt.shard_count();
+    const std::size_t pair[] = {kGrp + 2, kGrp + 3};
+    ASSERT_TRUE(rt.move_definitions(pair, away));
+    ASSERT_EQ(rt.shard_of(kGrp + 1), primary);
+    ASSERT_EQ(rt.shard_of(kGrp + 2), away);
+    ASSERT_EQ(rt.shard_of(kGrp + 3), away);
+    expect_burst_follows_placement(rt, specs, now, mode + " after moving two GRP apart");
 
-    // Move the high sub-group on to a third shard.
-    std::size_t high_def = kGrp;
-    while (rt.shard_of(high_def) != high) ++high_def;
-    ASSERT_TRUE(rt.migrate_definition(high_def, (high + 1) % rt.shard_count()));
-    expect_burst_follows_placement(rt, specs, now, mode + " after moving the high sub-group");
+    // migrate_definition carries the pair on to a third shard together.
+    const std::size_t third = (away + 1) % rt.shard_count();
+    ASSERT_TRUE(rt.migrate_definition(kGrp + 2, third));
+    ASSERT_EQ(rt.shard_of(kGrp + 3), third);
+    ASSERT_EQ(rt.shard_of(kGrp), primary);
+    expect_burst_follows_placement(rt, specs, now, mode + " after moving the pair on");
 
-    ASSERT_TRUE(rt.merge_group(kGrp));
-    for (std::size_t d = kGrp; d < specs.size(); ++d) ASSERT_EQ(rt.shard_of(d), primary);
-    expect_burst_follows_placement(rt, specs, now, mode + " after merge");
+    // One call gathers GRP from two shards onto a fourth: one control
+    // pair per source shard.
+    const std::size_t fourth = (third + 1) % rt.shard_count();
+    const std::size_t grp[] = {kGrp, kGrp + 1, kGrp + 2, kGrp + 3};
+    ASSERT_TRUE(rt.move_definitions(grp, fourth));
+    for (std::size_t d = kGrp; d < specs.size(); ++d) ASSERT_EQ(rt.shard_of(d), fourth);
+    expect_burst_follows_placement(rt, specs, now, mode + " after gathering GRP");
 
     ASSERT_TRUE(rt.migrate_definition(kGrp, next_shard(kGrp)));
     expect_burst_follows_placement(rt, specs, now, mode + " after moving GRP");
 
     (void)oracle::flush_within(rt, mode);
     const RuntimeStats stats = rt.stats();
-    EXPECT_EQ(stats.migrations, 6u) << mode;  // 4 moves, the split and the merge
+    EXPECT_EQ(stats.migrations, 7u) << mode;  // the gathering issued two
+    // The pair apart, then on, and the gathering's first control pair
+    // (the pair still sat on the third shard after it).
+    EXPECT_EQ(stats.splits, 3u) << mode;
     EXPECT_EQ(stats.arrivals + stats.dropped, 7u * 30u) << mode;
   }
 }
@@ -650,7 +663,7 @@ TEST(PlacementDeliveryTest, DeliveriesFollowPlacementThroughMoveSplitAndMerge) {
 // Migration bookkeeping units.
 // ---------------------------------------------------------------------------
 
-TEST(MigrationApiTest, GroupMovesTogetherAndBookkeepingFollows) {
+TEST(MigrationApiTest, SameTypeDefinitionsMoveTogetherAndBookkeepingFollows) {
   RuntimeOptions options;
   options.shards = 4;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
@@ -658,19 +671,24 @@ TEST(MigrationApiTest, GroupMovesTogetherAndBookkeepingFollows) {
        migration_definitions(ConsumptionMode::kUnrestricted, "BK")) {
     rt.add_definition(def);
   }
-  // Definitions 0 and 1 share an event type: one group.
-  ASSERT_EQ(rt.group_of(0), rt.group_of(1));
+  // Definitions 0 and 1 share an event type: co-located at registration.
   ASSERT_EQ(rt.shard_of(0), rt.shard_of(1));
 
   const std::size_t target = (rt.shard_of(0) + 1) % rt.shard_count();
   EXPECT_TRUE(rt.migrate_definition(0, target));
   EXPECT_EQ(rt.shard_of(0), target);
-  EXPECT_EQ(rt.shard_of(1), target);  // co-located group moved together
+  EXPECT_EQ(rt.shard_of(1), target);  // same-type definitions moved together
   EXPECT_FALSE(rt.migrate_definition(1, target));  // already there
+  const std::size_t both[] = {0, 1};
+  EXPECT_FALSE(rt.move_definitions(both, target));  // already there
   EXPECT_EQ(rt.stats().migrations, 1u);
+  EXPECT_EQ(rt.stats().splits, 0u);
 
   EXPECT_THROW((void)rt.migrate_definition(99, 0), std::out_of_range);
   EXPECT_THROW((void)rt.migrate_definition(0, 99), std::out_of_range);
+  const std::size_t unknown[] = {99};
+  EXPECT_THROW((void)rt.move_definitions(unknown, 0), std::out_of_range);
+  EXPECT_THROW((void)rt.move_definitions(both, 99), std::out_of_range);
 
   // Registration is closed once placement went dynamic.
   EXPECT_THROW(rt.add_definition(migration_definitions(ConsumptionMode::kConsume, "BK2")[0]),
@@ -702,47 +720,47 @@ TEST(MigrationApiTest, MigratedDefinitionKeepsDetectingOnNewShard) {
 // plan_spillover decision units.
 // ---------------------------------------------------------------------------
 
-TEST(PlanSpilloverTest, MigratesHighestCostGroupOffHotShard) {
+TEST(PlanSpilloverTest, MigratesHighestCostDefinitionOffHotShard) {
   const std::vector<std::uint64_t> shard_load = {900, 50, 30, 20};
-  const std::vector<GroupLoad> groups = {
+  const std::vector<DefinitionCost> defs = {
       {0, 0, 500, true}, {1, 0, 400, true}, {2, 1, 50, true}, {3, 2, 30, true}, {4, 3, 20, true}};
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
+  plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].group, 0u);  // the 500-cost group
+  EXPECT_EQ(out[0].def, 0u);  // the 500-cost definition
   EXPECT_EQ(out[0].to, 3u);     // the least-loaded shard
 }
 
-TEST(PlanSpilloverTest, LeavesIndivisibleHotGroupAlone) {
-  // One group is the whole hot load: moving it would just move the
+TEST(PlanSpilloverTest, LeavesIndivisibleHotDefinitionAlone) {
+  // One definition is the whole hot load: moving it would just move the
   // hotspot, so the strict-improvement rule must reject the migration.
   const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
-  const std::vector<GroupLoad> groups = {
+  const std::vector<DefinitionCost> defs = {
       {0, 0, 1000, true}, {1, 1, 10, true}, {2, 2, 10, true}, {3, 3, 10, true}};
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
+  plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
   EXPECT_TRUE(out.empty());
 }
 
-TEST(PlanSpilloverTest, SkipsUnmovableGroupsAndBalancedShards) {
+TEST(PlanSpilloverTest, SkipsUnmovableDefinitionsAndBalancedShards) {
   {
-    // Hot shard, but its big group is mid-migration: pick the next one.
+    // Hot shard, but its big definition is mid-move: pick the next one.
     const std::vector<std::uint64_t> shard_load = {900, 50, 30, 20};
-    const std::vector<GroupLoad> groups = {
+    const std::vector<DefinitionCost> defs = {
         {0, 0, 500, false}, {1, 0, 400, true}, {2, 1, 50, true}, {3, 2, 30, true},
         {4, 3, 20, true}};
     std::vector<MigrationOrder> out;
-    plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
+    plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].group, 1u);
+    EXPECT_EQ(out[0].def, 1u);
   }
   {
     // Balanced cluster: nothing above 1.5x mean, no orders.
     const std::vector<std::uint64_t> shard_load = {100, 110, 90, 100};
-    const std::vector<GroupLoad> groups = {
+    const std::vector<DefinitionCost> defs = {
         {0, 0, 100, true}, {1, 1, 110, true}, {2, 2, 90, true}, {3, 3, 100, true}};
     std::vector<MigrationOrder> out;
-    plan_spillover(RebalanceView{shard_load, groups}, SpilloverOptions{}, out);
+    plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
     EXPECT_TRUE(out.empty());
   }
 }
@@ -751,11 +769,11 @@ TEST(PlanSpilloverTest, HonorsMigrationCap) {
   SpilloverOptions opts;
   opts.max_migrations = 1;
   const std::vector<std::uint64_t> shard_load = {900, 800, 10, 10};
-  const std::vector<GroupLoad> groups = {
+  const std::vector<DefinitionCost> defs = {
       {0, 0, 450, true}, {1, 0, 450, true}, {2, 1, 400, true}, {3, 1, 400, true},
       {4, 2, 10, true},  {5, 3, 10, true}};
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups}, opts, out);
+  plan_spillover(RebalanceView{shard_load, defs}, opts, out);
   EXPECT_EQ(out.size(), 1u);
 }
 

@@ -74,8 +74,8 @@ core::ConditionExpr before_within(double dist) {
 }
 
 /// The migration suite's definition mix: keyed thresholds, joins, a
-/// co-located same-type pair (one group spanning SRa and SRb — the
-/// splittable kind), a wildcard definition (=> no arrival is ever
+/// co-located same-type pair (one event type over SRa and SRb), a
+/// wildcard definition (=> no arrival is ever
 /// dropped, so stamps are dense and equal the 1-based arrival index) and
 /// a wildcard join.
 std::vector<EventDefinition> ordering_definitions(ConsumptionMode mode, const std::string& tag) {
@@ -92,7 +92,7 @@ std::vector<EventDefinition> ordering_definitions(ConsumptionMode mode, const st
       core::AttributeRule{"value", core::ValueAggregate::kMax, "value", {0}});
   defs.push_back(hot);
 
-  // Same event type as HOT: one co-located, key-range-splittable group.
+  // Same event type as HOT: co-located with it at registration.
   defs.push_back(EventDefinition{EventTypeId("HOT_" + tag),
                                  {{"x", SlotFilter::observation(SensorId("SRb"))}},
                                  core::c_attr(core::ValueAggregate::kAverage, "value", {0},
@@ -185,7 +185,7 @@ constexpr OrderingTier kAllTiers[] = {OrderingTier::kGlobalTotalOrder,
 /// Feeds one stream through a sharded runtime under `tier`, auditing the
 /// watermark at every poll, and applies the tier's oracle check against
 /// the sequential reference. `migrations` > 0 forces that many
-/// whole-group moves at seed-derived batch boundaries (in the
+/// migrate_definition moves at seed-derived batch boundaries (in the
 /// per-definition tier these exercise the release-hold fencing).
 /// `poll_each_batch` false skips the per-batch polls: the final flush then
 /// releases the whole stream from every shard in one drain, across every
@@ -298,7 +298,7 @@ TEST_P(OrderingTierTest, EveryTierMatchesItsContractOnStaticPlacement) {
 }
 
 TEST_P(OrderingTierTest, RelaxedTiersSurviveForcedMigrations) {
-  // Mid-stream whole-group migrations: in the per-definition tier each
+  // Mid-stream migrations: in the per-definition tier each
   // one plants a release hold that fences the destination's post-barrier
   // chunks until the frontier passes every pre-barrier arrival, when the
   // same drain takes the source's pre-barrier ones — the per-definition
@@ -660,16 +660,18 @@ TEST(OrderingRaceTest, PerDefinitionHoldSurvivesConcurrentPolls) {
 // API units.
 // ---------------------------------------------------------------------------
 
-TEST(OrderingApiTest, SplitGroupIsAcceptedInCascadeMode) {
-  // Split under cascade is legal since the coordinator renumbers per-group
-  // sequences at dispatch time; an unsplittable (single-key) group is
-  // still refused with `false`, not a throw.
+TEST(OrderingApiTest, MovingOneOfATypesDefinitionsIsAcceptedInCascadeMode) {
+  // Spreading a type over shards under cascade is legal since the
+  // coordinator renumbers per-type sequences at dispatch time.
   RuntimeOptions options;
   options.shards = 2;
   options.cascade = true;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
   for (const EventDefinition& def : cascade_tier_definitions("CX")) rt.add_definition(def);
-  EXPECT_NO_THROW((void)rt.split_group(0, 1));
+  const std::size_t one[] = {1};
+  EXPECT_TRUE(rt.move_definitions(one, 1 - rt.shard_of(1)));
+  EXPECT_NE(rt.shard_of(0), rt.shard_of(1));
+  EXPECT_EQ(rt.stats().splits, 1u);
 }
 
 TEST(OrderingApiTest, WatermarkStartsAtZeroAndBoundsChecksThrow) {
@@ -681,11 +683,12 @@ TEST(OrderingApiTest, WatermarkStartsAtZeroAndBoundsChecksThrow) {
     rt.add_definition(def);
   }
   EXPECT_EQ(rt.low_watermark(), 0u);
-  EXPECT_THROW((void)rt.split_group(99, 0), std::out_of_range);
-  EXPECT_THROW((void)rt.split_group(0, 99), std::out_of_range);
-  EXPECT_THROW((void)rt.merge_group(99), std::out_of_range);
-  EXPECT_FALSE(rt.merge_group(0));  // not split: no-op
-  EXPECT_FALSE(rt.group_split(0));
+  const std::size_t unknown[] = {99};
+  const std::size_t zero[] = {0};
+  EXPECT_THROW((void)rt.move_definitions(unknown, 0), std::out_of_range);
+  EXPECT_THROW((void)rt.move_definitions(zero, 99), std::out_of_range);
+  EXPECT_FALSE(rt.move_definitions(zero, rt.shard_of(0)));  // already there: no-op
+  EXPECT_EQ(rt.stats().migrations, 0u);
 }
 
 }  // namespace

@@ -513,7 +513,7 @@ TEST(CrashRecovery, FinishedMigrationMovesBackAfterDestinationCrash) {
   // (inbox and replay log). Two checkpoint epochs after the move, both
   // logs are truncated past the control pair; the destination then
   // crashes and recovers from a post-migration checkpoint, and moving the
-  // group back must still work, with the stream exact throughout.
+  // definition back must still work, with the stream exact throughout.
   constexpr std::size_t kEpoch = 16;
   std::atomic<int> kill{-1};  // shard to crash on its next poll; -1 = none
   RuntimeOptions options;

@@ -12,20 +12,23 @@
 #include "runtime/sharded_runtime.hpp"
 #include "sim/random.hpp"
 
-/// Key-granular hot-group splitting, proven differentially:
+/// Definition moves that spread one event type over several shards,
+/// proven differentially:
 ///
-///  - a forced mid-stream split_group / sub-group migration / merge_group
-///    sequence must stay *byte-exact* in the global tier (the merge-side
+///  - two of a type's definitions moved apart from the third mid-stream
+///    (move_definitions), moved on together (migrate_definition) and moved
+///    back must stay *byte-exact* in the global tier (the merge-side
 ///    renumbering makes the partitioned sequence counters invisible) and
 ///    keep the relaxed tiers' contracts (canonicalized per-definition
-///    subsequences / multiset, per-definition seq monotonicity);
-///  - the skewed soak that PR 4's policy had to leave alone (one
-///    indivisible group carrying ~90% of the stream) now splits: the
-///    spillover_skipped_indivisible counter stays zero, splits fire, and
-///    the max/mean arrival-load spread narrows — with the merged output
-///    still byte-identical to the sequential engine;
-///  - an unsplittable control (hot group spanning a single sensor key)
-///    shows the skip counter doing its job.
+///    subsequences / multiset, per-definition seq monotonicity), plain and
+///    cascade;
+///  - a skewed soak where one event type's four definitions carry ~90% of
+///    the stream: the policy moves single definitions off the hot shard,
+///    splits fire, nothing is skipped, and the max/mean arrival-load
+///    spread narrows — with the merged output still byte-identical to the
+///    sequential engine;
+///  - a control whose hot load sits on one definition shows the skip
+///    counter doing its job.
 
 namespace stem::runtime {
 namespace {
@@ -57,9 +60,8 @@ core::PhysicalObservation obs(int mote, const std::string& sensor, std::uint64_t
   return o;
 }
 
-/// Defs 0-2 share one event type across three sensor keys (SRa/SRb/SRc):
-/// one co-located group, splittable by key range. NEAR joins across the
-/// split boundary's sensors; WILD keeps stamps dense.
+/// Defs 0-2 share one event type across three sensor keys (SRa/SRb/SRc)
+/// and start co-located. NEAR joins SRa with SRb; WILD keeps stamps dense.
 std::vector<EventDefinition> split_definitions(ConsumptionMode mode, const std::string& tag) {
   std::vector<EventDefinition> defs;
   const double thresholds[] = {60.0, 40.0, 50.0};
@@ -103,7 +105,7 @@ struct Stream {
   std::vector<TimePoint> nows;
 };
 
-/// 90/10 towards the split group's sensors (the hot-group scenario).
+/// 90/10 towards the shared type's sensors (the hot-type scenario).
 Stream make_stream(std::uint64_t seed, int n) {
   sim::Rng rng(seed);
   Stream s;
@@ -134,10 +136,11 @@ std::string tier_name(OrderingTier tier) {
   return "?";
 }
 
-/// Forces split -> sub-group migration -> merge at quarter points of the
-/// stream and applies the tier's oracle contract end to end.
-/// `poll_each_batch` false skips the per-batch polls, so the final flush
-/// releases the whole stream across the split, move and merge barriers.
+/// Moves defs 1 and 2 away from def 0 (same type) at n/4, on to a third
+/// shard at n/2 when there is one, and back at 3n/4, and applies the
+/// tier's oracle contract end to end. `poll_each_batch` false skips the
+/// per-batch polls, so the final flush releases the whole stream across
+/// every move barrier.
 void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_size,
                             ConsumptionMode mode, OrderingTier tier, const std::string& tag,
                             bool cascade = false, std::uint32_t pipeline = 1,
@@ -155,10 +158,10 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
     sequential.add_definition(def);
   }
 
-  // Relaxed tiers surface the partitioned per-side sequence counters, so
+  // Relaxed tiers surface the partitioned per-shard sequence counters, so
   // the oracle compares with EventInstanceKey::seq canonicalized; the
   // global tier's merge renumbers and must stay byte-exact. Cascade mode
-  // is stricter still: the coordinator renumbers per-group sequences at
+  // is stricter still: the coordinator renumbers per-type sequences at
   // dispatch time in *every* tier, so even the relaxed cascade legs must
   // reproduce the sequential numbering exactly.
   const bool canonical = !cascade && tier != OrderingTier::kGlobalTotalOrder;
@@ -184,27 +187,34 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
   };
 
   const std::size_t n = stream.entities.size();
-  bool did_split = false, did_move = false, did_merge = false;
+  const std::size_t home = sharded.shard_of(0);
+  const std::size_t away = (home + 1) % shards;
+  const std::size_t pair[] = {1, 2};
+  bool did_apart = false, did_move = false, did_back = false;
   for (std::size_t i = 0; i < n; i += batch_size) {
-    if (!did_split && i >= n / 4) {
-      const std::size_t to = (sharded.shard_of(0) + 1) % shards;
-      ASSERT_TRUE(sharded.split_group(0, to)) << ctx;
-      EXPECT_TRUE(sharded.group_split(0)) << ctx;
-      EXPECT_FALSE(sharded.split_group(0, to)) << ctx;  // already split
-      did_split = true;
+    if (!did_apart && i >= n / 4) {
+      ASSERT_TRUE(sharded.move_definitions(pair, away)) << ctx;
+      EXPECT_EQ(sharded.shard_of(0), home) << ctx;
+      EXPECT_EQ(sharded.shard_of(2), away) << ctx;
+      EXPECT_FALSE(sharded.move_definitions(pair, away)) << ctx;  // already there
+      did_apart = true;
     }
     if (!did_move && i >= n / 2) {
-      // Move def 1's *sub-group* (whichever side it landed on) — the two
-      // sides rebalance independently while split.
-      const std::size_t to = (sharded.shard_of(1) + 1) % shards;
-      ASSERT_TRUE(sharded.migrate_definition(1, to)) << ctx;
+      // migrate_definition carries def 2 along (same type, same shard)
+      // and leaves def 0 where it is. Two shards have no third to use.
+      if (shards > 2) {
+        const std::size_t third = (away + 1) % shards;
+        ASSERT_TRUE(sharded.migrate_definition(1, third)) << ctx;
+        EXPECT_EQ(sharded.shard_of(2), third) << ctx;
+        EXPECT_EQ(sharded.shard_of(0), home) << ctx;
+      }
       did_move = true;
     }
-    if (!did_merge && i >= 3 * n / 4) {
-      ASSERT_TRUE(sharded.merge_group(0)) << ctx;
-      EXPECT_FALSE(sharded.group_split(0)) << ctx;
-      EXPECT_FALSE(sharded.merge_group(0)) << ctx;  // already merged
-      did_merge = true;
+    if (!did_back && i >= 3 * n / 4) {
+      ASSERT_TRUE(sharded.move_definitions(pair, home)) << ctx;
+      for (std::size_t d = 0; d < 3; ++d) EXPECT_EQ(sharded.shard_of(d), home) << ctx;
+      EXPECT_FALSE(sharded.move_definitions(pair, home)) << ctx;  // already there
+      did_back = true;
     }
     const std::size_t len = std::min(batch_size, n - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, len),
@@ -234,13 +244,14 @@ void run_split_differential(std::uint64_t seed, std::size_t shards, std::size_t 
   }
 
   EXPECT_EQ(stats.instances, want.size()) << ctx;
-  EXPECT_EQ(stats.splits, 1u) << ctx;
-  EXPECT_EQ(stats.group_merges, 1u) << ctx;
+  // Apart, (on), back: every move but the last leaves the type on two shards.
+  EXPECT_EQ(stats.migrations, shards > 2 ? 3u : 2u) << ctx;
+  EXPECT_EQ(stats.splits, shards > 2 ? 2u : 1u) << ctx;
 }
 
 class SplitDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SplitDifferentialTest, GlobalTierStaysByteExactThroughSplitMoveMerge) {
+TEST_P(SplitDifferentialTest, GlobalTierStaysByteExactThroughMovesApartAndBack) {
   for (const std::size_t shards : {2u, 4u}) {
     for (const std::size_t batch : {1u, 64u}) {
       for (const bool poll_each_batch : {true, false}) {
@@ -255,7 +266,11 @@ TEST_P(SplitDifferentialTest, GlobalTierStaysByteExactThroughSplitMoveMerge) {
   }
 }
 
-TEST_P(SplitDifferentialTest, RelaxedTiersKeepTheirContractsThroughSplitMoveMerge) {
+TEST_P(SplitDifferentialTest, RelaxedTiersKeepTheirContractsThroughMovesApartAndBack) {
+  // Two same-type definitions apart from the third and back: per
+  // definition, the stream keeps its order (per-definition tier) or its
+  // multiset (unordered tier), and its sequence strictly increases while
+  // the type's counter is partitioned — plain and cascade.
   for (const OrderingTier tier :
        {OrderingTier::kPerDefinitionOrder, OrderingTier::kUnorderedWatermarked}) {
     for (const std::size_t shards : {2u, 4u}) {
@@ -269,17 +284,18 @@ TEST_P(SplitDifferentialTest, RelaxedTiersKeepTheirContractsThroughSplitMoveMerg
                                  poll_each_batch);
         }
       }
+      run_split_differential(GetParam() ^ 0x318ULL, shards, 16, ConsumptionMode::kConsume, tier,
+                             "SRK", /*cascade=*/true);
     }
   }
 }
 
-TEST_P(SplitDifferentialTest, CascadeModeSplitMoveMergeStaysExactAcrossTiers) {
-  // split_group under cascade (new in the pipelined coordinator): the
-  // split/merge barrier acts at sub-stamp granularity via the shared
-  // subset-migration control pair, and the coordinator's dispatch-time
+TEST_P(SplitDifferentialTest, CascadeModeMovesApartAndBackStayExactAcrossTiers) {
+  // Moves under cascade: each barrier acts at sub-stamp granularity via
+  // the move's control pair, and the coordinator's dispatch-time
   // renumbering keeps every tier's stream exactly sequential — seq
-  // included — even while the hot group is cut in two. Queue capacity 1
-  // admits one queued arrival, so the split/move/merge control pairs queue
+  // included — even while the type is spread over two shards. Queue
+  // capacity 1 admits one queued arrival, so the control pairs queue
   // behind gate-blocked head items.
   for (const OrderingTier tier :
        {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,
@@ -296,20 +312,17 @@ TEST_P(SplitDifferentialTest, CascadeModeSplitMoveMergeStaysExactAcrossTiers) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitDifferentialTest, ::testing::Values(41u, 42u, 43u));
 
 // ---------------------------------------------------------------------------
-// Split soak: the indivisible-hot-group scenario, now resolvable.
+// Split soak: one hot event type, relieved one definition at a time.
 // ---------------------------------------------------------------------------
 
-/// One monolithic group (4 defs, one event type, 4 hot sensors HK0-3) the
-/// policy can only fix by splitting, plus 4 single-sensor cold groups.
-std::vector<EventDefinition> soak_definitions(bool splittable) {
+/// One hot event type (4 defs HOTM over sensors HK0-3, co-located at
+/// registration) plus 4 single-sensor cold definitions.
+std::vector<EventDefinition> soak_definitions() {
   std::vector<EventDefinition> defs;
   for (int i = 0; i < 4; ++i) {
-    // Unsplittable variant: all four defs watch the *same* sensor key, so
-    // the group spans one distinct key and key-range splitting cannot cut.
-    const std::string sensor = splittable ? "HK" + std::to_string(i) : "HK0";
     defs.push_back(EventDefinition{
         EventTypeId("HOTM"),
-        {{"x", SlotFilter::observation(SensorId(sensor))}},
+        {{"x", SlotFilter::observation(SensorId("HK" + std::to_string(i)))}},
         core::c_attr(core::ValueAggregate::kAverage, "value", {0}, core::RelationalOp::kGt,
                      50.0 + 10.0 * i),
         seconds(60),
@@ -328,7 +341,9 @@ std::vector<EventDefinition> soak_definitions(bool splittable) {
   return defs;
 }
 
-Stream make_soak_stream(std::uint64_t seed, int n, bool splittable) {
+/// 90% of arrivals on the hot sensors: spread over HK0-3, or (`spread`
+/// false) all on HK0, which puts the hot load on definition 0 alone.
+Stream make_soak_stream(std::uint64_t seed, int n, bool spread) {
   sim::Rng rng(seed);
   Stream s;
   TimePoint now = TimePoint::epoch();
@@ -336,7 +351,7 @@ Stream make_soak_stream(std::uint64_t seed, int n, bool splittable) {
     now += time_model::milliseconds(1 + rng.uniform_int(0, 9));
     std::string sensor;
     if (rng.chance(0.9)) {
-      sensor = splittable ? "HK" + std::to_string(rng.uniform_int(0, 3)) : "HK0";
+      sensor = spread ? "HK" + std::to_string(rng.uniform_int(0, 3)) : "HK0";
     } else {
       sensor = "CK" + std::to_string(rng.uniform_int(0, 3));
     }
@@ -359,11 +374,11 @@ struct SoakResult {
 /// policy pass judges fully published loads, so the pass-by-pass decision
 /// sequence — and hence the split point in the stream — is deterministic
 /// rather than racing the workers' load publication.
-SoakResult run_soak(const Stream& stream, bool splittable, bool rebalance) {
+SoakResult run_soak(const Stream& stream, bool rebalance) {
   RuntimeOptions options;
   options.shards = 2;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
-  for (const EventDefinition& def : soak_definitions(splittable)) rt.add_definition(def);
+  for (const EventDefinition& def : soak_definitions()) rt.add_definition(def);
 
   SoakResult r;
   const auto drain = [&](std::vector<EventInstance> out) {
@@ -393,11 +408,9 @@ SoakResult run_soak(const Stream& stream, bool splittable, bool rebalance) {
   return r;
 }
 
-std::vector<std::string> soak_reference(const Stream& stream, bool splittable) {
+std::vector<std::string> soak_reference(const Stream& stream) {
   DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyber, {0, 0});
-  for (const EventDefinition& def : soak_definitions(splittable)) {
-    sequential.add_definition(def);
-  }
+  for (const EventDefinition& def : soak_definitions()) sequential.add_definition(def);
   std::vector<std::string> want;
   for (std::size_t i = 0; i < stream.entities.size(); ++i) {
     for (const EventInstance& inst : sequential.observe(stream.entities[i], stream.nows[i])) {
@@ -407,24 +420,25 @@ std::vector<std::string> soak_reference(const Stream& stream, bool splittable) {
   return want;
 }
 
-TEST(SplitSoakTest, PolicySplitsTheIndivisibleHotGroupAndSpreadNarrows) {
-  const Stream stream = make_soak_stream(17, 32'000, /*splittable=*/true);
-  const std::vector<std::string> want = soak_reference(stream, /*splittable=*/true);
+TEST(SplitSoakTest, PolicyMovesHotDefinitionsApartAndSpreadNarrows) {
+  const Stream stream = make_soak_stream(17, 32'000, /*spread=*/true);
+  const std::vector<std::string> want = soak_reference(stream);
 
-  const SoakResult off = run_soak(stream, true, /*rebalance=*/false);
-  const SoakResult on = run_soak(stream, true, /*rebalance=*/true);
+  const SoakResult off = run_soak(stream, /*rebalance=*/false);
+  const SoakResult on = run_soak(stream, /*rebalance=*/true);
 
-  // Exactness through policy-driven splitting: the default tier's merge
-  // renumbers the partitioned counters back to the sequential stream.
+  // Exactness through policy-driven moves that spread the hot type over
+  // both shards: the default tier's merge renumbers the partitioned
+  // counters back to the sequential stream.
   ASSERT_EQ(on.stream.size(), want.size());
   for (std::size_t k = 0; k < want.size(); ++k) {
     ASSERT_EQ(on.stream[k], want[k]) << "instance " << k;
   }
   ASSERT_EQ(off.stream, want);
 
-  // PR 4's policy had to leave this group alone (whole-move never
-  // improves when the group is ~90% of the stream); key-range splitting
-  // resolves it without ever recording a skip.
+  // Moving the whole type would never improve (it is ~90% of the
+  // stream); moving single definitions does, without ever recording a
+  // skip.
   std::cout << "[split-soak] max/mean arrival-load ratio: off=" << off.load_ratio
             << " on=" << on.load_ratio << " (splits=" << on.stats.splits
             << ", skipped=" << on.stats.spillover_skipped_indivisible
@@ -435,14 +449,14 @@ TEST(SplitSoakTest, PolicySplitsTheIndivisibleHotGroupAndSpreadNarrows) {
   EXPECT_LT(on.load_ratio, 0.85 * off.load_ratio);
 }
 
-TEST(SplitSoakTest, SingleKeyHotGroupStaysPutAndCountsTheSkips) {
-  // Control: the hot group's defs all share one sensor key — key-range
-  // splitting cannot cut it, so the policy must leave it alone and the
+TEST(SplitSoakTest, SingleHotDefinitionStaysPutAndCountsTheSkips) {
+  // Control: the hot load sits on one definition — no single-definition
+  // move improves the balance, so the policy must leave it alone and the
   // skip counter must say so.
-  const Stream stream = make_soak_stream(18, 8'000, /*splittable=*/false);
-  const std::vector<std::string> want = soak_reference(stream, /*splittable=*/false);
+  const Stream stream = make_soak_stream(18, 8'000, /*spread=*/false);
+  const std::vector<std::string> want = soak_reference(stream);
 
-  const SoakResult on = run_soak(stream, false, /*rebalance=*/true);
+  const SoakResult on = run_soak(stream, /*rebalance=*/true);
   std::cout << "[split-soak/control] ratio=" << on.load_ratio
             << " passes=" << on.stats.rebalance_passes
             << " migrations=" << on.stats.migrations << " splits=" << on.stats.splits
@@ -453,77 +467,25 @@ TEST(SplitSoakTest, SingleKeyHotGroupStaysPutAndCountsTheSkips) {
 }
 
 // ---------------------------------------------------------------------------
-// plan_spillover split-order units.
+// plan_spillover skip counting.
 // ---------------------------------------------------------------------------
 
-TEST(PlanSpilloverSplitTest, SplitsTheIndivisibleHotGroupWhenSplittable) {
+TEST(PlanSpilloverSkipTest, CountsTheSkipWhenNoSingleMoveImproves) {
   const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
-  const std::vector<GroupLoad> groups = {{0, 0, 1000, true, true},
-                                         {1, 1, 10, true, false},
-                                         {2, 2, 10, true, false},
-                                         {3, 3, 10, true, false}};
+  const std::vector<DefinitionCost> defs = {
+      {0, 0, 1000, true}, {1, 1, 10, true}, {2, 2, 10, true}, {3, 3, 10, true}};
   std::uint64_t skipped = 0;
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups, &skipped}, SpilloverOptions{}, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].group, 0u);
-  EXPECT_TRUE(out[0].split);
-  EXPECT_EQ(skipped, 0u);
-}
-
-TEST(PlanSpilloverSplitTest, CountsTheSkipWhenNothingIsSplittable) {
-  const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
-  const std::vector<GroupLoad> groups = {{0, 0, 1000, true, false},
-                                         {1, 1, 10, true, false},
-                                         {2, 2, 10, true, false},
-                                         {3, 3, 10, true, false}};
-  std::uint64_t skipped = 0;
-  std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups, &skipped}, SpilloverOptions{}, out);
+  plan_spillover(RebalanceView{shard_load, defs, &skipped}, SpilloverOptions{}, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(skipped, 1u);
 }
 
-TEST(PlanSpilloverSplitTest, RejectsSplitThatWouldJustMoveTheHotspot) {
-  // Half the group still overloads every destination: splitting would
-  // shuffle the peak around, not lower it — skip instead.
-  SpilloverOptions opts;
-  opts.overload_factor = 1.0;
-  const std::vector<std::uint64_t> shard_load = {1000, 900, 900, 900};
-  const std::vector<GroupLoad> groups = {{0, 0, 1000, true, true},
-                                         {1, 1, 900, true, false},
-                                         {2, 2, 900, true, false},
-                                         {3, 3, 900, true, false}};
-  std::uint64_t skipped = 0;
-  std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups, &skipped}, opts, out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(skipped, 1u);
-}
-
-TEST(PlanSpilloverSplitTest, PrefersWholeMoveOverSplitWhenOneImproves) {
-  // A smaller whole group whose move strictly improves wins over cutting
-  // the big one: splits are the fallback, not the default.
-  const std::vector<std::uint64_t> shard_load = {1000, 10, 10, 10};
-  const std::vector<GroupLoad> groups = {{0, 0, 995, true, true},
-                                         {1, 0, 5, true, false},
-                                         {2, 1, 10, true, false},
-                                         {3, 2, 10, true, false},
-                                         {4, 3, 10, true, false}};
-  std::uint64_t skipped = 0;
-  std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, groups, &skipped}, SpilloverOptions{}, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].group, 1u);  // the small group whose whole move improves
-  EXPECT_FALSE(out[0].split);
-  EXPECT_EQ(skipped, 0u);
-}
-
 // ---------------------------------------------------------------------------
-// Split lifecycle units.
+// move_definitions units.
 // ---------------------------------------------------------------------------
 
-TEST(SplitApiTest, SplitPartitionsTheGroupAndMergeRestoresIt) {
+TEST(MoveApiTest, MovesApartAndBackAndCountsSplits) {
   RuntimeOptions options;
   options.shards = 2;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
@@ -531,37 +493,37 @@ TEST(SplitApiTest, SplitPartitionsTheGroupAndMergeRestoresIt) {
        split_definitions(ConsumptionMode::kUnrestricted, "LC")) {
     rt.add_definition(def);
   }
-  ASSERT_EQ(rt.group_of(0), rt.group_of(1));
-  ASSERT_EQ(rt.group_of(1), rt.group_of(2));
-
+  // Same type, same shard at registration.
   const std::size_t home = rt.shard_of(0);
   const std::size_t away = 1 - home;
-  EXPECT_FALSE(rt.split_group(0, home));  // destination == current shard
-  ASSERT_TRUE(rt.split_group(0, away));
-  EXPECT_TRUE(rt.group_split(0));
-  EXPECT_TRUE(rt.group_split(2));  // introspection is per group
+  ASSERT_EQ(rt.shard_of(1), home);
+  ASSERT_EQ(rt.shard_of(2), home);
 
-  // Median-of-3-distinct-keys partition: exactly two defs sit at or above
-  // the split point and moved to the high shard.
-  std::size_t moved = 0;
-  for (std::size_t d = 0; d < 3; ++d) moved += rt.shard_of(d) == away ? 1 : 0;
-  EXPECT_EQ(moved, 2u);
+  const std::size_t pair[] = {1, 2};
+  ASSERT_TRUE(rt.move_definitions(pair, away));
+  EXPECT_EQ(rt.shard_of(0), home);
+  EXPECT_EQ(rt.shard_of(1), away);
+  EXPECT_EQ(rt.shard_of(2), away);
+  EXPECT_EQ(rt.stats().splits, 1u);
 
-  EXPECT_FALSE(rt.split_group(0, away));  // already split
-  ASSERT_TRUE(rt.merge_group(0));
-  EXPECT_FALSE(rt.group_split(0));
+  // migrate_definition moves the definitions of its type on its shard.
+  ASSERT_TRUE(rt.migrate_definition(1, home));
   for (std::size_t d = 0; d < 3; ++d) EXPECT_EQ(rt.shard_of(d), home);
-  EXPECT_FALSE(rt.merge_group(0));  // already whole
 
-  // The cycle is repeatable once reunified.
-  ASSERT_TRUE(rt.split_group(0, away));
-  EXPECT_TRUE(rt.group_split(0));
-  EXPECT_EQ(rt.stats().splits, 2u);
-  EXPECT_EQ(rt.stats().group_merges, 1u);
-  EXPECT_TRUE(oracle::flush_within(rt, "split cycle").empty());
+  // A mixed list: the ones already on the destination stay put.
+  const std::size_t zero[] = {0};
+  ASSERT_TRUE(rt.move_definitions(zero, away));
+  const std::size_t all[] = {0, 1, 2, 2};
+  ASSERT_TRUE(rt.move_definitions(all, away));
+  for (std::size_t d = 0; d < 3; ++d) EXPECT_EQ(rt.shard_of(d), away);
+
+  const RuntimeStats stats = rt.stats();
+  EXPECT_EQ(stats.migrations, 4u);
+  EXPECT_EQ(stats.splits, 2u);  // the first move and the move of def 0 alone
+  EXPECT_TRUE(oracle::flush_within(rt, "move cycle").empty());
 }
 
-TEST(SplitApiTest, SingleKeyAndWildcardGroupsRefuseToSplit) {
+TEST(MoveApiTest, BoundsAreCheckedAndMovesInPlaceAreNoOps) {
   RuntimeOptions options;
   options.shards = 2;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
@@ -569,17 +531,31 @@ TEST(SplitApiTest, SingleKeyAndWildcardGroupsRefuseToSplit) {
        split_definitions(ConsumptionMode::kUnrestricted, "SK")) {
     rt.add_definition(def);
   }
-  // Def 3 (NEAR) spans one group with a single first-slot sensor key; def
-  // 4 (WILD) has no sensor key at all — neither group is splittable.
-  EXPECT_FALSE(rt.split_group(3, 1 - rt.shard_of(3)));
-  EXPECT_FALSE(rt.split_group(4, 1 - rt.shard_of(4)));
-  EXPECT_FALSE(rt.group_split(3));
-  EXPECT_FALSE(rt.group_split(4));
+  const std::size_t bad_def[] = {0, 99};
+  const std::size_t four[] = {4};
+  EXPECT_THROW((void)rt.move_definitions(bad_def, 0), std::out_of_range);
+  EXPECT_THROW((void)rt.move_definitions(four, 99), std::out_of_range);
+  EXPECT_EQ(rt.stats().migrations, 0u);  // a rejected list moves nothing
+
+  // Already there, or nothing to move: false, no move issued.
+  EXPECT_FALSE(rt.move_definitions(four, rt.shard_of(4)));
+  EXPECT_FALSE(rt.move_definitions({}, 1 - rt.shard_of(4)));
+  EXPECT_FALSE(rt.migrate_definition(3, rt.shard_of(3)));
+  EXPECT_EQ(rt.stats().migrations, 0u);
+
+  // Any single definition can move: keyless (WILD) and joins (NEAR) too.
+  const std::size_t near_and_wild[] = {3, 4};
+  const std::size_t to = 1 - rt.shard_of(3);
+  EXPECT_TRUE(rt.move_definitions(near_and_wild, to));
+  EXPECT_EQ(rt.shard_of(3), to);
+  EXPECT_EQ(rt.shard_of(4), to);
+  EXPECT_EQ(rt.stats().splits, 0u);  // one definition per type: no type spans shards
 }
 
-TEST(SplitApiTest, SequenceNumbersStayContinuousAcrossSplitAndMerge) {
-  // Global tier: two emissions from the same definition, one on each side
-  // of a split/merge cycle, must keep consecutive sequence numbers.
+TEST(MoveApiTest, SequenceNumbersStayContinuousAcrossMovesApartAndBack) {
+  // Global tier: emissions from one definition before, while and after it
+  // sits apart from its type's other definitions keep consecutive
+  // sequence numbers.
   RuntimeOptions options;
   options.shards = 2;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
@@ -592,12 +568,14 @@ TEST(SplitApiTest, SequenceNumbersStayContinuousAcrossSplitAndMerge) {
       out.push_back(std::move(inst));
     }
   };
+  const std::size_t zero[] = {0};
+  const std::size_t home = rt.shard_of(0);
   rt.ingest(core::Entity(obs(1, "SRa", 0, TimePoint(1000), {0, 0}, 80.0)), TimePoint(1000));
   drain();
-  ASSERT_TRUE(rt.split_group(0, 1 - rt.shard_of(0)));
+  ASSERT_TRUE(rt.move_definitions(zero, 1 - home));
   rt.ingest(core::Entity(obs(1, "SRa", 1, TimePoint(2000), {0, 0}, 90.0)), TimePoint(2000));
   drain();
-  ASSERT_TRUE(rt.merge_group(0));
+  ASSERT_TRUE(rt.move_definitions(zero, home));
   rt.ingest(core::Entity(obs(1, "SRa", 2, TimePoint(3000), {0, 0}, 95.0)), TimePoint(3000));
   drain();
 

@@ -403,7 +403,7 @@ TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
       });
       std::atomic<bool> stop_migrator{false};
       std::thread migrator([&] {
-        // Ping-pong the wildcard group (def 0 sees the full stream, so
+        // Ping-pong the wildcard definition (def 0 sees the full stream, so
         // its handshakes always land mid-traffic) until shutdown; the
         // calls degrade to no-ops once the runtime stops.
         std::size_t to = 0;
