@@ -162,7 +162,7 @@ std::size_t DetectionEngine::add_definition(std::shared_ptr<const EventDefinitio
   } else if (ds.buffered) {
     private_buffered_.push_back(d);
   }
-  routing_.add(*ds.def, d);
+  if (routing_built_) routing_.add(*ds.def, d);
   ++active_defs_;
   return d;
 }
@@ -173,7 +173,7 @@ DefinitionState DetectionEngine::extract_definition_state(std::size_t def_index)
                             std::to_string(def_index));
   }
   DefState& ds = defs_[def_index];
-  routing_.remove(*ds.def, static_cast<std::uint32_t>(def_index));
+  if (routing_built_) routing_.remove(*ds.def, static_cast<std::uint32_t>(def_index));
 
   // A stream-backed definition takes a *copy* of each subscribed stream's
   // buffer (co-subscribers keep theirs untouched) and then drops its
@@ -332,7 +332,7 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
       }
     }
   }
-  routing_.add(*ds.def, d);
+  if (routing_built_) routing_.add(*ds.def, d);
   ++active_defs_;
   return d;
 }
@@ -461,11 +461,21 @@ void DetectionEngine::prune(time_model::TimePoint now) {
   global_prune_at_ = global;
 }
 
+RoutingIndex& DetectionEngine::routing() {
+  if (!routing_built_) {
+    for (std::uint32_t d = 0; d < defs_.size(); ++d) {
+      if (defs_[d].active) routing_.add(*defs_[d].def, d);
+    }
+    routing_built_ = true;
+  }
+  return routing_;
+}
+
 void DetectionEngine::route(const Entity& entity) {
   matched_routes_.clear();
   // The index dispatches on the discriminant key (and threshold constant);
   // the residual filter fields are verified on each hit.
-  routing_.collect(entity, matched_routes_, [&](const SlotRoute r) {
+  routing().collect(entity, matched_routes_, [&](const SlotRoute r) {
     return defs_[r.def_idx].def->slots[r.slot_idx].filter.matches(entity);
   });
 }
@@ -517,9 +527,16 @@ void DetectionEngine::observe(const std::shared_ptr<const Entity>& entity,
   observe_impl(*entity, now, sink, &entity);
 }
 
+void DetectionEngine::observe(const std::shared_ptr<const Entity>& entity,
+                              time_model::TimePoint now, std::span<const SlotRoute> routes,
+                              std::vector<Emission>& out) {
+  EmitSink sink{nullptr, &out};
+  observe_routed(*entity, now, routes, sink, &entity);
+}
+
 bool DetectionEngine::routes_anywhere(const Entity& entity) {
   matched_routes_.clear();
-  routing_.collect(entity, matched_routes_, [](const SlotRoute&) { return true; });
+  routing().collect(entity, matched_routes_, [](const SlotRoute&) { return true; });
   return !matched_routes_.empty();
 }
 
@@ -608,11 +625,16 @@ void DetectionEngine::observe_batch(std::span<const Entity> batch,
 void DetectionEngine::observe_impl(const Entity& entity, time_model::TimePoint now,
                                    EmitSink& sink,
                                    const std::shared_ptr<const Entity>* prestored) {
+  route(entity);
+  observe_routed(entity, now, matched_routes_, sink, prestored);
+}
+
+void DetectionEngine::observe_routed(const Entity& entity, time_model::TimePoint now,
+                                     std::span<const SlotRoute> routes, EmitSink& sink,
+                                     const std::shared_ptr<const Entity>* prestored) {
   ++stats_.entities_in;
   maybe_prune(now);
-
-  route(entity);
-  if (matched_routes_.empty()) return;
+  if (routes.empty()) return;
   const std::size_t out_begin = sink.size();
 
   // The entity is copied into shared ownership only if some multi-slot
@@ -622,8 +644,8 @@ void DetectionEngine::observe_impl(const Entity& entity, time_model::TimePoint n
   const std::uint64_t stamp = next_stamp_++;
 
   std::size_t i = 0;
-  while (i < matched_routes_.size()) {
-    const std::uint32_t d = matched_routes_[i].def_idx;
+  while (i < routes.size()) {
+    const std::uint32_t d = routes[i].def_idx;
     DefState& ds = defs_[d];
     ++ds.load_routed;
     if (!ds.buffered) {  // single-slot: exactly one route, binding is {fresh}
@@ -644,17 +666,17 @@ void DetectionEngine::observe_impl(const Entity& entity, time_model::TimePoint n
     // co-subscribers' runs see last_stamp already current).
     const std::size_t run_begin = i;
     if (ds.stream_backed) {
-      for (; i < matched_routes_.size() && matched_routes_[i].def_idx == d; ++i) {
-        StreamNode& sn = *streams_[ds.streams[matched_routes_[i].slot_idx]];
+      for (; i < routes.size() && routes[i].def_idx == d; ++i) {
+        StreamNode& sn = *streams_[ds.streams[routes[i].slot_idx]];
         if (sn.last_stamp != stamp) insert_stream(sn, fresh);
       }
     } else {
-      for (; i < matched_routes_.size() && matched_routes_[i].def_idx == d; ++i) {
-        insert_buffered(ds, matched_routes_[i].slot_idx, fresh);
+      for (; i < routes.size() && routes[i].def_idx == d; ++i) {
+        insert_buffered(ds, routes[i].slot_idx, fresh);
       }
     }
     for (std::size_t r = run_begin; r < i; ++r) {
-      try_bindings(ds, matched_routes_[r].slot_idx, fresh, now, sink);
+      try_bindings(ds, routes[r].slot_idx, fresh, now, sink);
     }
   }
   stats_.instances_out += sink.size() - out_begin;

@@ -137,9 +137,13 @@ struct DefinitionState {
 ///
 /// Candidate selection is indexed (see docs/architecture.md, "Candidate
 /// selection & indexing"):
-///  - a *routing index* built at add_definition() time maps an arrival's
-///    sensor / event-type to the (definition, slot) pairs whose filters
-///    can possibly match, so unrelated definitions cost nothing;
+///  - a *routing index* maps an arrival's sensor / event-type to the
+///    (definition, slot) pairs whose filters can possibly match, so
+///    unrelated definitions cost nothing. Every observe() collects its
+///    candidates there and runs the routed body; a caller that routes
+///    for the engine (the sharded runtime's shard workers) calls the
+///    routed observe() directly, and an engine that is only ever fed that
+///    way never builds the index;
 ///  - slots constrained by conjunctive spatial predicates back their
 ///    buffers with a `geom::GridIndex` / `geom::RTree`, so the binding
 ///    enumerator visits only spatially plausible candidates;
@@ -153,7 +157,8 @@ class DetectionEngine : public Observer {
   /// own position (the l^g of generated instances).
   DetectionEngine(ObserverId id, Layer layer, geom::Point location, EngineOptions options = {});
 
-  /// Registers a definition and builds its routing/spatial index entries.
+  /// Registers a definition and builds its spatial index entries (and
+  /// its routing index entries once the index exists).
   /// Returns the definition's index (the tag emitted with its instances).
   /// Throws std::invalid_argument if `def` is null, if the condition
   /// references a slot index beyond the declared slots, or if the
@@ -178,8 +183,8 @@ class DetectionEngine : public Observer {
   /// for an unknown or extracted index.
   [[nodiscard]] DefinitionState snapshot_definition_state(std::size_t def_index) const;
 
-  /// Installs a previously extracted definition, rebuilding its routing
-  /// and spatial index entries and renumbering its buffered entities into
+  /// Installs a previously extracted definition, rebuilding its spatial
+  /// (and any routing) index entries and renumbering its buffered entities into
   /// this engine's stamp space. The event type's sequence counter becomes
   /// the larger of the carried and the local value (it never rewinds).
   /// The spec pointer `state.def` is adopted as is (a null one throws
@@ -217,6 +222,16 @@ class DetectionEngine : public Observer {
   /// definitions no longer cost one Entity copy per arrival.
   void observe(const std::shared_ptr<const Entity>& entity, time_model::TimePoint now,
                std::vector<Emission>& out);
+
+  /// Routed arrival: the zero-copy observe() above with the candidate
+  /// selection done by the caller. `routes` are (local definition, slot)
+  /// pairs of this engine whose filters accept `entity`, each at most
+  /// once, a definition's routes adjacent and in ascending slot order
+  /// (definitions may come in any order; emissions follow it). Every
+  /// other observe() collects exactly such routes from the engine's own
+  /// index and runs this same body, so this path reads no index at all.
+  void observe(const std::shared_ptr<const Entity>& entity, time_model::TimePoint now,
+               std::span<const SlotRoute> routes, std::vector<Emission>& out);
 
   /// Hierarchical cascade (Fig. 2 in one engine): observes `entity`, then
   /// re-observes every derived instance breadth-first — level d+1 is
@@ -486,13 +501,22 @@ class DetectionEngine : public Observer {
   [[nodiscard]] StreamNode* slot_stream(DefState& ds, std::size_t slot) {
     return ds.stream_backed ? streams_[ds.streams[slot]].get() : nullptr;
   }
+  /// The routing index, built from every active definition on first use;
+  /// add/extract/implant keep it current from then on.
+  RoutingIndex& routing();
   /// Fills matched_routes_ with (def, slot) pairs whose filter accepts
   /// `entity`, ordered by (definition, slot) registration order.
   void route(const Entity& entity);
-  /// `prestored` (optional) is caller-owned shared storage for `entity`;
-  /// when set, buffering slots alias it instead of deep-copying.
+  /// Collects the candidates (route), then runs observe_routed on them.
   void observe_impl(const Entity& entity, time_model::TimePoint now, EmitSink& sink,
                     const std::shared_ptr<const Entity>* prestored = nullptr);
+  /// The one join/condition body every observe() runs, over `routes` (see
+  /// the routed observe()). `prestored` (optional) is caller-owned shared
+  /// storage for `entity`; when set, buffering slots alias it instead of
+  /// deep-copying.
+  void observe_routed(const Entity& entity, time_model::TimePoint now,
+                      std::span<const SlotRoute> routes, EmitSink& sink,
+                      const std::shared_ptr<const Entity>* prestored);
   void fire_single(DefState& ds, const Entity& entity, time_model::TimePoint now, EmitSink& sink);
   void try_bindings(DefState& ds, std::size_t fixed_slot, const Buffered& fresh,
                     time_model::TimePoint now, EmitSink& sink);
@@ -529,10 +553,11 @@ class DetectionEngine : public Observer {
 
   EnumScratch scratch_;
 
-  /// Routing index over this engine's definitions (see core/routing.hpp;
-  /// shared with the sharded runtime, which keys the same structure by
-  /// shard index for placement).
+  /// Routing index over this engine's definitions (see core/routing.hpp),
+  /// built by the first routing() call: a shard engine the sharded
+  /// runtime feeds through the routed observe() never builds it.
   RoutingIndex routing_;
+  bool routing_built_ = false;
   std::vector<SlotRoute> matched_routes_;  // per-observe scratch
 
   /// min over streams/private buffers of next_prune_at; observe() skips

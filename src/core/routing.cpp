@@ -5,8 +5,7 @@
 namespace stem::core {
 
 std::uint64_t routing_key_hash(std::string_view key) noexcept {
-  // FNV-1a, 64-bit: stable across platforms and process restarts, which a
-  // split/merge protocol replayed from a checkpoint log depends on.
+  // FNV-1a, 64-bit: stable across platforms and process restarts.
   std::uint64_t h = 14695981039346656037ull;
   for (const unsigned char c : key) {
     h ^= c;
@@ -30,9 +29,7 @@ bool route_less(const SlotRoute& a, const SlotRoute& b) {
 }  // namespace
 
 void RoutingIndex::insert_sorted(std::vector<SlotRoute>& routes, SlotRoute r) {
-  const auto pos = std::lower_bound(routes.begin(), routes.end(), r, route_less);
-  if (pos != routes.end() && *pos == r) return;  // collapsed duplicate
-  routes.insert(pos, r);
+  routes.insert(std::lower_bound(routes.begin(), routes.end(), r, route_less), r);
 }
 
 void RoutingIndex::erase_sorted(std::vector<SlotRoute>& routes, SlotRoute r) {
@@ -44,16 +41,8 @@ void RoutingIndex::erase_sorted(std::vector<SlotRoute>& routes, SlotRoute r) {
 }
 
 void RoutingIndex::add(const EventDefinition& def, std::uint32_t def_idx) {
-  add_impl(def, def_idx, /*collapse=*/false);
-}
-
-void RoutingIndex::add_collapsed(const EventDefinition& def, std::uint32_t def_idx) {
-  add_impl(def, def_idx, /*collapse=*/true);
-}
-
-void RoutingIndex::add_impl(const EventDefinition& def, std::uint32_t def_idx, bool collapse) {
   for (std::uint32_t j = 0; j < def.slots.size(); ++j) {
-    const SlotRoute r{def_idx, collapse ? 0 : j};
+    const SlotRoute r{def_idx, j};
     const FilterSignature sig = def.slots[j].filter.signature();
     switch (sig.kind) {
       case FilterSignature::Kind::kSensor:

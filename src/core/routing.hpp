@@ -13,18 +13,20 @@
 
 namespace stem::core {
 
-/// Stable 64-bit hash (FNV-1a) of a routing key — the basis of key-range
-/// ownership when a definition group is split across shards: a
-/// sensor-keyed definition goes to the high sub-group iff its key's hash
-/// is at or above the split point, so the two sub-groups partition the
-/// group's routing keys deterministically (same keys => same partition on
-/// every run, host, and recovery replay).
+/// Stable 64-bit hash (FNV-1a) of a routing key. The sharded runtime's
+/// placement keys are these hashes: add_definition remembers the hashed
+/// sensor / event-type keys each shard hosts, so a new definition can
+/// prefer a shard that already receives its keys, and the key sets cost
+/// 8 bytes per key instead of a string each (same key => same hash on
+/// every run and host).
 [[nodiscard]] std::uint64_t routing_key_hash(std::string_view key) noexcept;
 
 /// Routing index entry: one (definition, slot) pair. `def_idx` is the
 /// registrar's definition index: the DetectionEngine's local index, or the
 /// sharded runtime's global registration index (which the runtime maps to
-/// a shard through its placement table, not through the index).
+/// a shard through its placement table, and to a shard engine's local
+/// index through that shard's flat global->local map, not through the
+/// index).
 struct SlotRoute {
   std::uint32_t def_idx;
   std::uint32_t slot_idx;
@@ -35,12 +37,15 @@ struct SlotRoute {
 /// Maps an arriving entity to the (definition, slot) pairs whose filters
 /// can possibly match it, so unrelated definitions cost nothing.
 ///
-/// Extracted from DetectionEngine (where it powers `observe()` candidate
-/// selection) so the sharded runtime (`runtime::ShardedEngineRuntime`) can
-/// use the same structure for arrival routing: it registers each
-/// definition once, collapsed, and turns the matched definitions into
-/// recipient shards through its own def->shard map, so moving a
-/// definition never touches the index. Structure:
+/// Every registrar adds each slot of a definition once, as its own route.
+/// A DetectionEngine indexes its local definitions for observe()
+/// candidate selection. The sharded runtime (`runtime::ShardedEngineRuntime`)
+/// holds the one index of its deployment, every definition under its
+/// global index: ingest turns the collected routes into recipient shards
+/// through its def->shard map, and each shard worker keeps the routes of
+/// the definitions it hosts and hands them to its engine's routed
+/// observe(), so shard engines build no index and moving a definition
+/// never touches one. Structure:
 ///  - keyed buckets per sensor id and per event type id, reached by one
 ///    hash lookup on the arrival's discriminant;
 ///  - a wildcard list for filters with no usable discriminant, merged into
@@ -54,14 +59,6 @@ class RoutingIndex {
   /// sorted by (def_idx, slot_idx), so registration order and index order
   /// need not coincide.
   void add(const EventDefinition& def, std::uint32_t def_idx);
-
-  /// Definition-level registration: like add(), but collapses every slot
-  /// to slot 0, so a structure holds at most one route per definition (a
-  /// second slot on the same key, e.g. a self-join, adds nothing). For
-  /// registrars that only consume the def_idx of collected routes (the
-  /// sharded runtime and the cascade coordinator), this keeps the
-  /// per-arrival walk O(matched definitions), not O(matched slots).
-  void add_collapsed(const EventDefinition& def, std::uint32_t def_idx);
 
   /// Does now what the first dispatch of each threshold side would do —
   /// sorts its pending registrations and compacts them if they outgrew
@@ -78,10 +75,9 @@ class RoutingIndex {
   /// Collects the routes that can possibly match `entity` into `out` (not
   /// cleared), in ascending (def_idx, slot_idx) order, keeping a route
   /// only when `accept(route)` returns true, with every surviving route
-  /// appearing exactly once per call: a route reached through both its
-  /// keyed bucket and the wildcard list (a collapsed definition with a
-  /// keyed and a wildcard slot) is pushed once, and a threshold route
-  /// lives at exactly one constant. `accept` must verify the residual
+  /// appearing exactly once per call: a slot's route lives in exactly one
+  /// structure (its keyed bucket, the wildcard list, or one threshold
+  /// constant). `accept` must verify the residual
   /// filter fields (producer, layer) — the index only dispatches on the
   /// discriminant key and, for threshold rules, the constant.
   ///
@@ -111,8 +107,7 @@ class RoutingIndex {
     };
     const std::size_t entry_size = out.size();
     // Merge the keyed bucket's generic routes with the wildcard list (both
-    // sorted by construction). An equal pair — one registration reached
-    // through both structures — is pushed once.
+    // sorted by construction, disjoint: a slot registers in one of them).
     std::size_t a = 0;
     std::size_t b = 0;
     const std::size_t an = bucket != nullptr ? bucket->generic.size() : 0;
@@ -120,12 +115,7 @@ class RoutingIndex {
     while (a < an && b < bn) {
       const SlotRoute ra = bucket->generic[a];
       const SlotRoute rb = any_[b];
-      if (ra == rb) {
-        push(ra);
-        ++a;
-        ++b;
-      } else if (ra.def_idx < rb.def_idx ||
-                 (ra.def_idx == rb.def_idx && ra.slot_idx < rb.slot_idx)) {
+      if (ra.def_idx < rb.def_idx || (ra.def_idx == rb.def_idx && ra.slot_idx < rb.slot_idx)) {
         push(ra);
         ++a;
       } else {
@@ -255,16 +245,13 @@ class RoutingIndex {
     [[nodiscard]] bool empty() const { return generic.empty() && thresholds.empty(); }
   };
 
-  void add_impl(const EventDefinition& def, std::uint32_t def_idx, bool collapse);
-
   /// Registers a keyed route, diverting eligible single-slot threshold
   /// definitions into the bucket's threshold sub-index.
   void register_keyed(Bucket& bucket, const EventDefinition& def, SlotRoute r);
   /// Inverse of register_keyed; returns whether the bucket became empty.
   void unregister_keyed(Bucket& bucket, const EventDefinition& def, SlotRoute r);
 
-  /// Inserts `r` in (def_idx, slot_idx) order; an exact duplicate (which
-  /// only a collapsed multi-slot definition produces) is skipped.
+  /// Inserts `r` in (def_idx, slot_idx) order.
   static void insert_sorted(std::vector<SlotRoute>& routes, SlotRoute r);
   /// Erases `r`. Throws std::logic_error when `r` is absent.
   static void erase_sorted(std::vector<SlotRoute>& routes, SlotRoute r);

@@ -76,12 +76,13 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
   for (std::size_t s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>(id_, layer_, location_, options_.engine);
     shard->index = s;
+    if (options_.cascade) shard->feedback.emplace();
+    if (options_.checkpoint_epoch != 0) shard->replay_log.emplace();
     shards_.push_back(std::move(shard));
   }
   shard_keys_.resize(options_.shards);
   shard_def_count_.assign(options_.shards, 0);
   shard_routed_.assign(options_.shards, 0);
-  dispatch_scratch_.resize(options_.shards);
   shard_holds_.resize(options_.shards);
   if (options_.cascade) {
     sources_.push_back(&cascade_outbox_);
@@ -146,7 +147,7 @@ void ShardedEngineRuntime::shutdown() noexcept {
     for (auto& shard : shards_) {
       const std::lock_guard lk(shard->log_mutex);
       const std::uint64_t consumed = shard->consumed_seq.load(std::memory_order_relaxed);
-      for (const LoggedItem& e : shard->replay_log) {
+      for (const LoggedItem& e : *shard->replay_log) {
         if (e.push_seq <= consumed || !e.is_control()) continue;
         if (e.control.control().ticket == nullptr) continue;
         MigrationTicket& ticket = *e.control.control().ticket;
@@ -226,7 +227,8 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
                           : type_index_.emplace(spec->id.value(), global).first->second);
   if (local >= host.global_def.size()) host.global_def.resize(local + 1, 0);
   host.global_def[local] = global;
-  host.local_of.emplace(global, local);
+  for (auto& sp : shards_) sp->local_def.push_back(Shard::kNoLocal);
+  host.local_def[global] = local;
   // Pre-first-checkpoint recovery rebuilds the engine from the initial
   // placement (then replays any migration controls from the log).
   if (options_.checkpoint_epoch != 0) host.initial_globals.push_back(global);
@@ -234,9 +236,10 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   def_ticket_.emplace_back();
   ++shard_def_count_[shard];
   shard_keys_[shard].insert(keys.begin(), keys.end());
-  // Definition-granular: ingest maps matched definitions to shards through
-  // def_shard_, so a migration never touches the index.
-  ingest_routes_.add_collapsed(*spec, global);
+  // Every slot under the global index: ingest maps matched definitions to
+  // shards through def_shard_ and workers to their engine's local indices
+  // through local_def, so a migration never touches the index.
+  ingest_routes_.add(*spec, global);
   if (options_.cascade) {
     // A new definition changes the type graph's reach: recompute the
     // per-definition downstream masks on the next ingest.
@@ -285,11 +288,13 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   start_locked();
   if (options_.cascade && !cascade_graph_built_) build_cascade_graph();
 
-  // Route + stamp the whole batch into ingest-local scratch; merge_mutex_
-  // is taken only for the bulk pending_/counter append below, so a large
+  // Route + stamp the whole batch into its pending record; merge_mutex_
+  // is taken only for the record/counter append below, so a large
   // batch's routing pass never stalls a concurrent poll() or stats().
-  for (auto& indices : dispatch_scratch_) indices.clear();
-  pending_scratch_.clear();
+  PendingBatch pending;
+  pending.first = next_stamp_;
+  pending.masks.reserve(batch.size());
+  if (options_.cascade) pending.future.reserve(batch.size());
   std::uint64_t dropped = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t replicated = 0;
@@ -316,11 +321,12 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     }
     const std::uint64_t stamp = next_stamp_++;
     block->stamps[i] = stamp;
-    pending_scratch_.push_back(Pending{stamp, mask, future});
+    pending.masks.push_back(mask);
+    pending.mask |= mask;
+    if (options_.cascade) pending.future.push_back(future);
     bool first = true;
     for (std::uint64_t m = mask; m != 0; m &= m - 1) {
       const auto s = static_cast<std::size_t>(std::countr_zero(m));
-      dispatch_scratch_[s].push_back(static_cast<std::uint32_t>(i));
       shards_[s]->last_routed = stamp;
       ++shard_routed_[s];
       ++deliveries;
@@ -328,26 +334,36 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
       first = false;
     }
   }
-  // One index array for the whole batch: shard s's item covers its slice.
+  // One index array for the whole batch, shard after shard, read back off
+  // the record's masks: shard s's item covers [slice_end[s-1], slice_end[s]).
   block->routed.reserve(deliveries);
-  for (const auto& indices : dispatch_scratch_) {
-    block->routed.insert(block->routed.end(), indices.begin(), indices.end());
+  std::array<std::uint32_t, 64> slice_end{};
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if ((pending.mask >> s) & 1) {
+      std::size_t k = 0;  // routed arrival index into pending.masks
+      for (std::uint32_t i = 0; i < block->stamps.size(); ++i) {
+        if (block->stamps[i] != 0 && ((pending.masks[k++] >> s) & 1) != 0) {
+          block->routed.push_back(i);
+        }
+      }
+    }
+    slice_end[s] = static_cast<std::uint32_t>(block->routed.size());
   }
-  epoch_arrivals_ += pending_scratch_.size();
+  const std::uint64_t routed = pending.masks.size();
+  epoch_arrivals_ += routed;
   {
     const std::lock_guard merge_lk(merge_mutex_);
-    pending_.insert(pending_.end(), pending_scratch_.begin(), pending_scratch_.end());
-    arrivals_ += pending_scratch_.size();
+    if (routed != 0) pending_.push_back(std::move(pending));
+    arrivals_ += routed;
     deliveries_ += deliveries;
     replicated_ += replicated;
     dropped_ += dropped;
   }
 
   const std::shared_ptr<const Batch> frozen = std::move(block);
-  std::uint32_t end = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::uint32_t begin = end;
-    end += static_cast<std::uint32_t>(dispatch_scratch_[s].size());
+    const std::uint32_t begin = s == 0 ? 0 : slice_end[s - 1];
+    const std::uint32_t end = slice_end[s];
     if (begin == end) continue;
     Shard& shard = *shards_[s];
     const std::uint64_t count = end - begin;
@@ -392,7 +408,7 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   // pushed under the same ingest lock that stamped this batch — an epoch
   // barrier in every shard's stamp-ordered inbox.
   if (options_.checkpoint_epoch != 0) {
-    ckpt_arrivals_ += pending_scratch_.size();
+    ckpt_arrivals_ += routed;  // the epoch counts routed arrivals
     if (ckpt_arrivals_ >= options_.checkpoint_epoch) {
       ckpt_arrivals_ = 0;
       const WorkItem ckpt = WorkItem::of_control(Control{nullptr, false, 0, ++ckpt_seq_});
@@ -424,7 +440,7 @@ bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
       entry.record = record_scratch_;
     }
     const std::lock_guard lk(shard.log_mutex);
-    shard.replay_log.push_back(std::move(entry));
+    shard.replay_log->push_back(std::move(entry));
   }
   if (shard.inbox.push(std::move(item))) {
     shard.work_ec.notify_all();
@@ -434,7 +450,7 @@ bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
     // Never pushed: retract the sequence too, so pushed items stay dense.
     --shard.push_seq_next;
     const std::lock_guard lk(shard.log_mutex);
-    shard.replay_log.pop_back();
+    shard.replay_log->pop_back();
   }
   return false;
 }
@@ -720,8 +736,18 @@ void ShardedEngineRuntime::observe(Shard& shard, Run& run,
     block.emissions.reserve(run.emission_hint);
     block.marks.reserve(run.mark_hint);
   }
+  // Candidates from the one routing index, kept when this shard hosts the
+  // definition and its slot filter accepts the entity, then mapped to the
+  // engine's local indices (ascending global order groups each
+  // definition's slots, which is all the routed observe needs).
+  run.routes.clear();
+  ingest_routes_.collect(*entity, run.routes, [&](const core::SlotRoute r) {
+    return shard.local_def[r.def_idx] != Shard::kNoLocal &&
+           def_specs_[r.def_idx]->slots[r.slot_idx].filter.matches(*entity);
+  });
+  for (core::SlotRoute& r : run.routes) r.def_idx = shard.local_def[r.def_idx];
   const std::size_t first = block.emissions.size();
-  shard.engine->observe(entity, now, block.emissions);  // appends
+  shard.engine->observe(entity, now, run.routes, block.emissions);  // appends
   if (block.emissions.size() != first) {
     for (std::size_t k = first; k < block.emissions.size(); ++k) {
       block.emissions[k].def = shard.global_def[block.emissions[k].def];
@@ -815,10 +841,14 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
     std::vector<core::DefinitionState> states;
     states.reserve(ticket.globals.size());
     for (const std::uint32_t global : ticket.globals) {
-      // at(): a missing mapping is a bookkeeping bug — fail loudly
+      const std::uint32_t local = shard.local_def[global];
+      // A missing mapping is a bookkeeping bug — fail loudly
       // (std::terminate via the uncaught throw) over silent UB.
-      states.push_back(shard.engine->extract_definition_state(shard.local_of.at(global)));
-      shard.local_of.erase(global);
+      if (local == Shard::kNoLocal) {
+        throw std::logic_error("ShardedEngineRuntime: extracting a definition this shard lacks");
+      }
+      states.push_back(shard.engine->extract_definition_state(local));
+      shard.local_def[global] = Shard::kNoLocal;
     }
     // Republish *before* signalling ready: once the destination can
     // implant (and start publishing the moved definitions' loads),
@@ -876,7 +906,7 @@ bool ShardedEngineRuntime::handle_control(Shard& shard, const Control& ctl, Run&
           static_cast<std::uint32_t>(shard.engine->implant_definition_state(std::move(states[i])));
       if (local >= shard.global_def.size()) shard.global_def.resize(local + 1, 0);
       shard.global_def[local] = ticket.globals[i];
-      shard.local_of[ticket.globals[i]] = local;
+      shard.local_def[ticket.globals[i]] = local;
     }
     // Republish stats/loads so the rebalancer sees the new layout;
     // the watermark is unchanged (control items carry no arrivals).
@@ -929,15 +959,15 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
       }
       {
         const std::lock_guard flk(shard.fb_mutex);
-        if (!shard.feedback.empty()) {
-          if (shard.feedback.front().stamp <= gate) {
+        if (!shard.feedback->empty()) {
+          if (shard.feedback->front().stamp <= gate) {
             // Sequenced by the coordinator; always admissible.
-            fb = std::move(shard.feedback.front());
-            shard.feedback.pop_front();
+            fb = std::move(shard.feedback->front());
+            shard.feedback->pop_front();
             kind = Kind::kFeedback;
             return true;
           }
-          limit = shard.feedback.front().stamp;
+          limit = shard.feedback->front().stamp;
         }
       }
       if (head == nullptr) return false;
@@ -1088,13 +1118,11 @@ void ShardedEngineRuntime::take_checkpoint(Shard& shard, std::uint64_t push_seq)
   ck.stats = shard.stats_base;
   ck.stats += shard.engine->stats();
   // Snapshot hosted definitions in ascending local order: implanting in
-  // frame order on recovery then reproduces a dense local index space.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> locals;  // (local, global)
-  locals.reserve(shard.local_of.size());
-  for (const auto& [global, local] : shard.local_of) locals.emplace_back(local, global);
-  std::sort(locals.begin(), locals.end());
-  ck.frames.reserve(locals.size());
-  for (const auto& [local, global] : locals) {
+  // frame order on recovery then reproduces a dense local index space. A
+  // local whose global maps elsewhere is a tombstone of an extraction.
+  for (std::uint32_t local = 0; local < shard.global_def.size(); ++local) {
+    const std::uint32_t global = shard.global_def[local];
+    if (shard.local_def[global] != local) continue;
     ck.frames.emplace_back(
         global, encode_definition_state(shard.engine->snapshot_definition_state(local)));
   }
@@ -1102,8 +1130,8 @@ void ShardedEngineRuntime::take_checkpoint(Shard& shard, std::uint64_t push_seq)
     const std::lock_guard lk(shard.log_mutex);
     shard.checkpoint = std::move(ck);
     // The frames cover every logged item up to the barrier — truncate.
-    while (!shard.replay_log.empty() && shard.replay_log.front().push_seq <= push_seq) {
-      shard.replay_log.pop_front();
+    while (!shard.replay_log->empty() && shard.replay_log->front().push_seq <= push_seq) {
+      shard.replay_log->pop_front();
     }
   }
   shard.consumed_seq.store(push_seq, std::memory_order_relaxed);
@@ -1157,11 +1185,11 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
   //    when the shard died before its first checkpoint barrier.
   auto engine = std::make_unique<core::DetectionEngine>(id_, layer_, location_, options_.engine);
   shard.global_def.clear();
-  shard.local_of.clear();
+  shard.local_def.assign(def_specs_.size(), Shard::kNoLocal);
   const auto adopt = [&](const std::uint32_t global, const std::uint32_t local) {
     if (local >= shard.global_def.size()) shard.global_def.resize(local + 1, 0);
     shard.global_def[local] = global;
-    shard.local_of[global] = local;
+    shard.local_def[global] = local;
   };
   std::optional<ShardCheckpoint> ck;
   {
@@ -1217,7 +1245,7 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
     LoggedItem entry;
     {
       const std::lock_guard lk(shard.log_mutex);
-      const std::deque<LoggedItem>& log = shard.replay_log;
+      const std::deque<LoggedItem>& log = *shard.replay_log;
       if (log.empty() || next - log.front().push_seq >= log.size()) break;
       entry = log[next - log.front().push_seq];  // copy: the log keeps its own for a future crash
     }
@@ -1346,7 +1374,9 @@ void ShardedEngineRuntime::cascade_loop() {
   // gathered child emissions tagged with their parent's sub; `closure`
   // holds renumbered emissions not yet published.
   struct Active {
-    Pending p{};
+    std::uint64_t stamp = 0;
+    std::uint64_t mask = 0;    ///< recipient shards of the arrival
+    std::uint64_t future = 0;  ///< its closure's downstream reach (PendingBatch)
     std::uint32_t depth = 0;       ///< dispatched level awaiting consumption
     std::uint32_t next_level = 1;  ///< closure level the gathered children form
     bool awaiting_arrival = true;
@@ -1386,7 +1416,7 @@ void ShardedEngineRuntime::cascade_loop() {
 
   const auto find_active = [&](std::uint64_t stamp) -> Active* {
     for (Active& a : active) {
-      if (a.p.stamp == stamp) return &a;
+      if (a.stamp == stamp) return &a;
     }
     return nullptr;
   };
@@ -1428,18 +1458,24 @@ void ShardedEngineRuntime::cascade_loop() {
     if (active.size() >= pipeline) return false;
     bool any = false;
     {
-      // The drain pops pending_ only through the newest closed stamp, and
-      // stamps are dense: the next one to activate sits at a known index.
+      // The drain pops a batch record only once the newest closed stamp
+      // passed it, so the record of the next stamp to activate is still
+      // queued: the first one ending at or after it (records ascend).
       const std::lock_guard lk(merge_mutex_);
-      while (active.size() < pipeline && !pending_.empty()) {
-        const std::uint64_t i = activated + 1 - pending_.front().stamp;
-        if (i >= pending_.size()) break;
+      while (active.size() < pipeline) {
+        const std::uint64_t stamp = activated + 1;
+        const auto batch = std::partition_point(
+            pending_.begin(), pending_.end(),
+            [stamp](const PendingBatch& b) { return b.last() < stamp; });
+        if (batch == pending_.end()) break;
         Active a;
-        a.p = pending_[i];
-        a.remaining = a.p.future;
+        a.stamp = stamp;
+        a.mask = batch->masks[stamp - batch->first];
+        a.future = batch->future[stamp - batch->first];
+        a.remaining = a.future;
         a.touched.assign(shards_.size(), 0);
         a.last_sub.assign(shards_.size(), 0);
-        activated = a.p.stamp;
+        activated = stamp;
         active.push_back(std::move(a));
         any = true;
       }
@@ -1486,7 +1522,7 @@ void ShardedEngineRuntime::cascade_loop() {
       // Known without another roundtrip, so the closure finishes here.
       for (std::size_t k = base; k < a.closure.size(); ++k) {
         core::Entity fed(std::move(a.closure[k].instance));
-        if (targets(fed, a.p.stamp) != 0) ++a.truncated;
+        if (targets(fed, a.stamp) != 0) ++a.truncated;
         a.closure[k].instance = std::move(fed).extract_instance();
       }
       a.remaining = 0;
@@ -1503,14 +1539,14 @@ void ShardedEngineRuntime::cascade_loop() {
     for (std::size_t k = base; k < a.closure.size(); ++k) {
       core::Emission& em = a.closure[k];
       core::Entity fed(std::move(em.instance));
-      const std::uint64_t mask = targets(fed, a.p.stamp);
+      const std::uint64_t mask = targets(fed, a.stamp);
       if (mask == 0) {  // inert: no shard hosts a candidate definition
         em.instance = std::move(fed).extract_instance();
         continue;
       }
       ++a.reingested;
       any_dispatch = true;
-      if (a.p.future == ~std::uint64_t{0}) {
+      if (a.future == ~std::uint64_t{0}) {
         next_remaining = ~std::uint64_t{0};  // post-migration: the table is stale
       } else {
         next_remaining |= cascade_future_[em.def];
@@ -1519,7 +1555,7 @@ void ShardedEngineRuntime::cascade_loop() {
       em.instance = shared->instance();  // the merged stream keeps its copy
       for (std::uint64_t m = mask; m != 0; m &= m - 1) {
         const auto s = static_cast<std::size_t>(std::countr_zero(m));
-        fb_batch[s].push_back(FeedbackItem{a.p.stamp, depth, em.emit_index, shared, a.now});
+        fb_batch[s].push_back(FeedbackItem{a.stamp, depth, em.emit_index, shared, a.now});
         a.touched[s] = 1;
         a.last_sub[s] = em.emit_index;
       }
@@ -1534,7 +1570,7 @@ void ShardedEngineRuntime::cascade_loop() {
       {
         const std::lock_guard lk(shards_[s]->fb_mutex);
         for (FeedbackItem& item : fb_batch[s]) {
-          shards_[s]->feedback.push_back(std::move(item));
+          shards_[s]->feedback->push_back(std::move(item));
         }
       }
       fb_batch[s].clear();
@@ -1554,14 +1590,14 @@ void ShardedEngineRuntime::cascade_loop() {
   const auto try_step = [&](Active& a) -> bool {
     if (a.finished) return false;
     if (a.awaiting_arrival) {
-      if (!ck_reached_all(a.p.mask, a.p.stamp, 0, 0)) return false;
-      for (std::uint64_t m = a.p.mask; m != 0; m &= m - 1) {
+      if (!ck_reached_all(a.mask, a.stamp, 0, 0)) return false;
+      for (std::uint64_t m = a.mask; m != 0; m &= m - 1) {
         sweep_shard(*shards_[static_cast<std::size_t>(std::countr_zero(m))]);
       }
     } else {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (a.touched[s] != 0 &&
-            !ck_reached_all(std::uint64_t{1} << s, a.p.stamp, a.depth, a.last_sub[s])) {
+            !ck_reached_all(std::uint64_t{1} << s, a.stamp, a.depth, a.last_sub[s])) {
           return false;
         }
       }
@@ -1586,7 +1622,7 @@ void ShardedEngineRuntime::cascade_loop() {
     std::uint64_t global = activated;
     for (const Active& a : active) {
       if (!a.finished) {
-        global = a.p.stamp - 1;
+        global = a.stamp - 1;
         break;
       }
     }
@@ -1601,7 +1637,7 @@ void ShardedEngineRuntime::cascade_loop() {
     for (const Active& a : active) {
       if (a.finished) continue;
       for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if ((a.remaining >> s) & 1 && a.p.stamp - 1 < adm[s]) adm[s] = a.p.stamp - 1;
+        if ((a.remaining >> s) & 1 && a.stamp - 1 < adm[s]) adm[s] = a.stamp - 1;
       }
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -1643,9 +1679,8 @@ void ShardedEngineRuntime::cascade_loop() {
     // needs no frontier rendezvous.
     if (placements_pending_.load(std::memory_order_acquire) != 0) {
       const std::lock_guard lk(cascade_mutex_);
-      for (; !placements_.empty(); placements_.pop_front()) {
-        placements.push_back(std::move(placements_.front()));
-      }
+      for (PlacementVersion& v : placements_) placements.push_back(std::move(v));
+      placements_.clear();
       placements_pending_.store(0, std::memory_order_relaxed);
     }
     for (auto& sp : shards_) sweep_shard(*sp);
@@ -1679,14 +1714,14 @@ void ShardedEngineRuntime::cascade_loop() {
                                   std::make_move_iterator(a.closure.end()));
         }
         closed.marks.push_back(OutBlock::Mark{
-            a.p.stamp, 0, static_cast<std::uint32_t>(closed.emissions.size()), a.now});
+            a.stamp, 0, static_cast<std::uint32_t>(closed.emissions.size()), a.now});
       }
       cascade_reingested_.fetch_add(a.reingested, std::memory_order_relaxed);
       cascade_truncated_.fetch_add(a.truncated, std::memory_order_relaxed);
-      while (placements.size() >= 2 && placements[1].from_stamp <= a.p.stamp + 1) {
+      while (placements.size() >= 2 && placements[1].from_stamp <= a.stamp + 1) {
         placements.pop_front();
       }
-      through = a.p.stamp;
+      through = a.stamp;
     }
     if (through != 0) {
       {
@@ -1719,8 +1754,8 @@ void ShardedEngineRuntime::cascade_loop() {
 std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   const bool global = options_.ordering == OrderingTier::kGlobalTotalOrder;
   const std::size_t n = sources_.size();
-  // The frontier F: pending arrivals are popped while every source has
-  // passed them, against one watermark snapshot taken *before* the sweep.
+  // The frontier F advances while every source has passed the pending
+  // arrivals, against one watermark snapshot taken *before* the sweep.
   // A publisher pushes its block — every mark of the run or pass — before
   // its watermark store, under the same out_mutex, so every mark of a
   // stamp <= F is already in its outbox: the sweep below either takes it
@@ -1729,16 +1764,26 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   for (std::size_t s = 0; s < n; ++s) {
     wm[s] = sources_[s]->watermark.load(std::memory_order_acquire);
   }
-  while (!pending_.empty()) {
-    const Pending& p = pending_.front();
-    // Its recipient shards, or in cascade mode the coordinator (source 0).
-    const std::uint64_t sources = options_.cascade ? 1 : p.mask;
-    bool done = true;
-    for (std::uint64_t m = sources; m != 0 && done; m &= m - 1) {
-      done = wm[static_cast<std::size_t>(std::countr_zero(m))] >= p.stamp;
+  // Whether every source in `mask` — an arrival's recipient shards, or in
+  // cascade mode the coordinator (source 0) — has passed `stamp`.
+  const auto passed = [&](const std::uint64_t mask, const std::uint64_t stamp) {
+    for (std::uint64_t m = options_.cascade ? 1 : mask; m != 0; m &= m - 1) {
+      if (wm[static_cast<std::size_t>(std::countr_zero(m))] < stamp) return false;
     }
-    if (!done) break;
-    frontier_ = p.stamp;
+    return true;
+  };
+  while (!pending_.empty()) {
+    const PendingBatch& b = pending_.front();
+    // Whole batch when all its recipients passed its last stamp; otherwise
+    // arrival by arrival, so a shard that received only the batch's early
+    // arrivals (and is idle past them) never holds F back.
+    if (!passed(b.mask, b.last())) {
+      while (frontier_ < b.last() && passed(b.masks[frontier_ + 1 - b.first], frontier_ + 1)) {
+        ++frontier_;
+      }
+      if (frontier_ < b.last()) break;
+    }
+    frontier_ = b.last();
     pending_.pop_front();
   }
 
@@ -1760,8 +1805,10 @@ std::vector<TaggedInstance> ShardedEngineRuntime::drain_locked() {
   std::uint64_t clamp = ~std::uint64_t{0};
   for (std::size_t s = 0; s < n; ++s) {
     Outbox& source = *sources_[s];
-    std::deque<std::uint64_t>& holds = shard_holds_[s];
-    while (!holds.empty() && holds.front() - 1 <= frontier_) holds.pop_front();
+    std::vector<std::uint64_t>& holds = shard_holds_[s];
+    holds.erase(holds.begin(),
+                std::find_if(holds.begin(), holds.end(),
+                             [&](const std::uint64_t b) { return b - 1 > frontier_; }));
     const std::uint64_t fence = holds.empty() ? ~std::uint64_t{0} : holds.front();
     const std::lock_guard lk(source.out_mutex);
     auto cut = source.outbox.begin();
@@ -1897,8 +1944,9 @@ RuntimeStats ShardedEngineRuntime::stats() const {
   s.recoveries = recoveries_.load(std::memory_order_relaxed);
   s.replayed = replayed_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
+    if (!shard->replay_log.has_value()) break;  // not checkpointing
     const std::lock_guard lk(shard->log_mutex);
-    for (const LoggedItem& e : shard->replay_log) {
+    for (const LoggedItem& e : *shard->replay_log) {
       s.replay_log_bytes += e.record.size();
       s.replay_log_arrivals += record_arrivals(e.record);
     }

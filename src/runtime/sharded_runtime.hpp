@@ -206,14 +206,19 @@ struct TaggedInstance {
 ///
 /// **Routing** (ingest): routing and placement are kept apart. One
 /// core::RoutingIndex (the structure the engine uses for candidate
-/// selection), holding every definition once under its global index,
-/// maps an arrival to the definitions whose filters can match it; the
-/// flat def->shard placement map turns those into the set of recipient
-/// shards. The arrival is replicated to every such shard — in
-/// particular, a shard hosting a wildcard definition receives the full
-/// stream. Each definition lives on exactly one shard, so every instance
-/// is produced exactly once. A migration only rewrites placement entries;
-/// the index is frozen when ingest starts and never changes afterwards.
+/// selection), holding every slot of every definition once under the
+/// definition's global index, maps an arrival to the (definition, slot)
+/// pairs whose filters can match it; the flat def->shard placement map
+/// turns those into the set of recipient shards. The arrival is
+/// replicated to every such shard — in particular, a shard hosting a
+/// wildcard definition receives the full stream. Each recipient worker
+/// collects the arrival's candidates from the same index, keeps the
+/// routes to definitions it hosts (its flat global->local map) and feeds
+/// them to its engine's routed observe, so shard engines hold no index of
+/// their own. Each definition lives on exactly one shard, so every
+/// instance is produced exactly once. A migration only rewrites placement
+/// and the two workers' local maps; the index is frozen when ingest
+/// starts and never changes afterwards.
 ///
 /// **Ingest path** (hot): each shard's inbox is a segmented FIFO
 /// (runtime/inbox_queue.hpp) whose memory follows its occupancy. Producers
@@ -246,9 +251,12 @@ struct TaggedInstance {
 ///
 /// **Ordering** (poll/flush): arrivals are stamped on ingest. Every mode
 /// releases through one drain over fixed *sources* (Outbox): the shards,
-/// or in cascade mode the coordinator alone. A poll pops the pending
-/// arrivals up to the frontier F every source has passed, sweeps each
-/// outbox once, and k-way merges the taken marks by arrival stamp. The
+/// or in cascade mode the coordinator alone. Ingest keeps one pending
+/// record per batch (its stamp range and per-arrival recipient masks). A
+/// poll advances the frontier F — the highest stamp every source has
+/// passed, exact per arrival — through those records, popping each batch
+/// once F passes its last stamp, sweeps each outbox once, and k-way
+/// merges the taken marks by arrival stamp. The
 /// global tier takes the marks up to F — F may fall inside a block — and,
 /// outside cascade mode, orders each stamp by definition registration
 /// index, renumbering sequences: exactly the order a single sequential
@@ -593,13 +601,18 @@ class ShardedEngineRuntime {
     /// in a fresh engine rebuilt from checkpoint + replay (the join of
     /// the dead worker orders the hand-off).
     std::unique_ptr<core::DetectionEngine> engine;
-    /// local def index -> global. Written pre-start by add_definition and
-    /// by the worker at implant time; the inbox's release/acquire tail
-    /// hand-off orders the pre-start writes before any worker read.
+    /// local def index -> global (a tombstoned local keeps its last
+    /// global). Written pre-start by add_definition and by the worker at
+    /// implant time; the inbox's release/acquire tail hand-off orders the
+    /// pre-start writes before any worker read.
     std::vector<std::uint32_t> global_def;
-    /// Inverse map (global -> local), worker-owned for the same reason;
-    /// consulted when a send control item extracts the moved definitions.
-    std::unordered_map<std::uint32_t, std::uint32_t> local_of;
+    /// Flat inverse map, one entry per registered definition: global ->
+    /// local index on this shard's engine, kNoLocal when hosted elsewhere.
+    /// The worker keeps exactly the collected routes whose definition maps
+    /// here; extraction, implant and recovery rewrite it. Worker-owned for
+    /// the same reason as global_def.
+    std::vector<std::uint32_t> local_def;
+    static constexpr std::uint32_t kNoLocal = ~std::uint32_t{0};
 
     std::size_t index = 0;  ///< position in shards_ (crash/stall hooks)
 
@@ -627,9 +640,10 @@ class ShardedEngineRuntime {
     /// sub-stamp order, guarded by fb_mutex. Drained interleaved with the
     /// inbox by sub-stamp (the worker picks whichever head item has the
     /// smaller key). Not capacity-accounted (bounded by cascade_pipeline
-    /// closures).
+    /// closures). Engaged in cascade mode only: an idle std::deque still
+    /// holds a map and a node.
     std::mutex fb_mutex;
-    std::deque<FeedbackItem> feedback;
+    std::optional<std::deque<FeedbackItem>> feedback;
 
     /// Set (under out_mutex) whenever a publish touches the outbox or the
     /// completion key; cleared by the coordinator's sweep. The coordinator
@@ -688,8 +702,9 @@ class ShardedEngineRuntime {
     /// push_seq order: appended right before the matching inbox push
     /// (under ingest_mutex_), truncated by the worker at each
     /// checkpoint — the bounded replay window. Push sequences are dense,
-    /// so the entry for push_seq p sits at p - front().push_seq.
-    std::deque<LoggedItem> replay_log;
+    /// so the entry for push_seq p sits at p - front().push_seq. Engaged
+    /// only when checkpointing (checkpoint_epoch != 0).
+    std::optional<std::deque<LoggedItem>> replay_log;
     std::optional<ShardCheckpoint> checkpoint;  ///< guarded by log_mutex
     /// Baseline added to the live engine's counters when publishing
     /// stats: a recovered engine only counts post-checkpoint work, so
@@ -745,18 +760,26 @@ class ShardedEngineRuntime {
     std::uint64_t last_seq = 0;
     bool dirty = false;
     std::vector<std::pair<std::uint32_t, core::DefinitionLoad>> loads;  ///< publish scratch
+    std::vector<core::SlotRoute> routes;  ///< observe scratch: the item's local routes
   };
 
-  /// One arrival the frontier has not passed: its stamp and recipient-shard bitmask.
-  /// In cascade mode `future` is the bitmask of shards its closure could
-  /// ever dispatch feedback to (the union of the matched definitions'
-  /// downstream reach under the placement at ingest, or all-ones once a
-  /// migration has made the reachability table conservative): a shard
-  /// outside it may run later arrivals while this closure is in flight.
-  struct Pending {
-    std::uint64_t stamp = 0;
+  /// One ingest batch the frontier has not fully passed: its routed
+  /// arrivals hold the dense stamps [first, last()], and `masks[i]` is
+  /// arrival first+i's recipient-shard bitmask (`mask` their union). In
+  /// cascade mode `future[i]` is the bitmask of shards that arrival's
+  /// closure could ever dispatch feedback to (the union of the matched
+  /// definitions' downstream reach under the placement at ingest, or
+  /// all-ones once a migration has made the reachability table
+  /// conservative): a shard outside it may run later arrivals while the
+  /// closure is in flight. Empty outside cascade mode. The record holds
+  /// masks only, never the batch's entities.
+  struct PendingBatch {
+    std::uint64_t first = 0;
     std::uint64_t mask = 0;
-    std::uint64_t future = 0;
+    std::vector<std::uint64_t> masks;
+    std::vector<std::uint64_t> future;
+
+    [[nodiscard]] std::uint64_t last() const { return first + masks.size() - 1; }
   };
 
   /// Cumulative per-definition load totals (rebalance epoch deltas).
@@ -807,8 +830,12 @@ class ShardedEngineRuntime {
   /// depth, sub) — i.e. published a ck at or beyond it.
   bool ck_reached_all(std::uint64_t mask, std::uint64_t stamp, std::uint32_t depth,
                       std::uint32_t sub);
-  /// The release, every mode and tier (merge_mutex_ held): pops pending_
-  /// up to the frontier F every source has passed, sweeps each outbox
+  /// The release, every mode and tier (merge_mutex_ held): advances the
+  /// frontier F — the highest stamp every source has passed — through the
+  /// pending batch records, whole batches at once when every recipient
+  /// passed the batch's last stamp and arrival by arrival otherwise (so a
+  /// shard that received only a batch's early arrivals never holds F
+  /// back), popping each batch F has passed; then sweeps each outbox
   /// once, detaching the blocks with marks up to the tier's limit (F in
   /// the global tier, unbounded in the relaxed ones; per-definition holds
   /// fence a migration destination's blocks from the barrier on until F
@@ -886,11 +913,14 @@ class ShardedEngineRuntime {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Outbox*> sources_;  ///< the drain's: the shards, or cascade_outbox_
 
-  /// The one routing index: every definition registered once, collapsed,
-  /// under its global index, and frozen (RoutingIndex::freeze) once ingest
-  /// or a migration starts. Ingest reads it under ingest_mutex_ and maps
-  /// its matches through def_shard_; the cascade coordinator reads it
-  /// without a lock and maps them through its PlacementVersions.
+  /// The one routing index: every slot of every definition registered
+  /// once under the definition's global index, and frozen
+  /// (RoutingIndex::freeze) once ingest or a migration starts, after which
+  /// collect() only reads and runs on several threads at once. Ingest
+  /// reads it under ingest_mutex_ and maps its matches through def_shard_;
+  /// the cascade coordinator maps them through its PlacementVersions; each
+  /// worker keeps the matches its engine hosts (Shard::local_def) and
+  /// hands them to the engine's routed observe.
   core::RoutingIndex ingest_routes_;
   /// The type index: event type -> global index of the type's first
   /// definition, which stands for the type. It places a new definition
@@ -924,8 +954,6 @@ class ShardedEngineRuntime {
   bool started_ = false;                              // guarded by ingest_mutex_
   std::uint64_t next_stamp_ = 1;                      // guarded by ingest_mutex_
   std::vector<core::SlotRoute> route_scratch_;        // guarded by ingest_mutex_
-  std::vector<std::vector<std::uint32_t>> dispatch_scratch_;  // guarded by ingest_mutex_
-  std::vector<Pending> pending_scratch_;              // guarded by ingest_mutex_
   std::string record_scratch_;                        // guarded by ingest_mutex_
   std::vector<std::uint64_t> shard_routed_;           // guarded by ingest_mutex_
   std::uint64_t epoch_arrivals_ = 0;                  // guarded by ingest_mutex_
@@ -953,7 +981,7 @@ class ShardedEngineRuntime {
 
   /// Guards the merge frontier and runtime counters (poll vs ingest).
   mutable std::mutex merge_mutex_;
-  std::deque<Pending> pending_;  // ascending stamp
+  std::deque<PendingBatch> pending_;  // ascending stamp
   std::uint64_t arrivals_ = 0;
   std::uint64_t deliveries_ = 0;
   std::uint64_t replicated_ = 0;
@@ -975,9 +1003,9 @@ class ShardedEngineRuntime {
   /// >= the front barrier until the frontier reaches barrier - 1, when
   /// every pre-barrier emission is published and taken in the same sweep
   /// — exactly the stamp-order hand-off a moved definition's stream needs.
-  std::vector<std::deque<std::uint64_t>> shard_holds_;  // guarded by merge_mutex_
-  /// The frontier F: highest stamp every source has passed (pending_ is
-  /// popped up to here; monotone). The published watermark is this
+  std::vector<std::vector<std::uint64_t>> shard_holds_;  // guarded by merge_mutex_
+  /// The frontier F: highest stamp every source has passed (monotone;
+  /// pending_ holds only batches with a stamp above it). The published watermark is this
   /// frontier clamped below any still-untaken mark.
   std::uint64_t frontier_ = 0;  // guarded by merge_mutex_
 
@@ -1005,7 +1033,7 @@ class ShardedEngineRuntime {
   std::atomic<bool> cascade_stop_{false};
   /// Placement versions not yet taken by the coordinator (the base at
   /// start, then one per migration barrier).
-  std::deque<PlacementVersion> placements_;  // guarded by cascade_mutex_, ascending
+  std::vector<PlacementVersion> placements_;  // guarded by cascade_mutex_, ascending
   /// Nonzero when placements_ has entries; lets the coordinator skip the
   /// mutex on the (overwhelmingly common) flip-free pass. Bumped under
   /// cascade_mutex_ before the signal, cleared under it by the coordinator.

@@ -267,9 +267,10 @@ void expect_exactly_once(const std::vector<SlotRoute>& routes, const std::string
 /// Duplicate threshold constants and overlapping half-open intervals must
 /// dispatch each registered (definition, slot) exactly once per arrival,
 /// and exactly the definitions whose threshold the value satisfies. A
-/// collapsed definition with two slots on the key plus a wildcard slot
-/// (reached twice through the bucket, once through the wildcard list)
-/// adds exactly one route to every dispatch.
+/// join with two slots on the key plus a wildcard slot, registered per
+/// slot, adds each of its three (definition, slot) routes to every
+/// dispatch exactly once: two through the bucket, one through the
+/// wildcard list.
 TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
   RoutingIndex idx;
   std::vector<double> constants;
@@ -291,19 +292,20 @@ TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
     constants.push_back(c);
     ops.push_back(op);
   }
-  idx.add_collapsed(EventDefinition{EventTypeId("J"),
-                                    {{"a", SlotFilter::observation(SensorId("SRa"))},
-                                     {"b", SlotFilter::observation(SensorId("SRa"))},
-                                     {"w", SlotFilter::any()}},
-                                    c_and({c_time(0, time_model::TemporalOp::kBefore, 1),
-                                           c_time(1, time_model::TemporalOp::kBefore, 2)}),
-                                    seconds(60),
-                                    {},
-                                    ConsumptionMode::kUnrestricted},
-                    kRules);
+  idx.add(EventDefinition{EventTypeId("J"),
+                          {{"a", SlotFilter::observation(SensorId("SRa"))},
+                           {"b", SlotFilter::observation(SensorId("SRa"))},
+                           {"w", SlotFilter::any()}},
+                          c_and({c_time(0, time_model::TemporalOp::kBefore, 1),
+                                 c_time(1, time_model::TemporalOp::kBefore, 2)}),
+                          seconds(60),
+                          {},
+                          ConsumptionMode::kUnrestricted},
+          kRules);
+  constexpr std::size_t kJoinSlots = 3;
 
   const auto fires = [&](std::size_t i, double v) {
-    if (i == kRules) return true;  // the collapsed join
+    if (i == kRules) return true;  // the join
     switch (ops[i]) {
       case RelationalOp::kGt: return v > constants[i];
       case RelationalOp::kGe: return v >= constants[i];
@@ -319,11 +321,19 @@ TEST(RoutingExactlyOnceTest, DuplicateConstantsDispatchOnce) {
     const Entity e(obs(1, "SRa", 0, now, {0, 0}, v));
     const auto routes = collect_all(idx, e);
     expect_exactly_once(routes, "v=" + std::to_string(v));
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i <= kRules; ++i) expected += fires(i, v) ? 1 : 0;
+    std::size_t expected = kJoinSlots;
+    for (std::size_t i = 0; i < kRules; ++i) expected += fires(i, v) ? 1 : 0;
     EXPECT_EQ(routes.size(), expected) << "v=" << v;
+    std::array<std::size_t, kJoinSlots> join_hits{};
     for (const SlotRoute r : routes) {
       EXPECT_TRUE(fires(r.def_idx, v)) << "v=" << v << " def " << r.def_idx;
+      if (r.def_idx == kRules) {
+        ASSERT_LT(r.slot_idx, kJoinSlots) << "v=" << v;
+        ++join_hits[r.slot_idx];
+      }
+    }
+    for (std::size_t j = 0; j < kJoinSlots; ++j) {
+      EXPECT_EQ(join_hits[j], 1u) << "v=" << v << " join slot " << j;
     }
   }
 }

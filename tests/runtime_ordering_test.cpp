@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -655,6 +656,94 @@ TEST(OrderingRaceTest, PerDefinitionHoldSurvivesConcurrentPolls) {
   EXPECT_EQ(released, static_cast<std::uint64_t>(kArrivals)) << ctx;
   EXPECT_EQ(issued, static_cast<std::uint64_t>(kArrivals / kMigrateEvery)) << ctx;
 }
+
+// ---------------------------------------------------------------------------
+// Batch-frontier liveness: pending arrivals are kept one record per ingest
+// batch, but the frontier must stay exact per arrival.
+// ---------------------------------------------------------------------------
+
+struct FrontierLivenessCase {
+  OrderingTier tier;
+  bool cascade;
+};
+
+class BatchFrontierLivenessTest : public ::testing::TestWithParam<FrontierLivenessCase> {};
+
+TEST_P(BatchFrontierLivenessTest, ShardWithOnlyEarlyArrivalsNeverHoldsTheFrontier) {
+  // Two shards, one definition each. The first batch's first arrival
+  // routes only to shard A and the rest only to shard B; every later
+  // batch routes only to B. A then idles at its one arrival's stamp, far
+  // below the first batch's last stamp, so a frontier that waited for
+  // every recipient of a batch to pass the batch's last stamp would stall
+  // forever. poll() alone, with no flush, must release all of B's
+  // emissions and move the low watermark to the last stamp.
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kLaterBatches = 8;
+  const FrontierLivenessCase param = GetParam();
+  RuntimeOptions options;
+  options.shards = 2;
+  options.ordering = param.tier;
+  options.cascade = param.cascade;
+  ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  for (const std::string sensor : {"SA", "SB"}) {
+    rt.add_definition(EventDefinition{EventTypeId("T_" + sensor),
+                                      {{"x", SlotFilter::observation(SensorId(sensor))}},
+                                      core::c_attr(core::ValueAggregate::kAverage, "value", {0},
+                                                   core::RelationalOp::kGt, 0.0),
+                                      seconds(60),
+                                      {},
+                                      ConsumptionMode::kUnrestricted});
+  }
+  ASSERT_NE(rt.shard_of(0), rt.shard_of(1));
+
+  const std::string ctx = "batch-frontier liveness " + tier_name(param.tier) +
+                          (param.cascade ? " cascade" : "");
+  const oracle::RunDeadline deadline(rt, ctx);  // a stall prints the snapshot
+  TimePoint now = TimePoint::epoch();
+  std::uint64_t seq = 0;
+  const auto batch_of = [&](bool first_to_a) {
+    Stream s;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      now += time_model::milliseconds(1);
+      const std::string sensor = first_to_a && i == 0 ? "SA" : "SB";
+      s.entities.push_back(core::Entity(obs(1, sensor, seq++, now, {0, 0}, 50.0)));
+      s.nows.push_back(now);
+    }
+    return s;
+  };
+  for (std::size_t b = 0; b <= kLaterBatches; ++b) {
+    const Stream s = batch_of(b == 0);
+    rt.ingest_batch(s.entities, s.nows);
+  }
+  const std::uint64_t last_stamp = (kLaterBatches + 1) * kBatch;
+
+  WatermarkAudit audit(ctx);
+  std::uint64_t released_b = 0;
+  std::uint64_t released_a = 0;
+  const auto done = [&] { return released_b == last_stamp - 1 && rt.low_watermark() == last_stamp; };
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done() && std::chrono::steady_clock::now() < give_up) {
+    const std::vector<TaggedInstance> got = rt.poll_tagged();
+    audit.observe(got);
+    audit.after_poll(rt.low_watermark());
+    for (const TaggedInstance& t : got) ++(t.def == 0 ? released_a : released_b);
+    if (got.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(released_a, 1u) << ctx;
+  EXPECT_EQ(released_b, last_stamp - 1) << ctx << ": poll() stalled on B's emissions";
+  EXPECT_EQ(rt.low_watermark(), last_stamp) << ctx << ": the frontier stalled";
+  EXPECT_EQ(rt.stats().arrivals, last_stamp) << ctx;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TiersAndCascade, BatchFrontierLivenessTest,
+    ::testing::Values(FrontierLivenessCase{OrderingTier::kGlobalTotalOrder, false},
+                      FrontierLivenessCase{OrderingTier::kPerDefinitionOrder, false},
+                      FrontierLivenessCase{OrderingTier::kUnorderedWatermarked, false},
+                      FrontierLivenessCase{OrderingTier::kGlobalTotalOrder, true}),
+    [](const ::testing::TestParamInfo<FrontierLivenessCase>& info) {
+      return tier_name(info.param.tier) + (info.param.cascade ? "_cascade" : "");
+    });
 
 // ---------------------------------------------------------------------------
 // API units.
