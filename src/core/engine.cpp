@@ -40,15 +40,23 @@ std::uint32_t DetectionEngine::alloc_def_slot(std::shared_ptr<const EventDefinit
 
 void DetectionEngine::init_def_state(DefState& ds) {
   const std::size_t n = ds.def->slots.size();
-  const auto [seq_it, new_type] =
-      seq_index_.try_emplace(ds.def->id.value(), static_cast<std::uint32_t>(seq_counters_.size()));
-  if (new_type) seq_counters_.push_back(0);
-  ds.seq_idx = seq_it->second;
-  ds.buffered = n > 1;
+  const std::string& type = ds.def->id.value();
+  const auto [seq_idx, new_type] = seq_index_.insert(
+      type, static_cast<std::uint32_t>(seq_counters_.size()), [this](const std::uint32_t i) {
+        return std::string_view(seq_types_).substr(seq_counters_[i].type_at,
+                                                   seq_counters_[i].type_len);
+      });
+  if (new_type) {
+    seq_counters_.push_back(SeqCounter{0, static_cast<std::uint32_t>(seq_types_.size()),
+                                       static_cast<std::uint32_t>(type.size())});
+    seq_types_ += type;
+  }
+  ds.seq_idx = seq_idx;
   scratch_.fit(n);
-  if (!ds.buffered) return;
+  if (n == 1) return;
 
-  ds.guards.resize(n);
+  auto join = std::make_unique<JoinState>();
+  join->guards.resize(n);
   for (const SpatialGuard& g : extract_spatial_guards(ds.def->condition)) {
     if (g.slot >= n) continue;  // condition slots were validated above
     Guard guard;
@@ -61,7 +69,7 @@ void DetectionEngine::init_def_state(DefState& ds) {
     } else {
       continue;
     }
-    ds.guards[g.slot].push_back(guard);
+    join->guards[g.slot].push_back(guard);
   }
   // Retain-mode definitions are stream-backed: their slot buffers (and
   // spatial indexes, once attached for guarded slots) live in shared plan
@@ -70,10 +78,11 @@ void DetectionEngine::init_def_state(DefState& ds) {
   // entities mid-buffer, which co-subscribers must not see — and use the
   // enumerator's inline guard precheck instead of an index.
   if (ds.def->consumption == ConsumptionMode::kUnrestricted) {
-    ds.stream_backed = true;
+    join->stream_backed = true;
   } else {
-    ds.buffers.resize(n);
+    join->buffers.resize(n);
   }
+  ds.join = std::move(join);
 }
 
 std::string DetectionEngine::stream_key_for(const DefState& ds, std::size_t slot) {
@@ -150,21 +159,50 @@ std::size_t DetectionEngine::add_definition(std::shared_ptr<const EventDefinitio
   const std::uint32_t d = alloc_def_slot(std::move(def));
   DefState& ds = defs_[d];
   init_def_state(ds);
-  if (ds.stream_backed) {
+  if (ds.join != nullptr && ds.join->stream_backed) {
+    JoinState& js = *ds.join;
     const std::size_t n = ds.def->slots.size();
-    ds.streams.resize(n);
+    js.streams.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      ds.streams[j] = subscribe_stream(stream_key_for(ds, j), ds.def->window);
+      js.streams[j] = subscribe_stream(stream_key_for(ds, j), ds.def->window);
     }
     for (std::size_t j = 0; j < n; ++j) {
-      if (!ds.guards[j].empty()) attach_stream_spatial(*streams_[ds.streams[j]], ds.guards[j]);
+      if (!js.guards[j].empty()) attach_stream_spatial(*streams_[js.streams[j]], js.guards[j]);
     }
-  } else if (ds.buffered) {
-    private_buffered_.push_back(d);
+  } else if (ds.join != nullptr) {
+    private_buffered_.push_back(PrivateBuffered{d, ds.join.get()});
   }
   if (routing_built_) routing_.add(*ds.def, d);
   ++active_defs_;
   return d;
+}
+
+DefinitionState DetectionEngine::carried_state(const DefState& ds) const {
+  // A stream-backed definition carries a *copy* of each subscribed
+  // stream's buffer (co-subscribers keep theirs untouched), a private one
+  // its own buffers. Either way the carried per-slot buffers are exactly
+  // what an unshared engine would have held, so the checkpoint/migration
+  // codec sees no difference.
+  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def->slots.size());
+  time_model::TimePoint carried_prune = time_model::TimePoint::max();
+  const auto carry = [&](const std::size_t s, const std::deque<Buffered>& buf) {
+    buffers[s].reserve(buf.size());
+    for (const Buffered& b : buf) {
+      buffers[s].push_back(DefinitionState::BufferedEntity{b.entity, b.stamp});
+    }
+  };
+  if (ds.join != nullptr && ds.join->stream_backed) {
+    for (std::size_t s = 0; s < ds.join->streams.size(); ++s) {
+      const StreamNode& sn = *streams_[ds.join->streams[s]];
+      carry(s, sn.buf);
+      if (sn.next_prune_at < carried_prune) carried_prune = sn.next_prune_at;
+    }
+  } else if (ds.join != nullptr) {
+    for (std::size_t s = 0; s < ds.join->buffers.size(); ++s) carry(s, ds.join->buffers[s]);
+    carried_prune = ds.join->next_prune_at;
+  }
+  return DefinitionState{ds.def, seq_counters_[ds.seq_idx].next, carried_prune, std::move(buffers),
+                         ds.load_routed, ds.load_tried};
 }
 
 DefinitionState DetectionEngine::extract_definition_state(std::size_t def_index) {
@@ -174,47 +212,20 @@ DefinitionState DetectionEngine::extract_definition_state(std::size_t def_index)
   }
   DefState& ds = defs_[def_index];
   if (routing_built_) routing_.remove(*ds.def, static_cast<std::uint32_t>(def_index));
-
-  // A stream-backed definition takes a *copy* of each subscribed stream's
-  // buffer (co-subscribers keep theirs untouched) and then drops its
-  // subscriptions; private buffers are moved out wholesale. Either way the
-  // carried per-slot buffers are exactly what an unshared engine would
-  // have held, so the checkpoint/migration codec sees no difference.
-  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def->slots.size());
-  time_model::TimePoint carried_prune = ds.next_prune_at;
-  if (ds.stream_backed) {
-    carried_prune = time_model::TimePoint::max();
-    for (std::size_t s = 0; s < ds.streams.size(); ++s) {
-      const StreamNode& sn = *streams_[ds.streams[s]];
-      buffers[s].reserve(sn.buf.size());
-      for (const Buffered& b : sn.buf) {
-        buffers[s].push_back(DefinitionState::BufferedEntity{b.entity, b.stamp});
-      }
-      if (sn.next_prune_at < carried_prune) carried_prune = sn.next_prune_at;
-    }
-    for (const std::uint32_t id : ds.streams) unsubscribe_stream(id);
-  } else {
-    for (std::size_t s = 0; s < ds.buffers.size(); ++s) {
-      buffers[s].reserve(ds.buffers[s].size());
-      for (Buffered& b : ds.buffers[s]) {
-        buffers[s].push_back(DefinitionState::BufferedEntity{std::move(b.entity), b.stamp});
-      }
-    }
-    if (ds.buffered) std::erase(private_buffered_, static_cast<std::uint32_t>(def_index));
+  DefinitionState out = carried_state(ds);
+  if (ds.join != nullptr && ds.join->stream_backed) {
+    for (const std::uint32_t id : ds.join->streams) unsubscribe_stream(id);
+  } else if (ds.join != nullptr) {
+    std::erase_if(private_buffered_,
+                  [def_index](const PrivateBuffered& p) { return p.def == def_index; });
   }
-  DefinitionState out{std::move(ds.def), seq_counters_[ds.seq_idx], carried_prune,
-                      std::move(buffers), ds.load_routed, ds.load_tried};
 
   // Tombstone the slot: release its state but keep the index reserved (a
   // later implant reuses it), so the indices of the other definitions —
   // and the tags of their emissions — never shift.
   ds.active = false;
-  ds.buffered = false;
-  ds.stream_backed = false;
-  ds.buffers.clear();
-  ds.streams.clear();
-  ds.guards.clear();
-  ds.next_prune_at = time_model::TimePoint::max();
+  ds.def.reset();
+  ds.join.reset();
   free_slots_.push_back(static_cast<std::uint32_t>(def_index));
   --active_defs_;
   return out;
@@ -225,29 +236,7 @@ DefinitionState DetectionEngine::snapshot_definition_state(std::size_t def_index
     throw std::out_of_range("DetectionEngine: snapshot of unknown definition index " +
                             std::to_string(def_index));
   }
-  const DefState& ds = defs_[def_index];
-  std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def->slots.size());
-  time_model::TimePoint carried_prune = ds.next_prune_at;
-  if (ds.stream_backed) {
-    carried_prune = time_model::TimePoint::max();
-    for (std::size_t s = 0; s < ds.streams.size(); ++s) {
-      const StreamNode& sn = *streams_[ds.streams[s]];
-      buffers[s].reserve(sn.buf.size());
-      for (const Buffered& b : sn.buf) {
-        buffers[s].push_back(DefinitionState::BufferedEntity{b.entity, b.stamp});
-      }
-      if (sn.next_prune_at < carried_prune) carried_prune = sn.next_prune_at;
-    }
-  } else {
-    for (std::size_t s = 0; s < ds.buffers.size(); ++s) {
-      buffers[s].reserve(ds.buffers[s].size());
-      for (const Buffered& b : ds.buffers[s]) {
-        buffers[s].push_back(DefinitionState::BufferedEntity{b.entity, b.stamp});
-      }
-    }
-  }
-  return DefinitionState{ds.def, seq_counters_[ds.seq_idx], carried_prune, std::move(buffers),
-                         ds.load_routed, ds.load_tried};
+  return carried_state(defs_[def_index]);
 }
 
 std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
@@ -261,16 +250,18 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
   const std::uint32_t d = alloc_def_slot(std::move(state.def));
   DefState& ds = defs_[d];
   init_def_state(ds);
-  // Sequence counters only move forward: when a whole group migrates the
-  // carried value supersedes the dormant local one (the source engine held
-  // the type's only live counter), but when a *split* group's partitions
-  // reunite on one engine, numbering must continue past both partitions'
-  // high-water marks — never rewind a live counter.
-  seq_counters_[ds.seq_idx] = std::max(seq_counters_[ds.seq_idx], state.seq);
+  // Sequence counters only move forward: the type keeps the larger of the
+  // carried and the local value. The local counter may be live (same-type
+  // definitions still here) or dormant (they all left), and either way
+  // this engine already emitted every number below it; the carried one
+  // covers what the definition emitted elsewhere.
+  SeqCounter& seq = seq_counters_[ds.seq_idx];
+  seq.next = std::max(seq.next, state.seq);
   ds.load_routed = state.load_routed;
   ds.load_tried = state.load_tried;
 
-  if (ds.buffered) {
+  if (ds.join != nullptr) {
+    JoinState& js = *ds.join;
     // Renumber the imported stamps into this engine's stamp space. The map
     // is monotone over the (sorted, deduplicated) old stamps, so ascending
     // per-slot buffer order and cross-slot same-arrival identity — which
@@ -286,11 +277,11 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
     remap.reserve(olds.size());
     for (const std::uint64_t old : olds) remap.emplace(old, next_stamp_++);
     const std::size_t n = state.buffers.size();
-    if (!ds.stream_backed) {
-      ds.next_prune_at = state.next_prune_at;
-      if (ds.next_prune_at < global_prune_at_) global_prune_at_ = ds.next_prune_at;
+    if (!js.stream_backed) {
+      js.next_prune_at = state.next_prune_at;
+      if (js.next_prune_at < global_prune_at_) global_prune_at_ = js.next_prune_at;
       for (std::size_t s = 0; s < n; ++s) {
-        auto& buf = ds.buffers[s];
+        auto& buf = js.buffers[s];
         for (auto& b : state.buffers[s]) {
           const geom::BoundingBox box = b.entity->location().bbox();
           buf.push_back(Buffered{std::move(b.entity), remap.at(b.stamp), box});
@@ -300,23 +291,23 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
         // evicted (counted as evictions, like any cap overflow) —
         // otherwise the over-cap state would be self-sustaining
         // (insert_buffered evicts only one entry per insert).
-        while (buf.size() > options_.max_buffer) evict_front(ds, s);
+        while (buf.size() > options_.max_buffer) evict_front(js, s);
       }
-      private_buffered_.push_back(d);
+      private_buffered_.push_back(PrivateBuffered{d, &js});
     } else {
       // A slot whose carried buffer is empty subscribes normally (it may
       // join a canonical stream). A non-empty carried buffer must not be
       // injected into co-subscribers' views, so it lands in a private
       // stream — migration pessimizes sharing for the moved definition,
       // never for the definitions around it.
-      ds.streams.resize(n);
+      js.streams.resize(n);
       for (std::size_t s = 0; s < n; ++s) {
         if (state.buffers[s].empty()) {
-          ds.streams[s] = subscribe_stream(stream_key_for(ds, s), ds.def->window);
+          js.streams[s] = subscribe_stream(stream_key_for(ds, s), ds.def->window);
           continue;
         }
         const std::uint32_t id = create_stream(std::string(), ds.def->window);
-        ds.streams[s] = id;
+        js.streams[s] = id;
         StreamNode& sn = *streams_[id];
         for (auto& b : state.buffers[s]) {
           const geom::BoundingBox box = b.entity->location().bbox();
@@ -328,7 +319,7 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
         if (sn.next_prune_at < global_prune_at_) global_prune_at_ = sn.next_prune_at;
       }
       for (std::size_t s = 0; s < n; ++s) {
-        if (!ds.guards[s].empty()) attach_stream_spatial(*streams_[ds.streams[s]], ds.guards[s]);
+        if (!js.guards[s].empty()) attach_stream_spatial(*streams_[js.streams[s]], js.guards[s]);
       }
     }
   }
@@ -347,10 +338,9 @@ void DetectionEngine::collect_definition_loads(
     const DefState& ds = defs_[d];
     if (!ds.active) continue;
     DefinitionLoad load{ds.load_routed, ds.load_tried, 0};
-    if (ds.stream_backed) {
-      for (const std::uint32_t id : ds.streams) load.buffered += streams_[id]->buf.size();
-    } else {
-      for (const auto& buf : ds.buffers) load.buffered += buf.size();
+    if (ds.join != nullptr) {
+      for (const std::uint32_t id : ds.join->streams) load.buffered += streams_[id]->buf.size();
+      for (const auto& buf : ds.join->buffers) load.buffered += buf.size();
     }
     out.push_back({static_cast<std::uint32_t>(d), load});
   }
@@ -366,16 +356,15 @@ void DetectionEngine::clear() {
     }
     up->next_prune_at = time_model::TimePoint::max();
   }
-  for (const std::uint32_t d : private_buffered_) {
-    DefState& ds = defs_[d];
-    for (auto& buf : ds.buffers) buf.clear();
-    ds.next_prune_at = time_model::TimePoint::max();
+  for (const PrivateBuffered& p : private_buffered_) {
+    for (auto& buf : p.join->buffers) buf.clear();
+    p.join->next_prune_at = time_model::TimePoint::max();
   }
   global_prune_at_ = time_model::TimePoint::max();
 }
 
-void DetectionEngine::evict_front(DefState& ds, std::size_t slot) {
-  ds.buffers[slot].pop_front();
+void DetectionEngine::evict_front(JoinState& js, std::size_t slot) {
+  js.buffers[slot].pop_front();
   ++stats_.evicted;
 }
 
@@ -401,19 +390,20 @@ void DetectionEngine::rebuild_stream_spatial(StreamNode& sn) {
 }
 
 void DetectionEngine::prune_def(DefState& ds, time_model::TimePoint now) {
+  JoinState& js = *ds.join;
   const time_model::TimePoint horizon = now - ds.def->window;
   time_model::TimePoint next = time_model::TimePoint::max();
-  for (std::size_t s = 0; s < ds.buffers.size(); ++s) {
-    auto& buf = ds.buffers[s];
+  for (std::size_t s = 0; s < js.buffers.size(); ++s) {
+    auto& buf = js.buffers[s];
     while (!buf.empty() && buf.front().entity->occurrence_time().end() < horizon) {
-      evict_front(ds, s);
+      evict_front(js, s);
     }
     if (!buf.empty()) {
       const time_model::TimePoint at = buf.front().entity->occurrence_time().end() + ds.def->window;
       if (at < next) next = at;
     }
   }
-  ds.next_prune_at = next;
+  js.next_prune_at = next;
 }
 
 void DetectionEngine::prune_stream(StreamNode& sn, time_model::TimePoint now) {
@@ -438,10 +428,9 @@ void DetectionEngine::maybe_prune(time_model::TimePoint now) {
     if (up->next_prune_at < now) prune_stream(*up, now);
     if (up->next_prune_at < global) global = up->next_prune_at;
   }
-  for (const std::uint32_t d : private_buffered_) {
-    DefState& ds = defs_[d];
-    if (ds.next_prune_at < now) prune_def(ds, now);
-    if (ds.next_prune_at < global) global = ds.next_prune_at;
+  for (const PrivateBuffered& p : private_buffered_) {
+    if (p.join->next_prune_at < now) prune_def(defs_[p.def], now);
+    if (p.join->next_prune_at < global) global = p.join->next_prune_at;
   }
   global_prune_at_ = global;
 }
@@ -453,10 +442,9 @@ void DetectionEngine::prune(time_model::TimePoint now) {
     prune_stream(*up, now);
     if (up->next_prune_at < global) global = up->next_prune_at;
   }
-  for (const std::uint32_t d : private_buffered_) {
-    DefState& ds = defs_[d];
-    prune_def(ds, now);
-    if (ds.next_prune_at < global) global = ds.next_prune_at;
+  for (const PrivateBuffered& p : private_buffered_) {
+    prune_def(defs_[p.def], now);
+    if (p.join->next_prune_at < global) global = p.join->next_prune_at;
   }
   global_prune_at_ = global;
 }
@@ -481,13 +469,14 @@ void DetectionEngine::route(const Entity& entity) {
 }
 
 void DetectionEngine::insert_buffered(DefState& ds, std::size_t slot, const Buffered& fresh) {
-  auto& buf = ds.buffers[slot];
+  JoinState& js = *ds.join;
+  auto& buf = js.buffers[slot];
   buf.push_back(fresh);
-  if (buf.size() > options_.max_buffer) evict_front(ds, slot);
+  if (buf.size() > options_.max_buffer) evict_front(js, slot);
   // Lower (never raise) the prune watermarks: stale-low only costs a
   // spurious check, stale-high would let expired entities join bindings.
   const time_model::TimePoint at = fresh.entity->occurrence_time().end() + ds.def->window;
-  if (at < ds.next_prune_at) ds.next_prune_at = at;
+  if (at < js.next_prune_at) js.next_prune_at = at;
   if (at < global_prune_at_) global_prune_at_ = at;
 }
 
@@ -648,7 +637,7 @@ void DetectionEngine::observe_routed(const Entity& entity, time_model::TimePoint
     const std::uint32_t d = routes[i].def_idx;
     DefState& ds = defs_[d];
     ++ds.load_routed;
-    if (!ds.buffered) {  // single-slot: exactly one route, binding is {fresh}
+    if (ds.join == nullptr) {  // single-slot: exactly one route, binding is {fresh}
       fire_single(ds, entity, now, sink);
       ++i;
       continue;
@@ -665,9 +654,9 @@ void DetectionEngine::observe_routed(const Entity& entity, time_model::TimePoint
     // once no matter how many subscribed routes land on it (its
     // co-subscribers' runs see last_stamp already current).
     const std::size_t run_begin = i;
-    if (ds.stream_backed) {
+    if (ds.join->stream_backed) {
       for (; i < routes.size() && routes[i].def_idx == d; ++i) {
-        StreamNode& sn = *streams_[ds.streams[routes[i].slot_idx]];
+        StreamNode& sn = *streams_[ds.join->streams[routes[i].slot_idx]];
         if (sn.last_stamp != stamp) insert_stream(sn, fresh);
       }
     } else {
@@ -694,8 +683,8 @@ void DetectionEngine::fire_single(DefState& ds, const Entity& entity, time_model
   sink.emit(d, synthesize(ds, scratch_.binding.data(), 1, now));
 }
 
-void DetectionEngine::prepare_candidates(DefState& ds, std::uint32_t slot) {
-  if (ds.guards[slot].empty()) {
+void DetectionEngine::prepare_candidates(JoinState& js, std::uint32_t slot) {
+  if (js.guards[slot].empty()) {
     scratch_.source[slot] = 0;
     return;
   }
@@ -705,7 +694,7 @@ void DetectionEngine::prepare_candidates(DefState& ds, std::uint32_t slot) {
   bool partner_bound = false;
   geom::BoundingBox query;
   double best_area = 0.0;
-  for (const Guard& g : ds.guards[slot]) {
+  for (const Guard& g : js.guards[slot]) {
     geom::BoundingBox q;
     if (g.partner == Guard::kNoPartner) {
       q = g.region;
@@ -729,7 +718,7 @@ void DetectionEngine::prepare_candidates(DefState& ds, std::uint32_t slot) {
   }
   scratch_.source[slot] = 0;
   if (!have) return;
-  StreamNode* const sn = slot_stream(ds, slot);
+  StreamNode* const sn = slot_stream(js, slot);
   if (sn == nullptr || !sn->spatial_active) {
     // Scan the buffer, prechecking each candidate against the guard box.
     scratch_.qbox[slot] = query;
@@ -756,6 +745,7 @@ void DetectionEngine::prepare_candidates(DefState& ds, std::uint32_t slot) {
 
 void DetectionEngine::try_bindings(DefState& ds, std::size_t fixed_slot, const Buffered& fresh,
                                    time_model::TimePoint now, EmitSink& sink) {
+  JoinState& js = *ds.join;
   const std::size_t n = ds.def->slots.size();
   auto& chosen = scratch_.chosen;
   chosen.assign(n, nullptr);
@@ -774,7 +764,7 @@ void DetectionEngine::try_bindings(DefState& ds, std::size_t fixed_slot, const B
   // nothing allocates here.
   std::size_t depth = 0;
   scratch_.cursor[0] = 0;
-  prepare_candidates(ds, order[0]);
+  prepare_candidates(js, order[0]);
   while (true) {
     const std::uint32_t slot = order[depth];
     const Buffered* cand = nullptr;
@@ -783,7 +773,7 @@ void DetectionEngine::try_bindings(DefState& ds, std::size_t fixed_slot, const B
         cand = scratch_.cand[slot][scratch_.cursor[depth]++];
       }
     } else {
-      const auto& buf = slot_buffer(ds, slot);
+      const auto& buf = slot_buffer(js, slot);
       if (scratch_.cursor[depth] < buf.size()) cand = &buf[scratch_.cursor[depth]++];
     }
     if (cand == nullptr) {  // exhausted: backtrack
@@ -807,7 +797,7 @@ void DetectionEngine::try_bindings(DefState& ds, std::size_t fixed_slot, const B
     } else {
       ++depth;
       scratch_.cursor[depth] = 0;
-      prepare_candidates(ds, order[depth]);
+      prepare_candidates(js, order[depth]);
     }
   }
 }
@@ -839,7 +829,7 @@ void DetectionEngine::consume_participants(DefState& ds) {
   const auto dead = [&stamps](const std::uint64_t s) {
     return std::find(stamps.begin(), stamps.end(), s) != stamps.end();
   };
-  for (auto& buf : ds.buffers) {
+  for (auto& buf : ds.join->buffers) {
     std::erase_if(buf, [&dead](const Buffered& b) { return dead(b.stamp); });
   }
 }
@@ -850,7 +840,7 @@ EventInstance DetectionEngine::synthesize(DefState& ds, const Entity* const* bin
   const std::span<const Entity* const> bound(binding, n);
 
   EventInstance inst;
-  inst.key = EventInstanceKey{id_, def.id, seq_counters_[ds.seq_idx]++};
+  inst.key = EventInstanceKey{id_, def.id, seq_counters_[ds.seq_idx].next++};
   inst.layer = layer_;
   inst.gen_time = now;
   inst.gen_location = location_;

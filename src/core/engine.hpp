@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/event_def.hpp"
+#include "core/event_type_table.hpp"
 #include "core/observer.hpp"
 #include "core/routing.hpp"
 #include "geom/grid_index.hpp"
@@ -372,39 +373,54 @@ class DetectionEngine : public Observer {
     std::string key;  ///< canonical registry key; empty for private streams
   };
 
-  struct DefState {
-    explicit DefState(std::shared_ptr<const EventDefinition> d) : def(std::move(d)) {}
-
-    std::shared_ptr<const EventDefinition> def;  ///< null once extracted
-    /// Consume-mode multi-slot definitions keep private per-slot buffers
-    /// (consumption mutates mid-buffer); retain-mode ones subscribe their
-    /// slots to shared streams instead.
-    std::vector<std::deque<Buffered>> buffers;  // one per slot; ascending stamp
-    std::vector<std::uint32_t> streams;         // per slot: stream id (stream_backed)
-    std::vector<std::vector<Guard>> guards;     // per slot (multi-slot only)
-    /// Single-slot definitions never read their buffer (bindings only ever
-    /// contain the fresh arrival), so they skip buffering entirely.
-    bool buffered = false;
-    /// True when the slot buffers live in shared StreamNodes (buffered
-    /// retain-mode definitions).
+  /// Per-slot state of a multi-slot (join) definition. Single-slot
+  /// definitions never read a buffer (their bindings only ever contain the
+  /// fresh arrival), so they have none of this.
+  struct JoinState {
+    /// Retain-mode definitions subscribe their slots to shared streams;
+    /// consume-mode ones keep private per-slot buffers (consumption
+    /// mutates mid-buffer).
     bool stream_backed = false;
-    /// Index into seq_counters_, resolved at add_definition() time.
-    /// Definitions sharing an event type share a counter, keeping
-    /// EventInstanceKey unique without per-instance string hashing.
-    std::uint32_t seq_idx = 0;
+    std::vector<std::deque<Buffered>> buffers;  // private: one per slot; ascending stamp
+    std::vector<std::uint32_t> streams;         // stream-backed: per slot, a stream id
+    std::vector<std::vector<Guard>> guards;     // per slot
     /// Earliest instant any privately buffered entity may fall out of the
     /// window (shared streams carry their own watermark); may be stale-low
     /// (spurious check) but never stale-high.
     time_model::TimePoint next_prune_at = time_model::TimePoint::max();
+  };
 
+  /// One registered definition, 48 bytes whatever its arity: a k-slot
+  /// join keeps its buffers, streams and guards behind `join`, which
+  /// single-slot definitions leave null.
+  struct DefState {
+    explicit DefState(std::shared_ptr<const EventDefinition> d) : def(std::move(d)) {}
+
+    std::shared_ptr<const EventDefinition> def;  ///< null once extracted
+    /// Non-null iff the definition buffers: it has more than one slot and
+    /// is active.
+    std::unique_ptr<JoinState> join;
     /// Per-definition load attribution (DefinitionLoad counters; they
     /// migrate with the definition).
     std::uint64_t load_routed = 0;
     std::uint64_t load_tried = 0;
+    /// Index into seq_counters_, resolved at add_definition() time.
+    /// Definitions sharing an event type share a counter, keeping
+    /// EventInstanceKey unique without per-instance string hashing.
+    std::uint32_t seq_idx = 0;
     /// False once the definition was extracted (migrated away); the slot
     /// is a tombstone awaiting reuse by implant_definition_state, so that
     /// live definitions keep stable indices.
     bool active = true;
+  };
+  static_assert(sizeof(DefState) <= 48, "per-definition state is paid by every definition");
+
+  /// One instance sequence counter per distinct event type, with where
+  /// its type's string sits in seq_types_ (the key seq_index_ reads back).
+  struct SeqCounter {
+    std::uint64_t next = 0;
+    std::uint32_t type_at = 0;
+    std::uint32_t type_len = 0;
   };
 
   /// Binding-enumeration scratch, engine-level and sized to the widest
@@ -463,6 +479,10 @@ class DetectionEngine : public Observer {
   /// Allocates a definition slot (reusing a tombstone when available) and
   /// moves `def` into it; returns the slot index.
   std::uint32_t alloc_def_slot(std::shared_ptr<const EventDefinition> def);
+  /// The dynamic state extract and snapshot hand out: the spec pointer,
+  /// the type's sequence counter, the horizon watermark, the load
+  /// counters, and a copy of every slot's buffer.
+  [[nodiscard]] DefinitionState carried_state(const DefState& ds) const;
 
   /// Canonical plan key of one slot subscription: full filter encoding
   /// plus the definition window (both must match for two slots to share a
@@ -487,7 +507,7 @@ class DetectionEngine : public Observer {
   void maybe_prune(time_model::TimePoint now);
   void prune_def(DefState& ds, time_model::TimePoint now);
   void prune_stream(StreamNode& sn, time_model::TimePoint now);
-  void evict_front(DefState& ds, std::size_t slot);
+  void evict_front(JoinState& js, std::size_t slot);
   void evict_stream_front(StreamNode& sn);
   void insert_buffered(DefState& ds, std::size_t slot, const Buffered& fresh);
   void insert_stream(StreamNode& sn, const Buffered& fresh);
@@ -495,11 +515,11 @@ class DetectionEngine : public Observer {
   void rebuild_stream_spatial(StreamNode& sn);
   /// The slot's buffer view: the shared stream's deque for stream-backed
   /// definitions, the private one otherwise.
-  [[nodiscard]] std::deque<Buffered>& slot_buffer(DefState& ds, std::size_t slot) {
-    return ds.stream_backed ? streams_[ds.streams[slot]]->buf : ds.buffers[slot];
+  [[nodiscard]] std::deque<Buffered>& slot_buffer(JoinState& js, std::size_t slot) {
+    return js.stream_backed ? streams_[js.streams[slot]]->buf : js.buffers[slot];
   }
-  [[nodiscard]] StreamNode* slot_stream(DefState& ds, std::size_t slot) {
-    return ds.stream_backed ? streams_[ds.streams[slot]].get() : nullptr;
+  [[nodiscard]] StreamNode* slot_stream(JoinState& js, std::size_t slot) {
+    return js.stream_backed ? streams_[js.streams[slot]].get() : nullptr;
   }
   /// The routing index, built from every active definition on first use;
   /// add/extract/implant keep it current from then on.
@@ -522,7 +542,7 @@ class DetectionEngine : public Observer {
                     time_model::TimePoint now, EmitSink& sink);
   /// Prepares the candidate source for `slot`: a spatial-index query when
   /// an applicable guard exists, otherwise a direct buffer scan.
-  void prepare_candidates(DefState& ds, std::uint32_t slot);
+  void prepare_candidates(JoinState& js, std::uint32_t slot);
   /// Evaluates the completed binding in ds.chosen; returns true when the
   /// participants were consumed (enumeration must stop).
   bool emit_binding(DefState& ds, time_model::TimePoint now, EmitSink& sink);
@@ -546,10 +566,16 @@ class DetectionEngine : public Observer {
   std::vector<std::unique_ptr<StreamNode>> streams_;
   std::vector<std::uint32_t> free_streams_;
   std::unordered_map<std::string, std::uint32_t> canonical_streams_;
-  /// Active definitions with *private* buffers (consume-mode multi-slot):
-  /// with streams pruned directly, the prune walks touch only structures
-  /// that actually buffer — never the full definition table.
-  std::vector<std::uint32_t> private_buffered_;
+  /// Active definitions with *private* buffers (consume-mode multi-slot),
+  /// each beside its join state: with streams pruned directly, the prune
+  /// walks touch only structures that actually buffer — never the full
+  /// definition table — and read each watermark without going through
+  /// the definition's DefState.
+  struct PrivateBuffered {
+    std::uint32_t def;
+    JoinState* join;  ///< defs_[def].join, which never moves while active
+  };
+  std::vector<PrivateBuffered> private_buffered_;
 
   EnumScratch scratch_;
 
@@ -564,11 +590,17 @@ class DetectionEngine : public Observer {
   /// pruning entirely while `now` has not reached it.
   time_model::TimePoint global_prune_at_ = time_model::TimePoint::max();
 
-  /// Instance sequence counters, one per distinct event type; definitions
-  /// reach theirs via DefState::seq_idx. seq_index_ is registration-time
-  /// only (event type -> counter slot).
-  std::vector<std::uint64_t> seq_counters_;
-  std::unordered_map<std::string, std::uint32_t> seq_index_;
+  /// Instance sequence counters, one per event type this engine has ever
+  /// hosted; definitions reach theirs via DefState::seq_idx. seq_index_
+  /// maps a type to its counter: add_definition and
+  /// implant_definition_state resolve DefState::seq_idx through it. A
+  /// counter outlives its type's last definition (extracted or moved
+  /// away), so a definition of that type implanted later continues past
+  /// every number this engine already emitted. seq_types_ holds every
+  /// counter's type string, back to back.
+  std::vector<SeqCounter> seq_counters_;
+  std::string seq_types_;
+  EventTypeTable seq_index_;
 
   std::uint64_t next_stamp_ = 1;
   EngineStats stats_;

@@ -195,9 +195,9 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
     }
   }
   std::uint32_t shard = 0;
-  const auto type = type_index_.find(spec->id.value());
-  if (type != type_index_.end()) {
-    shard = def_shard_[type->second];
+  if (const std::uint32_t type = type_index_.find(spec->id.value(), type_of());
+      type != core::EventTypeTable::kNone) {
+    shard = def_shard_[type];
   } else {
     const auto affine = [&](const std::size_t s) {
       return std::any_of(keys.begin(), keys.end(),
@@ -222,9 +222,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   const auto local = static_cast<std::uint32_t>(host.engine->add_definition(spec));
 
   const auto global = static_cast<std::uint32_t>(def_shard_.size());
-  def_type_.push_back(type != type_index_.end()
-                          ? type->second
-                          : type_index_.emplace(spec->id.value(), global).first->second);
+  def_type_.push_back(type_index_.insert(spec->id.value(), global, type_of()).first);
   if (local >= host.global_def.size()) host.global_def.resize(local + 1, 0);
   host.global_def[local] = global;
   for (auto& sp : shards_) sp->local_def.push_back(Shard::kNoLocal);
@@ -233,7 +231,6 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // placement (then replays any migration controls from the log).
   if (options_.checkpoint_epoch != 0) host.initial_globals.push_back(global);
   def_shard_.push_back(shard);
-  def_ticket_.emplace_back();
   ++shard_def_count_[shard];
   shard_keys_[shard].insert(keys.begin(), keys.end());
   // Every slot under the global index: ingest maps matched definitions to
@@ -241,9 +238,6 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // through local_def, so a migration never touches the index.
   ingest_routes_.add(*spec, global);
   if (options_.cascade) {
-    // A new definition changes the type graph's reach: recompute the
-    // per-definition downstream masks on the next ingest.
-    cascade_graph_built_ = false;
     for (const core::SlotSpec& slot : spec->slots) {
       const auto kind = slot.filter.signature().kind;
       if (kind == core::FilterSignature::Kind::kEventType ||
@@ -286,7 +280,6 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   const std::lock_guard ingest_lk(ingest_mutex_);
   if (shutdown_.load(std::memory_order_acquire)) return;  // stopped: drop
   start_locked();
-  if (options_.cascade && !cascade_graph_built_) build_cascade_graph();
 
   // Route + stamp the whole batch into its pending record; merge_mutex_
   // is taken only for the record/counter append below, so a large
@@ -464,7 +457,10 @@ void ShardedEngineRuntime::start_locked() {
   // Placement's registration-time inputs are never read again.
   shard_keys_.clear();
   shard_keys_.shrink_to_fit();
-  if (options_.cascade) queue_placement_locked(0);
+  if (options_.cascade) {
+    build_cascade_graph();
+    queue_placement_locked(0);
+  }
 }
 
 void ShardedEngineRuntime::queue_placement_locked(std::uint64_t from_stamp) {
@@ -508,6 +504,9 @@ void ShardedEngineRuntime::move_locked(std::vector<std::uint32_t> defs, std::uin
   // this point was routed to `from` (and is already, or will be, ahead of
   // the control items in its inbox); every arrival stamped after is
   // routed to `to` behind the implant item. That is the epoch barrier.
+  // The definition set is frozen now, so the first move sizes the ticket
+  // table once.
+  if (def_ticket_.empty()) def_ticket_.resize(def_shard_.size());
   for (const std::uint32_t d : ticket->globals) {
     def_shard_[d] = to;
     def_ticket_[d] = ticket;
@@ -565,6 +564,7 @@ void ShardedEngineRuntime::move_locked(std::vector<std::uint32_t> defs, std::uin
 
 std::shared_ptr<ShardedEngineRuntime::MigrationTicket> ShardedEngineRuntime::busy_ticket(
     std::span<const std::uint32_t> defs) const {
+  if (def_ticket_.empty()) return nullptr;  // nothing has moved
   for (const std::uint32_t d : defs) {
     // An expired ticket is done: both control items were handled (or
     // discarded) and dropped.
@@ -1315,7 +1315,6 @@ bool ShardedEngineRuntime::ck_reached_all(std::uint64_t mask, std::uint64_t stam
 }
 
 void ShardedEngineRuntime::build_cascade_graph() {
-  cascade_graph_built_ = true;
   const auto defs = static_cast<std::uint32_t>(def_specs_.size());
   // Type-level consumption edges: definition d consumes a type's output
   // when one of its slots filters on instances of that type (or on
@@ -1327,8 +1326,9 @@ void ShardedEngineRuntime::build_cascade_graph() {
     for (const core::SlotSpec& slot : def_specs_[d]->slots) {
       const core::FilterSignature sig = slot.filter.signature();
       if (sig.kind == core::FilterSignature::Kind::kEventType) {
-        if (const auto it = type_index_.find(sig.key); it != type_index_.end()) {
-          consumers[it->second].push_back(d);
+        if (const std::uint32_t t = type_index_.find(sig.key, type_of());
+            t != core::EventTypeTable::kNone) {
+          consumers[t].push_back(d);
         }
       } else if (sig.kind == core::FilterSignature::Kind::kAny) {
         wildcard.push_back(d);
@@ -1342,7 +1342,8 @@ void ShardedEngineRuntime::build_cascade_graph() {
   std::vector<std::uint64_t> reach(defs, 0);
   for (bool changed = true; changed;) {
     changed = false;
-    for (const auto& [key, t] : type_index_) {
+    for (std::uint32_t t = 0; t < defs; ++t) {
+      if (def_type_[t] != t) continue;  // the type's first definition stands for it
       std::uint64_t m = reach[t];
       for (const std::uint32_t d : consumers[t]) {
         m |= std::uint64_t{1} << def_shard_[d];

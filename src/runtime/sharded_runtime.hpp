@@ -13,11 +13,11 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/event_type_table.hpp"
 #include "core/routing.hpp"
 #include "runtime/inbox_queue.hpp"
 #include "runtime/rebalance.hpp"
@@ -821,10 +821,10 @@ class ShardedEngineRuntime {
   void signal_cascade();
   /// Builds the definition-reachability table (cascade_future_): for each
   /// definition, the bitmask of shards hosting any definition reachable
-  /// from its output type in one or more cascade steps. Called once under
-  /// ingest_mutex_ before the first arrival is stamped; placements are
-  /// the registration-time ones (migrations flip the table to all-ones,
-  /// see move_locked).
+  /// from its output type in one or more cascade steps. Called once, by
+  /// start_locked (the first ingest or move), under ingest_mutex_;
+  /// placements are the registration-time ones (migrations flip the table
+  /// to all-ones, see move_locked).
   void build_cascade_graph();
   /// True once every shard in `mask` has processed sub-stamp (stamp,
   /// depth, sub) — i.e. published a ck at or beyond it.
@@ -869,8 +869,9 @@ class ShardedEngineRuntime {
   /// One rebalance pass over the epoch's definition loads; ingest_mutex_ held.
   std::size_t rebalance_locked();
   /// Ends registration on the first ingest or migration: freezes
-  /// ingest_routes_ and, in cascade mode, queues the registration-time
-  /// placement as the coordinator's base version. ingest_mutex_ held.
+  /// ingest_routes_ and, in cascade mode, builds the cascade graph and
+  /// queues the registration-time placement as the coordinator's base
+  /// version. ingest_mutex_ held.
   void start_locked();
   /// Cascade mode: queues a copy of def_shard_, effective from
   /// `from_stamp`, for the coordinator. ingest_mutex_ held.
@@ -924,14 +925,23 @@ class ShardedEngineRuntime {
   core::RoutingIndex ingest_routes_;
   /// The type index: event type -> global index of the type's first
   /// definition, which stands for the type. It places a new definition
-  /// next to its type, and keys the per-type renumbering counters and
-  /// cascade reachability.
-  std::unordered_map<std::string, std::uint32_t> type_index_;
+  /// next to its type and resolves the cascade graph's event-type slots;
+  /// def_type_ keeps the answer per definition for everything after
+  /// registration (placement splits, the per-type renumbering counters,
+  /// cascade reachability). Its keys are the specs' own type strings,
+  /// read back through def_specs_ (type_of()).
+  core::EventTypeTable type_index_;
   /// The one shared spec of each definition, by global index. The hosting
   /// engine holds the same pointer, and migration, checkpoint decode and
   /// recovery pass it on; here it feeds cascade reachability.
   std::vector<std::shared_ptr<const core::EventDefinition>> def_specs_;
   std::vector<std::uint32_t> def_type_;  ///< global def index -> its type_index_ entry
+  /// type_index_'s key reader: the event type of a global definition.
+  [[nodiscard]] auto type_of() const {
+    return [this](const std::uint32_t global) -> const std::string& {
+      return def_specs_[global]->id.value();
+    };
+  }
   /// Placement keys (routing-key hashes) and definition counts per shard
   /// at registration: the inputs of add_definition's placement, which ends
   /// once ingest or a migration starts (so migrations leave them alone;
@@ -941,10 +951,12 @@ class ShardedEngineRuntime {
   /// Global def index -> shard: the placement map. Moves flip entries at
   /// the barrier (move_locked).
   std::vector<std::uint32_t> def_shard_;
-  /// Global def index -> its last move's ticket; empty if none. Weak: the
+  /// Global def index -> its last move's ticket. Empty until the first
+  /// move_locked, which sizes it to the (by then frozen) definition count,
+  /// so a run that never moves a definition pays nothing for it. Weak: the
   /// ticket lives only while a control item holds it (inbox or replay
-  /// log), so a finished move's states are freed with the last of those,
-  /// and an expired ticket reads as done.
+  /// log), so a finished move's states are freed with the last of those.
+  /// busy_ticket reads a missing entry and an expired ticket as done.
   std::vector<std::weak_ptr<MigrationTicket>> def_ticket_;
 
   /// Serializes stamp assignment + inbox dispatch so every shard's inbox
@@ -1012,12 +1024,11 @@ class ShardedEngineRuntime {
   // --- Cascade mode (all unused unless options_.cascade) ---
   /// Per definition: bitmask of shards hosting any definition reachable
   /// from its output type (1+ cascade steps) under registration-time
-  /// placement. Built once by build_cascade_graph() under ingest_mutex_
+  /// placement. Built once by build_cascade_graph() in start_locked,
   /// before the first stamp; immutable afterwards (the coordinator reads
   /// it concurrently). Migrations make it stale, so the first one flips
   /// cascade_conservative_ and new arrivals carry an all-ones reach.
   std::vector<std::uint64_t> cascade_future_;
-  bool cascade_graph_built_ = false;   // guarded by ingest_mutex_
   bool cascade_conservative_ = false;  // guarded by ingest_mutex_
   std::thread cascade_thread_;
   /// Guards the coordinator's wake-up state and the placement queue.

@@ -191,6 +191,46 @@ TEST(EngineMigrationTest, SequenceCounterContinuesAcrossMigration) {
   EXPECT_EQ(third[0].key.seq, 2u);
 }
 
+TEST(EngineMigrationTest, DormantTypeCounterIsNeverRewound) {
+  // A keeps type TH's counter after both TH definitions have left it. A
+  // definition implanted back with a lower carried counter must continue
+  // past A's own: the type keeps the larger of the two values.
+  DetectionEngine a(ObserverId("OB"), Layer::kSensor, {0, 0});
+  DetectionEngine b(ObserverId("OB"), Layer::kSensor, {0, 0});
+  DetectionEngine c(ObserverId("OB"), Layer::kSensor, {0, 0});
+  const auto mix = state_mix();
+  ASSERT_EQ(a.add_definition(mix[0]), 0u);  // TH on SRa
+  ASSERT_EQ(a.add_definition(mix[1]), 1u);  // TH on SRb, same counter
+  std::vector<std::uint64_t> a_seqs;  // every TH number A emitted
+  auto fire = [&](DetectionEngine& eng, const char* sensor, std::uint64_t seq) {
+    const TimePoint t(1000 * static_cast<std::int64_t>(seq + 1));
+    const auto out = eng.observe(Entity(obs(sensor, seq, t, {0, 0}, 90.0)), t);
+    EXPECT_EQ(out.size(), 1u) << sensor;
+    if (&eng == &a) {
+      for (const EventInstance& inst : out) a_seqs.push_back(inst.key.seq);
+    }
+    return out;
+  };
+
+  fire(a, "SRa", 0);  // A: TH #0
+  const std::size_t first_on_b = b.implant_definition_state(a.extract_definition_state(0));
+  fire(a, "SRb", 1);  // A: TH #1
+  fire(a, "SRb", 2);  // A: TH #2
+  (void)c.implant_definition_state(a.extract_definition_state(1));
+  ASSERT_EQ(a.definition_count(), 0u);  // no TH definition left on A
+
+  DefinitionState back = b.extract_definition_state(first_on_b);
+  ASSERT_EQ(back.seq, 1u);  // carried: below A's dormant counter (3)
+  (void)a.implant_definition_state(std::move(back));
+  const auto next = fire(a, "SRa", 3);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].key.seq, 3u);  // continues past A's counter
+  ASSERT_EQ(a_seqs.size(), 4u);
+  for (std::size_t i = 0; i + 1 < a_seqs.size(); ++i) {
+    EXPECT_NE(a_seqs[i], next[0].key.seq) << "A repeated TH #" << a_seqs[i];
+  }
+}
+
 TEST(EngineMigrationTest, ExtractTombstonesAndImplantReusesTheSlot) {
   DetectionEngine eng(ObserverId("OB"), Layer::kSensor, {0, 0});
   const auto defs = state_mix();

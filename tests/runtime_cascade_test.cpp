@@ -347,6 +347,19 @@ TEST(CascadeMigration, InstanceTypedDefinitionsMoveMidStream) {
   }
 }
 
+/// A move before the first ingest starts the runtime: the cascade graph is
+/// built from the registration-time placement, then the move flips
+/// placement and makes every later arrival's reach conservative. The
+/// stream must stay byte-identical from the first arrival on.
+TEST(CascadeMigration, MoveBeforeFirstIngestStaysExact) {
+  for (const std::uint64_t seed : {21u, 22u}) {
+    run_differential(seed, 4, 16, 4, ConsumptionMode::kUnrestricted, "M0", 256,
+                     /*skewed=*/true, {{0, 2, 1}, {128, 0, 2}});
+    run_differential(seed ^ 0x77ULL, 2, 1, 4, ConsumptionMode::kConsume, "MC0", 128,
+                     /*skewed=*/true, {{0, 0, 1}});
+  }
+}
+
 /// Automatic rebalancing stays exact in cascade mode: the policy may move
 /// any definition — instance-typed ones included — at epoch barriers while the
 /// skewed stream cascades.
