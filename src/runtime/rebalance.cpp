@@ -5,8 +5,14 @@
 
 namespace stem::runtime {
 
-void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
-                    std::vector<MigrationOrder>& out) {
+namespace {
+
+/// A shard is hot above this multiple of the mean shard load.
+constexpr double kOverloadFactor = 1.5;
+
+}  // namespace
+
+void plan_spillover(const RebalanceView& view, std::vector<MigrationOrder>& out) {
   const std::size_t shards = view.shard_load.size();
   if (shards < 2 || view.defs.empty()) return;
 
@@ -14,7 +20,7 @@ void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
       std::accumulate(view.shard_load.begin(), view.shard_load.end(), std::uint64_t{0});
   if (total == 0) return;
   const double mean = static_cast<double>(total) / static_cast<double>(shards);
-  const double hot = options.overload_factor * mean;
+  const double hot = kOverloadFactor * mean;
 
   // Working copy of the loads so one pass's picks stay consistent.
   std::vector<std::uint64_t> load(view.shard_load.begin(), view.shard_load.end());
@@ -23,9 +29,7 @@ void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
   std::sort(by_load.begin(), by_load.end(),
             [&](const std::uint32_t a, const std::uint32_t b) { return load[a] > load[b]; });
 
-  std::size_t issued = 0;
   for (const std::uint32_t src : by_load) {
-    if (options.max_migrations != 0 && issued >= options.max_migrations) break;
     // Hotness is judged on the epoch's observed loads, not the working
     // copy: a shard that merely *received* a definition this pass must not
     // be treated as a fresh hotspot (that would churn definitions within
@@ -52,7 +56,6 @@ void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
     out.push_back(MigrationOrder{pick->def, dst});
     load[src] -= pick->cost;
     load[dst] += pick->cost;
-    ++issued;
   }
 }
 

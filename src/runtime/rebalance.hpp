@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,23 +40,16 @@ struct MigrationOrder {
   std::uint32_t to = 0;
 };
 
-/// Tuning of plan_spillover.
-struct SpilloverOptions {
-  double overload_factor = 1.5;  ///< "hot" threshold, in multiples of the mean
-  std::size_t max_migrations = 0;  ///< cap per pass; 0 = one per hot shard
-};
-
-/// The rebalancer's planning rule, run once per epoch under the runtime's
-/// ingest lock: for every shard whose epoch load exceeds
-/// `overload_factor` x the mean shard load (hottest first), order the
-/// highest-cost movable definition hosted there to the least-loaded shard
+/// The rebalancer's planning rule, run once per rebalance pass under the
+/// runtime's ingest lock: for every shard whose epoch load exceeds 1.5x
+/// the mean shard load (hottest first), order the highest-cost movable
+/// definition hosted there to the least-loaded shard
 /// — but only when that *strictly improves* the imbalance
 /// (dest_load + cost < src_load). A shard that is hot because of one
 /// indivisible definition stays put, counted through
 /// RebalanceView::skipped_indivisible.
 /// At most one order per hot shard per pass; loads are updated in-place
 /// between picks so one pass stays consistent. Appends to `out`.
-void plan_spillover(const RebalanceView& view, const SpilloverOptions& options,
-                    std::vector<MigrationOrder>& out);
+void plan_spillover(const RebalanceView& view, std::vector<MigrationOrder>& out);
 
 }  // namespace stem::runtime

@@ -67,7 +67,6 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
         "ShardedEngineRuntime: crash_hook requires checkpoint_epoch != 0 (recovery rebuilds "
         "a dead shard from its checkpoint plus the replay log)");
   }
-  publish_loads_.store(options_.rebalance_epoch != 0, std::memory_order_relaxed);
   // Inbox memory follows occupancy, not queue_capacity: each shard starts
   // with one 64-cell segment (InboxQueue) and a drained inbox keeps at
   // most two. queue_capacity only bounds admission (Shard::queued_arrivals).
@@ -197,7 +196,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   std::uint32_t shard = 0;
   if (const std::uint32_t type = type_index_.find(spec->id.value(), type_of());
       type != core::EventTypeTable::kNone) {
-    shard = def_shard_[type];
+    shard = placement_->shard[type];
   } else {
     const auto affine = [&](const std::size_t s) {
       return std::any_of(keys.begin(), keys.end(),
@@ -221,7 +220,7 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   Shard& host = *shards_[shard];
   const auto local = static_cast<std::uint32_t>(host.engine->add_definition(spec));
 
-  const auto global = static_cast<std::uint32_t>(def_shard_.size());
+  const auto global = static_cast<std::uint32_t>(def_specs_.size());
   def_type_.push_back(type_index_.insert(spec->id.value(), global, type_of()).first);
   if (local >= host.global_def.size()) host.global_def.resize(local + 1, 0);
   host.global_def[local] = global;
@@ -230,12 +229,13 @@ void ShardedEngineRuntime::add_definition(core::EventDefinition def) {
   // Pre-first-checkpoint recovery rebuilds the engine from the initial
   // placement (then replays any migration controls from the log).
   if (options_.checkpoint_epoch != 0) host.initial_globals.push_back(global);
-  def_shard_.push_back(shard);
+  // No batch record holds the snapshot before the first ingest or move.
+  placement_->shard.push_back(shard);
   ++shard_def_count_[shard];
   shard_keys_[shard].insert(keys.begin(), keys.end());
   // Every slot under the global index: ingest maps matched definitions to
-  // shards through def_shard_ and workers to their engine's local indices
-  // through local_def, so a migration never touches the index.
+  // shards through the placement snapshot and workers to their engine's
+  // local indices through local_def, so a migration never touches the index.
   ingest_routes_.add(*spec, global);
   if (options_.cascade) {
     for (const core::SlotSpec& slot : spec->slots) {
@@ -284,29 +284,28 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   // Route + stamp the whole batch into its pending record; merge_mutex_
   // is taken only for the record/counter append below, so a large
   // batch's routing pass never stalls a concurrent poll() or stats().
+  // The record keeps the snapshot it routes through: the cascade
+  // coordinator routes and gates each closure by it.
   PendingBatch pending;
   pending.first = next_stamp_;
   pending.masks.reserve(batch.size());
+  pending.placement = placement_;
+  const Placement& placement = *placement_;
   if (options_.cascade) pending.future.reserve(batch.size());
   std::uint64_t dropped = 0;
   std::uint64_t deliveries = 0;
-  std::uint64_t replicated = 0;
-  // Cascade mode: a closure's downstream reach is the union of its matched
-  // definitions' transitive feedback targets (shards outside it may run
-  // later arrivals while the closure is in flight). The table describes
-  // registration-time placement, so once a move has happened
-  // (cascade_conservative_) every arrival carries an all-ones reach.
-  const bool exact_reach = options_.cascade && !cascade_conservative_;
-  const std::uint64_t base_reach = cascade_conservative_ ? ~std::uint64_t{0} : 0;
   for (std::size_t i = 0; i < block->entities.size(); ++i) {
     route_scratch_.clear();
     ingest_routes_.collect(block->entities[i], route_scratch_,
                            [](const core::SlotRoute&) { return true; });
+    // Cascade mode: a closure's downstream reach is the union of its
+    // matched definitions' transitive feedback targets (shards outside it
+    // may run later arrivals while the closure is in flight).
     std::uint64_t mask = 0;
-    std::uint64_t future = base_reach;
+    std::uint64_t future = 0;
     for (const core::SlotRoute r : route_scratch_) {
-      mask |= std::uint64_t{1} << def_shard_[r.def_idx];
-      if (exact_reach) future |= cascade_future_[r.def_idx];
+      mask |= std::uint64_t{1} << placement.shard[r.def_idx];
+      if (options_.cascade) future |= placement.reach[r.def_idx];
     }
     if (mask == 0) {
       ++dropped;
@@ -317,14 +316,11 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     pending.masks.push_back(mask);
     pending.mask |= mask;
     if (options_.cascade) pending.future.push_back(future);
-    bool first = true;
     for (std::uint64_t m = mask; m != 0; m &= m - 1) {
       const auto s = static_cast<std::size_t>(std::countr_zero(m));
       shards_[s]->last_routed = stamp;
       ++shard_routed_[s];
       ++deliveries;
-      if (!first) ++replicated;
-      first = false;
     }
   }
   // One index array for the whole batch, shard after shard, read back off
@@ -343,13 +339,11 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
     slice_end[s] = static_cast<std::uint32_t>(block->routed.size());
   }
   const std::uint64_t routed = pending.masks.size();
-  epoch_arrivals_ += routed;
   {
     const std::lock_guard merge_lk(merge_mutex_);
     if (routed != 0) pending_.push_back(std::move(pending));
     arrivals_ += routed;
     deliveries_ += deliveries;
-    replicated_ += replicated;
     dropped_ += dropped;
   }
 
@@ -410,12 +404,6 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
   }
 
   if (options_.cascade) signal_cascade();  // new pending arrivals to close
-
-  // Epoch boundary: plan moves from the load just attributed.
-  if (options_.rebalance_epoch != 0 && epoch_arrivals_ >= options_.rebalance_epoch) {
-    epoch_arrivals_ = 0;
-    rebalance_locked();
-  }
 }
 
 bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
@@ -457,19 +445,8 @@ void ShardedEngineRuntime::start_locked() {
   // Placement's registration-time inputs are never read again.
   shard_keys_.clear();
   shard_keys_.shrink_to_fit();
-  if (options_.cascade) {
-    build_cascade_graph();
-    queue_placement_locked(0);
-  }
-}
-
-void ShardedEngineRuntime::queue_placement_locked(std::uint64_t from_stamp) {
-  {
-    const std::lock_guard lk(cascade_mutex_);
-    placements_.push_back(PlacementVersion{from_stamp, def_shard_});
-    placements_pending_.fetch_add(1, std::memory_order_release);
-  }
-  signal_cascade();
+  // The registration-time snapshot is final from here on.
+  if (options_.cascade) build_cascade_graph(*placement_);
 }
 
 void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
@@ -494,28 +471,32 @@ void ShardedEngineRuntime::push_control(Shard& shard, WorkItem item) {
 }
 
 void ShardedEngineRuntime::move_locked(std::vector<std::uint32_t> defs, std::uint32_t to) {
-  const std::uint32_t from = def_shard_[defs.front()];
+  // Placement is now dynamic; worker threads own the local index maps.
+  start_locked();
+  const std::uint32_t from = placement_->shard[defs.front()];
   auto ticket = std::make_shared<MigrationTicket>();
   ticket->globals = std::move(defs);  // ascending global order
 
-  // Placement is now dynamic; worker threads own the local index maps.
-  start_locked();
-  // Flip placement under the ingest lock: every arrival stamped before
-  // this point was routed to `from` (and is already, or will be, ahead of
-  // the control items in its inbox); every arrival stamped after is
-  // routed to `to` behind the implant item. That is the epoch barrier.
-  // The definition set is frozen now, so the first move sizes the ticket
-  // table once.
-  if (def_ticket_.empty()) def_ticket_.resize(def_shard_.size());
+  // Publish the flipped placement under the ingest lock: every arrival
+  // stamped before this point was routed to `from` (and is already, or
+  // will be, ahead of the control items in its inbox); every arrival
+  // stamped after is routed to `to` behind the implant item. That is the
+  // epoch barrier. Always a copy: batch records and in-flight closures
+  // may still read the old snapshot on other threads. The definition set
+  // is frozen now, so the first move sizes the ticket table once.
+  auto next = std::make_shared<Placement>(*placement_);
+  if (def_ticket_.empty()) def_ticket_.resize(def_specs_.size());
   for (const std::uint32_t d : ticket->globals) {
-    def_shard_[d] = to;
+    next->shard[d] = to;
     def_ticket_[d] = ticket;
   }
+  if (options_.cascade) build_cascade_graph(*next);
+  placement_ = std::move(next);
   ++migrations_;
   // A type now spans several shards when one of its definitions stayed
   // off `to`.
-  for (std::uint32_t d = 0; d < def_shard_.size(); ++d) {
-    if (def_shard_[d] != to &&
+  for (std::uint32_t d = 0; d < def_specs_.size(); ++d) {
+    if (placement_->shard[d] != to &&
         std::any_of(ticket->globals.begin(), ticket->globals.end(),
                     [&](const std::uint32_t m) { return def_type_[m] == def_type_[d]; })) {
       ++splits_;
@@ -525,17 +506,10 @@ void ShardedEngineRuntime::move_locked(std::vector<std::uint32_t> defs, std::uin
 
   // Cascade mode: the control items act at sub-stamp (barrier-1, +inf) —
   // after every pre-barrier closure, before any post-barrier arrival —
-  // and the coordinator maps closures from the barrier on through a new
-  // placement version, so feedback for pre-barrier stamps still reaches
-  // the definitions' old shard.
+  // and closures route through their own batch's snapshot, so feedback
+  // for pre-barrier stamps still reaches the definitions' old shard.
   const std::uint64_t barrier = next_stamp_;
   if (options_.cascade) {
-    // The reachability table was computed against the pre-flip placement,
-    // so post-barrier arrivals can no longer trust it: they carry an
-    // all-ones downstream reach from here on (pre-barrier closures keep
-    // their refined masks — the placement at their stamps is the one the
-    // table was built from). Ordered with ingest by ingest_mutex_.
-    cascade_conservative_ = true;
     // The destination may now host a feedback-reachable definition; flip
     // its gate *before* the control pair is visible so its worker never
     // runs a post-barrier arrival ahead of the closure frontier.
@@ -548,7 +522,6 @@ void ShardedEngineRuntime::move_locked(std::vector<std::uint32_t> defs, std::uin
         }
       }
     }
-    queue_placement_locked(barrier);
   } else if (options_.ordering == OrderingTier::kPerDefinitionOrder) {
     // Per-definition order: the destination's post-barrier blocks must not
     // be released before every pre-barrier arrival is out, or a moved
@@ -612,7 +585,7 @@ bool ShardedEngineRuntime::move_settled(
     if (from == to) continue;
     std::vector<std::uint32_t> subset;
     for (const std::uint32_t d : defs) {
-      if (def_shard_[d] == from) subset.push_back(d);
+      if (placement_->shard[d] == from) subset.push_back(d);
     }
     if (subset.empty()) continue;
     move_locked(std::move(subset), to);
@@ -626,7 +599,7 @@ bool ShardedEngineRuntime::move_definitions(std::span<const std::size_t> defs,
   return move_settled(to_shard, [&] {
     std::vector<std::uint32_t> out;
     for (const std::size_t d : defs) {
-      if (d >= def_shard_.size()) {
+      if (d >= def_specs_.size()) {
         throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
                                 std::to_string(d));
       }
@@ -640,14 +613,15 @@ bool ShardedEngineRuntime::move_definitions(std::span<const std::size_t> defs,
 
 bool ShardedEngineRuntime::migrate_definition(std::size_t def_index, std::size_t to_shard) {
   return move_settled(to_shard, [&] {
-    if (def_index >= def_shard_.size()) {
+    if (def_index >= def_specs_.size()) {
       throw std::out_of_range("ShardedEngineRuntime: unknown definition index " +
                               std::to_string(def_index));
     }
     // The definition and the same-type definitions on its shard.
+    const std::vector<std::uint32_t>& shard = placement_->shard;
     std::vector<std::uint32_t> out;
-    for (std::uint32_t d = 0; d < def_shard_.size(); ++d) {
-      if (def_type_[d] == def_type_[def_index] && def_shard_[d] == def_shard_[def_index]) {
+    for (std::uint32_t d = 0; d < shard.size(); ++d) {
+      if (def_type_[d] == def_type_[def_index] && shard[d] == shard[def_index]) {
         out.push_back(d);
       }
     }
@@ -656,16 +630,10 @@ bool ShardedEngineRuntime::migrate_definition(std::size_t def_index, std::size_t
 }
 
 std::size_t ShardedEngineRuntime::rebalance_now() {
-  // Externally paced rebalancing: from here on the workers publish
-  // per-definition loads (the first pass may still see empty snapshots —
-  // loads trail by design).
+  // From here on the workers publish per-definition loads (the first pass
+  // may still see empty snapshots — loads trail by design).
   publish_loads_.store(true, std::memory_order_relaxed);
   const std::lock_guard lk(ingest_mutex_);
-  epoch_arrivals_ = 0;
-  return rebalance_locked();
-}
-
-std::size_t ShardedEngineRuntime::rebalance_locked() {
   if (shutdown_.load(std::memory_order_acquire)) return 0;  // stopped: no-op
   ++rebalance_passes_;
   if (def_specs_.empty() || shards_.size() < 2) return 0;
@@ -674,7 +642,7 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   // publications. The snapshots trail in-flight work (and a mid-move
   // definition is absent from both sides until implanted) — the counters are
   // monotone per definition, so unattributed work simply lands in a later
-  // epoch.
+  // pass.
   def_load_now_.resize(def_specs_.size());
   def_load_prev_.resize(def_specs_.size());
   for (const auto& shard : shards_) {
@@ -693,7 +661,7 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
   }
 
   // Saturating deltas: a (theoretical) stale-over-fresh snapshot must
-  // cost an epoch of attribution, never wrap to ~2^64 and stampede the
+  // cost a pass of attribution, never wrap to ~2^64 and stampede the
   // plan.
   const auto sat_delta = [](const std::uint64_t now, const std::uint64_t prev) {
     return now >= prev ? now - prev : 0;
@@ -706,20 +674,21 @@ std::size_t ShardedEngineRuntime::rebalance_locked() {
     const std::uint64_t cost = sat_delta(now.routed, prev.routed) +
                                sat_delta(now.tried, prev.tried) + now.buffered;
     const bool movable = busy_ticket(std::span(&d, 1)) == nullptr;
-    def_cost_scratch_.push_back(DefinitionCost{d, def_shard_[d], cost, movable});
-    shard_load_scratch_[def_shard_[d]] += cost;
+    const std::uint32_t host = placement_->shard[d];
+    def_cost_scratch_.push_back(DefinitionCost{d, host, cost, movable});
+    shard_load_scratch_[host] += cost;
   }
   def_load_prev_ = def_load_now_;
 
   order_scratch_.clear();
   plan_spillover(RebalanceView{shard_load_scratch_, def_cost_scratch_, &spillover_skipped_},
-                 SpilloverOptions{}, order_scratch_);
+                 order_scratch_);
 
   std::size_t issued = 0;
   for (const MigrationOrder& order : order_scratch_) {
     if (order.def >= def_cost_scratch_.size() || order.to >= shards_.size()) continue;
     DefinitionCost& row = def_cost_scratch_[order.def];
-    if (!row.movable || def_shard_[order.def] == order.to) continue;
+    if (!row.movable || placement_->shard[order.def] == order.to) continue;
     move_locked({order.def}, order.to);
     row.movable = false;  // one move per pass
     ++issued;
@@ -1314,7 +1283,7 @@ bool ShardedEngineRuntime::ck_reached_all(std::uint64_t mask, std::uint64_t stam
   return true;
 }
 
-void ShardedEngineRuntime::build_cascade_graph() {
+void ShardedEngineRuntime::build_cascade_graph(Placement& placement) const {
   const auto defs = static_cast<std::uint32_t>(def_specs_.size());
   // Type-level consumption edges: definition d consumes a type's output
   // when one of its slots filters on instances of that type (or on
@@ -1346,11 +1315,11 @@ void ShardedEngineRuntime::build_cascade_graph() {
       if (def_type_[t] != t) continue;  // the type's first definition stands for it
       std::uint64_t m = reach[t];
       for (const std::uint32_t d : consumers[t]) {
-        m |= std::uint64_t{1} << def_shard_[d];
+        m |= std::uint64_t{1} << placement.shard[d];
         m |= reach[def_type_[d]];
       }
       for (const std::uint32_t d : wildcard) {
-        m |= std::uint64_t{1} << def_shard_[d];
+        m |= std::uint64_t{1} << placement.shard[d];
         m |= reach[def_type_[d]];
       }
       if (m != reach[t]) {
@@ -1359,8 +1328,8 @@ void ShardedEngineRuntime::build_cascade_graph() {
       }
     }
   }
-  cascade_future_.assign(defs, 0);
-  for (std::uint32_t d = 0; d < defs; ++d) cascade_future_[d] = reach[def_type_[d]];
+  placement.reach.resize(defs);
+  for (std::uint32_t d = 0; d < defs; ++d) placement.reach[d] = reach[def_type_[d]];
 }
 
 void ShardedEngineRuntime::cascade_loop() {
@@ -1376,8 +1345,10 @@ void ShardedEngineRuntime::cascade_loop() {
   // holds renumbered emissions not yet published.
   struct Active {
     std::uint64_t stamp = 0;
-    std::uint64_t mask = 0;    ///< recipient shards of the arrival
-    std::uint64_t future = 0;  ///< its closure's downstream reach (PendingBatch)
+    std::uint64_t mask = 0;  ///< recipient shards of the arrival
+    /// The snapshot the arrival was routed under: the closure's feedback
+    /// routes, and its reach gates admission, through it.
+    std::shared_ptr<const Placement> placement;
     std::uint32_t depth = 0;       ///< dispatched level awaiting consumption
     std::uint32_t next_level = 1;  ///< closure level the gathered children form
     bool awaiting_arrival = true;
@@ -1400,18 +1371,16 @@ void ShardedEngineRuntime::cascade_loop() {
   const auto by_parent_then_def = [](const core::Emission& a, const core::Emission& b) {
     return a.emit_index != b.emit_index ? a.emit_index < b.emit_index : a.def < b.def;
   };
-  // Live placement versions, ascending from_stamp (see PlacementVersion).
-  std::deque<PlacementVersion> placements;
-  // Shards hosting a definition `fed` can match under the placement at
-  // `stamp`. ingest_routes_ was frozen before the first stamp, so collect()
-  // only reads it here, concurrently with ingest.
-  const auto targets = [&](const core::Entity& fed, std::uint64_t stamp) {
+  // Shards hosting a definition `fed` can match under `a`'s placement.
+  // ingest_routes_ was frozen before the first stamp, so collect() only
+  // reads it here, concurrently with ingest.
+  const auto targets = [&](const core::Entity& fed, const Active& a) {
     routes.clear();
     ingest_routes_.collect(fed, routes, [](const core::SlotRoute&) { return true; });
-    auto v = placements.rbegin();  // the base (from_stamp 0) ends the walk
-    while (v->from_stamp > stamp) ++v;
     std::uint64_t mask = 0;
-    for (const core::SlotRoute r : routes) mask |= std::uint64_t{1} << v->shard[r.def_idx];
+    for (const core::SlotRoute r : routes) {
+      mask |= std::uint64_t{1} << a.placement->shard[r.def_idx];
+    }
     return mask;
   };
 
@@ -1472,8 +1441,8 @@ void ShardedEngineRuntime::cascade_loop() {
         Active a;
         a.stamp = stamp;
         a.mask = batch->masks[stamp - batch->first];
-        a.future = batch->future[stamp - batch->first];
-        a.remaining = a.future;
+        a.placement = batch->placement;
+        a.remaining = batch->future[stamp - batch->first];
         a.touched.assign(shards_.size(), 0);
         a.last_sub.assign(shards_.size(), 0);
         activated = stamp;
@@ -1523,7 +1492,7 @@ void ShardedEngineRuntime::cascade_loop() {
       // Known without another roundtrip, so the closure finishes here.
       for (std::size_t k = base; k < a.closure.size(); ++k) {
         core::Entity fed(std::move(a.closure[k].instance));
-        if (targets(fed, a.stamp) != 0) ++a.truncated;
+        if (targets(fed, a) != 0) ++a.truncated;
         a.closure[k].instance = std::move(fed).extract_instance();
       }
       a.remaining = 0;
@@ -1540,18 +1509,14 @@ void ShardedEngineRuntime::cascade_loop() {
     for (std::size_t k = base; k < a.closure.size(); ++k) {
       core::Emission& em = a.closure[k];
       core::Entity fed(std::move(em.instance));
-      const std::uint64_t mask = targets(fed, a.stamp);
+      const std::uint64_t mask = targets(fed, a);
       if (mask == 0) {  // inert: no shard hosts a candidate definition
         em.instance = std::move(fed).extract_instance();
         continue;
       }
       ++a.reingested;
       any_dispatch = true;
-      if (a.future == ~std::uint64_t{0}) {
-        next_remaining = ~std::uint64_t{0};  // post-migration: the table is stale
-      } else {
-        next_remaining |= cascade_future_[em.def];
-      }
+      next_remaining |= a.placement->reach[em.def];
       const auto shared = std::make_shared<const core::Entity>(std::move(fed));
       em.instance = shared->instance();  // the merged stream keeps its copy
       for (std::uint64_t m = mask; m != 0; m &= m - 1) {
@@ -1672,18 +1637,6 @@ void ShardedEngineRuntime::cascade_loop() {
     // or skips the park below.
     const std::uint64_t seen = cascade_signal_.load(std::memory_order_seq_cst);
     bool progressed = activate();
-    // Take queued placement versions *after* activating: a version is
-    // queued before any arrival at or past its stamp is pending, so every
-    // activated closure's version is here before it routes. Eager: each
-    // version is effective from its stamp onward, so in-flight pre-barrier
-    // closures keep resolving through the older placement and the flip
-    // needs no frontier rendezvous.
-    if (placements_pending_.load(std::memory_order_acquire) != 0) {
-      const std::lock_guard lk(cascade_mutex_);
-      for (PlacementVersion& v : placements_) placements.push_back(std::move(v));
-      placements_.clear();
-      placements_pending_.store(0, std::memory_order_relaxed);
-    }
     for (auto& sp : shards_) sweep_shard(*sp);
     // Renumber+dispatch strictly in stamp order: step the oldest
     // unfinished closure as far as it goes; younger closures only have
@@ -1701,7 +1654,7 @@ void ShardedEngineRuntime::cascade_loop() {
     }
     // Publish the finished prefix as a worker publishes a run: one block,
     // a mark per closure that emitted, then the watermark (the newest
-    // closed stamp), and retire placement versions nothing can need.
+    // closed stamp).
     OutBlock closed;
     std::uint64_t through = 0;
     for (; !active.empty() && active.front().finished; active.pop_front()) {
@@ -1719,9 +1672,6 @@ void ShardedEngineRuntime::cascade_loop() {
       }
       cascade_reingested_.fetch_add(a.reingested, std::memory_order_relaxed);
       cascade_truncated_.fetch_add(a.truncated, std::memory_order_relaxed);
-      while (placements.size() >= 2 && placements[1].from_stamp <= a.stamp + 1) {
-        placements.pop_front();
-      }
       through = a.stamp;
     }
     if (through != 0) {
@@ -1959,7 +1909,7 @@ RuntimeStats ShardedEngineRuntime::stats() const {
   const std::lock_guard lk(merge_mutex_);
   s.arrivals = arrivals_;
   s.deliveries = deliveries_;
-  s.replicated = replicated_;
+  s.replicated = deliveries_ - arrivals_;
   s.dropped = dropped_;
   s.instances = instances_;
   return s;
@@ -1972,7 +1922,7 @@ std::vector<std::uint64_t> ShardedEngineRuntime::shard_arrival_loads() const {
 
 std::size_t ShardedEngineRuntime::shard_of(std::size_t def_index) const {
   const std::lock_guard lk(ingest_mutex_);
-  return def_shard_.at(def_index);
+  return placement_->shard.at(def_index);
 }
 
 }  // namespace stem::runtime

@@ -64,14 +64,6 @@ struct RuntimeOptions {
   /// admitted into an empty inbox. It allocates nothing: inbox memory
   /// follows what is actually queued, whatever the bound.
   std::size_t queue_capacity = 4096;
-  /// Arrivals between automatic rebalance passes; 0 disables adaptive
-  /// rebalancing (placement then changes only via migrate_definition()
-  /// and move_definitions()). Each pass attributes the epoch's load to
-  /// definitions from the engines' per-definition counters and issues the
-  /// moves plan_spillover orders (move the highest-cost movable definition
-  /// off any shard above 1.5x the mean load when that strictly improves
-  /// the balance).
-  std::size_t rebalance_epoch = 0;
   /// Enables deterministic hierarchical cascading: derived instances are
   /// routed back to the shards hosting their consumers as *feedback*
   /// items, each shard processes work in sub-stamp order behind the
@@ -137,7 +129,9 @@ struct RuntimeStats {
   core::EngineStats engine;       ///< summed over shard engines
   std::uint64_t arrivals = 0;     ///< entities accepted for processing
   std::uint64_t deliveries = 0;   ///< shard deliveries (>= arrivals)
-  std::uint64_t replicated = 0;   ///< deliveries beyond the first per arrival
+  /// Deliveries beyond the first per arrival: deliveries - arrivals, since
+  /// every routed arrival is delivered at least once.
+  std::uint64_t replicated = 0;
   std::uint64_t dropped = 0;      ///< arrivals no shard was interested in
   std::uint64_t instances = 0;    ///< instances released by poll/flush so far
   std::uint64_t migrations = 0;   ///< definition moves issued (one control pair each)
@@ -208,17 +202,17 @@ struct TaggedInstance {
 /// core::RoutingIndex (the structure the engine uses for candidate
 /// selection), holding every slot of every definition once under the
 /// definition's global index, maps an arrival to the (definition, slot)
-/// pairs whose filters can match it; the flat def->shard placement map
-/// turns those into the set of recipient shards. The arrival is
-/// replicated to every such shard — in particular, a shard hosting a
-/// wildcard definition receives the full stream. Each recipient worker
-/// collects the arrival's candidates from the same index, keeps the
+/// pairs whose filters can match it; the placement snapshot's flat
+/// def->shard map turns those into the set of recipient shards. The
+/// arrival is replicated to every such shard — in particular, a shard
+/// hosting a wildcard definition receives the full stream. Each recipient
+/// worker collects the arrival's candidates from the same index, keeps the
 /// routes to definitions it hosts (its flat global->local map) and feeds
 /// them to its engine's routed observe, so shard engines hold no index of
 /// their own. Each definition lives on exactly one shard, so every
-/// instance is produced exactly once. A migration only rewrites placement
-/// and the two workers' local maps; the index is frozen when ingest
-/// starts and never changes afterwards.
+/// instance is produced exactly once. A migration only replaces the
+/// placement snapshot and rewrites the two workers' local maps; the index
+/// is frozen when ingest starts and never changes afterwards.
 ///
 /// **Ingest path** (hot): each shard's inbox is a segmented FIFO
 /// (runtime/inbox_queue.hpp) whose memory follows its occupancy. Producers
@@ -234,14 +228,15 @@ struct TaggedInstance {
 /// instead of per-item. Without cascade feedback no admission
 /// gate binds and every claim takes a whole inbox item.
 ///
-/// **Rebalancing** (move_definitions / rebalance_now / automatic
-/// epochs): initial placement is load-blind, so a skewed stream can pin
-/// one shard. The runtime keeps per-definition load counters (published
-/// by the shard engines), attributes each epoch's cost to definitions,
-/// and moves the ones plan_spillover picks between shards *live*: the
-/// moved definitions' placement entries flip to the destination under the
-/// ingest lock (an epoch barrier in the arrival stamp order), a pair of
-/// control items flows through the two shards' stamp-ordered inboxes, the
+/// **Rebalancing** (move_definitions / rebalance_now): initial placement
+/// is load-blind, so a skewed stream can pin one shard. The runtime keeps
+/// per-definition load counters (published by the shard engines), and
+/// each caller-paced rebalance_now() attributes the cost since the last
+/// pass to definitions and moves the ones plan_spillover picks between
+/// shards *live*: a new placement snapshot with the moved definitions on
+/// the destination replaces the old one under the ingest lock (an epoch
+/// barrier in the arrival stamp order), a pair of control items flows
+/// through the two shards' stamp-ordered inboxes, the
 /// source worker extracts their engine state after processing every
 /// pre-barrier arrival (core::DetectionEngine::extract_definition_state),
 /// and the destination worker implants it before processing any
@@ -272,8 +267,8 @@ struct TaggedInstance {
 /// dedicated coordinator thread drives each arrival's *cascade closure*:
 /// once every recipient shard has processed the arrival, its merged
 /// emissions (level 1) are routed through the same frozen routing index as
-/// ingest, mapped to shards by stamp-versioned copies of the placement
-/// map, and re-ingested as
+/// ingest, mapped to shards by the placement snapshot the arrival was
+/// stamped under (its batch record carries it), and re-ingested as
 /// *feedback items* carrying the hierarchical sub-stamp
 /// `(arrival stamp, depth, emit index)`, batched per (shard, level); the
 /// recipients' level-2 emissions are gathered, merged and re-ingested in
@@ -295,9 +290,9 @@ struct TaggedInstance {
 /// releases whole closures in stamp order — byte-identical to the
 /// sequential cascade (see RuntimeOptions::ordering). Migrations stay exact:
 /// control items gate on the admission frontier of their barrier stamp,
-/// and placement flips are published as new versions that each
-/// in-flight closure resolves by its own stamp, so feedback for
-/// pre-barrier stamps still reaches the definitions' old shard
+/// and every closure routes and gates through its own batch's snapshot,
+/// so feedback for pre-barrier stamps still reaches the definitions' old
+/// shard, and each snapshot's reach is exact for the placement it holds
 /// (tests/runtime_cascade_test.cpp proves stream equality against
 /// DetectionEngine::observe_cascading differentially, migrations
 /// included, at several pipeline depths).
@@ -373,9 +368,12 @@ class ShardedEngineRuntime {
   /// Thread-safe; throws std::out_of_range on bad indices.
   bool migrate_definition(std::size_t def_index, std::size_t to_shard);
 
-  /// Runs one rebalance pass immediately over the load observed
-  /// since the last pass; returns the number of migrations issued. Usable
-  /// with rebalance_epoch == 0 for externally paced rebalancing.
+  /// Runs one rebalance pass over the load observed since the last pass
+  /// and returns the number of migrations issued: the moves plan_spillover
+  /// orders (the highest-cost movable definition off any shard above 1.5x
+  /// the mean load, when that strictly improves the balance). The caller
+  /// paces the passes; the workers publish per-definition loads only once
+  /// the first pass has run, so that pass may see none. Thread-safe.
   std::size_t rebalance_now();
 
   /// Stops the runtime: wakes every producer parked in ingest backpressure
@@ -403,7 +401,7 @@ class ShardedEngineRuntime {
   [[nodiscard]] std::vector<std::uint64_t> shard_arrival_loads() const;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] std::size_t definition_count() const { return def_shard_.size(); }
+  [[nodiscard]] std::size_t definition_count() const { return def_specs_.size(); }
   /// Shard currently hosting the `def_index`-th registered definition
   /// (placement introspection for tests and load inspection).
   [[nodiscard]] std::size_t shard_of(std::size_t def_index) const;
@@ -514,15 +512,17 @@ class ShardedEngineRuntime {
     time_model::TimePoint now;
   };
 
-  /// Cascade mode: a copy of the def->shard placement map, effective for
-  /// closures with stamp >= from_stamp. The coordinator keeps the live
-  /// ones and maps each closure's matches through the newest version at or
-  /// below its stamp, so feedback for stamps before a migration barrier
-  /// still reaches a moved definition's old shard while post-barrier closures
-  /// already use the new one. A flip copies only the flat map.
-  struct PlacementVersion {
-    std::uint64_t from_stamp = 0;
-    std::vector<std::uint32_t> shard;  ///< global def index -> shard
+  /// Where every definition lives, as one snapshot: ingest routes a batch
+  /// through the current one and its batch record keeps it, so the cascade
+  /// coordinator routes and gates each closure through the placement its
+  /// arrival was stamped under. Published by start_locked and replaced,
+  /// never changed, by each move (move_locked copies it).
+  struct Placement {
+    std::vector<std::uint32_t> shard;  ///< global def index -> hosting shard
+    /// Cascade mode (empty otherwise): global def index -> bitmask of the
+    /// shards that host, under `shard`, a definition reachable from its
+    /// output type in one or more cascade steps (build_cascade_graph).
+    std::vector<std::uint64_t> reach;
   };
 
   /// One published batch of output, an outbox entry: a worker run's
@@ -765,24 +765,24 @@ class ShardedEngineRuntime {
 
   /// One ingest batch the frontier has not fully passed: its routed
   /// arrivals hold the dense stamps [first, last()], and `masks[i]` is
-  /// arrival first+i's recipient-shard bitmask (`mask` their union). In
+  /// arrival first+i's recipient-shard bitmask (`mask` their union), both
+  /// under `placement`, the snapshot the batch was routed through. In
   /// cascade mode `future[i]` is the bitmask of shards that arrival's
   /// closure could ever dispatch feedback to (the union of the matched
-  /// definitions' downstream reach under the placement at ingest, or
-  /// all-ones once a migration has made the reachability table
-  /// conservative): a shard outside it may run later arrivals while the
-  /// closure is in flight. Empty outside cascade mode. The record holds
-  /// masks only, never the batch's entities.
+  /// definitions' reach in `placement`): a shard outside it may run later
+  /// arrivals while the closure is in flight. Empty outside cascade mode.
+  /// The record holds masks and the snapshot, never the batch's entities.
   struct PendingBatch {
     std::uint64_t first = 0;
     std::uint64_t mask = 0;
     std::vector<std::uint64_t> masks;
     std::vector<std::uint64_t> future;
+    std::shared_ptr<const Placement> placement;
 
     [[nodiscard]] std::uint64_t last() const { return first + masks.size() - 1; }
   };
 
-  /// Cumulative per-definition load totals (rebalance epoch deltas).
+  /// Cumulative per-definition load totals (deltas between rebalance passes).
   struct DefTotals {
     std::uint64_t routed = 0;
     std::uint64_t tried = 0;
@@ -819,13 +819,13 @@ class ShardedEngineRuntime {
   void cascade_loop();
   /// Bumps the progress counter and wakes the coordinator.
   void signal_cascade();
-  /// Builds the definition-reachability table (cascade_future_): for each
-  /// definition, the bitmask of shards hosting any definition reachable
-  /// from its output type in one or more cascade steps. Called once, by
-  /// start_locked (the first ingest or move), under ingest_mutex_;
-  /// placements are the registration-time ones (migrations flip the table
-  /// to all-ones, see move_locked).
-  void build_cascade_graph();
+  /// Fills `placement.reach` from `placement.shard`: for each definition,
+  /// the bitmask of shards hosting any definition reachable from its
+  /// output type in one or more cascade steps. Cascade mode; called under
+  /// ingest_mutex_ for each snapshot before it is published (start_locked,
+  /// move_locked), so every arrival's reach is exact for the placement it
+  /// was routed under.
+  void build_cascade_graph(Placement& placement) const;
   /// True once every shard in `mask` has processed sub-stamp (stamp,
   /// depth, sub) — i.e. published a ck at or beyond it.
   bool ck_reached_all(std::uint64_t mask, std::uint64_t stamp, std::uint32_t depth,
@@ -845,13 +845,12 @@ class ShardedEngineRuntime {
   /// fell inside back at its outbox front, cursor kept, and outside
   /// cascade mode orders each stamp by definition and renumbers it.
   std::vector<TaggedInstance> drain_locked();
-  /// The one move primitive: sets def_shard_[d] = `to` for `defs`
-  /// (ascending global indices, all hosted on one shard other than `to`,
-  /// none with a move in flight) — no routing index changes — installs the
-  /// move's ticket in their def_ticket_ entries, registers the
-  /// per-definition-order release hold (cascade mode: queues the new
-  /// placement version for the coordinator), and pushes the extract/implant
-  /// control pair. ingest_mutex_ must be held.
+  /// The one move primitive: publishes a copy of the placement snapshot
+  /// with `defs` (ascending global indices, all hosted on one shard other
+  /// than `to`, none with a move in flight) on `to` — no routing index
+  /// changes — installs the move's ticket in their def_ticket_ entries,
+  /// registers the per-definition-order release hold, and pushes the
+  /// extract/implant control pair. ingest_mutex_ must be held.
   void move_locked(std::vector<std::uint32_t> defs, std::uint32_t to);
   /// The ticket of the first of `defs` whose last move has not implanted
   /// yet; null when every one has settled. ingest_mutex_ held.
@@ -866,16 +865,10 @@ class ShardedEngineRuntime {
   /// move_locked per source shard. False when none moved or stopped.
   bool move_settled(std::size_t to_shard,
                     const std::function<std::vector<std::uint32_t>()>& select);
-  /// One rebalance pass over the epoch's definition loads; ingest_mutex_ held.
-  std::size_t rebalance_locked();
   /// Ends registration on the first ingest or migration: freezes
-  /// ingest_routes_ and, in cascade mode, builds the cascade graph and
-  /// queues the registration-time placement as the coordinator's base
-  /// version. ingest_mutex_ held.
+  /// ingest_routes_ and publishes the registration-time placement snapshot
+  /// (in cascade mode with its reach). ingest_mutex_ held.
   void start_locked();
-  /// Cascade mode: queues a copy of def_shard_, effective from
-  /// `from_stamp`, for the coordinator. ingest_mutex_ held.
-  void queue_placement_locked(std::uint64_t from_stamp);
   /// Enqueues a control item, bypassing capacity (it carries no arrivals).
   void push_control(Shard& shard, WorkItem item);
   /// Pushes an item into the shard's inbox and wakes its worker; with
@@ -907,9 +900,8 @@ class ShardedEngineRuntime {
   RuntimeOptions options_;
   std::atomic<bool> shutdown_{false};  ///< set once by shutdown()
   /// Whether workers publish per-definition loads with each work item.
-  /// False on the default configuration (rebalancing disabled and
-  /// rebalance_now() never called), so the hot path skips the
-  /// O(definitions) collection+copy entirely.
+  /// False until the first rebalance_now(), so a runtime that never
+  /// rebalances skips the O(definitions) collection+copy entirely.
   std::atomic<bool> publish_loads_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Outbox*> sources_;  ///< the drain's: the shards, or cascade_outbox_
@@ -918,10 +910,10 @@ class ShardedEngineRuntime {
   /// once under the definition's global index, and frozen
   /// (RoutingIndex::freeze) once ingest or a migration starts, after which
   /// collect() only reads and runs on several threads at once. Ingest
-  /// reads it under ingest_mutex_ and maps its matches through def_shard_;
-  /// the cascade coordinator maps them through its PlacementVersions; each
-  /// worker keeps the matches its engine hosts (Shard::local_def) and
-  /// hands them to the engine's routed observe.
+  /// and the cascade coordinator map its matches to shards through a
+  /// placement snapshot (ingest the current one, the coordinator each
+  /// closure's own); each worker keeps the matches its engine hosts
+  /// (Shard::local_def) and hands them to the engine's routed observe.
   core::RoutingIndex ingest_routes_;
   /// The type index: event type -> global index of the type's first
   /// definition, which stands for the type. It places a new definition
@@ -948,9 +940,12 @@ class ShardedEngineRuntime {
   /// start_locked releases the keys).
   std::vector<std::unordered_set<std::uint64_t>> shard_keys_;
   std::vector<std::size_t> shard_def_count_;
-  /// Global def index -> shard: the placement map. Moves flip entries at
-  /// the barrier (move_locked).
-  std::vector<std::uint32_t> def_shard_;
+  /// The current placement snapshot. add_definition fills it in place
+  /// while no batch record can hold it yet; from start_locked on it is
+  /// immutable and each move replaces it with an edited copy at the
+  /// barrier (move_locked), while batch records and in-flight closures
+  /// keep the snapshots they were routed under.
+  std::shared_ptr<Placement> placement_ = std::make_shared<Placement>();
   /// Global def index -> its last move's ticket. Empty until the first
   /// move_locked, which sizes it to the (by then frozen) definition count,
   /// so a run that never moves a definition pays nothing for it. Weak: the
@@ -961,14 +956,13 @@ class ShardedEngineRuntime {
 
   /// Serializes stamp assignment + inbox dispatch so every shard's inbox
   /// stays stamp-ordered even under concurrent ingestion. Also guards all
-  /// placement state (def_shard_, def_ticket_, ingest_routes_, epoch loads).
+  /// placement state (placement_, def_ticket_, ingest_routes_, pass loads).
   mutable std::mutex ingest_mutex_;
   bool started_ = false;                              // guarded by ingest_mutex_
   std::uint64_t next_stamp_ = 1;                      // guarded by ingest_mutex_
   std::vector<core::SlotRoute> route_scratch_;        // guarded by ingest_mutex_
   std::string record_scratch_;                        // guarded by ingest_mutex_
   std::vector<std::uint64_t> shard_routed_;           // guarded by ingest_mutex_
-  std::uint64_t epoch_arrivals_ = 0;                  // guarded by ingest_mutex_
   std::uint64_t migrations_ = 0;                      // guarded by ingest_mutex_
   std::uint64_t rebalance_passes_ = 0;                // guarded by ingest_mutex_
   std::vector<DefTotals> def_load_now_;               // guarded by ingest_mutex_
@@ -996,7 +990,6 @@ class ShardedEngineRuntime {
   std::deque<PendingBatch> pending_;  // ascending stamp
   std::uint64_t arrivals_ = 0;
   std::uint64_t deliveries_ = 0;
-  std::uint64_t replicated_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t instances_ = 0;
   /// Released-stream low watermark (see low_watermark()); advanced only
@@ -1022,33 +1015,16 @@ class ShardedEngineRuntime {
   std::uint64_t frontier_ = 0;  // guarded by merge_mutex_
 
   // --- Cascade mode (all unused unless options_.cascade) ---
-  /// Per definition: bitmask of shards hosting any definition reachable
-  /// from its output type (1+ cascade steps) under registration-time
-  /// placement. Built once by build_cascade_graph() in start_locked,
-  /// before the first stamp; immutable afterwards (the coordinator reads
-  /// it concurrently). Migrations make it stale, so the first one flips
-  /// cascade_conservative_ and new arrivals carry an all-ones reach.
-  std::vector<std::uint64_t> cascade_future_;
-  bool cascade_conservative_ = false;  // guarded by ingest_mutex_
   std::thread cascade_thread_;
-  /// Guards the coordinator's wake-up state and the placement queue.
   /// Coordinator wake protocol: publishers bump cascade_signal_ (seq_cst
   /// RMW, a release) and notify cascade_ec_ — one fenced load when the
   /// coordinator is awake, no mutex on the publish fast path. The
   /// coordinator snapshots the counter before a pass and parks only if it
   /// is unchanged after a no-progress pass (EventCount's Dekker pair makes
-  /// the sleep race-free). cascade_mutex_ guards only placements_.
-  mutable std::mutex cascade_mutex_;
+  /// the sleep race-free).
   EventCount cascade_ec_;
   std::atomic<std::uint64_t> cascade_signal_{0};
   std::atomic<bool> cascade_stop_{false};
-  /// Placement versions not yet taken by the coordinator (the base at
-  /// start, then one per migration barrier).
-  std::vector<PlacementVersion> placements_;  // guarded by cascade_mutex_, ascending
-  /// Nonzero when placements_ has entries; lets the coordinator skip the
-  /// mutex on the (overwhelmingly common) flip-free pass. Bumped under
-  /// cascade_mutex_ before the signal, cleared under it by the coordinator.
-  std::atomic<std::uint32_t> placements_pending_{0};
   /// Global admission frontier: the stamp immediately below the first
   /// in-flight closure that has not finished dispatching feedback. Every
   /// per-shard frontier (Shard::admitted, the reachability-refined gate

@@ -173,7 +173,7 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
                       std::size_t depth, ConsumptionMode mode, const std::string& tag,
                       int arrivals = 192, bool skewed = false,
                       const std::vector<Migration>& migrations = {},
-                      std::size_t rebalance_epoch = 0, std::size_t queue_capacity = 4096,
+                      std::size_t rebalance_every = 0, std::size_t queue_capacity = 4096,
                       std::uint32_t pipeline = 1) {
   core::EngineOptions engine_options;
   engine_options.max_cascade_depth = depth;
@@ -182,7 +182,6 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
   options.shards = shards;
   options.cascade = true;
   options.engine = engine_options;
-  options.rebalance_epoch = rebalance_epoch;
   options.queue_capacity = queue_capacity;
   options.cascade_pipeline = pipeline;
   ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
@@ -215,6 +214,7 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
   const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
   std::size_t next_migration = 0;
   std::size_t forced = 0;
+  std::size_t since_pass = 0;
   for (std::size_t i = 0; i < stream.entities.size(); i += batch_size) {
     while (next_migration < migrations.size() && migrations[next_migration].at <= i) {
       const Migration& mig = migrations[next_migration++];
@@ -224,6 +224,10 @@ void run_differential(std::uint64_t seed, std::size_t shards, std::size_t batch_
     const std::size_t n = std::min(batch_size, stream.entities.size() - i);
     sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                          std::span(stream.nows).subspan(i, n));
+    if (rebalance_every != 0 && (since_pass += n) >= rebalance_every) {
+      since_pass = 0;
+      sharded.rebalance_now();
+    }
     collect(sharded.poll());
   }
   collect(oracle::flush_within(sharded, ctx));
@@ -347,10 +351,10 @@ TEST(CascadeMigration, InstanceTypedDefinitionsMoveMidStream) {
   }
 }
 
-/// A move before the first ingest starts the runtime: the cascade graph is
-/// built from the registration-time placement, then the move flips
-/// placement and makes every later arrival's reach conservative. The
-/// stream must stay byte-identical from the first arrival on.
+/// A move before the first ingest starts the runtime: the registration-time
+/// snapshot is published with its reach, then the move replaces it with a
+/// copy whose reach is recomputed for the new placement. The stream must
+/// stay byte-identical from the first arrival on.
 TEST(CascadeMigration, MoveBeforeFirstIngestStaysExact) {
   for (const std::uint64_t seed : {21u, 22u}) {
     run_differential(seed, 4, 16, 4, ConsumptionMode::kUnrestricted, "M0", 256,
@@ -360,12 +364,202 @@ TEST(CascadeMigration, MoveBeforeFirstIngestStaysExact) {
   }
 }
 
-/// Automatic rebalancing stays exact in cascade mode: the policy may move
-/// any definition — instance-typed ones included — at epoch barriers while the
-/// skewed stream cascades.
+/// Rebalancing stays exact in cascade mode: a pass every 48 arrivals may
+/// move any definition — instance-typed ones included — at epoch barriers
+/// while the skewed stream cascades.
 TEST(CascadeMigration, AutomaticRebalancingStaysExact) {
   run_differential(21u, 4, 16, 4, ConsumptionMode::kUnrestricted, "R", 256, /*skewed=*/true, {},
-                   /*rebalance_epoch=*/48);
+                   /*rebalance_every=*/48);
+}
+
+/// A chain head: `type` fires on a `sensor` reading above 50.
+EventDefinition chain_head(const std::string& type, const std::string& sensor) {
+  return with_value_attr(
+      EventDefinition{EventTypeId(type),
+                      {{"x", SlotFilter::observation(SensorId(sensor))}},
+                      core::c_attr(core::ValueAggregate::kAverage, "value", {0},
+                                   core::RelationalOp::kGt, 50.0),
+                      seconds(60),
+                      {},
+                      ConsumptionMode::kUnrestricted},
+      {0});
+}
+
+/// A chain's consumer: `type` joins a `hot` instance with a later reading
+/// of its own raw `sensor`. Nothing consumes it.
+EventDefinition chain_consumer(const std::string& type, const std::string& hot,
+                               const std::string& sensor) {
+  return with_value_attr(
+      EventDefinition{EventTypeId(type),
+                      {{"h", SlotFilter::instance_of(EventTypeId(hot))},
+                       {"r", SlotFilter::observation(SensorId(sensor))}},
+                      core::c_time(0, time_model::TemporalOp::kBefore, 1),
+                      seconds(5),
+                      {},
+                      ConsumptionMode::kUnrestricted},
+      {0, 1});
+}
+
+/// Admission stays exact after a move: each placement snapshot carries the
+/// reach of the placement it holds, so a closure that cannot finish holds
+/// back only the shards it can still feed. Two independent chains,
+/// HOT_A -> CP_A and HOT_B -> CP_B, one per shard; CP_x joins a HOT_x
+/// instance with a reading of its own raw sensor, and nothing consumes
+/// CP_x. After one move (of a bystander), chain A's shard stalls on one
+/// HOT_A arrival, whose closure can reach only that shard; chain B's shard
+/// must still take the three raw CP_B readings stamped behind it, whose
+/// closures reach no shard at all.
+TEST(CascadeMigration, AdmissionStaysExactAfterAMove) {
+  // Registration order places chain A on one shard and chain B on the
+  // other (least-loaded placement alternates); IDLE is the bystander.
+  const std::vector<EventDefinition> defs = {
+      chain_head("HOT_A", "SA"), chain_head("HOT_B", "SB"),
+      chain_consumer("CP_A", "HOT_A", "SA2"), chain_consumer("CP_B", "HOT_B", "SB2"),
+      chain_head("IDLE", "SX")};
+
+  // The stall hook holds `stalled` on the latch while it is closed.
+  std::atomic<std::size_t> stalled{~std::size_t{0}};
+  std::atomic<bool> latch{false};
+  RuntimeOptions options;
+  options.shards = 2;
+  options.cascade = true;
+  options.cascade_pipeline = 4;
+  options.stall_hook = [&](const std::size_t shard) {
+    while (latch.load() && shard == stalled.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+  // Declared after the runtime: opens the latch on every exit path before
+  // the runtime's destructor joins the workers.
+  struct Release {
+    std::atomic<bool>& latch;
+    ~Release() { latch.store(false); }
+  } release{latch};
+  DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
+  for (const EventDefinition& def : defs) {
+    sharded.add_definition(def);
+    sequential.add_definition(def);
+  }
+  ASSERT_EQ(sharded.shard_of(0), sharded.shard_of(2));  // chain A
+  ASSERT_EQ(sharded.shard_of(1), sharded.shard_of(3));  // chain B
+  ASSERT_NE(sharded.shard_of(0), sharded.shard_of(1));
+  const std::string ctx = "exact admission after a move";
+  const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
+
+  ASSERT_TRUE(sharded.move_definitions(std::vector<std::size_t>{4}, 1 - sharded.shard_of(4)));
+  Stream stream;
+  TimePoint now = TimePoint::epoch();
+  const auto arrive = [&](const std::string& sensor) {  // one arrival, its own batch
+    now += time_model::milliseconds(100);
+    stream.entities.emplace_back(obs(1, sensor, stream.entities.size(), now, {0, 0}, 80.0));
+    stream.nows.push_back(now);
+    sharded.ingest(stream.entities.back(), now);
+  };
+  std::vector<std::string> got;
+  const auto collect = [&](const std::vector<EventInstance>& instances) {
+    for (const EventInstance& inst : instances) got.push_back(describe(inst));
+  };
+  // Both shards handle the move's control items.
+  arrive("SA");
+  arrive("SB");
+  collect(oracle::flush_within(sharded, ctx));
+
+  const std::uint64_t before = sharded.stats().engine.entities_in;
+  stalled.store(sharded.shard_of(0));
+  latch.store(true);
+  arrive("SA");
+  for (int k = 0; k < 3; ++k) arrive("SB2");
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sharded.stats().engine.entities_in < before + 3 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sharded.stats().engine.entities_in - before, 3u)
+      << ctx << ": chain B's shard waited on chain A's stalled closure";
+  latch.store(false);
+  collect(oracle::flush_within(sharded, ctx));
+
+  std::vector<std::string> want;
+  for (std::size_t i = 0; i < stream.entities.size(); ++i) {
+    for (const EventInstance& inst :
+         sequential.observe_cascading(stream.entities[i], stream.nows[i])) {
+      want.push_back(describe(inst));
+    }
+  }
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
+  }
+}
+
+/// A consumer moved onto a shard outside its producer's registration-time
+/// reach: HOT feeds CP, which registers beside it and moves mid-stream to
+/// the shard of a bystander. From the move on, HOT's closures can feed
+/// that shard, so they must hold it back; a reach left as it was at
+/// registration would let the shard take CP's raw readings ahead of HOT
+/// feedback stamped before them, moving CP's detections into other
+/// closures. HOT's shard is slowed on every item, so that lead is there
+/// to take.
+TEST(CascadeMigration, ConsumerMovedOutsideItsProducersReachStaysExact) {
+  for (const std::uint32_t pipeline : {1u, 4u}) {
+    std::atomic<std::size_t> slowed{~std::size_t{0}};
+    RuntimeOptions options;
+    options.shards = 2;
+    options.cascade = true;
+    options.cascade_pipeline = pipeline;
+    options.stall_hook = [&](const std::size_t shard) {
+      if (shard == slowed.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    };
+    ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+    DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
+    for (const EventDefinition& def : {chain_head("HOT", "SA"), chain_head("IDLE", "SX"),
+                                       chain_consumer("CP", "HOT", "SB")}) {
+      sharded.add_definition(def);
+      sequential.add_definition(def);
+    }
+    ASSERT_EQ(sharded.shard_of(0), sharded.shard_of(2));  // HOT's reach: its own shard
+    ASSERT_NE(sharded.shard_of(0), sharded.shard_of(1));
+    slowed.store(sharded.shard_of(0));
+    const std::string ctx = "consumer moved outside its reach, pipeline=" +
+                            std::to_string(pipeline);
+    const oracle::RunDeadline deadline(sharded, ctx);  // a stall prints the snapshot
+
+    sim::Rng rng(0xc0ffeeULL + pipeline);
+    Stream stream;
+    TimePoint now = TimePoint::epoch();
+    for (int i = 0; i < 256; ++i) {
+      now += time_model::milliseconds(100 + rng.uniform_int(0, 400));
+      stream.entities.emplace_back(obs(1, rng.chance(0.5) ? "SA" : "SB",
+                                       static_cast<std::uint64_t>(i), now, {0, 0},
+                                       rng.uniform(0, 100)));
+      stream.nows.push_back(now);
+    }
+    std::vector<std::string> want;
+    for (std::size_t i = 0; i < stream.entities.size(); ++i) {
+      for (const EventInstance& inst :
+           sequential.observe_cascading(stream.entities[i], stream.nows[i])) {
+        want.push_back(describe(inst));
+      }
+    }
+    std::vector<std::string> got;
+    const auto collect = [&](const std::vector<EventInstance>& instances) {
+      for (const EventInstance& inst : instances) got.push_back(describe(inst));
+    };
+    for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
+      if (i == 64) {
+        ASSERT_TRUE(sharded.migrate_definition(2, sharded.shard_of(1))) << ctx;
+      }
+      sharded.ingest_batch(std::span(stream.entities).subspan(i, 16),
+                           std::span(stream.nows).subspan(i, 16));
+      collect(sharded.poll());
+    }
+    collect(oracle::flush_within(sharded, ctx));
+    ASSERT_EQ(got.size(), want.size()) << ctx;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k], want[k]) << ctx << " instance " << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -461,8 +655,8 @@ TEST_P(CascadePipelineTest, PipelinedConsumeAndBackpressureStayExact) {
 
 TEST_P(CascadePipelineTest, PipelinedMigrationsStayExact) {
   // Mid-stream migrations while up to four closures overlap: post-barrier
-  // arrivals fall back to conservative admission, pre-barrier closures
-  // keep routing through their stamp's placement version.
+  // arrivals gate on the new snapshot's reach, pre-barrier closures keep
+  // routing and gating through the snapshot they were stamped under.
   run_differential(GetParam() ^ 0xa11ULL, 4, 16, 4, ConsumptionMode::kUnrestricted, "PM", 256,
                    /*skewed=*/true, {{64, 2, 1}, {128, 0, 2}, {192, 2, 3}}, 0, 4096, 4);
 }

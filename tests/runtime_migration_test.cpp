@@ -330,11 +330,11 @@ TEST_P(MigrationDifferentialTest, SkewedStreamsMatchUnderForcedMigrations) {
 }
 
 TEST_P(MigrationDifferentialTest, AutomaticRebalancingKeepsStreamEqual) {
-  // The adaptive path end to end: tight epochs + a skewed stream make the
-  // default policy migrate on its own; the stream must stay exact.
+  // The adaptive path end to end: a rebalance pass every 48 arrivals + a
+  // skewed stream make the default policy migrate on its own; the stream
+  // must stay exact.
   RuntimeOptions options;
   options.shards = 4;
-  options.rebalance_epoch = 48;
   ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
   DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0});
   for (const EventDefinition& def :
@@ -353,10 +353,15 @@ TEST_P(MigrationDifferentialTest, AutomaticRebalancingKeepsStreamEqual) {
   {
     const std::string ctx = "AR seed=" + std::to_string(GetParam());
     const oracle::RunDeadline deadline(sharded, ctx);
+    std::size_t since_pass = 0;
     for (std::size_t i = 0; i < stream.entities.size(); i += 16) {
       const std::size_t n = std::min<std::size_t>(16, stream.entities.size() - i);
       sharded.ingest_batch(std::span(stream.entities).subspan(i, n),
                            std::span(stream.nows).subspan(i, n));
+      if ((since_pass += n) >= 48) {
+        since_pass = 0;
+        sharded.rebalance_now();
+      }
       for (const EventInstance& inst : sharded.poll()) got.push_back(describe(inst));
     }
     for (const EventInstance& inst : oracle::flush_within(sharded, ctx)) {
@@ -433,20 +438,25 @@ struct SoakResult {
   RuntimeStats stats;
 };
 
-SoakResult run_soak(const Stream& stream, std::size_t rebalance_epoch,
+/// Rebalances every `rebalance_every` arrivals (0: never).
+SoakResult run_soak(const Stream& stream, std::size_t rebalance_every,
                     std::size_t queue_capacity) {
   RuntimeOptions options;
   options.shards = 4;
   options.queue_capacity = queue_capacity;
-  options.rebalance_epoch = rebalance_epoch;
   ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
   for (const EventDefinition& def : soak_definitions()) rt.add_definition(def);
 
   SoakResult r;
+  std::size_t since_pass = 0;
   for (std::size_t i = 0; i < stream.entities.size(); i += 64) {
     const std::size_t n = std::min<std::size_t>(64, stream.entities.size() - i);
     rt.ingest_batch(std::span(stream.entities).subspan(i, n),
                     std::span(stream.nows).subspan(i, n));
+    if (rebalance_every != 0 && (since_pass += n) >= rebalance_every) {
+      since_pass = 0;
+      rt.rebalance_now();
+    }
     for (const EventInstance& inst : rt.poll()) r.stream.push_back(describe(inst));
   }
   for (const EventInstance& inst : oracle::flush_within(rt, "soak")) {
@@ -476,8 +486,8 @@ TEST(RebalanceSoakTest, SkewedLoadSpreadNarrowsWithNoLossOrDuplication) {
   }
 
   constexpr std::size_t kQueue = 256;
-  const SoakResult off = run_soak(stream, /*rebalance_epoch=*/0, kQueue);
-  const SoakResult on = run_soak(stream, /*rebalance_epoch=*/1024, kQueue);
+  const SoakResult off = run_soak(stream, /*rebalance_every=*/0, kQueue);
+  const SoakResult on = run_soak(stream, /*rebalance_every=*/1024, kQueue);
 
   // Exactness under continuous rebalancing: nothing lost, duplicated, or
   // reordered — byte-identical to the sequential engine (and to the
@@ -725,7 +735,7 @@ TEST(PlanSpilloverTest, MigratesHighestCostDefinitionOffHotShard) {
   const std::vector<DefinitionCost> defs = {
       {0, 0, 500, true}, {1, 0, 400, true}, {2, 1, 50, true}, {3, 2, 30, true}, {4, 3, 20, true}};
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
+  plan_spillover(RebalanceView{shard_load, defs}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].def, 0u);  // the 500-cost definition
   EXPECT_EQ(out[0].to, 3u);     // the least-loaded shard
@@ -738,7 +748,7 @@ TEST(PlanSpilloverTest, LeavesIndivisibleHotDefinitionAlone) {
   const std::vector<DefinitionCost> defs = {
       {0, 0, 1000, true}, {1, 1, 10, true}, {2, 2, 10, true}, {3, 3, 10, true}};
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
+  plan_spillover(RebalanceView{shard_load, defs}, out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -750,7 +760,7 @@ TEST(PlanSpilloverTest, SkipsUnmovableDefinitionsAndBalancedShards) {
         {0, 0, 500, false}, {1, 0, 400, true}, {2, 1, 50, true}, {3, 2, 30, true},
         {4, 3, 20, true}};
     std::vector<MigrationOrder> out;
-    plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
+    plan_spillover(RebalanceView{shard_load, defs}, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].def, 1u);
   }
@@ -760,21 +770,22 @@ TEST(PlanSpilloverTest, SkipsUnmovableDefinitionsAndBalancedShards) {
     const std::vector<DefinitionCost> defs = {
         {0, 0, 100, true}, {1, 1, 110, true}, {2, 2, 90, true}, {3, 3, 100, true}};
     std::vector<MigrationOrder> out;
-    plan_spillover(RebalanceView{shard_load, defs}, SpilloverOptions{}, out);
+    plan_spillover(RebalanceView{shard_load, defs}, out);
     EXPECT_TRUE(out.empty());
   }
 }
 
-TEST(PlanSpilloverTest, HonorsMigrationCap) {
-  SpilloverOptions opts;
-  opts.max_migrations = 1;
-  const std::vector<std::uint64_t> shard_load = {900, 800, 10, 10};
+TEST(PlanSpilloverTest, OrdersOneMovePerHotShardPerPass) {
+  // After the 400-cost move a 300-cost one would still strictly improve
+  // shard 0 (0 + 300 < 600); the pass orders only the first.
+  const std::vector<std::uint64_t> shard_load = {1000, 0, 0, 0};
   const std::vector<DefinitionCost> defs = {
-      {0, 0, 450, true}, {1, 0, 450, true}, {2, 1, 400, true}, {3, 1, 400, true},
-      {4, 2, 10, true},  {5, 3, 10, true}};
+      {0, 0, 400, true}, {1, 0, 300, true}, {2, 0, 300, true}};
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, defs}, opts, out);
-  EXPECT_EQ(out.size(), 1u);
+  plan_spillover(RebalanceView{shard_load, defs}, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].def, 0u);
+  EXPECT_EQ(out[0].to, 1u);
 }
 
 }  // namespace

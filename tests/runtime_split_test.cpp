@@ -369,8 +369,8 @@ struct SoakResult {
   RuntimeStats stats;
 };
 
-/// Externally paced rebalancing (flush + rebalance_now every 2048
-/// arrivals) instead of rebalance_epoch: the flush barrier means every
+/// Rebalancing paced behind a flush (flush + rebalance_now every 2048
+/// arrivals): the flush barrier means every
 /// policy pass judges fully published loads, so the pass-by-pass decision
 /// sequence — and hence the split point in the stream — is deterministic
 /// rather than racing the workers' load publication.
@@ -476,7 +476,7 @@ TEST(PlanSpilloverSkipTest, CountsTheSkipWhenNoSingleMoveImproves) {
       {0, 0, 1000, true}, {1, 1, 10, true}, {2, 2, 10, true}, {3, 3, 10, true}};
   std::uint64_t skipped = 0;
   std::vector<MigrationOrder> out;
-  plan_spillover(RebalanceView{shard_load, defs, &skipped}, SpilloverOptions{}, out);
+  plan_spillover(RebalanceView{shard_load, defs, &skipped}, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(skipped, 1u);
 }

@@ -375,7 +375,7 @@ TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
   // and drop one half of the extract/implant control pair on a closed
   // inbox while admitting the other — the receive-side worker then waited
   // forever on a ready flag nobody would set, and shutdown()'s join hung.
-  // Race ingestion, explicit migrations, auto-rebalancing, and shutdown
+  // Race ingestion, explicit migrations, rebalance passes, and shutdown
   // hard across both runtime modes; a regression shows up as a stalled
   // round: its RunDeadline fails it with the runtime's snapshot.
   for (const bool cascade : {false, true}) {
@@ -384,7 +384,6 @@ TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
       options.shards = 4;
       options.queue_capacity = 8;
       options.cascade = cascade;
-      options.rebalance_epoch = 64;  // migrations also issue inside ingest_batch
       ShardedEngineRuntime rt(ObserverId("OB"), core::Layer::kCyber, {0, 0}, options);
       const oracle::RunDeadline deadline(
           rt, "migration race cascade=" + std::to_string(cascade) +
@@ -399,6 +398,9 @@ TEST(RuntimeStressTest, ShutdownRacesMigrationIssuance) {
           rt.ingest_batch(std::span(stream.entities).subspan(i, n),
                           std::span(stream.nows).subspan(i, n));
           i += n;
+          // A rebalance pass every 64 arrivals: its moves race the
+          // migrator's, the ingests and shutdown().
+          if (i % 64 == 0) rt.rebalance_now();
         }
       });
       std::atomic<bool> stop_migrator{false};
