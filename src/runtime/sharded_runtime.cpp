@@ -76,7 +76,6 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
     auto shard = std::make_unique<Shard>(id_, layer_, location_, options_.engine);
     shard->index = s;
     if (options_.cascade) shard->feedback.emplace();
-    if (options_.checkpoint_epoch != 0) shard->replay_log.emplace();
     shards_.push_back(std::move(shard));
   }
   shard_keys_.resize(options_.shards);
@@ -146,17 +145,17 @@ void ShardedEngineRuntime::shutdown() noexcept {
     for (auto& shard : shards_) {
       const std::lock_guard lk(shard->log_mutex);
       const std::uint64_t consumed = shard->consumed_seq.load(std::memory_order_relaxed);
-      for (const LoggedItem& e : *shard->replay_log) {
-        if (e.push_seq <= consumed || !e.is_control()) continue;
-        if (e.control.control().ticket == nullptr) continue;
-        MigrationTicket& ticket = *e.control.control().ticket;
-        {
-          const std::lock_guard tlk(ticket.m);
-          ticket.ready = true;
-          ticket.done = true;
-        }
-        ticket.cv.notify_all();
-      }
+      shard->replay_log.for_each_control(
+          [&](std::uint64_t seq, const ReplayLog::ControlBlock& block) {
+            const std::shared_ptr<MigrationTicket>& ticket = control_of(block).ticket;
+            if (seq <= consumed || ticket == nullptr) return;
+            {
+              const std::lock_guard tlk(ticket->m);
+              ticket->ready = true;
+              ticket->done = true;
+            }
+            ticket->cv.notify_all();
+          });
     }
   }
   for (auto& shard : shards_) {
@@ -409,29 +408,24 @@ void ShardedEngineRuntime::ingest_batch(std::span<const core::Entity> batch,
 bool ShardedEngineRuntime::push_locked(Shard& shard, WorkItem item) {
   const bool logged = options_.checkpoint_epoch != 0;
   if (logged) {
-    LoggedItem entry{++shard.push_seq_next, {}, {}};
-    if (item.is_control()) {
-      entry.control = item;  // shares the control block (and any ticket)
-    } else {
-      // Encode into the reused scratch, then copy: the record is
-      // allocated at its exact size.
-      const Batch& batch = *item.batch;
-      record_scratch_.clear();
-      pack_arrivals(record_scratch_, item.indices(), batch.entities, batch.nows, batch.stamps);
-      entry.record = record_scratch_;
-    }
     const std::lock_guard lk(shard.log_mutex);
-    shard.replay_log->push_back(std::move(entry));
+    if (item.is_control()) {
+      // Shares the control block (and any ticket); a checkpoint is a
+      // barrier the log can be truncated through.
+      shard.replay_log.append(item.batch, item.control().ckpt != 0);
+    } else {
+      const Batch& batch = *item.batch;
+      shard.replay_log.append(item.indices(), batch.entities, batch.nows, batch.stamps);
+    }
   }
   if (shard.inbox.push(std::move(item))) {
     shard.work_ec.notify_all();
     return true;
   }
   if (logged) {
-    // Never pushed: retract the sequence too, so pushed items stay dense.
-    --shard.push_seq_next;
+    // Never pushed: retract it, so pushed items stay dense.
     const std::lock_guard lk(shard.log_mutex);
-    shard.replay_log->pop_back();
+    shard.replay_log.retract();
   }
   return false;
 }
@@ -1099,9 +1093,7 @@ void ShardedEngineRuntime::take_checkpoint(Shard& shard, std::uint64_t push_seq)
     const std::lock_guard lk(shard.log_mutex);
     shard.checkpoint = std::move(ck);
     // The frames cover every logged item up to the barrier — truncate.
-    while (!shard.replay_log->empty() && shard.replay_log->front().push_seq <= push_seq) {
-      shard.replay_log->pop_front();
-    }
+    shard.replay_log.truncate_through(push_seq);
   }
   shard.consumed_seq.store(push_seq, std::memory_order_relaxed);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
@@ -1202,38 +1194,41 @@ bool ShardedEngineRuntime::recover_shard(Shard& shard) {
   Run run(shard);
   std::uint64_t done_seq = ck.has_value() ? ck->push_seq : 0;
   std::uint64_t replayed = 0;
+  ReplayLog::Reader reader;
+  std::string record;
   for (;;) {
     if (shard.stop.load(std::memory_order_seq_cst)) {
       shard.dead.store(true, std::memory_order_seq_cst);
       return false;
     }
     // Push sequences are dense and the log starts right after the
-    // checkpoint, so the next entry is found by offset, not by a scan.
+    // checkpoint, so the reader walks it from the front in push order.
     const std::uint64_t next = done_seq + 1;
     if (next > popped_at_crash) break;  // popped prefix replayed — hand over to the live loop
-    LoggedItem entry;
+    ReplayLog::ControlBlock block;
     {
       const std::lock_guard lk(shard.log_mutex);
-      const std::deque<LoggedItem>& log = *shard.replay_log;
-      if (log.empty() || next - log.front().push_seq >= log.size()) break;
-      entry = log[next - log.front().push_seq];  // copy: the log keeps its own for a future crash
+      if (next >= shard.replay_log.end_seq()) break;
+      // Copies the item: the log keeps its own for a future crash.
+      block = reader.fetch(shard.replay_log, next, record);
     }
 
     const bool suppress = next <= consumed_at_crash;
-    if (entry.is_control()) {
-      if (entry.control.control().ckpt != 0) {
+    if (block != nullptr) {
+      const Control& ctl = control_of(block);
+      if (ctl.ckpt != 0) {
         // Re-taking the checkpoint here reproduces the original barrier
         // exactly (same prefix of the log has been applied).
         take_checkpoint(shard, next);
       } else {
-        if (!handle_control(shard, entry.control.control(), run, suppress)) {
+        if (!handle_control(shard, ctl, run, suppress)) {
           shard.dead.store(true, std::memory_order_seq_cst);
           return false;
         }
         if (!suppress) shard.consumed_seq.store(next, std::memory_order_relaxed);
       }
     } else {
-      std::optional<Arrivals> arrivals = unpack_arrivals(entry.record);
+      std::optional<Arrivals> arrivals = reader.decode(record);
       if (!arrivals.has_value()) {
         throw std::runtime_error("ShardedEngineRuntime: corrupt replay record");
       }
@@ -1895,12 +1890,9 @@ RuntimeStats ShardedEngineRuntime::stats() const {
   s.recoveries = recoveries_.load(std::memory_order_relaxed);
   s.replayed = replayed_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
-    if (!shard->replay_log.has_value()) break;  // not checkpointing
     const std::lock_guard lk(shard->log_mutex);
-    for (const LoggedItem& e : *shard->replay_log) {
-      s.replay_log_bytes += e.record.size();
-      s.replay_log_arrivals += record_arrivals(e.record);
-    }
+    s.replay_log_bytes += shard->replay_log.bytes();
+    s.replay_log_arrivals += shard->replay_log.arrivals();
   }
   s.closures_in_flight_max = closures_in_flight_max_.load(std::memory_order_relaxed);
   s.cascade_feedback_batches = cascade_feedback_batches_.load(std::memory_order_relaxed);

@@ -19,6 +19,7 @@
 #include "core/engine.hpp"
 #include "core/event_type_table.hpp"
 #include "core/routing.hpp"
+#include "runtime/checkpoint.hpp"
 #include "runtime/inbox_queue.hpp"
 #include "runtime/rebalance.hpp"
 
@@ -156,8 +157,11 @@ struct RuntimeStats {
   std::uint64_t crashes = 0;      ///< injected worker deaths reaped
   std::uint64_t recoveries = 0;   ///< shards rebuilt from checkpoint + log
   std::uint64_t replayed = 0;     ///< log arrivals re-fed during recoveries
-  /// Replay-log gauges, summed over shards: packed record bytes and the
-  /// arrivals they hold, logged since each shard's last checkpoint.
+  /// Replay-log gauges, summed over shards, of what each shard logged
+  /// since its last checkpoint: the bytes its log holds — packed records
+  /// and the container around them (allocated chunks, the last one's free
+  /// tail included, and the control-item list) — and the arrivals it
+  /// holds. Running counters: reading them walks no record.
   std::uint64_t replay_log_bytes = 0;
   std::uint64_t replay_log_arrivals = 0;
   /// Moves after which an event type's definitions span more than one
@@ -482,17 +486,11 @@ class ShardedEngineRuntime {
     }
   };
 
-  /// A replay-log entry: a pushed item's per-shard push sequence and a
-  /// copy of the item. A control item is kept as pushed (its small
-  /// control block); an arrival item is packed into a self-contained
-  /// record of its slice (pack_arrivals), so the log pins no ingest
-  /// Batch block and stores each arrival in its compact byte form.
-  struct LoggedItem {
-    std::uint64_t push_seq = 0;
-    WorkItem control;    ///< control items only
-    std::string record;  ///< arrival items only; never empty for them
-    [[nodiscard]] bool is_control() const { return record.empty(); }
-  };
+  /// The control of a replay-log control block (the log holds a control
+  /// item's Batch block without its type).
+  [[nodiscard]] static const Control& control_of(const ReplayLog::ControlBlock& block) {
+    return static_cast<const Batch*>(block.get())->ctl;
+  }
 
   /// Cascade mode: one derived instance re-ingested into a shard, keyed
   /// by its hierarchical sub-stamp. `entity` is shared across recipient
@@ -698,13 +696,14 @@ class ShardedEngineRuntime {
     /// Guards replay_log and checkpoint (producers append, the worker
     /// truncates at checkpoints, recovery and shutdown read).
     std::mutex log_mutex;
-    /// Copies of every work item pushed since the last checkpoint, in
-    /// push_seq order: appended right before the matching inbox push
-    /// (under ingest_mutex_), truncated by the worker at each
-    /// checkpoint — the bounded replay window. Push sequences are dense,
-    /// so the entry for push_seq p sits at p - front().push_seq. Engaged
-    /// only when checkpointing (checkpoint_epoch != 0).
-    std::optional<std::deque<LoggedItem>> replay_log;
+    /// Every work item pushed since the last checkpoint, in push order:
+    /// appended right before the matching inbox push (under
+    /// ingest_mutex_), truncated by the worker at each checkpoint — the
+    /// bounded replay window. An arrival item is packed into a record of
+    /// its slice, so the log pins no ingest Batch block; a control item
+    /// keeps its block. Used only when checkpointing (checkpoint_epoch !=
+    /// 0); it allocates nothing before its first append.
+    ReplayLog replay_log;
     std::optional<ShardCheckpoint> checkpoint;  ///< guarded by log_mutex
     /// Baseline added to the live engine's counters when publishing
     /// stats: a recovered engine only counts post-checkpoint work, so
@@ -717,12 +716,11 @@ class ShardedEngineRuntime {
     std::atomic<std::uint64_t> consumed_seq{0};
     /// Whole items popped off the inbox so far, which is the push_seq of
     /// the last one: push sequences are dense per shard (a failed push
-    /// rolls push_seq_next back) and the inbox is FIFO. A partial
+    /// retracts its log item) and the inbox is FIFO. A partial
     /// cascade-gated claim does not pop. Recovery replays log entries at
     /// or before it; later ones are still in the inbox. Worker-owned; the
     /// supervisor's join orders the hand-off to the replacement worker.
     std::uint64_t popped_seq = 0;
-    std::uint64_t push_seq_next = 0;  ///< guarded by ingest_mutex_ (checkpointing on)
     /// Set by a dying worker (crash_hook) or an interrupted recovery;
     /// the supervisor reaps and respawns, shutdown sweeps leftovers.
     std::atomic<bool> dead{false};
@@ -872,9 +870,9 @@ class ShardedEngineRuntime {
   /// Enqueues a control item, bypassing capacity (it carries no arrivals).
   void push_control(Shard& shard, WorkItem item);
   /// Pushes an item into the shard's inbox and wakes its worker; with
-  /// checkpointing on, first assigns its push_seq and appends a copy (an
-  /// arrival item packed into a record) to the replay log. False when
-  /// shutdown closed the inbox: the item and its log copy are discarded.
+  /// checkpointing on, first appends it to the replay log (which assigns
+  /// its push_seq). False when shutdown closed the inbox: the item is
+  /// discarded and its log append retracted.
   /// ingest_mutex_ must be held.
   bool push_locked(Shard& shard, WorkItem item);
   /// Worker handler for the checkpoint control item with sequence
@@ -961,7 +959,6 @@ class ShardedEngineRuntime {
   bool started_ = false;                              // guarded by ingest_mutex_
   std::uint64_t next_stamp_ = 1;                      // guarded by ingest_mutex_
   std::vector<core::SlotRoute> route_scratch_;        // guarded by ingest_mutex_
-  std::string record_scratch_;                        // guarded by ingest_mutex_
   std::vector<std::uint64_t> shard_routed_;           // guarded by ingest_mutex_
   std::uint64_t migrations_ = 0;                      // guarded by ingest_mutex_
   std::uint64_t rebalance_passes_ = 0;                // guarded by ingest_mutex_

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <optional>
 #include <thread>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -598,8 +599,9 @@ TEST(CrashRecovery, CheckpointWithCascadeThrows) {
 TEST(CrashRecovery, ReplayLogStaysCompact) {
   // A fire-shaped stream (8 motes, 32 sensors, one double `value`, 100 us
   // apart) in 64-arrival batches, logged on one shard whose checkpoint
-  // epoch never arrives: the log holds every arrival, packed with
-  // back-referenced names and delta-coded stamps, nows, seqs and times.
+  // epoch never arrives: the log holds every arrival in one coding
+  // context (back-referenced names, delta-coded stamps, nows and seqs,
+  // the shape written once), and its byte count includes its chunks.
   RuntimeOptions options;
   options.shards = 1;
   options.checkpoint_epoch = std::size_t{1} << 20;
@@ -640,7 +642,7 @@ TEST(CrashRecovery, ReplayLogStaysCompact) {
   ASSERT_GT(stats.replay_log_arrivals, 0u);
   const double per_arrival = static_cast<double>(stats.replay_log_bytes) /
                              static_cast<double>(stats.replay_log_arrivals);
-  EXPECT_LE(per_arrival, 44.0);
+  EXPECT_LE(per_arrival, 34.0);
 }
 
 // --- Replay-record entity codec ---
@@ -701,15 +703,32 @@ std::vector<core::Entity> codec_entities() {
   return out;
 }
 
-/// A record of every arrival in the parallel arrays, in order.
+/// The first record of a log that holds only the arrivals at `indices`:
+/// its bytes stand alone, as the context starts fresh there.
+std::string record_at(std::span<const std::uint32_t> indices,
+                      const std::vector<core::Entity>& entities,
+                      const std::vector<TimePoint>& nows,
+                      const std::vector<std::uint64_t>& stamps) {
+  ReplayLog log;
+  log.append(indices, entities, nows, stamps);
+  ReplayLog::Reader reader;
+  std::string out;
+  EXPECT_EQ(reader.fetch(log, log.front_seq(), out), nullptr);
+  return out;
+}
+
+/// A standalone record of every arrival in the parallel arrays, in order.
 std::string record_of(const std::vector<core::Entity>& entities,
                       const std::vector<TimePoint>& nows,
                       const std::vector<std::uint64_t>& stamps) {
   std::vector<std::uint32_t> indices(entities.size());
   std::iota(indices.begin(), indices.end(), 0U);
-  std::string out;
-  pack_arrivals(out, indices, entities, nows, stamps);
-  return out;
+  return record_at(indices, entities, nows, stamps);
+}
+
+/// Decodes a standalone record (a log's first).
+std::optional<Arrivals> unpack(std::string_view record) {
+  return ReplayLog::Reader().decode(record);
 }
 
 /// A one-arrival record (stamp 0, now 0) of `entity`: its bytes pin every
@@ -720,7 +739,7 @@ std::string packed(const core::Entity& entity) {
 
 /// The entity of a one-arrival record, or nullopt.
 std::optional<core::Entity> unpacked(std::string_view record) {
-  std::optional<Arrivals> arrivals = unpack_arrivals(record);
+  std::optional<Arrivals> arrivals = unpack(record);
   if (!arrivals.has_value() || arrivals->entities.size() != 1) return std::nullopt;
   return std::move(arrivals->entities.front());
 }
@@ -771,10 +790,9 @@ void expect_same_entity(const core::Entity& got, const core::Entity& want) {
 void expect_record_round_trips(const std::string& record, const std::vector<core::Entity>& entities,
                                const std::vector<TimePoint>& nows,
                                const std::vector<std::uint64_t>& stamps) {
-  const std::optional<Arrivals> decoded = unpack_arrivals(record);
+  const std::optional<Arrivals> decoded = unpack(record);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->entities.size(), entities.size());
-  EXPECT_EQ(record_arrivals(record), entities.size());
   for (std::size_t k = 0; k < entities.size(); ++k) {
     EXPECT_EQ(decoded->stamps[k], stamps[k]) << "arrival " << k;
     EXPECT_EQ(decoded->nows[k], nows[k]) << "arrival " << k;
@@ -829,9 +847,8 @@ TEST(ReplayCodec, RecordRoundTripsTheSelectedArrivals) {
     stamps.push_back(i % 2 == 0 ? 40 + i : 0);
   }
   const std::vector<std::uint32_t> indices = {0, 1, 3, 4, 7};
-  std::string record;
-  pack_arrivals(record, indices, entities, nows, stamps);
-  const std::optional<Arrivals> decoded = unpack_arrivals(record);
+  const std::string record = record_at(indices, entities, nows, stamps);
+  const std::optional<Arrivals> decoded = unpack(record);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->entities.size(), indices.size());
   ASSERT_EQ(decoded->nows.size(), indices.size());
@@ -842,12 +859,10 @@ TEST(ReplayCodec, RecordRoundTripsTheSelectedArrivals) {
     expect_same_entity(decoded->entities[k], entities[indices[k]]);
   }
   // The empty record is well-formed; trailing bytes are not.
-  std::string empty;
-  pack_arrivals(empty, {}, entities, nows, stamps);
-  ASSERT_TRUE(unpack_arrivals(empty).has_value());
-  EXPECT_TRUE(unpack_arrivals(empty)->entities.empty());
-  EXPECT_EQ(record_arrivals(empty), 0u);
-  EXPECT_FALSE(unpack_arrivals(record + '\0').has_value());
+  const std::string empty = record_at({}, entities, nows, stamps);
+  ASSERT_TRUE(unpack(empty).has_value());
+  EXPECT_TRUE(unpack(empty)->entities.empty());
+  EXPECT_FALSE(unpack(record + '\0').has_value());
 }
 
 /// A hand-built two-slot state buffering every codec_entities() shape:
@@ -1006,10 +1021,10 @@ TEST(ReplayCodec, BackReferencesPastTheTableAreRejected) {
     m[at] = k;
     return m;
   };
-  EXPECT_FALSE(unpack_arrivals(with(mote_ref + 1, '\4')).has_value()) << "one past the table";
-  EXPECT_FALSE(unpack_arrivals(with(mote_ref, '\x7f')).has_value()) << "far past the table";
+  EXPECT_FALSE(unpack(with(mote_ref + 1, '\4')).has_value()) << "one past the table";
+  EXPECT_FALSE(unpack(with(mote_ref, '\x7f')).has_value()) << "far past the table";
   // The last entry is in range: the sensor then reads as "value".
-  const std::optional<Arrivals> last = unpack_arrivals(with(mote_ref + 1, '\3'));
+  const std::optional<Arrivals> last = unpack(with(mote_ref + 1, '\3'));
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->entities[1].observation().sensor, SensorId("value"));
   // Forward references: in a first arrival nothing is tabled before its
@@ -1017,22 +1032,23 @@ TEST(ReplayCodec, BackReferencesPastTheTableAreRejected) {
   const std::string first = record_of({entities[0]}, {nows[0]}, {stamps[0]});
   const std::string mote = std::string(1, '\0') + "\3MT1";
   const std::string sensor = std::string(1, '\0') + "\3SRa";
-  EXPECT_FALSE(unpack_arrivals(patched(first, mote, "\1")).has_value()) << "mote ref 1";
-  EXPECT_FALSE(unpack_arrivals(patched(first, sensor, "\2")).has_value()) << "sensor ref 2";
-  const std::optional<Arrivals> self = unpack_arrivals(patched(first, sensor, "\1"));
+  EXPECT_FALSE(unpack(patched(first, mote, "\1")).has_value()) << "mote ref 1";
+  EXPECT_FALSE(unpack(patched(first, sensor, "\2")).has_value()) << "sensor ref 2";
+  const std::optional<Arrivals> self = unpack(patched(first, sensor, "\1"));
   ASSERT_TRUE(self.has_value()) << "a back-reference to the mote just tabled";
   EXPECT_EQ(self->entities[0].observation().sensor, SensorId("MT1"));
   // A reference varint that never terminates.
-  EXPECT_FALSE(unpack_arrivals(record.substr(0, mote_ref) + std::string(11, '\xff') +
+  EXPECT_FALSE(unpack(record.substr(0, mote_ref) + std::string(11, '\xff') +
                                record.substr(mote_ref + 1))
                    .has_value());
 }
 
 TEST(ReplayCodec, MinimalArrivalsFillARecord) {
-  // The smallest arrival: same stamp, now, seq and time as the one before
-  // (one-byte zero deltas), back-referenced empty ids, a point location
-  // and no attributes — 25 bytes. A record made of nothing else must
-  // decode: unpack_arrivals' count() minimum is a true lower bound.
+  // The smallest arrival: same stamp, now and seq as the one before
+  // (one-byte zero deltas), its time elided, back-referenced empty ids, a
+  // point location and the previous (empty) shape — 22 bytes. A record
+  // made of nothing else must decode: the decoder's count() minimum is
+  // a true lower bound.
   core::PhysicalObservation minimal;
   minimal.time = TimePoint(0);
   const std::vector<core::Entity> entities(300, core::Entity(minimal));
@@ -1040,10 +1056,10 @@ TEST(ReplayCodec, MinimalArrivalsFillARecord) {
   const std::vector<std::uint64_t> stamps(entities.size(), 0);
   const std::string record = record_of(entities, nows, stamps);
   const std::size_t one = packed(entities[0]).size();
-  EXPECT_EQ(record.size(), one + 1 + 25 * (entities.size() - 1));  // +1: two-byte count
+  EXPECT_EQ(record.size(), one + 1 + 22 * (entities.size() - 1));  // +1: two-byte count
   expect_record_round_trips(record, entities, nows, stamps);
 
-  // The same for a checkpoint frame's buffered entities (24 bytes each).
+  // The same for a checkpoint frame's buffered entities (21 bytes each).
   core::DefinitionState state = codec_state();
   state.buffers.assign(3, {});  // two empty slots around the full one
   for (const core::Entity& e : entities) {
@@ -1057,6 +1073,86 @@ TEST(ReplayCodec, MinimalArrivalsFillARecord) {
   EXPECT_EQ(encode_definition_state(*decoded), frame);
 }
 
+// --- Replay log ---
+
+/// Appends every arrival of `a` to `log` as one record.
+void append_record(ReplayLog& log, const Arrivals& a) {
+  std::vector<std::uint32_t> indices(a.entities.size());
+  std::iota(indices.begin(), indices.end(), 0U);
+  log.append(indices, a.entities, a.nows, a.stamps);
+}
+
+/// One item read back from a log: a control's block, or a record's bytes
+/// and their decoding.
+struct ReadItem {
+  ReplayLog::ControlBlock block;
+  std::string record;
+  std::optional<Arrivals> arrivals;
+};
+
+/// Every item of `log`, read from its front by one reader.
+std::vector<ReadItem> read_log(const ReplayLog& log) {
+  std::vector<ReadItem> out;
+  ReplayLog::Reader reader;
+  for (std::uint64_t seq = log.front_seq(); seq < log.end_seq(); ++seq) {
+    ReadItem item;
+    item.block = reader.fetch(log, seq, item.record);
+    if (item.block == nullptr) item.arrivals = reader.decode(item.record);
+    out.push_back(std::move(item));
+  }
+  return out;
+}
+
+void expect_same_arrivals(const std::optional<Arrivals>& got, const Arrivals& want) {
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->entities.size(), want.entities.size());
+  for (std::size_t k = 0; k < want.entities.size(); ++k) {
+    EXPECT_EQ(got->stamps[k], want.stamps[k]) << "arrival " << k;
+    EXPECT_EQ(got->nows[k], want.nows[k]) << "arrival " << k;
+    expect_same_entity(got->entities[k], want.entities[k]);
+  }
+}
+
+/// Arrivals [first, first + n), 100 us apart, on sensors `tag`0..149;
+/// every third one has a two-attribute shape instead of `value`.
+Arrivals varied_arrivals(std::uint64_t first, std::size_t n, const std::string& tag) {
+  Arrivals a;
+  for (std::uint64_t i = first; i < first + n; ++i) {
+    const TimePoint t(static_cast<time_model::Tick>(i) * 100'000);
+    core::PhysicalObservation o = obs(static_cast<int>(i % 8), tag + std::to_string(i % 150), i,
+                                      t, {0.5 * static_cast<double>(i), -1.0}, 0.25);
+    if (i % 3 == 0) {
+      o.attributes = core::AttributeSet{};
+      o.attributes.set(tag + "_level", static_cast<std::int64_t>(i));
+      o.attributes.set("zone", "z" + std::to_string(i % 5));
+    }
+    a.entities.push_back(core::Entity(std::move(o)));
+    a.nows.push_back(t);
+    a.stamps.push_back(i + 1);
+  }
+  return a;
+}
+
+/// codec_entities() as arrivals stamped from `first`.
+Arrivals codec_arrivals(std::uint64_t first) {
+  Arrivals a;
+  a.entities = codec_entities();
+  for (std::uint64_t k = 0; k < a.entities.size(); ++k) {
+    a.nows.push_back(TimePoint(static_cast<time_model::Tick>(100 * (first + k))));
+    a.stamps.push_back(first + k + 1);
+  }
+  return a;
+}
+
+/// A log of three records whose later ones back-reference names and
+/// shapes the earlier ones tabled.
+ReplayLog& three_record_log(ReplayLog& log) {
+  append_record(log, codec_arrivals(0));
+  append_record(log, codec_arrivals(100));
+  append_record(log, varied_arrivals(200, 12, "SRa"));
+  return log;
+}
+
 TEST(ReplayCodec, EveryTruncationIsRejectedCleanly) {
   std::vector<std::uint64_t> stamps;
   std::vector<TimePoint> nows;
@@ -1064,7 +1160,7 @@ TEST(ReplayCodec, EveryTruncationIsRejectedCleanly) {
   for (const core::Entity& e : entities) {
     const std::string bytes = packed(e);
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-      EXPECT_FALSE(unpack_arrivals(std::string_view(bytes).substr(0, len)).has_value())
+      EXPECT_FALSE(unpack(std::string_view(bytes).substr(0, len)).has_value())
           << "prefix of length " << len << " decoded";
     }
     stamps.push_back(stamps.size() + 1);
@@ -1072,24 +1168,200 @@ TEST(ReplayCodec, EveryTruncationIsRejectedCleanly) {
   }
   const std::string record = record_of(entities, nows, stamps);
   for (std::size_t len = 0; len < record.size(); ++len) {
-    EXPECT_FALSE(unpack_arrivals(std::string_view(record).substr(0, len)).has_value())
+    EXPECT_FALSE(unpack(std::string_view(record).substr(0, len)).has_value())
         << "record prefix of length " << len << " decoded";
   }
+
+  // In a log: every prefix of every record is rejected in the context the
+  // records before it leave.
+  ReplayLog log;
+  const std::vector<ReadItem> items = read_log(three_record_log(log));
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_LT(items[1].record.size(), items[0].record.size()) << "no back-references";
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    for (std::size_t len = 0; len < items[k].record.size(); ++len) {
+      ReplayLog::Reader reader;
+      std::string bytes;
+      for (std::size_t j = 0; j < k; ++j) {
+        (void)reader.fetch(log, log.front_seq() + j, bytes);
+        ASSERT_TRUE(reader.decode(bytes).has_value());
+      }
+      (void)reader.fetch(log, log.front_seq() + k, bytes);
+      EXPECT_FALSE(reader.decode(std::string_view(bytes).substr(0, len)).has_value())
+          << "record " << k << " prefix of length " << len << " decoded";
+    }
+  }
+}
+
+TEST(ReplayCodec, SameShapeHeaderNeedsAShapeInTheContext) {
+  // An observation with empty ids, seq 0 and time = now = 0 at the
+  // origin: count, Δstamp and ΔΔnow, the header (bit 3: time elided),
+  // two literal empty srefs, Δseq, the point, then its shape (empty).
+  const std::string head("\1\0\0", 3);
+  const std::string body = std::string(5, '\0') + std::string(16, '\0');
+  ASSERT_TRUE(unpack(head + '\x08' + body + '\0').has_value());
+  EXPECT_FALSE(unpack(head + '\x0a' + body).has_value()) << "same shape, none yet";
+
+  // In a log, a record's same-shape header can refer to the previous
+  // record's shape: alone (in a fresh context) that record is rejected.
+  ReplayLog log;
+  append_record(log, varied_arrivals(1, 1, "SRa"));  // shape {value: f64}
+  Arrivals next;
+  next.entities.push_back(core::Entity(obs(9, "SRz", 2, TimePoint(100'000), {1, 1}, 5.0)));
+  next.nows.push_back(TimePoint(100'000));
+  next.stamps.push_back(3);
+  append_record(log, next);
+  const std::vector<ReadItem> items = read_log(log);
+  ASSERT_EQ(items.size(), 2u);
+  expect_same_arrivals(items[1].arrivals, next);
+  ASSERT_EQ(items[1].record[3] & 0x0a, 0x0a) << "same shape, time elided";
+  EXPECT_FALSE(unpack(items[1].record).has_value());
+}
+
+TEST(ReplayLog, RetractLeavesTheLogAsItWas) {
+  // Each retraction undoes the append right before it; `log` then goes
+  // on like `twin`, which never saw the retracted items, and every item
+  // must read back the same bytes and decode.
+  ReplayLog log;
+  ReplayLog twin;
+  EXPECT_EQ(log.bytes(), 0u) << "nothing before the first append";
+  const Arrivals r1 = varied_arrivals(0, 40, "SR");
+  append_record(log, r1);
+  append_record(twin, r1);
+  const std::size_t held = log.bytes();
+  // A record that fills the string table with new names, ends on a new
+  // shape and fills new chunks.
+  append_record(log, varied_arrivals(40, 300, "NEW"));
+  EXPECT_GT(log.bytes(), held + 2 * ReplayLog::kChunk);
+  log.retract();
+  EXPECT_LT(log.bytes(), held + ReplayLog::kChunk) << "the new chunks are freed";
+  EXPECT_EQ(log.arrivals(), twin.arrivals());
+  EXPECT_EQ(log.end_seq(), twin.end_seq());
+  // A retracted barrier leaves the context running. r2 starts on r1's
+  // last shape and tables new names it then repeats, so its bytes show
+  // whether the retractions restored the shape and the string table.
+  log.append(std::make_shared<int>(1), true);
+  log.retract();
+  const Arrivals r2 = varied_arrivals(342, 200, "SR");
+  append_record(log, r2);
+  append_record(twin, r2);
+  // A record retracted right after a barrier: the next one still starts
+  // the fresh context.
+  const auto barrier = std::make_shared<int>(2);
+  log.append(barrier, true);
+  twin.append(barrier, true);
+  append_record(log, varied_arrivals(542, 20, "NEW"));
+  log.retract();
+  const Arrivals r3 = varied_arrivals(562, 30, "SR");
+  append_record(log, r3);
+  append_record(twin, r3);
+
+  EXPECT_EQ(log.arrivals(), 270u);
+  EXPECT_EQ(log.end_seq(), twin.end_seq());
+  const std::vector<ReadItem> got = read_log(log);
+  const std::vector<ReadItem> want = read_log(twin);
+  ASSERT_EQ(got.size(), 4u);
+  ASSERT_EQ(want.size(), 4u);
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].block, want[k].block) << "item " << k;
+    EXPECT_EQ(got[k].record, want[k].record) << "item " << k;
+  }
+  expect_same_arrivals(got[0].arrivals, r1);
+  expect_same_arrivals(got[1].arrivals, r2);
+  EXPECT_EQ(got[2].block, barrier);
+  expect_same_arrivals(got[3].arrivals, r3);
+  EXPECT_EQ(got[3].record, record_of(r3.entities, r3.nows, r3.stamps)) << "not a fresh context";
+}
+
+TEST(ReplayLog, TruncationAtACheckpointLeavesADecodableFront) {
+  ReplayLog log;
+  const Arrivals r1 = varied_arrivals(0, 200, "SR");
+  const Arrivals r2 = varied_arrivals(200, 200, "SR");
+  append_record(log, r1);
+  log.append(std::make_shared<int>(1), false);  // a migration control
+  append_record(log, r2);
+  log.append(std::make_shared<int>(2), true);  // a checkpoint
+  const std::uint64_t barrier = log.end_seq() - 1;
+  // The same names again: after the barrier they are tabled afresh.
+  const Arrivals r3 = varied_arrivals(400, 30, "SR");
+  const Arrivals r4 = varied_arrivals(430, 30, "SR");
+  append_record(log, r3);
+  append_record(log, r4);
+  EXPECT_EQ(log.arrivals(), 460u);
+
+  // A reader part-way through, as recovery reads: it fetched the barrier,
+  // then the log is truncated through it.
+  ReplayLog::Reader reader;
+  std::string record;
+  for (std::uint64_t seq = log.front_seq(); seq <= barrier; ++seq) {
+    if (reader.fetch(log, seq, record) == nullptr) {
+      ASSERT_TRUE(reader.decode(record).has_value());
+    }
+  }
+  const std::size_t held = log.bytes();
+  EXPECT_THROW(log.truncate_through(barrier - 1), std::invalid_argument) << "a record";
+  EXPECT_THROW(log.truncate_through(barrier - 2), std::invalid_argument) << "not a barrier";
+  log.truncate_through(barrier);
+  EXPECT_EQ(log.front_seq(), barrier + 1);
+  EXPECT_EQ(log.arrivals(), 60u);
+  EXPECT_LT(log.bytes(), held - 2 * ReplayLog::kChunk);
+  EXPECT_LT(log.bytes(), 2 * ReplayLog::kChunk) << "the held records share one chunk";
+  int controls = 0;
+  log.for_each_control([&](std::uint64_t, const ReplayLog::ControlBlock&) { ++controls; });
+  EXPECT_EQ(controls, 0);
+
+  // The part-way reader goes on across the truncation...
+  ASSERT_EQ(reader.fetch(log, barrier + 1, record), nullptr);
+  expect_same_arrivals(reader.decode(record), r3);
+  // ...and a fresh one starts at the new front, which is coded exactly
+  // as a standalone record.
+  std::vector<ReadItem> items = read_log(log);
+  ASSERT_EQ(items.size(), 2u);
+  EXPECT_EQ(items[0].record, record_of(r3.entities, r3.nows, r3.stamps));
+  expect_same_arrivals(items[0].arrivals, r3);
+  expect_same_arrivals(items[1].arrivals, r4);
+  ReplayLog::Reader other;
+  EXPECT_THROW((void)other.fetch(log, barrier + 2, record), std::out_of_range);
+  EXPECT_THROW((void)other.fetch(log, barrier, record), std::out_of_range);
+
+  // Truncated through its last item, the log still appends and reads.
+  log.append(std::make_shared<int>(3), true);
+  log.truncate_through(log.end_seq() - 1);
+  EXPECT_EQ(log.arrivals(), 0u);
+  const Arrivals r5 = varied_arrivals(460, 10, "SR");
+  append_record(log, r5);
+  items = read_log(log);
+  ASSERT_EQ(items.size(), 1u);
+  expect_same_arrivals(items[0].arrivals, r5);
+  EXPECT_EQ(items[0].record, record_of(r5.entities, r5.nows, r5.stamps));
 }
 
 TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
   const std::vector<core::Entity> entities = codec_entities();
   const core::Entity& interval = entities.back();
-  // count, Δstamp and Δnow (one byte each), then the entity.
+  // count, Δstamp and Δnow (one byte each), then the entity's header: an
+  // instance (bit 0) with a polygon location (bit 2) and an interval
+  // est_time (bit 4), its shape written out.
   const std::string bytes = packed(interval);
-  constexpr std::size_t kKind = 3;
-  ASSERT_EQ(bytes[kKind], '\1');
+  constexpr std::size_t kHeader = 3;
+  ASSERT_EQ(bytes[kHeader], '\x15');
   const auto reject = [](const std::string& m, const char* what) {
-    EXPECT_FALSE(unpack_arrivals(m).has_value()) << what;
+    EXPECT_FALSE(unpack(m).has_value()) << what;
   };
-  std::string bad_kind = bytes;
-  bad_kind[kKind] = '\2';
-  reject(bad_kind, "unknown entity kind");
+  const auto with_header = [&](char header) {
+    std::string m = bytes;
+    m[kHeader] = header;
+    return m;
+  };
+  reject(with_header('\x35'), "header bit 5");
+  reject(with_header('\x95'), "header bit 7");
+  reject(with_header('\x17'), "same shape with no shape in the context");
+  // An observation has no est_time: its interval bit is rejected.
+  const std::string observation = packed(entities.front());
+  ASSERT_EQ(observation[kHeader], '\0');
+  std::string interval_observation = observation;
+  interval_observation[kHeader] = '\x10';
+  reject(interval_observation, "observation with an interval est_time");
   // Interval end before begin: the end's +500000-tick step from the
   // begin turned into a -500000 one (same varint width).
   reject(patched(bytes, zigzag_varint(500'000), zigzag_varint(-500'000)),
@@ -1101,15 +1373,17 @@ TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
          "two-vertex polygon");
   reject(patched(bytes, std::string(1, '\7') + first_vertex, std::string(1, '\x7f') + first_vertex),
          "vertex count past the end");
-  // A bool attribute byte other than 0/1 (the name's first use tables it).
+  // A bool value byte other than 0/1. The values follow the shape (whose
+  // last entry is the str-typed "zone") in name order: armed (false)
+  // first.
   const std::string armed = std::string(1, '\5') + "armed" + std::string(1, '\2');
-  reject(patched(bytes, armed + std::string(1, '\0'), armed + std::string(1, '\2')),
-         "bool byte 2");
+  const std::string shape_end = std::string("zone") + '\3';
+  reject(patched(bytes, shape_end + '\0', shape_end + '\2'), "bool byte 2");
   reject(patched(bytes, armed, std::string(1, '\5') + "armed" + std::string(1, '\4')),
          "unknown attribute type");
   // A varint that never terminates, and a count no input can hold.
-  EXPECT_FALSE(unpack_arrivals(std::string(12, '\xff')).has_value());
-  EXPECT_FALSE(unpack_arrivals(std::string("\xff\xff\xff\x0f")).has_value());
+  EXPECT_FALSE(unpack(std::string(12, '\xff')).has_value());
+  EXPECT_FALSE(unpack(std::string("\xff\xff\xff\x0f")).has_value());
 
   // Flip each byte in turn across a whole record: decode must return
   // nullopt or a value — never crash or read out of bounds (the ASan and
@@ -1121,7 +1395,7 @@ TEST(ReplayCodec, MalformedRecordsAreRejectedCleanly) {
     for (const char mask : {'\x01', '\x20', '\x80'}) {
       std::string flipped = record;
       flipped[i] = static_cast<char>(flipped[i] ^ mask);
-      (void)unpack_arrivals(flipped);
+      (void)unpack(flipped);
     }
   }
 }
@@ -1193,7 +1467,7 @@ TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
   const core::DefinitionState state = codec_state();
   const std::string frame = encode_definition_state(state);
   // Four 8-byte header fields, the slot count, slot 0's entity count (both
-  // one-byte varints here), then the first entity's Δstamp and kind tag.
+  // one-byte varints here), then the first entity's Δstamp and header.
   constexpr std::size_t kSlots = 4 * sizeof(std::uint64_t);
   const std::size_t kTag = kSlots + 2 + zigzag_varint(std::int64_t{1} << 40).size();
   ASSERT_EQ(frame[kSlots], '\2');
@@ -1201,13 +1475,13 @@ TEST(CheckpointCodec, MalformedFramesAreRejectedCleanly) {
   ASSERT_EQ(frame[kTag], '\0');
   const std::string past_end = varint(frame.size());
   std::string bad_tag = frame;
-  bad_tag[kTag] = '\2';
+  bad_tag[kTag] = '\x20';
   const std::pair<std::string, const char*> mutants[] = {
       {"", "empty frame"},
       {frame.substr(0, kSlots) + past_end + frame.substr(kSlots + 1), "slot count past the end"},
       {frame.substr(0, kSlots + 1) + past_end + frame.substr(kSlots + 2),
        "entity count past the end"},
-      {bad_tag, "unknown entity kind"},
+      {bad_tag, "unknown header bit"},
       {frame + '\0', "one trailing byte"},
   };
   for (const auto& [m, what] : mutants) {
@@ -1247,9 +1521,9 @@ std::string mutated(std::string bytes, sim::Rng& rng) {
 }
 
 TEST(CrashRecoveryCodec, SeededRandomMutationsAreHandled) {
-  // Random edits of a record and a frame: decode returns nullopt or a
-  // value, never crashes or reads out of bounds, and whatever decodes
-  // re-encodes to a canonical form that is a fixed point.
+  // Random edits of a record, a multi-record log and a frame: decode
+  // returns nullopt or a value, never crashes or reads out of bounds, and
+  // whatever decodes re-encodes to a canonical form that is a fixed point.
   sim::Rng rng(0xc0dec);
   const std::vector<core::Entity> entities = codec_entities();
   std::vector<TimePoint> nows;
@@ -1261,10 +1535,39 @@ TEST(CrashRecoveryCodec, SeededRandomMutationsAreHandled) {
   const std::string record = record_of(entities, nows, stamps);
   const core::DefinitionState state = codec_state();
   const std::string frame = encode_definition_state(state);
+  ReplayLog log;
+  const std::vector<ReadItem> items = read_log(three_record_log(log));
   for (int round = 0; round < 2000; ++round) {
-    if (const std::optional<Arrivals> got = unpack_arrivals(mutated(record, rng))) {
+    // One record of a log edited, decoded in the context the records
+    // before it leave (the later ones too, while they still decode):
+    // whatever decodes re-logs to a canonical log that is a fixed point.
+    if (round % 4 == 0) {
+      const auto edited = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(items.size()) - 1));
+      ReplayLog::Reader reader;
+      std::string bytes;
+      ReplayLog canonical;
+      std::size_t decoded = 0;
+      for (std::size_t j = 0; j < items.size(); ++j, ++decoded) {
+        (void)reader.fetch(log, log.front_seq() + j, bytes);
+        const std::optional<Arrivals> got = reader.decode(j == edited ? mutated(bytes, rng) : bytes);
+        if (!got.has_value()) break;
+        if (!got->entities.empty()) append_record(canonical, *got);
+      }
+      ASSERT_GE(decoded, edited);
+      ReplayLog again;
+      const std::vector<ReadItem> first = read_log(canonical);
+      for (const ReadItem& item : first) {
+        ASSERT_TRUE(item.arrivals.has_value());
+        append_record(again, *item.arrivals);
+      }
+      const std::vector<ReadItem> second = read_log(again);
+      ASSERT_EQ(second.size(), first.size());
+      for (std::size_t j = 0; j < first.size(); ++j) EXPECT_EQ(second[j].record, first[j].record);
+    }
+    if (const std::optional<Arrivals> got = unpack(mutated(record, rng))) {
       const std::string canonical = record_of(got->entities, got->nows, got->stamps);
-      const std::optional<Arrivals> again = unpack_arrivals(canonical);
+      const std::optional<Arrivals> again = unpack(canonical);
       ASSERT_TRUE(again.has_value());
       EXPECT_EQ(record_of(again->entities, again->nows, again->stamps), canonical);
     }

@@ -22,6 +22,18 @@
 # Every BENCH_*.json carries logical_cpus in its context header, so a
 # reader (or bench_compare) can tell a single-core container recording from
 # a many-core one without out-of-band notes.
+#
+# Where taskset exists and more than one CPU is online, each Google
+# Benchmark executable runs pinned to one CPU (the last one this process
+# may use), recorded as pinned_cpu beside logical_cpus ("none" when
+# unpinned): unpinned runs of identical code have differed by 10-40% as
+# the scheduler moves the benchmark thread.
+#
+# Comparing a change against its parent: build both trees, then run this
+# script on each in alternating order (parent, change, change, parent, ...)
+# for several rounds into separate out-dirs, so drift in the host's load
+# falls on both sides alike; compare the per-round medians with
+# tools/bench_compare.py and believe a gap only if it holds in most rounds.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +42,18 @@ BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench/baselines}
 MIN_TIME=${STEM_BENCH_MIN_TIME:-0.05}
 LOGICAL_CPUS=$(nproc)
+
+# The CPU to pin to: the last entry of this process's affinity list
+# ("0-3,8,10-11" -> 11).
+PIN=()
+PINNED_CPU=none
+if command -v taskset >/dev/null 2>&1 && [[ "$LOGICAL_CPUS" -gt 1 ]]; then
+  affinity=$(taskset -cp $$)
+  affinity=${affinity##*: }
+  last=${affinity##*,}
+  PINNED_CPU=${last##*-}
+  PIN=(taskset -c "$PINNED_CPU")
+fi
 
 # The e1-e4, e9-e11 microbenchmarks use BENCHMARK_MAIN and understand
 # --benchmark_format=json; e5-e8, e12, and fig* are self-driving studies
@@ -69,10 +93,10 @@ fi
 for target in "${GBENCH_TARGETS[@]}"; do
   exe="$BUILD_DIR/bench/$target"
   out="$OUT_DIR/BENCH_${target}.json"
-  echo "bench: $target -> $out (logical_cpus=$LOGICAL_CPUS)" >&2
+  echo "bench: $target -> $out (logical_cpus=$LOGICAL_CPUS, pinned_cpu=$PINNED_CPU)" >&2
   status=0
-  "$exe" --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
-    --benchmark_context=logical_cpus="$LOGICAL_CPUS" >"$out" || status=$?
+  "${PIN[@]}" "$exe" --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
+    --benchmark_context=logical_cpus="$LOGICAL_CPUS",pinned_cpu="$PINNED_CPU" >"$out" || status=$?
   if [[ "$status" -ne 0 ]]; then
     rm -f "$out"  # never leave a truncated baseline behind
     echo "error: $target exited with status $status; baseline run aborted" >&2
