@@ -56,20 +56,29 @@ void DetectionEngine::init_def_state(DefState& ds) {
   if (n == 1) return;
 
   auto join = std::make_unique<JoinState>();
-  join->guards.resize(n);
-  for (const SpatialGuard& g : extract_spatial_guards(ds.def->condition)) {
-    if (g.slot >= n) continue;  // condition slots were validated above
-    Guard guard;
-    guard.radius = g.radius;
-    if (g.partner.has_value()) {
-      if (*g.partner >= n) continue;
-      guard.partner = *g.partner;
-    } else if (g.region.has_value()) {
-      guard.region = g.region->bbox().inflated(g.radius);
-    } else {
-      continue;
+  join->slots.resize(n);
+  // Each slot's guards are one range of join->guards, in extraction order
+  // (prepare_candidates breaks query-area ties by that order).
+  const std::vector<SpatialGuard> extracted = extract_spatial_guards(ds.def->condition);
+  join->guards.reserve(extracted.size());
+  for (std::size_t j = 0; j < n; ++j) {
+    JoinState::Slot& slot = join->slots[j];
+    slot.guard_begin = static_cast<std::uint32_t>(join->guards.size());
+    for (const SpatialGuard& g : extracted) {
+      if (g.slot != j) continue;
+      Guard guard;
+      guard.radius = g.radius;
+      if (g.partner.has_value()) {
+        if (*g.partner >= n) continue;
+        guard.partner = *g.partner;
+      } else if (g.region.has_value()) {
+        guard.region = g.region->bbox().inflated(g.radius);
+      } else {
+        continue;
+      }
+      join->guards.push_back(guard);
     }
-    join->guards[g.slot].push_back(guard);
+    slot.guard_end = static_cast<std::uint32_t>(join->guards.size());
   }
   // Retain-mode definitions are stream-backed: their slot buffers (and
   // spatial indexes, once attached for guarded slots) live in shared plan
@@ -77,11 +86,7 @@ void DetectionEngine::init_def_state(DefState& ds) {
   // Consume-mode definitions keep private buffers — consumption retires
   // entities mid-buffer, which co-subscribers must not see — and use the
   // enumerator's inline guard precheck instead of an index.
-  if (ds.def->consumption == ConsumptionMode::kUnrestricted) {
-    join->stream_backed = true;
-  } else {
-    join->buffers.resize(n);
-  }
+  join->stream_backed = ds.def->consumption == ConsumptionMode::kUnrestricted;
   ds.join = std::move(join);
 }
 
@@ -136,7 +141,7 @@ void DetectionEngine::unsubscribe_stream(std::uint32_t stream_id) {
   free_streams_.push_back(stream_id);
 }
 
-void DetectionEngine::attach_stream_spatial(StreamNode& sn, const std::vector<Guard>& guards) {
+void DetectionEngine::attach_stream_spatial(StreamNode& sn, std::span<const Guard> guards) {
   if (sn.spatial != nullptr) return;  // the first guarded subscriber's choice sticks
   // A metric guard's radius is the natural grid cell size; purely
   // topological guards have no length scale, so use the R-tree. (The cell
@@ -161,13 +166,13 @@ std::size_t DetectionEngine::add_definition(std::shared_ptr<const EventDefinitio
   init_def_state(ds);
   if (ds.join != nullptr && ds.join->stream_backed) {
     JoinState& js = *ds.join;
-    const std::size_t n = ds.def->slots.size();
-    js.streams.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      js.streams[j] = subscribe_stream(stream_key_for(ds, j), ds.def->window);
+    for (std::size_t j = 0; j < js.slots.size(); ++j) {
+      js.slots[j].stream = subscribe_stream(stream_key_for(ds, j), ds.def->window);
     }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!js.guards[j].empty()) attach_stream_spatial(*streams_[js.streams[j]], js.guards[j]);
+    for (std::size_t j = 0; j < js.slots.size(); ++j) {
+      if (!js.guards_of(j).empty()) {
+        attach_stream_spatial(*streams_[js.slots[j].stream], js.guards_of(j));
+      }
     }
   } else if (ds.join != nullptr) {
     private_buffered_.push_back(PrivateBuffered{d, ds.join.get()});
@@ -185,21 +190,21 @@ DefinitionState DetectionEngine::carried_state(const DefState& ds) const {
   // codec sees no difference.
   std::vector<std::vector<DefinitionState::BufferedEntity>> buffers(ds.def->slots.size());
   time_model::TimePoint carried_prune = time_model::TimePoint::max();
-  const auto carry = [&](const std::size_t s, const std::deque<Buffered>& buf) {
-    buffers[s].reserve(buf.size());
-    for (const Buffered& b : buf) {
-      buffers[s].push_back(DefinitionState::BufferedEntity{b.entity, b.stamp});
+  if (ds.join != nullptr) {
+    const JoinState& js = *ds.join;
+    for (std::size_t s = 0; s < js.slots.size(); ++s) {
+      const Fifo<Buffered>* buf = &js.slots[s].buf;
+      if (js.stream_backed) {
+        const StreamNode& sn = *streams_[js.slots[s].stream];
+        buf = &sn.buf;
+        if (sn.next_prune_at < carried_prune) carried_prune = sn.next_prune_at;
+      }
+      buffers[s].reserve(buf->size());
+      for (const Buffered& b : *buf) {
+        buffers[s].push_back(DefinitionState::BufferedEntity{b.entity, b.stamp});
+      }
     }
-  };
-  if (ds.join != nullptr && ds.join->stream_backed) {
-    for (std::size_t s = 0; s < ds.join->streams.size(); ++s) {
-      const StreamNode& sn = *streams_[ds.join->streams[s]];
-      carry(s, sn.buf);
-      if (sn.next_prune_at < carried_prune) carried_prune = sn.next_prune_at;
-    }
-  } else if (ds.join != nullptr) {
-    for (std::size_t s = 0; s < ds.join->buffers.size(); ++s) carry(s, ds.join->buffers[s]);
-    carried_prune = ds.join->next_prune_at;
+    if (!js.stream_backed) carried_prune = js.next_prune_at;
   }
   return DefinitionState{ds.def, seq_counters_[ds.seq_idx].next, carried_prune, std::move(buffers),
                          ds.load_routed, ds.load_tried};
@@ -214,7 +219,7 @@ DefinitionState DetectionEngine::extract_definition_state(std::size_t def_index)
   if (routing_built_) routing_.remove(*ds.def, static_cast<std::uint32_t>(def_index));
   DefinitionState out = carried_state(ds);
   if (ds.join != nullptr && ds.join->stream_backed) {
-    for (const std::uint32_t id : ds.join->streams) unsubscribe_stream(id);
+    for (const JoinState::Slot& slot : ds.join->slots) unsubscribe_stream(slot.stream);
   } else if (ds.join != nullptr) {
     std::erase_if(private_buffered_,
                   [def_index](const PrivateBuffered& p) { return p.def == def_index; });
@@ -281,7 +286,7 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
       js.next_prune_at = state.next_prune_at;
       if (js.next_prune_at < global_prune_at_) global_prune_at_ = js.next_prune_at;
       for (std::size_t s = 0; s < n; ++s) {
-        auto& buf = js.buffers[s];
+        auto& buf = js.slots[s].buf;
         for (auto& b : state.buffers[s]) {
           const geom::BoundingBox box = b.entity->location().bbox();
           buf.push_back(Buffered{std::move(b.entity), remap.at(b.stamp), box});
@@ -300,14 +305,13 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
       // injected into co-subscribers' views, so it lands in a private
       // stream — migration pessimizes sharing for the moved definition,
       // never for the definitions around it.
-      js.streams.resize(n);
       for (std::size_t s = 0; s < n; ++s) {
         if (state.buffers[s].empty()) {
-          js.streams[s] = subscribe_stream(stream_key_for(ds, s), ds.def->window);
+          js.slots[s].stream = subscribe_stream(stream_key_for(ds, s), ds.def->window);
           continue;
         }
         const std::uint32_t id = create_stream(std::string(), ds.def->window);
-        js.streams[s] = id;
+        js.slots[s].stream = id;
         StreamNode& sn = *streams_[id];
         for (auto& b : state.buffers[s]) {
           const geom::BoundingBox box = b.entity->location().bbox();
@@ -319,7 +323,9 @@ std::size_t DetectionEngine::implant_definition_state(DefinitionState state) {
         if (sn.next_prune_at < global_prune_at_) global_prune_at_ = sn.next_prune_at;
       }
       for (std::size_t s = 0; s < n; ++s) {
-        if (!js.guards[s].empty()) attach_stream_spatial(*streams_[js.streams[s]], js.guards[s]);
+        if (!js.guards_of(s).empty()) {
+          attach_stream_spatial(*streams_[js.slots[s].stream], js.guards_of(s));
+        }
       }
     }
   }
@@ -339,8 +345,9 @@ void DetectionEngine::collect_definition_loads(
     if (!ds.active) continue;
     DefinitionLoad load{ds.load_routed, ds.load_tried, 0};
     if (ds.join != nullptr) {
-      for (const std::uint32_t id : ds.join->streams) load.buffered += streams_[id]->buf.size();
-      for (const auto& buf : ds.join->buffers) load.buffered += buf.size();
+      for (const JoinState::Slot& slot : ds.join->slots) {
+        load.buffered += ds.join->stream_backed ? streams_[slot.stream]->buf.size() : slot.buf.size();
+      }
     }
     out.push_back({static_cast<std::uint32_t>(d), load});
   }
@@ -357,14 +364,14 @@ void DetectionEngine::clear() {
     up->next_prune_at = time_model::TimePoint::max();
   }
   for (const PrivateBuffered& p : private_buffered_) {
-    for (auto& buf : p.join->buffers) buf.clear();
+    for (JoinState::Slot& slot : p.join->slots) slot.buf.clear();
     p.join->next_prune_at = time_model::TimePoint::max();
   }
   global_prune_at_ = time_model::TimePoint::max();
 }
 
 void DetectionEngine::evict_front(JoinState& js, std::size_t slot) {
-  js.buffers[slot].pop_front();
+  js.slots[slot].buf.pop_front();
   ++stats_.evicted;
 }
 
@@ -393,8 +400,8 @@ void DetectionEngine::prune_def(DefState& ds, time_model::TimePoint now) {
   JoinState& js = *ds.join;
   const time_model::TimePoint horizon = now - ds.def->window;
   time_model::TimePoint next = time_model::TimePoint::max();
-  for (std::size_t s = 0; s < js.buffers.size(); ++s) {
-    auto& buf = js.buffers[s];
+  for (std::size_t s = 0; s < js.slots.size(); ++s) {
+    auto& buf = js.slots[s].buf;
     while (!buf.empty() && buf.front().entity->occurrence_time().end() < horizon) {
       evict_front(js, s);
     }
@@ -470,7 +477,7 @@ void DetectionEngine::route(const Entity& entity) {
 
 void DetectionEngine::insert_buffered(DefState& ds, std::size_t slot, const Buffered& fresh) {
   JoinState& js = *ds.join;
-  auto& buf = js.buffers[slot];
+  auto& buf = js.slots[slot].buf;
   buf.push_back(fresh);
   if (buf.size() > options_.max_buffer) evict_front(js, slot);
   // Lower (never raise) the prune watermarks: stale-low only costs a
@@ -656,7 +663,7 @@ void DetectionEngine::observe_routed(const Entity& entity, time_model::TimePoint
     const std::size_t run_begin = i;
     if (ds.join->stream_backed) {
       for (; i < routes.size() && routes[i].def_idx == d; ++i) {
-        StreamNode& sn = *streams_[ds.join->streams[routes[i].slot_idx]];
+        StreamNode& sn = *streams_[ds.join->slots[routes[i].slot_idx].stream];
         if (sn.last_stamp != stamp) insert_stream(sn, fresh);
       }
     } else {
@@ -684,7 +691,8 @@ void DetectionEngine::fire_single(DefState& ds, const Entity& entity, time_model
 }
 
 void DetectionEngine::prepare_candidates(JoinState& js, std::uint32_t slot) {
-  if (js.guards[slot].empty()) {
+  const std::span<const Guard> guards = js.guards_of(slot);
+  if (guards.empty()) {
     scratch_.source[slot] = 0;
     return;
   }
@@ -694,7 +702,7 @@ void DetectionEngine::prepare_candidates(JoinState& js, std::uint32_t slot) {
   bool partner_bound = false;
   geom::BoundingBox query;
   double best_area = 0.0;
-  for (const Guard& g : js.guards[slot]) {
+  for (const Guard& g : guards) {
     geom::BoundingBox q;
     if (g.partner == Guard::kNoPartner) {
       q = g.region;
@@ -733,7 +741,7 @@ void DetectionEngine::prepare_candidates(JoinState& js, std::uint32_t slot) {
   cand.clear();
   auto& buf = sn->buf;
   for (const std::uint64_t stamp : stamps) {
-    // Buffers are deques in ascending stamp order; map each hit back to
+    // Buffers are FIFOs in ascending stamp order; map each hit back to
     // its buffered entry (stale index hits simply miss and are skipped).
     const auto it =
         std::lower_bound(buf.begin(), buf.end(), stamp,
@@ -829,8 +837,8 @@ void DetectionEngine::consume_participants(DefState& ds) {
   const auto dead = [&stamps](const std::uint64_t s) {
     return std::find(stamps.begin(), stamps.end(), s) != stamps.end();
   };
-  for (auto& buf : ds.join->buffers) {
-    std::erase_if(buf, [&dead](const Buffered& b) { return dead(b.stamp); });
+  for (JoinState::Slot& slot : ds.join->slots) {
+    slot.buf.erase_if([&dead](const Buffered& b) { return dead(b.stamp); });
   }
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 
 #include "core/event_def.hpp"
 #include "core/event_type_table.hpp"
+#include "core/fifo.hpp"
 #include "core/observer.hpp"
 #include "core/routing.hpp"
 #include "geom/grid_index.hpp"
@@ -345,13 +345,13 @@ class DetectionEngine : public Observer {
   /// (filter, window) key, fanned out to every subscribing
   /// (definition, slot). Definitions with equal filters accept exactly the
   /// same entities under the same expiry policy, so their slot buffers are
-  /// views of one deque — and one spatial index — instead of per-
+  /// views of one FIFO — and one spatial index — instead of per-
   /// definition copies (the multi-query sharing this engine's plans are
   /// built on). Only retain-mode (kUnrestricted) definitions subscribe:
   /// consume-mode retires matched entities mid-buffer, which would be
   /// observable by co-subscribers.
   struct StreamNode {
-    std::deque<Buffered> buf;  ///< ascending stamp
+    Fifo<Buffered> buf;  ///< ascending stamp
     /// Shared spatial backing, created when any subscriber guards this
     /// stream's slot; same activation hysteresis as before sharing.
     std::unique_ptr<SlotSpatial> spatial;
@@ -377,13 +377,27 @@ class DetectionEngine : public Observer {
   /// definitions never read a buffer (their bindings only ever contain the
   /// fresh arrival), so they have none of this.
   struct JoinState {
+    /// One join slot: its buffer (private) or stream id (stream-backed),
+    /// and its spatial guards as the range [guard_begin, guard_end) of
+    /// JoinState::guards.
+    struct Slot {
+      Fifo<Buffered> buf;  ///< private buffers only; ascending stamp
+      std::uint32_t stream = 0;
+      std::uint32_t guard_begin = 0;
+      std::uint32_t guard_end = 0;
+    };
+
+    [[nodiscard]] std::span<const Guard> guards_of(std::size_t slot) const {
+      return std::span<const Guard>(guards).subspan(slots[slot].guard_begin,
+                                                    slots[slot].guard_end - slots[slot].guard_begin);
+    }
+
     /// Retain-mode definitions subscribe their slots to shared streams;
     /// consume-mode ones keep private per-slot buffers (consumption
     /// mutates mid-buffer).
     bool stream_backed = false;
-    std::vector<std::deque<Buffered>> buffers;  // private: one per slot; ascending stamp
-    std::vector<std::uint32_t> streams;         // stream-backed: per slot, a stream id
-    std::vector<std::vector<Guard>> guards;     // per slot
+    std::vector<Slot> slots;
+    std::vector<Guard> guards;  ///< grouped by slot
     /// Earliest instant any privately buffered entity may fall out of the
     /// window (shared streams carry their own watermark); may be stale-low
     /// (spurious check) but never stale-high.
@@ -391,8 +405,8 @@ class DetectionEngine : public Observer {
   };
 
   /// One registered definition, 48 bytes whatever its arity: a k-slot
-  /// join keeps its buffers, streams and guards behind `join`, which
-  /// single-slot definitions leave null.
+  /// join keeps its slots and guards behind `join`, which single-slot
+  /// definitions leave null.
   struct DefState {
     explicit DefState(std::shared_ptr<const EventDefinition> d) : def(std::move(d)) {}
 
@@ -502,7 +516,7 @@ class DetectionEngine : public Observer {
   /// Attaches (or keeps) shared spatial backing on a guarded slot's
   /// stream, rebuilding immediately when the buffer is already past the
   /// activation threshold (implanted state).
-  void attach_stream_spatial(StreamNode& sn, const std::vector<Guard>& guards);
+  void attach_stream_spatial(StreamNode& sn, std::span<const Guard> guards);
 
   void maybe_prune(time_model::TimePoint now);
   void prune_def(DefState& ds, time_model::TimePoint now);
@@ -513,13 +527,13 @@ class DetectionEngine : public Observer {
   void insert_stream(StreamNode& sn, const Buffered& fresh);
   /// (Re)indexes every buffered entry of the stream (index activation).
   void rebuild_stream_spatial(StreamNode& sn);
-  /// The slot's buffer view: the shared stream's deque for stream-backed
+  /// The slot's buffer view: the shared stream's FIFO for stream-backed
   /// definitions, the private one otherwise.
-  [[nodiscard]] std::deque<Buffered>& slot_buffer(JoinState& js, std::size_t slot) {
-    return js.stream_backed ? streams_[js.streams[slot]]->buf : js.buffers[slot];
+  [[nodiscard]] Fifo<Buffered>& slot_buffer(JoinState& js, std::size_t slot) {
+    return js.stream_backed ? streams_[js.slots[slot].stream]->buf : js.slots[slot].buf;
   }
   [[nodiscard]] StreamNode* slot_stream(JoinState& js, std::size_t slot) {
-    return js.stream_backed ? streams_[js.streams[slot]].get() : nullptr;
+    return js.stream_backed ? streams_[js.slots[slot].stream].get() : nullptr;
   }
   /// The routing index, built from every active definition on first use;
   /// add/extract/implant keep it current from then on.

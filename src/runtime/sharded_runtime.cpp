@@ -75,7 +75,6 @@ ShardedEngineRuntime::ShardedEngineRuntime(core::ObserverId id, core::Layer laye
   for (std::size_t s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>(id_, layer_, location_, options_.engine);
     shard->index = s;
-    if (options_.cascade) shard->feedback.emplace();
     shards_.push_back(std::move(shard));
   }
   shard_keys_.resize(options_.shards);
@@ -922,15 +921,15 @@ void ShardedEngineRuntime::worker_loop(Shard& shard) {
       }
       {
         const std::lock_guard flk(shard.fb_mutex);
-        if (!shard.feedback->empty()) {
-          if (shard.feedback->front().stamp <= gate) {
+        if (!shard.feedback.empty()) {
+          if (shard.feedback.front().stamp <= gate) {
             // Sequenced by the coordinator; always admissible.
-            fb = std::move(shard.feedback->front());
-            shard.feedback->pop_front();
+            fb = std::move(shard.feedback.front());
+            shard.feedback.pop_front();
             kind = Kind::kFeedback;
             return true;
           }
-          limit = shard.feedback->front().stamp;
+          limit = shard.feedback.front().stamp;
         }
       }
       if (head == nullptr) return false;
@@ -1531,7 +1530,7 @@ void ShardedEngineRuntime::cascade_loop() {
       {
         const std::lock_guard lk(shards_[s]->fb_mutex);
         for (FeedbackItem& item : fb_batch[s]) {
-          shards_[s]->feedback->push_back(std::move(item));
+          shards_[s]->feedback.push_back(std::move(item));
         }
       }
       fb_batch[s].clear();

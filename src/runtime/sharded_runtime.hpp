@@ -18,6 +18,7 @@
 
 #include "core/engine.hpp"
 #include "core/event_type_table.hpp"
+#include "core/fifo.hpp"
 #include "core/routing.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/inbox_queue.hpp"
@@ -638,10 +639,9 @@ class ShardedEngineRuntime {
     /// sub-stamp order, guarded by fb_mutex. Drained interleaved with the
     /// inbox by sub-stamp (the worker picks whichever head item has the
     /// smaller key). Not capacity-accounted (bounded by cascade_pipeline
-    /// closures). Engaged in cascade mode only: an idle std::deque still
-    /// holds a map and a node.
+    /// closures).
     std::mutex fb_mutex;
-    std::optional<std::deque<FeedbackItem>> feedback;
+    core::Fifo<FeedbackItem> feedback;
 
     /// Set (under out_mutex) whenever a publish touches the outbox or the
     /// completion key; cleared by the coordinator's sweep. The coordinator
